@@ -77,6 +77,8 @@ def _fail(path, message):
 
 
 def _expect_keys(d, path, required, optional=()):
+    if not isinstance(d, dict):
+        _fail(path, "must be an object")
     unknown = set(d) - set(required) - set(optional)
     if unknown:
         _fail(path, f"unknown keys {sorted(unknown)}")
@@ -93,11 +95,26 @@ def _number(d, path, key, default=None, positive=False, integer=False):
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{path}.{key}", "must be a number")
+    if not math.isfinite(v):
+        _fail(f"{path}.{key}", "must be finite")
     if integer and int(v) != v:
         _fail(f"{path}.{key}", "must be an integer")
     if positive and v <= 0:
         _fail(f"{path}.{key}", "must be positive")
     return int(v) if integer else float(v)
+
+
+def _numbers(d, path, keys, **kinds):
+    """Check with _number each of the keys that d has."""
+    for key in keys:
+        if key in d:
+            _number(d, path, key, **kinds)
+
+
+def _count(d, path, key):
+    """An optional nonnegative integer."""
+    if key in d and _number(d, path, key, integer=True) < 0:
+        _fail(f"{path}.{key}", "must be nonnegative")
 
 
 def load_config(path) -> dict:
@@ -128,27 +145,45 @@ def validate_config(cfg: dict):
                  optional=("x0", "cfl_factor", "smoothing"))
     if sc["dimension"] not in (1, 2):
         _fail("scenario.dimension", "must be 1 or 2")
+    dim = sc["dimension"]
     for key in ("lengths", "nodes"):
-        if not isinstance(sc[key], list) or len(sc[key]) != sc["dimension"]:
-            _fail(f"scenario.{key}", f"must be a list of {sc['dimension']} value(s)")
+        if not isinstance(sc[key], list) or len(sc[key]) != dim:
+            _fail(f"scenario.{key}", f"must be a list of {dim} value(s)")
+        items = dict(enumerate(sc[key]))
+        _numbers(items, f"scenario.{key}", items, positive=True, integer=key == "nodes")
     _number(sc, "scenario", "T", positive=True)
     _number(sc, "scenario", "nt", positive=True, integer=True)
+    _numbers(sc, "scenario", ("cfl_factor",))
+    if sc.get("x0") is not None:
+        x0 = dict(enumerate(sc["x0"] if isinstance(sc["x0"], list) else [sc["x0"]]))
+        if len(x0) != dim:
+            _fail("scenario.x0", f"must be a number or a list of {dim} numbers")
+        _numbers(x0, "scenario.x0", x0)
     region = sc["region"]
     if not isinstance(region, dict) or "type" not in region:
         _fail("scenario.region", "must be an object with a 'type'")
     rtype = region["type"]
     if rtype == "interval":
         _expect_keys(region, "scenario.region", required=("type", "a", "b"))
+        _numbers(region, "scenario.region", ("a", "b"))
     elif rtype == "rectangle":
         _expect_keys(region, "scenario.region", required=("type", "x0", "x1", "y0", "y1"))
+        _numbers(region, "scenario.region", ("x0", "x1", "y0", "y1"))
     elif rtype == "sides":
         _expect_keys(region, "scenario.region", required=("type", "sides", "eps"))
+        if not isinstance(region["sides"], list):
+            _fail("scenario.region.sides", "must be a list of side names")
+        _number(region, "scenario.region", "eps")
     else:
         _fail("scenario.region.type", f"unknown region type {rtype!r}")
     data = cfg["data"]
     _expect_keys(data, "data", required=("initial", "target"))
     nl = cfg["nonlinearity"]
     _expect_keys(nl, "nonlinearity", required=("name",), optional=("params",))
+    params = nl.get("params", {})
+    if not isinstance(params, dict):
+        _fail("nonlinearity.params", "must be an object")
+    _numbers(params, "nonlinearity.params", params)
     methods = cfg["methods"]
     if not isinstance(methods, list) or not methods:
         _fail("config.methods", "must be a non-empty list")
@@ -156,15 +191,27 @@ def validate_config(cfg: dict):
         if m not in METHOD_RUNNERS:
             _fail("config.methods", f"unknown method {m!r}")
     if "least_squares" in cfg:
-        _expect_keys(cfg["least_squares"], "least_squares", required=(),
+        ls = cfg["least_squares"]
+        _expect_keys(ls, "least_squares", required=(),
                      optional=("m", "tol", "max_outer", "e_floor", "scan_points",
                                "refine_rel_width", "C", "init", "tol_A"))
+        _numbers(ls, "least_squares", ("m", "tol", "e_floor", "refine_rel_width", "C", "tol_A"))
+        _numbers(ls, "least_squares", ("scan_points",), positive=True, integer=True)
+        _count(ls, "least_squares", "max_outer")
     if "fixed_point" in cfg:
-        _expect_keys(cfg["fixed_point"], "fixed_point", required=(),
+        fp = cfg["fixed_point"]
+        _expect_keys(fp, "fixed_point", required=(),
                      optional=("tol", "step_tol", "max_outer", "e_floor"))
+        _numbers(fp, "fixed_point", ("tol", "step_tol", "e_floor"))
+        _count(fp, "fixed_point", "max_outer")
     if "inner" in cfg:
-        _expect_keys(cfg["inner"], "inner", required=(),
+        inner = cfg["inner"]
+        _expect_keys(inner, "inner", required=(),
                      optional=("eps_reg", "cg_tol", "cg_max_iter", "precondition"))
+        _numbers(inner, "inner", ("cg_tol",))
+        if inner.get("eps_reg") is not None:     # null selects the default
+            _number(inner, "inner", "eps_reg")
+        _count(inner, "inner", "cg_max_iter")
     if "sweep" in cfg:
         _expect_keys(cfg["sweep"], "sweep", required=("path", "values"))
         if not isinstance(cfg["sweep"]["values"], list) or not cfg["sweep"]["values"]:

@@ -100,8 +100,21 @@ class SpaceTimeField:
         self.values = v
 
     @classmethod
+    def _trusted(cls, grid: SpaceTimeGrid, values: np.ndarray) -> "SpaceTimeField":
+        """Wrap a grid-shaped float array known to be finite, without a scan or copy.
+
+        For arrays the package itself produced: solver output (the march has
+        already checked it) and products of such fields with bounded weights.
+        """
+        values.setflags(write=False)
+        f = cls.__new__(cls)
+        f.grid = grid
+        f.values = values
+        return f
+
+    @classmethod
     def zeros(cls, grid: SpaceTimeGrid) -> "SpaceTimeField":
-        return cls(grid, np.zeros((grid.nt + 1,) + grid.shape))
+        return cls._trusted(grid, np.zeros((grid.nt + 1,) + grid.shape))
 
     @classmethod
     def from_function(cls, grid: SpaceTimeGrid, fn) -> "SpaceTimeField":
@@ -115,7 +128,8 @@ class SpaceTimeField:
         return cls(grid, np.full((grid.nt + 1,) + grid.shape, float(value)))
 
     def time_reversed(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.values[::-1].copy())
+        """Read-only reversed view; shares memory with this field."""
+        return SpaceTimeField._trusted(self.grid, self.values[::-1])
 
     def to_binary(self, path):
         """Flat float64 dump, time level outer, node index (C order) inner."""
@@ -162,8 +176,20 @@ class StatePair:
         self.velocity = vel
 
     @classmethod
+    def _trusted(cls, grid: SpaceTimeGrid, position: np.ndarray,
+                 velocity: np.ndarray) -> "StatePair":
+        """Wrap finite grid-shaped arrays that vanish on the boundary, without checks."""
+        position.setflags(write=False)
+        velocity.setflags(write=False)
+        s = cls.__new__(cls)
+        s.grid = grid
+        s.position = position
+        s.velocity = velocity
+        return s
+
+    @classmethod
     def zeros(cls, grid: SpaceTimeGrid) -> "StatePair":
-        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
+        return cls._trusted(grid, np.zeros(grid.shape), np.zeros(grid.shape))
 
     def __add__(self, other: "StatePair") -> "StatePair":
         return StatePair(self.grid, self.position + other.position,

@@ -130,9 +130,9 @@ def hum_pairing(terminal: StatePair, seed: StatePair) -> float:
 # ---------------------------------------------------------------------------
 
 def _control_source(grid, region, phi_values):
-    u = phi_values * region.weights
+    u = phi_values * region.weights       # new array; phi is finite, weights in [0, 1]
     u[-1] = 0.0          # final level carries no quadrature weight
-    return SpaceTimeField(grid, u)
+    return SpaceTimeField._trusted(grid, u)
 
 
 def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
@@ -145,7 +145,7 @@ def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     <Lambda s, s'> = (phi_s, phi_s')_{L^2(q_T)}.
     """
     phi = solve_backward(grid, potential, seed)
-    u = _control_source(grid, region, phi.values.copy())
+    u = _control_source(grid, region, phi.values)
     z = solve_forward(grid, potential, u, StatePair.zeros(grid))
     return terminal_state(grid, z, potential, u)
 
@@ -263,7 +263,7 @@ def solve_null_control(problem: LinearControlProblem) -> ControlSolution:
 
     if np.any(rho != 0.0):
         phi = solve_backward(grid, A, seed_from_rho(grid, rho))
-        u = _control_source(grid, region, phi.values.copy())
+        u = _control_source(grid, region, phi.values)
         w = solve_forward(grid, A, u, StatePair.zeros(grid))
         w_term = terminal_state(grid, w, A, u)
         traj_values = (free.values if free is not None else 0.0) + w.values

@@ -85,7 +85,9 @@ def solve_forward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
         _march_1d(grid, y, A, S)
     else:
         _march_2d(grid, y, A, S)
-    return SpaceTimeField(grid, y)
+    # no rescan: the march raised on any nonfinite level, since a nonfinite
+    # node stays nonfinite through y[nt], which is always checked
+    return SpaceTimeField._trusted(grid, y)
 
 
 _CHECK_STRIDE = 32
@@ -100,47 +102,71 @@ def _blowup_scan(y, lo, hi):
 
 
 def _march_1d(grid, y, A, S):
+    # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S,
+    # evaluated left to right; that order is part of the output contract
+    # (byte-identical results), so only the buffers may change, not the sums.
     dt = grid.dt
     dt2 = dt * dt
     c = dt2 / grid.dx[0] ** 2
+    k0 = 2.0 - 2.0 * c
     nt = grid.nt
-    buf = np.empty(grid.shape[0] - 2)
+    inner = y[:, 1:-1]
+    dA = dt2 * A[:, 1:-1] if A is not None else None
+    dS = dt2 * S[:, 1:-1] if S is not None else None
+    cy = np.empty(grid.shape[0])
+    tmp = np.empty(grid.shape[0] - 2)
     # overflow is detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
-            yn = y[n]
-            np.multiply(yn[1:-1], 2.0 - 2.0 * c, out=buf)
-            buf += c * yn[2:]
-            buf += c * yn[:-2]
-            buf -= y[n - 1, 1:-1]
-            if A is not None:
-                buf -= dt2 * A[n, 1:-1] * yn[1:-1]
-            if S is not None:
-                buf += dt2 * S[n, 1:-1]
-            y[n + 1, 1:-1] = buf
-            if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(buf)):
+            out = inner[n + 1]
+            np.multiply(y[n], c, out=cy)
+            np.multiply(inner[n], k0, out=out)
+            out += cy[2:]
+            out += cy[:-2]
+            out -= inner[n - 1]
+            if dA is not None:
+                np.multiply(dA[n], inner[n], out=tmp)
+                out -= tmp
+            if dS is not None:
+                out += dS[n]
+            if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(out)):
                 _blowup_scan(y, n + 2 - _CHECK_STRIDE, n + 1)
     if not np.all(np.isfinite(y[nt])):
         _blowup_scan(y, max(1, nt + 1 - _CHECK_STRIDE), nt)
 
 
 def _march_2d(grid, y, A, S):
+    # Per node: ((((k0 core - prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) core) + dt2 S,
+    # in this order.  The step is built in a contiguous buffer and copied into
+    # the strided interior once; dt2 A[n] and dt2 S[n] are formed per step, so
+    # the march needs two level-sized buffers and no extra field.
     dt = grid.dt
     dt2 = dt * dt
     cx = dt2 / grid.dx[0] ** 2
     cy = dt2 / grid.dx[1] ** 2
+    k0 = 2.0 - 2.0 * cx - 2.0 * cy
     nt = grid.nt
+    buf = np.empty(grid.interior_shape)
+    tmp = np.empty(grid.interior_shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
             yn = y[n]
             core = yn[1:-1, 1:-1]
-            buf = (2.0 - 2.0 * cx - 2.0 * cy) * core - y[n - 1, 1:-1, 1:-1]
-            buf += cx * (yn[2:, 1:-1] + yn[:-2, 1:-1])
-            buf += cy * (yn[1:-1, 2:] + yn[1:-1, :-2])
+            np.multiply(core, k0, out=buf)
+            buf -= y[n - 1, 1:-1, 1:-1]
+            np.add(yn[2:, 1:-1], yn[:-2, 1:-1], out=tmp)
+            tmp *= cx
+            buf += tmp
+            np.add(yn[1:-1, 2:], yn[1:-1, :-2], out=tmp)
+            tmp *= cy
+            buf += tmp
             if A is not None:
-                buf -= dt2 * A[n, 1:-1, 1:-1] * core
+                np.multiply(A[n, 1:-1, 1:-1], dt2, out=tmp)
+                tmp *= core
+                buf -= tmp
             if S is not None:
-                buf += dt2 * S[n, 1:-1, 1:-1]
+                np.multiply(S[n, 1:-1, 1:-1], dt2, out=tmp)
+                buf += tmp
             y[n + 1, 1:-1, 1:-1] = buf
             if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(buf)):
                 _blowup_scan(y, n + 2 - _CHECK_STRIDE, n + 1)
@@ -156,7 +182,7 @@ def solve_backward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     potential and velocity sign flipped (the scheme is reversible).
     """
     rev_potential = potential.time_reversed() if potential is not None else None
-    rev_init = StatePair(grid, terminal.position, -terminal.velocity)
+    rev_init = StatePair._trusted(grid, terminal.position, -terminal.velocity)
     return solve_forward(grid, rev_potential, None, rev_init).time_reversed()
 
 

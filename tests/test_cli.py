@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import wavecontrol.cli as cli
 
 from conftest import CONFIGS, load_json
@@ -54,6 +56,27 @@ def test_unknown_method_rejected(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert run_cli(["run", "--config", path]) == 1
     assert "gradient_descent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("scenario.nodes", ["abc"]),
+    ("scenario.lengths", ["x"]),
+    ("scenario.region.a", "left"),
+    ("least_squares.m", "big"),
+    ("inner.eps_reg", "tiny"),
+    ("inner.cg_max_iter", "many"),
+    ("scenario.x0", "here"),
+    ("nonlinearity.params", [1, 2]),
+    ("least_squares.max_outer", -1),
+    ("least_squares.max_outer", float("inf")),
+    ("scenario", 5),
+    ("inner", []),
+])
+def test_malformed_field_is_a_config_error(tmp_path, capsys, key, value):
+    path, _ = small_linear_config(tmp_path, **{key: value})
+    assert run_cli(["run", "--config", path, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key.split(".")[-1] in err
 
 
 def test_run_writes_outputs_and_exit_zero(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 import wavecontrol as wc
 from wavecontrol.errors import BlowupError
-from wavecontrol.solver import laplacian_interior
+from wavecontrol.solver import _CHECK_STRIDE, laplacian_interior
 
 
 def eigenmode_problem(nx, nt, T=1.0):
@@ -189,22 +189,129 @@ def test_residual_of_constant_interior_equals_g_of_c():
     assert np.allclose(r.values[mid], float(g.g(c)), atol=1e-12)
 
 
-def test_blowup_reports_first_bad_level():
-    grid = wc.SpaceTimeGrid((1.0,), (41,), T=2.0, nt=160)
-    A = wc.SpaceTimeField.constant(grid, -1e7)   # unstable negative potential
-    x = grid.axis_nodes(0)
-    init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
+def blowup_case(dim, nt, T):
+    # constant negative potential -1e7: unstable, overflows within ~100 steps
+    if dim == 1:
+        grid = wc.SpaceTimeGrid((1.0,), (41,), T=T, nt=nt)
+        (X,) = grid.meshgrid()
+        pos = np.sin(np.pi * X)
+    else:
+        grid = wc.SpaceTimeGrid((1.0, 1.0), (21, 21), T=T, nt=nt)
+        X, Y = grid.meshgrid()
+        pos = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    init = wc.StatePair(grid, pos, np.zeros(grid.shape))
+    return grid, wc.SpaceTimeField.constant(grid, -1e7), init
+
+
+@pytest.mark.parametrize("dim,nt,T,expected", [
+    # the in-loop check at level 128 or the final check at level nt finds it
+    pytest.param(1, 160, 2.0, 97, id="1d-in-loop"),
+    pytest.param(1, 110, 1.375, 97, id="1d-final"),
+    pytest.param(2, 140, 7.0 / 6.0, 109, id="2d-in-loop"),
+    pytest.param(2, 120, 1.0, 109, id="2d-final"),
+])
+def test_blowup_reports_first_bad_level(dim, nt, T, expected):
+    grid, A, init = blowup_case(dim, nt, T)
     with pytest.raises(BlowupError) as err:
         wc.solve_forward(grid, A, None, init)
     level = err.value.time_level
-    assert 1 <= level <= grid.nt
+    assert level == expected
+    assert level % _CHECK_STRIDE != 0
     assert str(level) in str(err.value)
-    # re-run, stopping just before: all levels up to level-1 finite
-    if level > 2:
-        trunc = wc.SpaceTimeGrid((1.0,), (41,), T=2.0 * (level - 1) / 160, nt=level - 1)
-        partial = wc.solve_forward(trunc, wc.SpaceTimeField.constant(trunc, -1e7),
-                                   None, wc.StatePair(trunc, init.position, init.velocity))
-        assert np.all(np.isfinite(partial.values))
+    # truncated re-runs with the same dt: levels up to level-1 are finite
+    # and level itself is the first bad one
+    dt = grid.dt
+    trunc, A_trunc, init_trunc = blowup_case(dim, level - 1, dt * (level - 1))
+    assert trunc.dt == pytest.approx(dt, rel=1e-15)
+    assert np.all(np.isfinite(wc.solve_forward(trunc, A_trunc, None, init_trunc).values))
+    stop, A_stop, init_stop = blowup_case(dim, level, dt * level)
+    with pytest.raises(BlowupError) as err_stop:
+        wc.solve_forward(stop, A_stop, None, init_stop)
+    assert err_stop.value.time_level == level
+
+
+def _reference_lap(grid, v):
+    if grid.dim == 1:
+        (dx,) = grid.dx
+        return (v[2:] - 2 * v[1:-1] + v[:-2]) / dx**2
+    dx, dy = grid.dx
+    core = v[1:-1, 1:-1]
+    return ((v[2:, 1:-1] - 2 * core + v[:-2, 1:-1]) / dx**2
+            + (v[1:-1, 2:] - 2 * core + v[1:-1, :-2]) / dy**2)
+
+
+def reference_forward(grid, A, S, init):
+    """The leapfrog march as plain per-step expressions.
+
+    Python evaluates each expression left to right, which fixes the order
+    of every floating-point operation; the solver must reproduce it bit for
+    bit.
+    """
+    a = A.values if A is not None else None
+    s = S.values if S is not None else None
+    inner = (slice(1, -1),) * grid.dim
+    dt = grid.dt
+    dt2 = dt * dt
+    y = np.zeros((grid.nt + 1,) + grid.shape)
+    y[0] = init.position
+    acc = _reference_lap(grid, y[0])
+    if a is not None:
+        acc = acc - a[0][inner] * y[0][inner]
+    if s is not None:
+        acc = acc + s[0][inner]
+    y[1][inner] = init.position[inner] + dt * init.velocity[inner] + 0.5 * dt * dt * acc
+    if grid.dim == 1:
+        c = dt2 / grid.dx[0] ** 2
+        for n in range(1, grid.nt):
+            yn = y[n]
+            new = (2.0 - 2.0 * c) * yn[1:-1] + c * yn[2:] + c * yn[:-2] - y[n - 1, 1:-1]
+            if a is not None:
+                new = new - dt2 * a[n, 1:-1] * yn[1:-1]
+            if s is not None:
+                new = new + dt2 * s[n, 1:-1]
+            y[n + 1, 1:-1] = new
+    else:
+        cx = dt2 / grid.dx[0] ** 2
+        cy = dt2 / grid.dx[1] ** 2
+        for n in range(1, grid.nt):
+            yn = y[n]
+            core = yn[1:-1, 1:-1]
+            new = ((2.0 - 2.0 * cx - 2.0 * cy) * core - y[n - 1, 1:-1, 1:-1]
+                   + cx * (yn[2:, 1:-1] + yn[:-2, 1:-1])
+                   + cy * (yn[1:-1, 2:] + yn[1:-1, :-2]))
+            if a is not None:
+                new = new - dt2 * a[n, 1:-1, 1:-1] * core
+            if s is not None:
+                new = new + dt2 * s[n, 1:-1, 1:-1]
+            y[n + 1, 1:-1, 1:-1] = new
+    return y
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("with_A,with_S", [(True, True), (True, False),
+                                           (False, True), (False, False)])
+def test_march_matches_reference_bitwise(dim, with_A, with_S):
+    if dim == 1:
+        grid = wc.SpaceTimeGrid((1.0,), (41,), T=1.0, nt=90)
+    else:
+        grid = wc.SpaceTimeGrid((1.0, 1.2), (13, 17), T=1.0, nt=40)
+    rng = np.random.default_rng(10 * dim + 2 * with_A + with_S)
+    shape = (grid.nt + 1,) + grid.shape
+    A = wc.SpaceTimeField(grid, rng.standard_normal(shape)) if with_A else None
+    S = wc.SpaceTimeField(grid, rng.standard_normal(shape)) if with_S else None
+    pos = np.zeros(grid.shape)
+    pos[(slice(1, -1),) * dim] = rng.standard_normal(grid.interior_shape)
+    init = wc.StatePair(grid, pos, rng.standard_normal(grid.shape))
+
+    y = wc.solve_forward(grid, A, S, init)
+    assert np.array_equal(y.values, reference_forward(grid, A, S, init))
+
+    # the backward solve takes no source: it is the reversed forward march
+    # with reversed potential and negated velocity
+    phi = wc.solve_backward(grid, A, init)
+    rev_A = wc.SpaceTimeField(grid, A.values[::-1]) if with_A else None
+    flipped = wc.StatePair(grid, init.position, -init.velocity)
+    assert np.array_equal(phi.values, reference_forward(grid, rev_A, None, flipped)[::-1])
 
 
 def test_terminal_state_second_order():

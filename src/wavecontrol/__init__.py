@@ -22,7 +22,7 @@ from .linear_control import (ControlSolution, LinearControlProblem, dense_oracle
                              gramian_apply, hum_pairing, perturbation_gap,
                              solve_null_control)
 from .nonlinearity import (GrowthCheck, Nonlinearity, beta_star, builtin,
-                           check_growth_H2, hat_g, holder_seminorm_sample)
+                           check_growth_H2, holder_seminorm_sample)
 from .profiles import build_state, sample_profile
 from .solver import (discrete_energy, initial_state, residual_field, solve_backward,
                      solve_forward, terminal_state)

@@ -150,11 +150,7 @@ def contraction_ratio(problem: TargetProblem, g: Nonlinearity,
     diff = xi2.values - xi1.values
     if float(np.max(np.abs(diff))) == 0.0:
         raise ValueError("xi1 and xi2 must differ")
-    sols = []
-    for xi in (xi1, xi2):
-        potential = SpaceTimeField(grid, g.hat_g(xi.values))
-        source = None if g.g0 == 0.0 else SpaceTimeField.constant(grid, -g.g0)
-        sols.append(solve_linear_step(problem, potential, source))
+    sols = [solve_linear_step(problem, *_picard_linearization(grid, g, xi)) for xi in (xi1, xi2)]
     gap_vals = sols[1].trajectory.values - sols[0].trajectory.values
     num = max(h10_norm(grid, gap_vals[n]) for n in range(grid.nt + 1))
     den = linf_lp(SpaceTimeField(grid, diff), float(grid.dim + 1))

@@ -143,7 +143,7 @@ def validate_config(cfg: dict):
     _expect_keys(sc, "scenario", required=("name", "dimension", "lengths", "nodes",
                                            "T", "nt", "region"),
                  optional=("x0", "cfl_factor", "smoothing"))
-    if sc["dimension"] not in (1, 2):
+    if isinstance(sc["dimension"], bool) or sc["dimension"] not in (1, 2):
         _fail("scenario.dimension", "must be 1 or 2")
     dim = sc["dimension"]
     for key in ("lengths", "nodes"):
@@ -178,6 +178,11 @@ def validate_config(cfg: dict):
         _fail("scenario.region.type", f"unknown region type {rtype!r}")
     data = cfg["data"]
     _expect_keys(data, "data", required=("initial", "target"))
+    for name in ("initial", "target"):
+        _expect_keys(data[name], f"data.{name}", required=(), optional=("position", "velocity"))
+        for part in ("position", "velocity"):
+            if not isinstance(data[name].get(part, {}), dict):
+                _fail(f"data.{name}.{part}", "must be an object")
     nl = cfg["nonlinearity"]
     _expect_keys(nl, "nonlinearity", required=("name",), optional=("params",))
     params = nl.get("params", {})
@@ -194,8 +199,8 @@ def validate_config(cfg: dict):
         ls = cfg["least_squares"]
         _expect_keys(ls, "least_squares", required=(),
                      optional=("m", "tol", "max_outer", "e_floor", "scan_points",
-                               "refine_rel_width", "C", "init", "tol_A"))
-        _numbers(ls, "least_squares", ("m", "tol", "e_floor", "refine_rel_width", "C", "tol_A"))
+                               "refine_rel_width", "C", "init"))
+        _numbers(ls, "least_squares", ("m", "tol", "e_floor", "refine_rel_width", "C"))
         _numbers(ls, "least_squares", ("scan_points",), positive=True, integer=True)
         _count(ls, "least_squares", "max_outer")
     if "fixed_point" in cfg:
@@ -207,7 +212,7 @@ def validate_config(cfg: dict):
     if "inner" in cfg:
         inner = cfg["inner"]
         _expect_keys(inner, "inner", required=(),
-                     optional=("eps_reg", "cg_tol", "cg_max_iter", "precondition"))
+                     optional=("eps_reg", "cg_tol", "cg_max_iter"))
         _numbers(inner, "inner", ("cg_tol",))
         if inner.get("eps_reg") is not None:     # null selects the default
             _number(inner, "inner", "eps_reg")
@@ -259,7 +264,6 @@ def build_problem(cfg: dict):
         eps_reg=inner.get("eps_reg"),
         cg_tol=float(inner.get("cg_tol", 1e-8)),
         cg_max_iter=int(inner.get("cg_max_iter", 500)),
-        precondition=bool(inner.get("precondition", False)),
     )
     nl = cfg["nonlinearity"]
     g = builtin(nl["name"], **nl.get("params", {}))

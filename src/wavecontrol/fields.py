@@ -46,12 +46,16 @@ def eigenvalues(grid: SpaceTimeGrid) -> np.ndarray:
 
 
 def sine_coefficients(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
-    """DST of a spatial array (full grid, boundary ignored), Parseval-normalized."""
-    v = values[(slice(1, -1),) * grid.dim]
+    """DST of a spatial array (full grid, boundary ignored), Parseval-normalized.
+
+    Leading axes, such as time levels, are kept: each spatial slice is
+    transformed on its own.
+    """
+    v = values[(Ellipsis,) + (slice(1, -1),) * grid.dim]
     scale = math.sqrt(math.prod(grid.dx))
     if grid.dim == 1:
         return scale * sp_fft.dst(v, type=1, norm="ortho")
-    return scale * sp_fft.dstn(v, type=1, norm="ortho")
+    return scale * sp_fft.dstn(v, type=1, norm="ortho", axes=(-2, -1))
 
 
 def from_sine_coefficients(grid: SpaceTimeGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -306,11 +310,9 @@ def velocity_levels(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
 def linf_v(f: SpaceTimeField) -> float:
     """max over time of the V-norm of (y, dy/dt)."""
     grid = f.grid
-    vel = velocity_levels(grid, f.values)
-    mu = eigenvalues(grid)
-    best = 0.0
-    for n in range(grid.nt + 1):
-        cp = sine_coefficients(grid, f.values[n])
-        cv = sine_coefficients(grid, vel[n])
-        best = max(best, float(np.sum(mu * cp * cp) + np.sum(cv * cv)))
-    return math.sqrt(best)
+    levels = grid.nt + 1
+    cp = sine_coefficients(grid, f.values).reshape(levels, -1)
+    cv = sine_coefficients(grid, velocity_levels(grid, f.values)).reshape(levels, -1)
+    mu = eigenvalues(grid).ravel()
+    per_level = np.sum(mu * cp * cp, axis=1) + np.sum(cv * cv, axis=1)
+    return math.sqrt(float(np.max(per_level)))

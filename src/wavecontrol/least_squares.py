@@ -50,7 +50,6 @@ class TargetProblem:
     eps_reg: float | None = None            # inner Tikhonov parameter, None -> min(dx)^2
     cg_tol: float = 1e-8
     cg_max_iter: int = 500
-    precondition: bool = False
 
     def geometry_ok(self):
         if self.x0 is None:
@@ -62,7 +61,7 @@ class TargetProblem:
             self.grid, self.region, potential=potential, source=source,
             initial=initial, target=target, eps_reg=self.eps_reg,
             cg_tol=self.cg_tol, cg_max_iter=self.cg_max_iter,
-            precondition=self.precondition, geometry_ok=self.geometry_ok())
+            geometry_ok=self.geometry_ok())
 
 
 DIVERGENCE_THRESHOLD = 1e6            # on |y|_{Linf(L1)}, shared by all methods
@@ -78,20 +77,18 @@ class LSConfig:
     refine_rel_width: float = 1e-3
     C: float = 1.0                    # diagnostic constant, never used by the solver
     init: str = "linear"              # or "linear_frozen"
-    tol_A: float = 1e-2               # admissible-set membership monitor
 
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError("line-search bound m must be >= 1")
-        if self.tol <= 0 or self.tol_A <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ConfigError("tolerance must be positive")
 
 
 @dataclass
 class LSState:
     y: SpaceTimeField
     f: SpaceTimeField
-    k: int
     initial_state: StatePair          # algebraic bookkeeping of iterate data at t=0
     terminal_state: StatePair         # and at t=T (sums of scheme-exact snapshots)
 
@@ -302,7 +299,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     t_start = time.perf_counter()
 
     init_sol = initialize(problem, g, config.init)
-    state = LSState(y=init_sol.trajectory, f=init_sol.control, k=0,
+    state = LSState(y=init_sol.trajectory, f=init_sol.control,
                     initial_state=problem.initial, terminal_state=init_sol.terminal)
 
     records: list[IterateRecord] = []
@@ -386,7 +383,6 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
         state = LSState(
             y=SpaceTimeField(grid, state.y.values - lam * Y1.values),
             f=SpaceTimeField(grid, state.f.values - lam * F1.values),
-            k=k + 1,
             initial_state=state.initial_state,
             terminal_state=state.terminal_state - inner.terminal.scaled(lam),
         )

@@ -50,7 +50,6 @@ class LinearControlProblem:
     eps_reg: float | None = None          # None -> min(dx)^2
     cg_tol: float = 1e-8
     cg_max_iter: int = 500
-    precondition: bool = False
     geometry_ok: bool | None = None
 
     def __post_init__(self):
@@ -129,10 +128,18 @@ def hum_pairing(terminal: StatePair, seed: StatePair) -> float:
 # Gramian
 # ---------------------------------------------------------------------------
 
-def _control_source(grid, region, phi_values):
-    u = phi_values * region.weights       # new array; phi is finite, weights in [0, 1]
+def _adjoint_control(grid, potential, region, seed):
+    """The control chi * phi, phi the adjoint solved backward from `seed`."""
+    phi = solve_backward(grid, potential, seed)
+    u = phi.values * region.weights       # new array; phi is finite, weights in [0, 1]
     u[-1] = 0.0          # final level carries no quadrature weight
     return SpaceTimeField._trusted(grid, u)
+
+
+def _from_rest(grid, potential, u):
+    """The state driven from rest by the control u, and its terminal state."""
+    z = solve_forward(grid, potential, u, StatePair.zeros(grid))
+    return z, terminal_state(grid, z, potential, u)
 
 
 def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
@@ -144,10 +151,7 @@ def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     scheme-exact terminal state; combine with `hum_pairing` to evaluate
     <Lambda s, s'> = (phi_s, phi_s')_{L^2(q_T)}.
     """
-    phi = solve_backward(grid, potential, seed)
-    u = _control_source(grid, region, phi.values)
-    z = solve_forward(grid, potential, u, StatePair.zeros(grid))
-    return terminal_state(grid, z, potential, u)
+    return _from_rest(grid, potential, _adjoint_control(grid, potential, region, seed))[1]
 
 
 def _gramian_rho(grid, potential, region, rho):
@@ -187,49 +191,45 @@ def _cg(apply_op, c, tol, max_iter, eps):
     return x, it, converged, history
 
 
-def _pcg(apply_op, c, tol, max_iter, eps, inv_diag):
-    """Jacobi-preconditioned CG with a given inverse diagonal."""
-    x = np.zeros_like(c)
-    nc = math.sqrt(float(c @ c))
-    if nc == 0.0:
-        return x, 0, True, [0.0]
-    r = c.copy()
-    z = inv_diag * r
-    d = z.copy()
-    rz = float(r @ z)
-    history = [math.sqrt(float(r @ r)) / nc]
-    it = 0
-    converged = history[-1] <= tol
-    while not converged and it < max_iter:
-        Gd = apply_op(d) + eps * d
-        dGd = float(d @ Gd)
-        if dGd <= 0.0:
-            break
-        alpha = rz / dGd
-        x = x + alpha * d
-        r = r - alpha * Gd
-        it += 1
-        rn = math.sqrt(float(r @ r)) / nc
-        history.append(rn)
-        if rn <= tol:
-            converged = True
-            break
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    return x, it, converged, history
+# ---------------------------------------------------------------------------
+# controlled solutions
+# ---------------------------------------------------------------------------
+
+def _free_response(problem):
+    """Uncontrolled solution (None when it vanishes), its terminal state and
+    the coordinates c of the terminal gap to the target."""
+    grid, A = problem.grid, problem.potential
+    free = None
+    if problem.source is not None or not problem.initial.is_zero():
+        free = solve_forward(grid, A, problem.source, problem.initial)
+        free_term = terminal_state(grid, free, A, problem.source)
+    else:
+        free_term = StatePair.zeros(grid)
+    gap = problem.target - free_term
+    return free, free_term, dual_to_rho(grid, gap.velocity, -gap.position)
 
 
-def _probe_diagonal(apply_op, n):
-    # exact diagonal by unit-vector probing; opt-in, costs 2n solves per entry pair
-    diag = np.empty(n)
-    e = np.zeros(n)
-    for i in range(n):
-        e[i] = 1.0
-        diag[i] = float(apply_op(e)[i])
-        e[i] = 0.0
-    return diag
+def _controlled_solution(problem, free, free_term, u, **solver_info) -> ControlSolution:
+    """Superpose the free solution and the response from rest to the control u
+    (None for the zero control, which needs no solve)."""
+    grid = problem.grid
+    if u is None:
+        u = SpaceTimeField.zeros(grid)
+        w_term = StatePair.zeros(grid)
+        traj_values = free.values if free is not None else np.zeros((grid.nt + 1,) + grid.shape)
+    else:
+        w, w_term = _from_rest(grid, problem.potential, u)
+        traj_values = (free.values if free is not None else 0.0) + w.values
+    terminal = free_term + w_term
+    return ControlSolution(
+        control=u,
+        trajectory=SpaceTimeField(grid, traj_values),
+        terminal=terminal,
+        defect=float(v_norm(terminal - problem.target)),
+        control_norm=float(l2_qt(u)),
+        geometry_ok=problem.geometry_ok,
+        **solver_info,
+    )
 
 
 def solve_null_control(problem: LinearControlProblem) -> ControlSolution:
@@ -239,53 +239,17 @@ def solve_null_control(problem: LinearControlProblem) -> ControlSolution:
     solution with the given data and source, then match the remaining
     terminal gap through the Gramian equation (G + eps I) rho = c.
     """
-    grid, region = problem.grid, problem.region
-    A = problem.potential
-    eps = problem.effective_eps
-
-    free = None
-    if problem.source is not None or not problem.initial.is_zero():
-        free = solve_forward(grid, A, problem.source, problem.initial)
-        free_term = terminal_state(grid, free, A, problem.source)
-    else:
-        free_term = StatePair.zeros(grid)
-    gap = problem.target - free_term
-    c = dual_to_rho(grid, gap.velocity, -gap.position)
-
-    apply_op = lambda rho: _gramian_rho(grid, A, region, rho)
-    if problem.precondition:
-        diag = _probe_diagonal(apply_op, c.size) + eps
-        rho, iters, converged, history = _pcg(apply_op, c, problem.cg_tol,
-                                              problem.cg_max_iter, eps, 1.0 / diag)
-    else:
-        rho, iters, converged, history = _cg(apply_op, c, problem.cg_tol,
-                                             problem.cg_max_iter, eps)
-
+    grid, region, A = problem.grid, problem.region, problem.potential
+    free, free_term, c = _free_response(problem)
+    rho, iters, converged, history = _cg(lambda r: _gramian_rho(grid, A, region, r), c,
+                                         problem.cg_tol, problem.cg_max_iter,
+                                         problem.effective_eps)
+    u = None
     if np.any(rho != 0.0):
-        phi = solve_backward(grid, A, seed_from_rho(grid, rho))
-        u = _control_source(grid, region, phi.values)
-        w = solve_forward(grid, A, u, StatePair.zeros(grid))
-        w_term = terminal_state(grid, w, A, u)
-        traj_values = (free.values if free is not None else 0.0) + w.values
-    else:
-        u = SpaceTimeField.zeros(grid)
-        w_term = StatePair.zeros(grid)
-        traj_values = free.values.copy() if free is not None else np.zeros((grid.nt + 1,) + grid.shape)
-
-    terminal = free_term + w_term
-    defect = v_norm(terminal - problem.target)
-    return ControlSolution(
-        control=u,
-        trajectory=SpaceTimeField(grid, traj_values),
-        terminal=terminal,
-        defect=float(defect),
-        control_norm=float(l2_qt(u)),
-        cg_iterations=iters,
-        converged=bool(converged),
-        residual_history=history,
-        geometry_ok=problem.geometry_ok,
-        seed_coords=rho,
-    )
+        u = _adjoint_control(grid, A, region, seed_from_rho(grid, rho))
+    return _controlled_solution(problem, free, free_term, u, cg_iterations=iters,
+                                converged=bool(converged), residual_history=history,
+                                seed_coords=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +268,8 @@ def _quadrature_weights(grid, n_nodes):
     return np.repeat(w, n_nodes)
 
 
-def dense_constraint_system(problem: LinearControlProblem):
-    """Assemble the whitened constraint matrix and right-hand side.
-
-    Columns are impulse responses: one forward solve per active control
-    dof (interior node in omega, time level 0..nt-1).  Returns
-    (Ct, c, sqrt_w, nodes) with Ct of shape (2 * n_modes, n_dofs); the
-    control in physical units is u = ut / sqrt_w scattered onto omega.
-    """
+def _impulse_responses(problem):
+    """Whitened constraint matrix Ct, quadrature sqrt_w and active nodes."""
     grid, region = problem.grid, problem.region
     if math.prod(grid.shape) * (grid.nt + 1) > 5 * 10**4:
         raise ConfigError("grid too large for the dense oracle (cap 5e4 unknowns)")
@@ -324,25 +282,27 @@ def dense_constraint_system(problem: LinearControlProblem):
     sqrt_w = np.sqrt(_quadrature_weights(grid, n_nodes))
     n_modes = math.prod(grid.interior_shape)
 
-    zero = StatePair.zeros(grid)
     Ct = np.empty((2 * n_modes, n_dofs))
     src = np.zeros((grid.nt + 1,) + grid.shape)
     for k in range(n_dofs):
         level, j = divmod(k, n_nodes)
         src[:] = 0.0
         _scatter(grid, src, level, nodes[j], 1.0 / sqrt_w[k])
-        f = SpaceTimeField(grid, src.copy())
-        z = solve_forward(grid, A, f, zero)
-        term = terminal_state(grid, z, A, f)
+        _, term = _from_rest(grid, A, SpaceTimeField(grid, src.copy()))
         Ct[:, k] = dual_to_rho(grid, term.velocity, -term.position)
+    return Ct, sqrt_w, nodes
 
-    free_term = StatePair.zeros(grid)
-    if problem.source is not None or not problem.initial.is_zero():
-        free = solve_forward(grid, A, problem.source, problem.initial)
-        free_term = terminal_state(grid, free, A, problem.source)
-    gap = problem.target - free_term
-    c = dual_to_rho(grid, gap.velocity, -gap.position)
-    return Ct, c, sqrt_w, nodes
+
+def dense_constraint_system(problem: LinearControlProblem):
+    """Assemble the whitened constraint matrix and right-hand side.
+
+    Columns are impulse responses: one forward solve per active control
+    dof (interior node in omega, time level 0..nt-1).  Returns
+    (Ct, c, sqrt_w, nodes) with Ct of shape (2 * n_modes, n_dofs); the
+    control in physical units is u = ut / sqrt_w scattered onto omega.
+    """
+    Ct, sqrt_w, nodes = _impulse_responses(problem)
+    return Ct, _free_response(problem)[2], sqrt_w, nodes
 
 
 def _scatter(grid, src, level, interior_flat_index, value):
@@ -361,9 +321,10 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
     (LAPACK least squares); eps_reg > 0: direct solve of the same
     regularized normal equations the CG path addresses.
     """
-    grid, region = problem.grid, problem.region
+    grid = problem.grid
     eps = problem.effective_eps
-    Ct, c, sqrt_w, nodes = dense_constraint_system(problem)
+    Ct, sqrt_w, nodes = _impulse_responses(problem)
+    free, free_term, c = _free_response(problem)
     if eps == 0.0:
         ut, *_ = np.linalg.lstsq(Ct, c, rcond=None)
     else:
@@ -377,30 +338,8 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
     for k in range(ut.size):
         level, j = divmod(k, n_nodes)
         _scatter(grid, src, level, nodes[j], u_phys[k])
-    u = SpaceTimeField(grid, src)
-
-    A = problem.potential
-    free = None
-    if problem.source is not None or not problem.initial.is_zero():
-        free = solve_forward(grid, A, problem.source, problem.initial)
-        free_term = terminal_state(grid, free, A, problem.source)
-    else:
-        free_term = StatePair.zeros(grid)
-    w = solve_forward(grid, A, u, StatePair.zeros(grid))
-    w_term = terminal_state(grid, w, A, u)
-    terminal = free_term + w_term
-    traj = (free.values if free is not None else 0.0) + w.values
-    return ControlSolution(
-        control=u,
-        trajectory=SpaceTimeField(grid, traj),
-        terminal=terminal,
-        defect=float(v_norm(terminal - problem.target)),
-        control_norm=float(l2_qt(u)),
-        cg_iterations=0,
-        converged=True,
-        residual_history=[],
-        geometry_ok=problem.geometry_ok,
-    )
+    return _controlled_solution(problem, free, free_term, SpaceTimeField(grid, src),
+                                cg_iterations=0, converged=True, residual_history=[])
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,6 @@ class Nonlinearity:
         return np.where(big, quotient, self.dg(0.0))
 
 
-def hat_g(g: Nonlinearity, r):
-    return g.hat_g(r)
-
-
 def _check_derivative_consistency(g, dg, name):
     # away from the origin, where g' of every builtin is classical
     r = np.concatenate([-np.geomspace(10.0, 0.01, 60), np.geomspace(0.01, 10.0, 60)])

@@ -71,12 +71,20 @@ def test_unknown_method_rejected(tmp_path, capsys):
     ("least_squares.max_outer", float("inf")),
     ("scenario", 5),
     ("inner", []),
+    ("data.initial", "x"),
+    ("data.target.position", 3),
+    ("scenario.dimension", True),
 ])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, key, value):
     path, _ = small_linear_config(tmp_path, **{key: value})
     assert run_cli(["run", "--config", path, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key.split(".")[-1] in err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_committed_config_loads_and_builds(path):
+    cli.build_problem(cli.load_config(path))
 
 
 def test_run_writes_outputs_and_exit_zero(tmp_path):

@@ -107,3 +107,32 @@ def test_time_reversal(grid):
     rng = np.random.default_rng(5)
     f = wc.SpaceTimeField(grid, rng.standard_normal((grid.nt + 1,) + grid.shape))
     assert np.array_equal(f.time_reversed().values, f.values[::-1])
+
+
+@pytest.mark.parametrize("lengths,nodes", [((1.0,), (37,)), ((1.0, 2.0), (13, 17))],
+                         ids=["1d", "2d"])
+def test_linf_v_matches_per_level_reference_bitwise(lengths, nodes):
+    from scipy import fft as sp_fft
+
+    from wavecontrol.fields import linf_v, velocity_levels
+
+    grid = wc.SpaceTimeGrid(lengths, nodes, T=1.0, nt=60)
+    rng = np.random.default_rng(17)
+    f = wc.SpaceTimeField(grid, rng.standard_normal((grid.nt + 1,) + grid.shape))
+
+    def dst_level(level):
+        interior = level[(slice(1, -1),) * grid.dim]
+        scale = math.sqrt(math.prod(grid.dx))
+        if grid.dim == 1:
+            return scale * sp_fft.dst(interior, type=1, norm="ortho")
+        return scale * sp_fft.dstn(interior, type=1, norm="ortho")
+
+    vel = velocity_levels(grid, f.values)
+    batched = sine_coefficients(grid, f.values)
+    mu = eigenvalues(grid)
+    best = 0.0
+    for n in range(grid.nt + 1):
+        cp, cv = dst_level(f.values[n]), dst_level(vel[n])
+        assert np.array_equal(batched[n], cp)
+        best = max(best, float(np.sum(mu * cp * cp) + np.sum(cv * cv)))
+    assert linf_v(f) == math.sqrt(best)

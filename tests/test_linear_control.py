@@ -260,16 +260,3 @@ def test_perturbation_gap_scales_linearly(grid, region):
     assert g1["bound_rhs"] > 0.0
     # regression pin from the first correct run of this configuration
     assert g2["gap_norm"] == pytest.approx(0.03394270914975554, rel=1e-4)
-
-
-def test_preconditioned_cg_agrees_with_plain():
-    grid = wc.SpaceTimeGrid((1.0,), (24,), T=2.5, nt=80)
-    region = wc.interval_region(grid, 0.75, 1.0)
-    (x,) = grid.meshgrid()
-    init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
-    base = dict(initial=init, eps_reg=1e-4, cg_tol=1e-10, cg_max_iter=400)
-    plain = wc.solve_null_control(wc.LinearControlProblem(grid, region, **base))
-    pre = wc.solve_null_control(wc.LinearControlProblem(grid, region,
-                                                        precondition=True, **base))
-    diff = np.max(np.abs(plain.control.values - pre.control.values))
-    assert diff <= 1e-6 * max(1.0, np.max(np.abs(plain.control.values)))

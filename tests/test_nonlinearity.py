@@ -76,17 +76,17 @@ def test_cubic_sat_blend_is_c1_and_saturates():
 def test_hat_g_linear_and_quadratic():
     g = wc.builtin("linear", b=0.7)
     for r in (-3.0, 1e-12, 0.0, 2.0):
-        assert float(wc.hat_g(g, r)) == pytest.approx(0.7, rel=1e-12)
+        assert float(g.hat_g(r)) == pytest.approx(0.7, rel=1e-12)
     # g(r) = r^2 has hat_g(2) = (4 - 0)/2 = 2
     quad = Nonlinearity("quad", lambda r: np.asarray(r, float) ** 2,
                         lambda r: 2 * np.asarray(r, float), s=1.0,
                         seminorm=2.0, alpha=None, beta=None)
-    assert float(wc.hat_g(quad, 2.0)) == pytest.approx(2.0, rel=1e-14)
+    assert float(quad.hat_g(2.0)) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_hat_g_continuity_at_switch():
     g = wc.builtin("lipschitz_sat", kappa=1.0)
-    a, b = float(wc.hat_g(g, 1e-8)), float(wc.hat_g(g, 2e-8))
+    a, b = float(g.hat_g(1e-8)), float(g.hat_g(2e-8))
     assert abs(a - b) <= 1e-7
 
 

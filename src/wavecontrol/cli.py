@@ -497,15 +497,30 @@ def _sweep_point(base_cfg, dotted, value, methods):
     return rows
 
 
+def _thread_count(args) -> int:
+    """Sweep fan-out from --threads, else WAVECONTROL_THREADS, else 1."""
+    if args.threads is not None:
+        source, raw = "--threads", args.threads
+    else:
+        source, raw = "WAVECONTROL_THREADS", os.environ.get("WAVECONTROL_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"{source}: expected an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"{source}: must be at least 1, got {threads}")
+    return threads
+
+
 def cmd_sweep(cfg, args) -> int:
     if "sweep" not in cfg:
         print("config error: sweep: missing sweep declaration", file=sys.stderr)
         return 1
+    threads = _thread_count(args)
     out = _out_dir(cfg, args)
     dotted = cfg["sweep"]["path"]
     values = cfg["sweep"]["values"]
     methods = cfg["methods"]
-    threads = args.threads or int(os.environ.get("WAVECONTROL_THREADS", "1"))
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -578,7 +593,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", default=None)   # checked by _thread_count
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
         p.set_defaults(fn=fn)

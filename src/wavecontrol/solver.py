@@ -31,29 +31,23 @@ from .grids import SpaceTimeGrid
 
 
 def laplacian_interior(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
-    """Centered second-difference Laplacian of a full spatial array, interior part."""
+    """Centered second-difference Laplacian over the trailing spatial axes, interior part.
+
+    Leading axes (time levels) are carried along, so one call covers one
+    level or a whole stack of them.
+    """
     if grid.dim == 1:
         (dx,) = grid.dx
-        return (values[2:] - 2 * values[1:-1] + values[:-2]) / dx**2
+        return (values[..., 2:] - 2 * values[..., 1:-1] + values[..., :-2]) / dx**2
     dx, dy = grid.dx
-    core = values[1:-1, 1:-1]
-    return ((values[2:, 1:-1] - 2 * core + values[:-2, 1:-1]) / dx**2
-            + (values[1:-1, 2:] - 2 * core + values[1:-1, :-2]) / dy**2)
-
-
-def _laplacian_levels(grid: SpaceTimeGrid, vals: np.ndarray) -> np.ndarray:
-    """Laplacian of every time level at once, interior part."""
-    if grid.dim == 1:
-        (dx,) = grid.dx
-        return (vals[:, 2:] - 2 * vals[:, 1:-1] + vals[:, :-2]) / dx**2
-    dx, dy = grid.dx
-    core = vals[:, 1:-1, 1:-1]
-    return ((vals[:, 2:, 1:-1] - 2 * core + vals[:, :-2, 1:-1]) / dx**2
-            + (vals[:, 1:-1, 2:] - 2 * core + vals[:, 1:-1, :-2]) / dy**2)
+    core = values[..., 1:-1, 1:-1]
+    return ((values[..., 2:, 1:-1] - 2 * core + values[..., :-2, 1:-1]) / dx**2
+            + (values[..., 1:-1, 2:] - 2 * core + values[..., 1:-1, :-2]) / dy**2)
 
 
 def _interior(grid, a):
-    return a[(slice(1, -1),) * grid.dim]
+    """Interior nodes over the trailing spatial axes; leading axes are kept."""
+    return a[(Ellipsis,) + (slice(1, -1),) * grid.dim]
 
 
 def _accel(grid, level, A, S, n):
@@ -105,30 +99,35 @@ def _march_1d(grid, y, A, S):
     # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S,
     # evaluated left to right; that order is part of the output contract
     # (byte-identical results), so only the buffers may change, not the sums.
+    # Every row view is built before the loop, which then creates none.
     dt = grid.dt
     dt2 = dt * dt
     c = dt2 / grid.dx[0] ** 2
     k0 = 2.0 - 2.0 * c
     nt = grid.nt
-    inner = y[:, 1:-1]
-    dA = dt2 * A[:, 1:-1] if A is not None else None
-    dS = dt2 * S[:, 1:-1] if S is not None else None
+    mul, add, sub = np.multiply, np.add, np.subtract
+    rows = list(y)
+    inner = list(y[:, 1:-1])
+    dA = list(dt2 * A[:, 1:-1]) if A is not None else None
+    dS = list(dt2 * S[:, 1:-1]) if S is not None else None
     cy = np.empty(grid.shape[0])
+    cy_r, cy_l = cy[2:], cy[:-2]
     tmp = np.empty(grid.shape[0] - 2)
     # overflow is detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
             out = inner[n + 1]
-            np.multiply(y[n], c, out=cy)
-            np.multiply(inner[n], k0, out=out)
-            out += cy[2:]
-            out += cy[:-2]
-            out -= inner[n - 1]
+            core = inner[n]
+            mul(rows[n], c, out=cy)
+            mul(core, k0, out=out)
+            add(out, cy_r, out=out)
+            add(out, cy_l, out=out)
+            sub(out, inner[n - 1], out=out)
             if dA is not None:
-                np.multiply(dA[n], inner[n], out=tmp)
-                out -= tmp
+                mul(dA[n], core, out=tmp)
+                sub(out, tmp, out=out)
             if dS is not None:
-                out += dS[n]
+                add(out, dS[n], out=out)
             if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(out)):
                 _blowup_scan(y, n + 2 - _CHECK_STRIDE, n + 1)
     if not np.all(np.isfinite(y[nt])):
@@ -137,38 +136,51 @@ def _march_1d(grid, y, A, S):
 
 def _march_2d(grid, y, A, S):
     # Per node: ((((k0 core - prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) core) + dt2 S,
-    # in this order.  The step is built in a contiguous buffer and copied into
-    # the strided interior once; dt2 A[n] and dt2 S[n] are formed per step, so
-    # the march needs two level-sized buffers and no extra field.
+    # in this order.  Each level is marched as one contiguous flat range
+    # [lo, hi) of node indices i*ny + j, from the first interior node to the
+    # last; x-neighbours sit at offsets +-ny and y-neighbours at +-1.  The
+    # range also holds the j = 0 and j = ny-1 edge nodes of the inner rows:
+    # the step writes junk there (their stencils wrap to the adjacent row),
+    # which is reset to zero before anything reads it.  dt2 A[n] and dt2 S[n]
+    # are formed per step in one range-sized buffer, so no field is added.
     dt = grid.dt
     dt2 = dt * dt
     cx = dt2 / grid.dx[0] ** 2
     cy = dt2 / grid.dx[1] ** 2
     k0 = 2.0 - 2.0 * cx - 2.0 * cy
     nt = grid.nt
-    buf = np.empty(grid.interior_shape)
-    tmp = np.empty(grid.interior_shape)
+    nx, ny = grid.shape
+    lo, hi = ny + 1, (nx - 1) * ny - 1
+    mul, add, sub = np.multiply, np.add, np.subtract
+    flat = y.reshape(nt + 1, nx * ny)   # a view: y is C-contiguous
+    edges = list(y[:, 1:-1, ::ny - 1])
+    core = list(flat[:, lo:hi])
+    xp, xm = list(flat[:, lo + ny:hi + ny]), list(flat[:, lo - ny:hi - ny])
+    yp, ym = list(flat[:, lo + 1:hi + 1]), list(flat[:, lo - 1:hi - 1])
+    Ar = list(A.reshape(nt + 1, nx * ny)[:, lo:hi]) if A is not None else None
+    Sr = list(S.reshape(nt + 1, nx * ny)[:, lo:hi]) if S is not None else None
+    tmp = np.empty(hi - lo)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
-            yn = y[n]
-            core = yn[1:-1, 1:-1]
-            np.multiply(core, k0, out=buf)
-            buf -= y[n - 1, 1:-1, 1:-1]
-            np.add(yn[2:, 1:-1], yn[:-2, 1:-1], out=tmp)
-            tmp *= cx
-            buf += tmp
-            np.add(yn[1:-1, 2:], yn[1:-1, :-2], out=tmp)
-            tmp *= cy
-            buf += tmp
-            if A is not None:
-                np.multiply(A[n, 1:-1, 1:-1], dt2, out=tmp)
-                tmp *= core
-                buf -= tmp
-            if S is not None:
-                np.multiply(S[n, 1:-1, 1:-1], dt2, out=tmp)
-                buf += tmp
-            y[n + 1, 1:-1, 1:-1] = buf
-            if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(buf)):
+            out = core[n + 1]
+            cur = core[n]
+            mul(cur, k0, out=out)
+            sub(out, core[n - 1], out=out)
+            add(xp[n], xm[n], out=tmp)
+            mul(tmp, cx, out=tmp)
+            add(out, tmp, out=out)
+            add(yp[n], ym[n], out=tmp)
+            mul(tmp, cy, out=tmp)
+            add(out, tmp, out=out)
+            if Ar is not None:
+                mul(Ar[n], dt2, out=tmp)
+                mul(tmp, cur, out=tmp)
+                sub(out, tmp, out=out)
+            if Sr is not None:
+                mul(Sr[n], dt2, out=tmp)
+                add(out, tmp, out=out)
+            edges[n + 1].fill(0.0)
+            if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(out)):
                 _blowup_scan(y, n + 2 - _CHECK_STRIDE, n + 1)
     if not np.all(np.isfinite(y[nt])):
         _blowup_scan(y, max(1, nt + 1 - _CHECK_STRIDE), nt)
@@ -223,19 +235,15 @@ def residual_field(y: SpaceTimeField, f: SpaceTimeField | None, g, region=None) 
     dt = grid.dt
     vals = y.values
     mid = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / (dt * dt)
-    mid = _interior_levels(grid, mid) - _laplacian_levels(grid, vals[1:-1])
+    mid = _interior(grid, mid) - laplacian_interior(grid, vals[1:-1])
     if g is not None:
-        mid = mid + _interior_levels(grid, g.g(vals[1:-1]))
+        mid = mid + _interior(grid, g.g(vals[1:-1]))
     if f is not None:
         chi = region.weights if region is not None else 1.0
-        mid = mid - _interior_levels(grid, f.values[1:-1] * chi)
+        mid = mid - _interior(grid, f.values[1:-1] * chi)
     r = np.zeros_like(vals)
     r[(slice(1, -1),) + (slice(1, -1),) * grid.dim] = mid
     return SpaceTimeField(grid, r)
-
-
-def _interior_levels(grid, a):
-    return a[(slice(None),) + (slice(1, -1),) * grid.dim]
 
 
 def discrete_energy(grid: SpaceTimeGrid, y: SpaceTimeField) -> np.ndarray:

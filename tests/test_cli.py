@@ -184,6 +184,21 @@ def test_sweep_threads_match_serial(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_sweep_bad_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                  source, value):
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", CONFIGS / "resolution_sweep.json", "--out", out]
+    if source == "flag":
+        argv += ["--threads", value]
+    else:
+        monkeypatch.setenv("WAVECONTROL_THREADS", value)
+    assert run_cli(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()   # rejected before any solve
+
+
 def test_check_reports_hypotheses(capsys):
     assert run_cli(["check", "--config", CONFIGS / "geometry_pass.json"]) == 0
     out = capsys.readouterr().out

@@ -14,7 +14,9 @@ with lambda_k minimizing E over [0, m].  The directional derivative
 satisfies E'(y,f).(Y1,F1) = 2 E(y,f) exactly at the discrete level
 because (Y1, F1) satisfies the linearized equation stencil-exactly, so
 -(Y1, F1) is always a descent direction; forcing lambda = 1 recovers
-the classical Newton iteration.
+the classical Newton iteration.  The inner CG therefore only sets the
+terminal defect of the pair, and it stops once that defect is within
+1% of the Tikhonov floor (`linear_control.FLOOR_THETA`).
 
 Along the segment E is evaluated without further PDE solves: the
 updated residual is (1 - lambda) r + l(lambda) with
@@ -83,6 +85,9 @@ class LSConfig:
             raise ConfigError("line-search bound m must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tolerance must be positive")
+        if not self.refine_rel_width > 0:
+            # the golden-section refinement would never end
+            raise ConfigError("least_squares.refine_rel_width must be positive")
 
 
 @dataclass
@@ -132,27 +137,31 @@ def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
     return 0.5 * l2_qt(r) ** 2
 
 
-def _potential_field(grid, g, y_values):
-    vals = g.dg(y_values)
-    if np.all(vals == 0.0):
-        return None
-    return SpaceTimeField(grid, vals)
+def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField):
+    """Null-controlled pair of the linearized equation with potential gp = g'(y)
+    and source r, CG stopped at the Tikhonov floor.
+
+    The pair satisfies the linearized equation stencil-exactly however far
+    CG has run, so the floor stop moves only its terminal defect, by at
+    most a factor 1 + FLOOR_THETA (see `linear_control`).
+    """
+    grid = problem.grid
+    A = None if np.all(gp.values == 0.0) else gp
+    return solve_null_control(problem.inner_problem(
+        potential=A, source=r, initial=StatePair.zeros(grid),
+        target=StatePair.zeros(grid)), at_floor=True)
 
 
 def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField,
                       f: SpaceTimeField):
-    """Minimal-norm null-controlled solution of the linearized residual equation.
+    """Null-controlled solution of the linearized residual equation.
 
     Returns (Y1, F1, inner_report, residual); the pair satisfies
     Y1_tt - Lap Y1 + g'(y) Y1 = F1 chi + residual(y, f) with zero data,
     so E'(y, f).(Y1, F1) = 2 E(y, f).
     """
-    grid = problem.grid
     r = residual_field(y, f, g, problem.region)
-    A = _potential_field(grid, g, y.values)
-    inner = solve_null_control(problem.inner_problem(
-        potential=A, source=r, initial=StatePair.zeros(grid),
-        target=StatePair.zeros(grid)))
+    inner = _newton_step(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r)
     return inner.trajectory, inner.control, inner, r
 
 
@@ -273,6 +282,8 @@ def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str):
 
     linear         potential 0, source 0 (the g = 0 problem)
     linear_frozen  potential g'(0), source -g(0)
+
+    CG stops at the Tikhonov floor, as in every Newton step.
     """
     grid = problem.grid
     if strategy == "linear":
@@ -283,10 +294,9 @@ def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str):
         source = None if g.g0 == 0.0 else SpaceTimeField.constant(grid, -g.g0)
     else:
         raise ConfigError(f"unknown initialization strategy {strategy!r}")
-    inner = solve_null_control(problem.inner_problem(
+    return solve_null_control(problem.inner_problem(
         potential=potential, source=source,
-        initial=problem.initial, target=problem.target))
-    return inner
+        initial=problem.initial, target=problem.target), at_floor=True)
 
 
 def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = None,
@@ -323,7 +333,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
         rec.sqrt_E = math.sqrt(E)
         rec.y_linf_L1 = linf_l1(state.y)
         M_run = max(M_run, rec.y_linf_L1)
-        gp = SpaceTimeField(grid, g.dg(state.y.values))
+        gp = SpaceTimeField(grid, g.dg(state.y.values))     # also the step's potential
         rec.gprime_linf_ld = linf_lp(gp, d)
         if g.seminorm is not None and g.s > 0:
             diag = diagnostic_constants(E, rec.gprime_linf_ld, g, config.C,
@@ -348,11 +358,8 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
             records.append(rec)
             break
 
-        A = _potential_field(grid, g, state.y.values)
         try:
-            inner = solve_null_control(problem.inner_problem(
-                potential=A, source=r, initial=StatePair.zeros(grid),
-                target=StatePair.zeros(grid)))
+            inner = _newton_step(problem, gp, r)
         except BlowupError:
             status = "inner_failure"
             rec.wall_time = time.perf_counter() - t_start

@@ -23,6 +23,21 @@ trapezoidal L^2(q_T) norm of the returned control.
 Tikhonov regularization (G + eps_reg I) tames the non-uniformly
 observable high-frequency modes at the price of an O(eps) terminal
 defect; eps_reg defaults to min(dx)^2.
+
+CG may stop at that floor instead of at cg_tol (`solve_null_control`
+with at_floor=True).  The terminal gap of the k-th iterate is
+d_k = c - G rho_k = r_k + eps rho_k, and at the exact solution
+d* = eps rho*.  CG started from zero on an SPD system has |rho_k|
+increasing toward |rho*| (Hestenes & Stiefel 1952, Thm 6:3), so the
+stop |r_k| <= FLOOR_THETA * eps |rho_k| gives
+
+    |d_k| <= (1 + theta) eps |rho_k| <= (1 + theta) |d*|,
+    |rho_k - rho*| <= |r_k| / eps <= theta |rho_k|:
+
+the algebraic error stays below the regularization error (Arioli,
+Numer. Math. 97, 2004).  The default solve keeps the fixed cg_tol:
+callers that compare controls across solves (linearity, oracle
+agreement, fixed-point step sizes) need the exact solve.
 """
 
 from __future__ import annotations
@@ -37,6 +52,8 @@ from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficie
                      l2_qt, linf_lp, sine_coefficients, v_norm)
 from .grids import ControlRegion, SpaceTimeGrid
 from .solver import solve_backward, solve_forward, terminal_state
+
+FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
 
 
 @dataclass
@@ -160,8 +177,12 @@ def _gramian_rho(grid, potential, region, rho):
     return dual_to_rho(grid, term.velocity, -term.position)
 
 
-def _cg(apply_op, c, tol, max_iter, eps):
-    """Plain CG for (G + eps I) x = c; returns (x, iters, converged, history)."""
+def _cg(apply_op, c, tol, max_iter, eps, floor=0.0):
+    """Plain CG for (G + eps I) x = c; returns (x, iters, converged, history).
+
+    Stops once |r_k| <= max(tol |c|, floor |x_k|); floor = 0 is the plain
+    relative-residual stop.
+    """
     x = np.zeros_like(c)
     nc = math.sqrt(float(c @ c))
     if nc == 0.0:
@@ -183,7 +204,10 @@ def _cg(apply_op, c, tol, max_iter, eps):
         rs_new = float(r @ r)
         it += 1
         history.append(math.sqrt(rs_new) / nc)
-        if math.sqrt(rs_new) <= tol * nc:
+        stop = tol * nc
+        if floor:
+            stop = max(stop, floor * math.sqrt(float(x @ x)))
+        if math.sqrt(rs_new) <= stop:
             converged = True
         else:
             d = r + (rs_new / rs) * d
@@ -232,18 +256,23 @@ def _controlled_solution(problem, free, free_term, u, **solver_info) -> ControlS
     )
 
 
-def solve_null_control(problem: LinearControlProblem) -> ControlSolution:
+def solve_null_control(problem: LinearControlProblem, at_floor: bool = False) -> ControlSolution:
     """Steer the initial state to the target; control of minimal L^2(q_T) norm.
 
     Reduction to a reach-from-rest problem: subtract the uncontrolled
     solution with the given data and source, then match the remaining
     terminal gap through the Gramian equation (G + eps I) rho = c.
+    at_floor=True also stops CG once its residual is below FLOOR_THETA
+    times the Tikhonov term, which keeps the terminal defect within a
+    factor 1 + FLOOR_THETA of the exact regularized solve's (module
+    docstring); `converged` then means either stop was met.
     """
     grid, region, A = problem.grid, problem.region, problem.potential
+    eps = problem.effective_eps
     free, free_term, c = _free_response(problem)
     rho, iters, converged, history = _cg(lambda r: _gramian_rho(grid, A, region, r), c,
-                                         problem.cg_tol, problem.cg_max_iter,
-                                         problem.effective_eps)
+                                         problem.cg_tol, problem.cg_max_iter, eps,
+                                         FLOOR_THETA * eps if at_floor else 0.0)
     u = None
     if np.any(rho != 0.0):
         u = _adjoint_control(grid, A, region, seed_from_rho(grid, rho))

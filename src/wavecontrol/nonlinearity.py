@@ -78,7 +78,7 @@ def builtin(name: str, **params) -> Nonlinearity:
         # sup |g''| = kappa * max 2|t|(1-t^2) over t = tanh in [-1,1] = 4k/(3 sqrt 3)
         nl = Nonlinearity("lipschitz_sat",
                           lambda r: kappa * np.tanh(r),
-                          lambda r: kappa / np.cosh(np.asarray(r, dtype=float)) ** 2,
+                          _lipschitz_sat_dg(kappa),
                           s=1.0, seminorm=4 * abs(kappa) / (3 * math.sqrt(3)),
                           alpha=abs(kappa), beta=0.0)
     elif name == "loglimit":
@@ -104,6 +104,14 @@ def builtin(name: str, **params) -> Nonlinearity:
         raise ConfigError(f"unexpected parameters for {name!r}: {sorted(params)}")
     _check_derivative_consistency(nl.g, nl.dg, name)
     return nl
+
+
+def _lipschitz_sat_dg(kappa):
+    def dg(r):
+        # cosh overflows to inf for |r| > ~710, and kappa / inf = 0 is the limit
+        with np.errstate(over="ignore"):
+            return kappa / np.cosh(np.asarray(r, dtype=float)) ** 2
+    return dg
 
 
 def _loglimit_g(a, b, c):

@@ -3,6 +3,8 @@ import json
 import pytest
 
 import wavecontrol.cli as cli
+from wavecontrol.errors import ConfigError
+from wavecontrol.least_squares import LSConfig
 
 from conftest import CONFIGS, load_json
 
@@ -218,6 +220,24 @@ def test_check_growth_report_for_loglimit(tmp_path, capsys):
     assert "growth" in out and "beta*" in out
     # c = 1 exceeds beta*(1/2) for C = 1: expect the warning branch
     assert "WARNING" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_of_saturated_nonlinearity_is_warning_free(capsys):
+    # the lipschitz_sat growth check samples g' = kappa / cosh(r)^2 up to r = 1e6
+    assert run_cli(["check", "--config", CONFIGS / "smoke_2d.json"]) == 0
+    assert "growth |g'| <= 0.5 + 0 ln^(1/2)(1+|r|): holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_nonpositive_refine_width_is_a_config_error(width):
+    # a golden-section refinement to a width <= 0 never ends; built, not solved
+    cfg = load_json(CONFIGS / "lipschitz_default.json")
+    cfg.setdefault("least_squares", {})["refine_rel_width"] = width
+    with pytest.raises(ConfigError, match="refine_rel_width"):
+        cli.build_problem(cfg)
+    with pytest.raises(ConfigError, match="refine_rel_width"):
+        LSConfig(refine_rel_width=width)
 
 
 def test_config_hash_ignores_output_dir(tmp_path):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
 from wavecontrol.errors import ConfigError
-from wavecontrol.linear_control import (dense_constraint_system, rho_from_seed,
+from wavecontrol.linear_control import (FLOOR_THETA, dense_constraint_system, rho_from_seed,
                                         seed_from_rho)
 
 
@@ -174,6 +175,55 @@ def test_default_eps_is_h_squared(grid, region):
     assert wc.LinearControlProblem(grid, region, eps_reg=0.0).effective_eps == 0.0
     with pytest.raises(ConfigError):
         wc.LinearControlProblem(grid, region, eps_reg=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# CG stopped at the Tikhonov floor
+# ---------------------------------------------------------------------------
+
+def floor_problem(nx, eps, a, modes, cg_tol=1e-14):
+    """Eigenmode data steered to rest on omega = (a, 1); `modes` holds
+    (k, position amplitude, velocity amplitude) triples."""
+    grid = wc.SpaceTimeGrid((1.0,), (nx,), T=2.5, nt=math.ceil(2.5 * (nx - 1) / 0.9))
+    (x,) = grid.meshgrid()
+    pos = sum(p * np.sin(k * np.pi * x) for k, p, _ in modes)
+    vel = sum(v * np.sin(k * np.pi * x) for k, _, v in modes)
+    return wc.LinearControlProblem(grid, wc.interval_region(grid, a, 1.0),
+                                   initial=wc.StatePair(grid, pos, vel), eps_reg=eps,
+                                   cg_tol=cg_tol, cg_max_iter=500)
+
+
+def test_floor_stop_saves_iterations_and_keeps_the_defect():
+    prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
+    tight = wc.solve_null_control(prob)
+    floor = wc.solve_null_control(prob, at_floor=True)
+    assert tight.converged and floor.converged
+    assert floor.cg_iterations < tight.cg_iterations
+    assert floor.defect <= (1 + FLOOR_THETA) * tight.defect
+
+
+def test_floor_stop_without_regularization_is_the_plain_solve():
+    prob = floor_problem(31, 0.0, 0.8, [(1, 1.0, 0.0)], cg_tol=1e-8)
+    plain = wc.solve_null_control(prob)
+    floor = wc.solve_null_control(prob, at_floor=True)
+    assert floor.cg_iterations == plain.cg_iterations
+    assert np.array_equal(floor.control.values, plain.control.values)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(nx=st.integers(6, 24),
+       log_eps=st.floats(-5.0, -1.0),
+       a=st.floats(0.3, 0.8),
+       modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                      min_size=1, max_size=3))
+def test_floor_stop_defect_bound_property(nx, log_eps, a, modes):
+    # |d_k| <= (1 + theta) |d*|: the floor-stopped terminal defect against the
+    # defect of a solve run to cg_tol = 1e-14
+    prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
+    tight = wc.solve_null_control(prob)
+    floor = wc.solve_null_control(prob, at_floor=True)
+    assert floor.cg_iterations <= tight.cg_iterations
+    assert floor.defect <= (1 + FLOOR_THETA) * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,15 @@ across methods.  Divergence is flagged when |y|_{Linf(L1)} exceeds 1e6.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowupError
-from .fields import SpaceTimeField, l2_qt, linf_l1, linf_lp, v_norm
+from .fields import SpaceTimeField, h10_norm, l2_qt, linf_l1, linf_lp, v_norm
 from .least_squares import (DIVERGENCE_THRESHOLD, IterateRecord, LSConfig, LSResult,
                             TargetProblem, initialize, ls_solve)
+from .linear_control import solve_null_control
 from .nonlinearity import Nonlinearity
 from .solver import residual_field
 
@@ -48,7 +48,6 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
     controlled pair of a frozen linear problem."""
     config = config or FixedPointConfig()
     grid, region = problem.grid, problem.region
-    t_start = time.perf_counter()
 
     sol = initialize(problem, g, "linear")
     y, f = sol.trajectory, sol.control
@@ -70,7 +69,6 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
         rec.inner_cg_iters = sol.cg_iterations
         rec.inner_converged = sol.converged
         rec.inner_residuals = sol.residual_history
-        rec.wall_time = time.perf_counter() - t_start
         records.append(rec)
 
         if rec.y_linf_L1 > DIVERGENCE_THRESHOLD:
@@ -106,8 +104,6 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
 
 
 def solve_linear_step(problem: TargetProblem, potential, source):
-    from .linear_control import solve_null_control
-
     return solve_null_control(problem.inner_problem(
         potential=potential, source=source,
         initial=problem.initial, target=problem.target))
@@ -144,8 +140,6 @@ def contraction_ratio(problem: TargetProblem, g: Nonlinearity,
 
         |K(xi2) - K(xi1)|_{Linf(H^1_0)} / |xi2 - xi1|_{Linf(L^{d+1})}.
     """
-    from .fields import h10_norm
-
     grid = problem.grid
     diff = xi2.values - xi1.values
     if float(np.max(np.abs(diff))) == 0.0:

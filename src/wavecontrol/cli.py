@@ -310,9 +310,13 @@ def iterate_rows(result, scenario_name, chash):
     return rows
 
 
-def _order_or_none(records):
+def _order_or_none(result):
+    """Order fit of a converged run; (None, None) otherwise, since a fit over
+    a stalled or diverging tail measures nothing."""
+    if result.status != "converged":
+        return None, None
     try:
-        est = estimate_order(records)
+        est = estimate_order(result.records)
         return est.order, est.fit_residual
     except InsufficientRecords:
         return None, None
@@ -323,7 +327,7 @@ def _json_number(v):
 
 
 def method_summary(result, wall_time):
-    order, fit = _order_or_none(result.records)
+    order, fit = _order_or_none(result)
     last = result.records[-1]
     return {
         "status": result.status,
@@ -444,7 +448,7 @@ def cmd_compare(cfg, args) -> int:
     rows = []
     for m in methods:
         result, wall = results[m]
-        order, _ = _order_or_none(result.records)
+        order, _ = _order_or_none(result)
         rows.append({
             "method": m, "scenario": name, "config_hash": chash,
             "iterations": len(result.records) - 1,
@@ -484,7 +488,7 @@ def _sweep_point(base_cfg, dotted, value, methods):
     rows = []
     for m in methods:
         result, _ = results[m]
-        order, _fit = _order_or_none(result.records)
+        order, _fit = _order_or_none(result)
         last = result.records[-1]
         rows.append({
             "param_value": value, "method": m,

@@ -121,13 +121,6 @@ class SpaceTimeField:
         return cls._trusted(grid, np.zeros((grid.nt + 1,) + grid.shape))
 
     @classmethod
-    def from_function(cls, grid: SpaceTimeGrid, fn) -> "SpaceTimeField":
-        """Sample fn(x[, y], t) on the grid."""
-        coords = grid.meshgrid()
-        levels = [fn(*coords, t) * np.ones(grid.shape) for t in grid.time_levels()]
-        return cls(grid, np.stack(levels))
-
-    @classmethod
     def constant(cls, grid: SpaceTimeGrid, value: float) -> "SpaceTimeField":
         return cls(grid, np.full((grid.nt + 1,) + grid.shape, float(value)))
 
@@ -234,10 +227,6 @@ def _zero_boundary(a, dim):
 
 def space_l2(grid: SpaceTimeGrid, values: np.ndarray) -> float:
     return math.sqrt(float(np.sum(_space_weights(grid) * values * values)))
-
-
-def space_lp(grid: SpaceTimeGrid, values: np.ndarray, p: float) -> float:
-    return float(np.sum(_space_weights(grid) * np.abs(values) ** p)) ** (1.0 / p)
 
 
 def l2_qt(f: SpaceTimeField, region=None) -> float:

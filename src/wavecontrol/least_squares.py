@@ -27,7 +27,6 @@ the shared stencils.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +114,6 @@ class IterateRecord:
     init_defect_V: float = 0.0
     term_defect_V: float = 0.0
     step_delta: float = math.nan      # Picard-style |y_{k+1} - y_k|, nan for Newton paths
-    wall_time: float = 0.0            # kept out of CSV exports for determinism
     inner_residuals: list = field(default_factory=list)   # CG history, verbose export
 
 
@@ -306,8 +304,6 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     stagnation/failure status."""
     config = config or LSConfig()
     grid, region = problem.grid, problem.region
-    t_start = time.perf_counter()
-
     init_sol = initialize(problem, g, config.init)
     state = LSState(y=init_sol.trajectory, f=init_sol.control,
                     initial_state=problem.initial, terminal_state=init_sol.terminal)
@@ -320,11 +316,11 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
 
     for k in range(config.max_outer + 1):
         rec = IterateRecord(k=k, E=math.nan, sqrt_E=math.nan)
+        records.append(rec)
         try:
             r = residual_field(state.y, state.f, g, region)
         except ConfigError:
             status = "inner_failure"
-            records.append(rec)
             break
         E = 0.5 * l2_qt(r) ** 2
         if E0 is None:
@@ -344,26 +340,18 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
 
         if math.sqrt(2 * E) <= config.tol * math.sqrt(2 * E0) or E <= config.e_floor:
             status = "converged"
-            rec.wall_time = time.perf_counter() - t_start
-            records.append(rec)
             break
         if rec.y_linf_L1 > DIVERGENCE_THRESHOLD:
             status = "diverged"
-            rec.wall_time = time.perf_counter() - t_start
-            records.append(rec)
             break
         if k == config.max_outer:
             status = "cap_reached"
-            rec.wall_time = time.perf_counter() - t_start
-            records.append(rec)
             break
 
         try:
             inner = _newton_step(problem, gp, r)
         except BlowupError:
             status = "inner_failure"
-            rec.wall_time = time.perf_counter() - t_start
-            records.append(rec)
             break
         Y1, F1 = inner.trajectory, inner.control
         rec.F1_qT = inner.control_norm
@@ -381,8 +369,6 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
             if ls.status == "stagnated":
                 rec.lam = 0.0
                 status = "stagnated"
-                rec.wall_time = time.perf_counter() - t_start
-                records.append(rec)
                 break
             lam = ls.lam
         rec.lam = lam
@@ -393,8 +379,6 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
             initial_state=state.initial_state,
             terminal_state=state.terminal_state - inner.terminal.scaled(lam),
         )
-        rec.wall_time = time.perf_counter() - t_start
-        records.append(rec)
 
     return LSResult(records=records, y=state.y, f=state.f, status=status,
                     E0=float(E0 if E0 is not None else math.nan), M_run=M_run,

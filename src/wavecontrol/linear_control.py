@@ -38,6 +38,14 @@ the algebraic error stays below the regularization error (Arioli,
 Numer. Math. 97, 2004).  The default solve keeps the fixed cg_tol:
 callers that compare controls across solves (linearity, oracle
 agreement, fixed-point step sizes) need the exact solve.
+
+The dense oracle (`dense_oracle_control`) assembles the constraint
+matrix that maps control dofs to terminal coordinates by rows, not
+columns.  The discrete Green identity behind the Gramian's symmetry
+gives e_i . c(u) = (u, chi phi_i)_{L^2(q_T)}, phi_i the adjoint solved
+backward from the seed of the unit coordinate e_i, so row i is the
+adjoint control of e_i: 2 * n_modes backward solves build the matrix,
+where its columns would take one forward solve per control dof.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficients,
-                     l2_qt, linf_lp, sine_coefficients, v_norm)
+                     h10_norm, l2_qt, linf_lp, sine_coefficients, v_norm)
 from .grids import ControlRegion, SpaceTimeGrid
 from .solver import solve_backward, solve_forward, terminal_state
 
@@ -285,74 +293,46 @@ def solve_null_control(problem: LinearControlProblem, at_floor: bool = False) ->
 # dense oracle
 # ---------------------------------------------------------------------------
 
-def _active_dofs(grid, region):
-    chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
-    nodes = np.where(chi == 1.0)[0]
-    return nodes
+def _constraint_rows(problem):
+    """Whitened constraint matrix Ct, square-root quadrature weights sqrt_w
+    and the boolean mask of the active control dofs.
 
-
-def _quadrature_weights(grid, n_nodes):
-    w = np.full(grid.nt, grid.dt * math.prod(grid.dx))
-    w[0] *= 0.5
-    return np.repeat(w, n_nodes)
-
-
-def _impulse_responses(problem):
-    """Whitened constraint matrix Ct, quadrature sqrt_w and active nodes."""
+    Row i is the adjoint control of the unit seed e_i read on the mask
+    (time level outer, interior node in C order inner) times sqrt_w.
+    """
     grid, region = problem.grid, problem.region
     if math.prod(grid.shape) * (grid.nt + 1) > 5 * 10**4:
         raise ConfigError("grid too large for the dense oracle (cap 5e4 unknowns)")
     if not region.is_sharp:
         raise ConfigError("dense oracle requires a sharp (0/1) control region")
-    A = problem.potential
-    nodes = _active_dofs(grid, region)
-    n_nodes = nodes.size
-    n_dofs = n_nodes * grid.nt
-    sqrt_w = np.sqrt(_quadrature_weights(grid, n_nodes))
-    n_modes = math.prod(grid.interior_shape)
-
-    Ct = np.empty((2 * n_modes, n_dofs))
-    src = np.zeros((grid.nt + 1,) + grid.shape)
-    for k in range(n_dofs):
-        level, j = divmod(k, n_nodes)
-        src[:] = 0.0
-        _scatter(grid, src, level, nodes[j], 1.0 / sqrt_w[k])
-        _, term = _from_rest(grid, A, SpaceTimeField(grid, src.copy()))
-        Ct[:, k] = dual_to_rho(grid, term.velocity, -term.position)
-    return Ct, sqrt_w, nodes
-
-
-def dense_constraint_system(problem: LinearControlProblem):
-    """Assemble the whitened constraint matrix and right-hand side.
-
-    Columns are impulse responses: one forward solve per active control
-    dof (interior node in omega, time level 0..nt-1).  Returns
-    (Ct, c, sqrt_w, nodes) with Ct of shape (2 * n_modes, n_dofs); the
-    control in physical units is u = ut / sqrt_w scattered onto omega.
-    """
-    Ct, sqrt_w, nodes = _impulse_responses(problem)
-    return Ct, _free_response(problem)[2], sqrt_w, nodes
-
-
-def _scatter(grid, src, level, interior_flat_index, value):
-    if grid.dim == 1:
-        src[level, 1 + interior_flat_index] = value
-    else:
-        ny = grid.interior_shape[1]
-        i, j = divmod(interior_flat_index, ny)
-        src[level, 1 + i, 1 + j] = value
+    interior = (slice(1, -1),) * grid.dim
+    mask = np.zeros((grid.nt + 1,) + grid.shape, dtype=bool)
+    mask[(slice(0, -1),) + interior] = region.weights[interior] == 1.0
+    w = np.full(grid.nt, grid.dt * math.prod(grid.dx))
+    w[0] *= 0.5
+    sqrt_w = np.sqrt(np.repeat(w, np.count_nonzero(mask[0])))
+    eye = np.eye(2 * math.prod(grid.interior_shape))
+    Ct = np.array([_adjoint_control(grid, problem.potential, region,
+                                    seed_from_rho(grid, e)).values[mask] for e in eye])
+    return Ct * sqrt_w, sqrt_w, mask
 
 
 def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
     """Ground-truth control on small grids via dense constrained least squares.
 
+    The whitened constraint matrix Ct maps the control dofs on omega x
+    levels 0..nt-1, scaled by the square-root quadrature weights, to the
+    coordinates of the terminal state they reach from rest.  Its rows are
+    adjoint controls of the unit seeds (Green identity, module
+    docstring), so 2 * n_modes backward solves build it; the control is
+    written back through the same active-dof mask.
+
     eps_reg = 0: exact minimal-norm solution of the terminal constraint
     (LAPACK least squares); eps_reg > 0: direct solve of the same
     regularized normal equations the CG path addresses.
     """
-    grid = problem.grid
     eps = problem.effective_eps
-    Ct, sqrt_w, nodes = _impulse_responses(problem)
+    Ct, sqrt_w, mask = _constraint_rows(problem)
     free, free_term, c = _free_response(problem)
     if eps == 0.0:
         ut, *_ = np.linalg.lstsq(Ct, c, rcond=None)
@@ -361,26 +341,15 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
         rho = np.linalg.solve(G, c)
         ut = Ct.T @ rho
 
-    u_phys = ut / sqrt_w
-    src = np.zeros((grid.nt + 1,) + grid.shape)
-    n_nodes = nodes.size
-    for k in range(ut.size):
-        level, j = divmod(k, n_nodes)
-        _scatter(grid, src, level, nodes[j], u_phys[k])
-    return _controlled_solution(problem, free, free_term, SpaceTimeField(grid, src),
+    u = np.zeros(mask.shape)
+    u[mask] = ut / sqrt_w
+    return _controlled_solution(problem, free, free_term, SpaceTimeField(problem.grid, u),
                                 cg_iterations=0, converged=True, residual_history=[])
 
 
 # ---------------------------------------------------------------------------
 # sensitivity of the controlled solution to the potential
 # ---------------------------------------------------------------------------
-
-def potential_linf_ld(grid: SpaceTimeGrid, A: SpaceTimeField | None) -> float:
-    """|A| in L^inf(0, T; L^d), the norm entering the observability constant."""
-    if A is None:
-        return 0.0
-    return linf_lp(A, float(grid.dim))
-
 
 def perturbation_gap(grid: SpaceTimeGrid, region: ControlRegion,
                      A: SpaceTimeField | None, a: SpaceTimeField,
@@ -393,8 +362,6 @@ def perturbation_gap(grid: SpaceTimeGrid, region: ControlRegion,
     user-supplied constant C (the continuous constant is unknown, so
     the bound is reported, not asserted).
     """
-    from .fields import h10_norm
-
     A_pert_vals = a.values + (A.values if A is not None else 0.0)
     A_pert = SpaceTimeField(grid, A_pert_vals)
     sol_base = solve_null_control(LinearControlProblem(
@@ -407,8 +374,11 @@ def perturbation_gap(grid: SpaceTimeGrid, region: ControlRegion,
     a_norm = linf_lp(a, float(grid.dim + 1))
     b_norm = l2_qt(B) if B is not None else 0.0
     data_norm = v_norm(initial)
+    # |A| in L^inf(0, T; L^d), the norm entering the observability constant
+    d = float(grid.dim)
+    A_norm = linf_lp(A, d) if A is not None else 0.0
     bound = (C * a_norm * (b_norm + data_norm)
-             * math.exp(C * potential_linf_ld(grid, A_pert) ** 2)
-             * math.exp(C * potential_linf_ld(grid, A) ** 2))
+             * math.exp(C * linf_lp(A_pert, d) ** 2)
+             * math.exp(C * A_norm ** 2))
     return {"gap_norm": float(gap), "bound_rhs": float(bound),
             "base": sol_base, "perturbed": sol_pert}

@@ -4,7 +4,7 @@ import pytest
 
 import wavecontrol.cli as cli
 from wavecontrol.errors import ConfigError
-from wavecontrol.least_squares import LSConfig
+from wavecontrol.least_squares import IterateRecord, LSConfig, LSResult
 
 from conftest import CONFIGS, load_json
 
@@ -145,6 +145,17 @@ def test_compare_all_methods_on_linear(tmp_path):
         assert vals["status"] == "converged"
     finals = [float(v["sqrt2E_final"]) for v in by_method.values()]
     assert max(finals) - min(finals) <= 1e-10
+
+
+@pytest.mark.parametrize("status, has_order", [("converged", True), ("cap_reached", False)])
+def test_summary_order_only_for_converged_runs(status, has_order):
+    records = [IterateRecord(k=k, E=0.5 ** k, sqrt_E=0.5 ** (k / 2)) for k in range(5)]
+    result = LSResult(records=records, y=None, f=None, status=status, E0=1.0, M_run=0.0)
+    summary = cli.method_summary(result, wall_time=0.0)
+    assert (summary["order"] is not None) == has_order
+    assert (summary["order_fit_residual"] is not None) == has_order
+    if has_order:
+        assert summary["order"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sweep_resolution_defect_decreases(tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
 from wavecontrol.errors import ConfigError
-from wavecontrol.linear_control import (FLOOR_THETA, dense_constraint_system, rho_from_seed,
-                                        seed_from_rho)
+from wavecontrol.linear_control import (FLOOR_THETA, _constraint_rows, _free_response,
+                                        dual_to_rho, rho_from_seed, seed_from_rho)
 
 
 @pytest.fixture()
@@ -255,9 +255,48 @@ def test_oracle_matches_cg_with_matched_regularization():
     assert rel <= 1e-4
 
 
+def criterion_2_potential(grid):
+    (x,) = grid.meshgrid()
+    tl = grid.time_levels()
+    return wc.SpaceTimeField(grid, 1.2 * np.sin(3 * x)[None, :] * np.cos(tl)[:, None] + 0.4)
+
+
+def oracle_row_cases():
+    grid = wc.SpaceTimeGrid((1.0,), (20,), T=2.5, nt=60)
+    region = wc.interval_region(grid, 0.8, 1.0)
+    grid2 = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=2.0, nt=30)
+    region2 = wc.rectangle_region(grid2, 0.0, 0.4, 0.0, 1.2)
+    return [wc.LinearControlProblem(grid, region),
+            wc.LinearControlProblem(grid, region, potential=criterion_2_potential(grid)),
+            wc.LinearControlProblem(grid2, region2)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["1d", "1d_potential", "2d"])
+def test_oracle_rows_match_impulse_responses(case):
+    prob = oracle_row_cases()[case]
+    grid, region = prob.grid, prob.region
+    Ct, sqrt_w, mask = _constraint_rows(prob)
+    # active dofs: interior nodes of omega on levels 0..nt-1
+    active = np.zeros(grid.shape, dtype=bool)
+    interior = (slice(1, -1),) * grid.dim
+    active[interior] = region.weights[interior] == 1.0
+    assert np.array_equal(mask, np.stack([active] * grid.nt + [np.zeros_like(active)]))
+    assert Ct.shape == (2 * math.prod(grid.interior_shape), int(active.sum()) * grid.nt)
+    for k in np.linspace(0, Ct.shape[1] - 1, 6).astype(int):
+        # whitened unit impulse at dof k (C order of the mask), driven from rest
+        src = np.zeros(mask.shape)
+        src.flat[np.flatnonzero(mask)[k]] = 1.0 / sqrt_w[k]
+        u = wc.SpaceTimeField(grid, src)
+        z = wc.solve_forward(grid, prob.potential, u, wc.StatePair.zeros(grid))
+        term = wc.terminal_state(grid, z, prob.potential, u)
+        column = dual_to_rho(grid, term.velocity, -term.position)
+        assert np.max(np.abs(Ct[:, k] - column)) <= 1e-12 * np.max(np.abs(column))
+
+
 def test_oracle_optimality_against_feasible_perturbations():
     prob = oracle_problem(eps=0.0)
-    Ct, c, sqrt_w, nodes = dense_constraint_system(prob)
+    Ct = _constraint_rows(prob)[0]
+    c = _free_response(prob)[2]
     ut, *_ = np.linalg.lstsq(Ct, c, rcond=None)
     # null-space directions of the constraint keep the terminal condition
     u, s, vt = np.linalg.svd(Ct, full_matrices=True)

@@ -14,7 +14,7 @@ from .fields import (SpaceTimeField, StatePair, h_norm, l2_qt, linf_l1, linf_lp,
 from .grids import (ControlRegion, GeometryReport, SpaceTimeGrid,
                     check_geometric_condition, interval_region, rectangle_region,
                     sides_region)
-from .least_squares import (IterateRecord, LSConfig, LSResult, LSState, OrderEstimate,
+from .least_squares import (IterateRecord, LSConfig, LSResult, OrderEstimate,
                             TargetProblem, analytic_lambda, compute_E, descent_direction,
                             diagnostic_constants, estimate_order, line_search, ls_solve,
                             smallest_sufficient_C)

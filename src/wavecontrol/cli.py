@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import hashlib
 import json
 import math
@@ -89,7 +90,7 @@ def _expect_keys(d, path, required, optional=()):
 
 def _number(d, path, key, default=None, positive=False, integer=False):
     if key not in d:
-        if default is None and default is not False:
+        if default is None:
             _fail(path, f"missing key {key!r}")
         return default
     v = d[key]
@@ -109,6 +110,15 @@ def _numbers(d, path, keys, **kinds):
     for key in keys:
         if key in d:
             _number(d, path, key, **kinds)
+
+
+def _vector(d, path, key) -> int:
+    """An optional number or list of numbers; returns its length, 0 when absent or null."""
+    if d.get(key) is None:
+        return 0
+    items = dict(enumerate(d[key] if isinstance(d[key], list) else [d[key]]))
+    _numbers(items, f"{path}.{key}", items)
+    return len(items)
 
 
 def _count(d, path, key):
@@ -139,6 +149,9 @@ def validate_config(cfg: dict):
                            "seed", "sweep"))
     if cfg["schema_version"] != SCHEMA_VERSION:
         _fail("config.schema_version", f"expected {SCHEMA_VERSION}")
+    _numbers(cfg, "config", ("seed",), integer=True)
+    if not isinstance(cfg.get("output_dir", ""), str):
+        _fail("config.output_dir", "must be a string")
     sc = cfg["scenario"]
     _expect_keys(sc, "scenario", required=("name", "dimension", "lengths", "nodes",
                                            "T", "nt", "region"),
@@ -154,11 +167,10 @@ def validate_config(cfg: dict):
     _number(sc, "scenario", "T", positive=True)
     _number(sc, "scenario", "nt", positive=True, integer=True)
     _numbers(sc, "scenario", ("cfl_factor",))
-    if sc.get("x0") is not None:
-        x0 = dict(enumerate(sc["x0"] if isinstance(sc["x0"], list) else [sc["x0"]]))
-        if len(x0) != dim:
-            _fail("scenario.x0", f"must be a number or a list of {dim} numbers")
-        _numbers(x0, "scenario.x0", x0)
+    if not isinstance(sc.get("smoothing", False), bool):
+        _fail("scenario.smoothing", "must be true or false")
+    if _vector(sc, "scenario", "x0") not in (0, dim):
+        _fail("scenario.x0", f"must be a number or a list of {dim} numbers")
     region = sc["region"]
     if not isinstance(region, dict) or "type" not in region:
         _fail("scenario.region", "must be an object with a 'type'")
@@ -181,8 +193,12 @@ def validate_config(cfg: dict):
     for name in ("initial", "target"):
         _expect_keys(data[name], f"data.{name}", required=(), optional=("position", "velocity"))
         for part in ("position", "velocity"):
-            if not isinstance(data[name].get(part, {}), dict):
+            profile = data[name].get(part, {})
+            if not isinstance(profile, dict):
                 _fail(f"data.{name}.{part}", "must be an object")
+            _numbers(profile, f"data.{name}.{part}", ("amplitude", "width"))
+            _vector(profile, f"data.{name}.{part}", "k")
+            _vector(profile, f"data.{name}.{part}", "center")
     nl = cfg["nonlinearity"]
     _expect_keys(nl, "nonlinearity", required=("name",), optional=("params",))
     params = nl.get("params", {})
@@ -193,7 +209,7 @@ def validate_config(cfg: dict):
     if not isinstance(methods, list) or not methods:
         _fail("config.methods", "must be a non-empty list")
     for m in methods:
-        if m not in METHOD_RUNNERS:
+        if not isinstance(m, str) or m not in METHOD_RUNNERS:
             _fail("config.methods", f"unknown method {m!r}")
     if "least_squares" in cfg:
         ls = cfg["least_squares"]
@@ -219,6 +235,8 @@ def validate_config(cfg: dict):
         _count(inner, "inner", "cg_max_iter")
     if "sweep" in cfg:
         _expect_keys(cfg["sweep"], "sweep", required=("path", "values"))
+        if not isinstance(cfg["sweep"]["path"], str):
+            _fail("sweep.path", "must be a dotted key string")
         if not isinstance(cfg["sweep"]["values"], list) or not cfg["sweep"]["values"]:
             _fail("sweep.values", "must be a non-empty list")
 
@@ -260,7 +278,6 @@ def build_problem(cfg: dict):
     inner = cfg.get("inner", {})
     problem = TargetProblem(
         grid, region, initial, target,
-        x0=cfg["scenario"].get("x0"),
         eps_reg=inner.get("eps_reg"),
         cg_tol=float(inner.get("cg_tol", 1e-8)),
         cg_max_iter=int(inner.get("cg_max_iter", 500)),
@@ -477,8 +494,6 @@ def _set_by_path(cfg, dotted, value):
 
 
 def _sweep_point(base_cfg, dotted, value, methods):
-    import copy
-
     cfg = copy.deepcopy(base_cfg)
     cfg.pop("sweep", None)
     _set_by_path(cfg, dotted, value)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -35,10 +35,8 @@ def _embed(grid: SpaceTimeGrid, interior: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _eigenvalues(lengths: tuple, shape: tuple) -> np.ndarray:
     """Dirichlet-Laplacian eigenvalues on the interior modes, grid-shaped."""
-    per_axis = [((np.arange(1, n - 1) * np.pi / L) ** 2) for L, n in zip(lengths, shape)]
-    if len(per_axis) == 1:
-        return per_axis[0]
-    return per_axis[0][:, None] + per_axis[1][None, :]
+    return reduce(np.add.outer,
+                  [(np.arange(1, n - 1) * np.pi / L) ** 2 for L, n in zip(lengths, shape)])
 
 
 def eigenvalues(grid: SpaceTimeGrid) -> np.ndarray:
@@ -53,36 +51,28 @@ def sine_coefficients(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
     """
     v = values[(Ellipsis,) + (slice(1, -1),) * grid.dim]
     scale = math.sqrt(math.prod(grid.dx))
-    if grid.dim == 1:
-        return scale * sp_fft.dst(v, type=1, norm="ortho")
-    return scale * sp_fft.dstn(v, type=1, norm="ortho", axes=(-2, -1))
+    return scale * sp_fft.dstn(v, type=1, norm="ortho", axes=tuple(range(-grid.dim, 0)))
 
 
 def from_sine_coefficients(grid: SpaceTimeGrid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of sine_coefficients, returns a full spatial array."""
     scale = math.sqrt(math.prod(grid.dx))
-    if grid.dim == 1:
-        v = sp_fft.idst(coeffs / scale, type=1, norm="ortho")
-    else:
-        v = sp_fft.idstn(coeffs / scale, type=1, norm="ortho")
-    return _embed(grid, v)
+    return _embed(grid, sp_fft.idstn(coeffs / scale, type=1, norm="ortho",
+                                     axes=tuple(range(-grid.dim, 0))))
+
+
+def _trapezoid(h: float, n: int) -> np.ndarray:
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2
+    return w
 
 
 def _space_weights(grid: SpaceTimeGrid) -> np.ndarray:
-    ws = []
-    for h, n in zip(grid.dx, grid.shape):
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2
-        ws.append(w)
-    if grid.dim == 1:
-        return ws[0]
-    return ws[0][:, None] * ws[1][None, :]
+    return reduce(np.multiply.outer, [_trapezoid(h, n) for h, n in zip(grid.dx, grid.shape)])
 
 
 def _time_weights(grid: SpaceTimeGrid) -> np.ndarray:
-    w = np.full(grid.nt + 1, grid.dt)
-    w[0] = w[-1] = grid.dt / 2
-    return w
+    return _trapezoid(grid.dt, grid.nt + 1)
 
 
 @dataclass
@@ -205,20 +195,13 @@ class StatePair:
 
 
 def _boundary_max(a, dim):
-    m = 0.0
-    for ax in range(dim):
-        m = max(m, float(np.max(np.abs(np.take(a, 0, axis=ax)))),
-                float(np.max(np.abs(np.take(a, -1, axis=ax)))))
-    return m
+    return max(float(np.max(np.abs(np.moveaxis(a, ax, 0)[[0, -1]]))) for ax in range(dim))
 
 
 def _zero_boundary(a, dim):
     for ax in range(dim):
-        sl = [slice(None)] * dim
-        sl[ax] = 0
-        a[tuple(sl)] = 0.0
-        sl[ax] = -1
-        a[tuple(sl)] = 0.0
+        edges = np.moveaxis(a, ax, 0)       # a view: the writes land in a
+        edges[0] = edges[-1] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ dt <= cfl_factor * min(dx) / sqrt(d).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-SIDES_1D = ("left", "right")
-SIDES_2D = ("left", "right", "bottom", "top")
+SIDES_2D = ("left", "right", "bottom", "top")   # low and high end of axis 0, then of axis 1
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,7 @@ class SpaceTimeGrid:
 
     def meshgrid(self):
         """Node coordinates, one array per axis, shaped like the spatial grid."""
-        axes = [self.axis_nodes(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(axes[0], axes[1], indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij"))
 
     def time_levels(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
@@ -96,7 +93,8 @@ class ControlRegion:
 
     `kind` and `params` keep the geometric description so the geometric
     control condition can be checked against declared geometry rather
-    than inferred from node weights.
+    than inferred from node weights: kind "box" has per-axis
+    `bounds` ((lo, hi), ...), kind "sides" has `sides` and `eps`.
     """
 
     grid: SpaceTimeGrid
@@ -126,6 +124,18 @@ def _smooth_ramp(dist_inside, cell):
     return np.clip(dist_inside / cell, 0.0, 1.0)
 
 
+def _box_region(grid: SpaceTimeGrid, bounds, smoothing: bool) -> ControlRegion:
+    """The open box of the per-axis bounds ((lo, hi), ...)."""
+    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    w = np.ones(grid.shape)
+    for X, h, (lo, hi) in zip(grid.meshgrid(), grid.dx, bounds):
+        if smoothing:
+            w = np.minimum(w, np.minimum(_smooth_ramp(X - lo, h), _smooth_ramp(hi - X, h)))
+        else:
+            w = w * ((X > lo) & (X < hi))
+    return ControlRegion(grid, "box", {"bounds": bounds}, w)
+
+
 def interval_region(grid: SpaceTimeGrid, a: float, b: float, smoothing: bool = False) -> ControlRegion:
     """omega = (a, b) on a 1D grid."""
     if grid.dim != 1:
@@ -133,12 +143,7 @@ def interval_region(grid: SpaceTimeGrid, a: float, b: float, smoothing: bool = F
     L = grid.lengths[0]
     if not (0.0 <= a < b <= L):
         raise ConfigError(f"interval ({a}, {b}) is not a subinterval of (0, {L})")
-    x = grid.axis_nodes(0)
-    if smoothing:
-        w = np.minimum(_smooth_ramp(x - a, grid.dx[0]), _smooth_ramp(b - x, grid.dx[0]))
-    else:
-        w = ((x > a) & (x < b)).astype(float)
-    return ControlRegion(grid, "interval", {"a": float(a), "b": float(b)}, w)
+    return _box_region(grid, ((a, b),), smoothing)
 
 
 def rectangle_region(grid: SpaceTimeGrid, x0: float, x1: float, y0: float, y1: float,
@@ -149,15 +154,7 @@ def rectangle_region(grid: SpaceTimeGrid, x0: float, x1: float, y0: float, y1: f
     Lx, Ly = grid.lengths
     if not (0.0 <= x0 < x1 <= Lx and 0.0 <= y0 < y1 <= Ly):
         raise ConfigError("sub-rectangle must be contained in the domain")
-    X, Y = grid.meshgrid()
-    if smoothing:
-        wx = np.minimum(_smooth_ramp(X - x0, grid.dx[0]), _smooth_ramp(x1 - X, grid.dx[0]))
-        wy = np.minimum(_smooth_ramp(Y - y0, grid.dx[1]), _smooth_ramp(y1 - Y, grid.dx[1]))
-        w = np.minimum(wx, wy)
-    else:
-        w = ((X > x0) & (X < x1) & (Y > y0) & (Y < y1)).astype(float)
-    return ControlRegion(grid, "rectangle",
-                         {"x0": float(x0), "x1": float(x1), "y0": float(y0), "y1": float(y1)}, w)
+    return _box_region(grid, ((x0, x1), (y0, y1)), smoothing)
 
 
 def sides_region(grid: SpaceTimeGrid, sides, eps: float, smoothing: bool = False) -> ControlRegion:
@@ -172,17 +169,12 @@ def sides_region(grid: SpaceTimeGrid, sides, eps: float, smoothing: bool = False
         raise ConfigError("sides_region needs at least one side")
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    Lx, Ly = grid.lengths
-    X, Y = grid.meshgrid()
+    coords = grid.meshgrid()
     dist = np.full(grid.shape, np.inf)
-    if "left" in sides:
-        dist = np.minimum(dist, X)
-    if "right" in sides:
-        dist = np.minimum(dist, Lx - X)
-    if "bottom" in sides:
-        dist = np.minimum(dist, Y)
-    if "top" in sides:
-        dist = np.minimum(dist, Ly - Y)
+    for s in sides:
+        axis, high = divmod(SIDES_2D.index(s), 2)
+        X = coords[axis]
+        dist = np.minimum(dist, grid.lengths[axis] - X if high else X)
     if smoothing:
         w = _smooth_ramp(eps - dist, min(grid.dx))
     else:
@@ -209,67 +201,40 @@ def check_geometric_condition(grid: SpaceTimeGrid, region: ControlRegion, x0,
     strictly outside the closed domain.
     """
     T = grid.T if T is None else float(T)
-    if grid.dim == 1:
-        (L,) = grid.lengths
-        x0 = float(np.asarray(x0).reshape(()))
-        if 0.0 <= x0 <= L:
-            raise ConfigError("x0 must lie strictly outside the closed domain")
-        gamma0 = []
-        if -(0.0 - x0) > 0:      # nu(0) = -1
-            gamma0.append("left")
-        if (L - x0) > 0:         # nu(L) = +1
-            gamma0.append("right")
-        T_min = 2.0 * max(abs(0.0 - x0), abs(L - x0))
-        covered = _covers_1d(region, gamma0, L)
-    else:
-        Lx, Ly = grid.lengths
-        x0 = tuple(float(v) for v in np.asarray(x0).reshape(2))
-        if 0.0 <= x0[0] <= Lx and 0.0 <= x0[1] <= Ly:
-            raise ConfigError("x0 must lie strictly outside the closed domain")
-        gamma0 = []
-        if x0[0] > 0:
-            gamma0.append("left")
-        if Lx - x0[0] > 0:
-            gamma0.append("right")
-        if x0[1] > 0:
-            gamma0.append("bottom")
-        if Ly - x0[1] > 0:
-            gamma0.append("top")
-        corners = [(0, 0), (Lx, 0), (0, Ly), (Lx, Ly)]
-        T_min = 2.0 * max(math.hypot(cx - x0[0], cy - x0[1]) for cx, cy in corners)
-        covered = _covers_2d(region, gamma0, Lx, Ly)
+    x0 = tuple(float(v) for v in np.asarray(x0).reshape(grid.dim))
+    if all(0.0 <= c <= L for c, L in zip(x0, grid.lengths)):
+        raise ConfigError("x0 must lie strictly outside the closed domain")
+    gamma0 = []
+    for axis, (c, L) in enumerate(zip(x0, grid.lengths)):
+        if c > 0:          # nu = -e_axis on the low side
+            gamma0.append(SIDES_2D[2 * axis])
+        if L - c > 0:      # nu = +e_axis on the high side
+            gamma0.append(SIDES_2D[2 * axis + 1])
+    corners = itertools.product(*((0.0, L) for L in grid.lengths))
+    T_min = 2.0 * max(math.dist(corner, x0) for corner in corners)
+    covered = _covers(region, gamma0, grid.lengths)
     time_ok = T > T_min
     return GeometryReport(holds=bool(time_ok and covered), T_min=float(T_min),
                           gamma0=tuple(gamma0), covered=bool(covered), time_ok=bool(time_ok))
 
 
-def _covers_1d(region, gamma0, L, tol=1e-12):
-    if region.kind != "interval":
-        return False
-    a, b = region.params["a"], region.params["b"]
-    for side in gamma0:
-        if side == "left" and a > tol:
-            return False
-        if side == "right" and b < L - tol:
-            return False
-    return True
-
-
-def _covers_2d(region, gamma0, Lx, Ly, tol=1e-12):
+def _covers(region, gamma0, lengths, tol=1e-12):
+    """A sides region must name every side of gamma0; a box must reach each
+    such side and span the domain along every other axis."""
     if region.kind == "sides":
         return all(s in region.params["sides"] for s in gamma0)
-    if region.kind == "rectangle":
-        p = region.params
-        for side in gamma0:
-            spans_y = p["y0"] <= tol and p["y1"] >= Ly - tol
-            spans_x = p["x0"] <= tol and p["x1"] >= Lx - tol
-            if side == "left" and not (p["x0"] <= tol and spans_y):
-                return False
-            if side == "right" and not (p["x1"] >= Lx - tol and spans_y):
-                return False
-            if side == "bottom" and not (p["y0"] <= tol and spans_x):
-                return False
-            if side == "top" and not (p["y1"] >= Ly - tol and spans_x):
-                return False
-        return True
-    return False
+    if region.kind != "box":
+        return False
+    bounds = region.params["bounds"]
+
+    def reaches(axis, high):
+        lo, hi = bounds[axis]
+        return hi >= lengths[axis] - tol if high else lo <= tol
+
+    for s in gamma0:
+        axis, high = divmod(SIDES_2D.index(s), 2)
+        spans = all(reaches(other, 0) and reaches(other, 1)
+                    for other in range(len(lengths)) if other != axis)
+        if not (reaches(axis, high) and spans):
+            return False
+    return True

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BlowupError, ConfigError, InsufficientRecords
 from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, v_norm
-from .grids import ControlRegion, SpaceTimeGrid, check_geometric_condition
+from .grids import ControlRegion, SpaceTimeGrid
 from .linear_control import LinearControlProblem, solve_null_control
 from .nonlinearity import Nonlinearity, beta_star
 from .solver import residual_field
@@ -47,22 +47,15 @@ class TargetProblem:
     region: ControlRegion
     initial: StatePair
     target: StatePair
-    x0: tuple | float | None = None        # observation point for the geometry check
     eps_reg: float | None = None            # inner Tikhonov parameter, None -> min(dx)^2
     cg_tol: float = 1e-8
     cg_max_iter: int = 500
-
-    def geometry_ok(self):
-        if self.x0 is None:
-            return None
-        return check_geometric_condition(self.grid, self.region, self.x0).holds
 
     def inner_problem(self, potential, source, initial, target) -> LinearControlProblem:
         return LinearControlProblem(
             self.grid, self.region, potential=potential, source=source,
             initial=initial, target=target, eps_reg=self.eps_reg,
-            cg_tol=self.cg_tol, cg_max_iter=self.cg_max_iter,
-            geometry_ok=self.geometry_ok())
+            cg_tol=self.cg_tol, cg_max_iter=self.cg_max_iter)
 
 
 DIVERGENCE_THRESHOLD = 1e6            # on |y|_{Linf(L1)}, shared by all methods
@@ -87,14 +80,6 @@ class LSConfig:
         if not self.refine_rel_width > 0:
             # the golden-section refinement would never end
             raise ConfigError("least_squares.refine_rel_width must be positive")
-
-
-@dataclass
-class LSState:
-    y: SpaceTimeField
-    f: SpaceTimeField
-    initial_state: StatePair          # algebraic bookkeeping of iterate data at t=0
-    terminal_state: StatePair         # and at t=T (sums of scheme-exact snapshots)
 
 
 @dataclass
@@ -305,8 +290,8 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     config = config or LSConfig()
     grid, region = problem.grid, problem.region
     init_sol = initialize(problem, g, config.init)
-    state = LSState(y=init_sol.trajectory, f=init_sol.control,
-                    initial_state=problem.initial, terminal_state=init_sol.terminal)
+    y, f = init_sol.trajectory, init_sol.control
+    terminal = init_sol.terminal          # sum of scheme-exact snapshots at t=T
 
     records: list[IterateRecord] = []
     status = "cap_reached"
@@ -318,7 +303,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
         rec = IterateRecord(k=k, E=math.nan, sqrt_E=math.nan)
         records.append(rec)
         try:
-            r = residual_field(state.y, state.f, g, region)
+            r = residual_field(y, f, g, region)
         except ConfigError:
             status = "inner_failure"
             break
@@ -327,16 +312,15 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
             E0 = E
         rec.E = float(E)
         rec.sqrt_E = math.sqrt(E)
-        rec.y_linf_L1 = linf_l1(state.y)
+        rec.y_linf_L1 = linf_l1(y)
         M_run = max(M_run, rec.y_linf_L1)
-        gp = SpaceTimeField(grid, g.dg(state.y.values))     # also the step's potential
+        gp = SpaceTimeField(grid, g.dg(y.values))     # also the step's potential
         rec.gprime_linf_ld = linf_lp(gp, d)
         if g.seminorm is not None and g.s > 0:
             diag = diagnostic_constants(E, rec.gprime_linf_ld, g, config.C,
                                         M_run, grid.domain_measure)
             rec.lam_tilde = analytic_lambda(E, diag["c_of_y"], g.s)
-        rec.init_defect_V = v_norm(state.initial_state - problem.initial)
-        rec.term_defect_V = v_norm(state.terminal_state - problem.target)
+        rec.term_defect_V = v_norm(terminal - problem.target)
 
         if math.sqrt(2 * E) <= config.tol * math.sqrt(2 * E0) or E <= config.e_floor:
             status = "converged"
@@ -364,7 +348,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
         if force_lambda is not None:
             lam = float(force_lambda)
         else:
-            ls = line_search(state.y, r, Y1, g, config.m,
+            ls = line_search(y, r, Y1, g, config.m,
                              config.scan_points, config.refine_rel_width)
             if ls.status == "stagnated":
                 rec.lam = 0.0
@@ -373,14 +357,11 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
             lam = ls.lam
         rec.lam = lam
 
-        state = LSState(
-            y=SpaceTimeField(grid, state.y.values - lam * Y1.values),
-            f=SpaceTimeField(grid, state.f.values - lam * F1.values),
-            initial_state=state.initial_state,
-            terminal_state=state.terminal_state - inner.terminal.scaled(lam),
-        )
+        y = SpaceTimeField(grid, y.values - lam * Y1.values)
+        f = SpaceTimeField(grid, f.values - lam * F1.values)
+        terminal = terminal - inner.terminal.scaled(lam)
 
-    return LSResult(records=records, y=state.y, f=state.f, status=status,
+    return LSResult(records=records, y=y, f=f, status=status,
                     E0=float(E0 if E0 is not None else math.nan), M_run=M_run,
                     method=method_name)
 

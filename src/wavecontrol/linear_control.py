@@ -75,7 +75,6 @@ class LinearControlProblem:
     eps_reg: float | None = None          # None -> min(dx)^2
     cg_tol: float = 1e-8
     cg_max_iter: int = 500
-    geometry_ok: bool | None = None
 
     def __post_init__(self):
         if self.initial is None:
@@ -102,7 +101,6 @@ class ControlSolution:
     cg_iterations: int
     converged: bool               # CG solved the regularized system to tolerance
     residual_history: list = field(default_factory=list)
-    geometry_ok: bool | None = None
     seed_coords: np.ndarray | None = None
 
 
@@ -259,7 +257,6 @@ def _controlled_solution(problem, free, free_term, u, **solver_info) -> ControlS
         terminal=terminal,
         defect=float(v_norm(terminal - problem.target)),
         control_norm=float(l2_qt(u)),
-        geometry_ok=problem.geometry_ok,
         **solver_info,
     )
 

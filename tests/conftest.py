@@ -17,13 +17,12 @@ def configs_dir():
     return CONFIGS
 
 
-def make_problem(nx=80, nt=240, T=2.5, omega=(0.8, 1.0), amplitude=2.0,
-                 x0=-0.1, **kwargs):
+def make_problem(nx=80, nt=240, T=2.5, omega=(0.8, 1.0), amplitude=2.0, **kwargs):
     grid = wc.SpaceTimeGrid((1.0,), (nx,), T=T, nt=nt)
     region = wc.interval_region(grid, *omega)
     (X,) = grid.meshgrid()
     init = wc.StatePair(grid, amplitude * np.sin(np.pi * X), np.zeros(grid.shape))
-    return wc.TargetProblem(grid, region, init, wc.StatePair.zeros(grid), x0=x0, **kwargs)
+    return wc.TargetProblem(grid, region, init, wc.StatePair.zeros(grid), **kwargs)
 
 
 @pytest.fixture(scope="session")

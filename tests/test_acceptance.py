@@ -96,7 +96,7 @@ def test_criterion_04_linear_controllability():
         potential=None, source=None, initial=problem.initial, target=problem.target))
     rel = sol.defect / wc.v_norm(problem.initial)
     elapsed = time.perf_counter() - t0
-    geometry = wc.check_geometric_condition(problem.grid, problem.region, problem.x0)
+    geometry = wc.check_geometric_condition(problem.grid, problem.region, cfg["scenario"]["x0"])
     check(4, "terminal V-defect <= 1e-6 x initial V-norm on the geometry-valid scenario",
           geometry.holds and rel <= 1e-6 and elapsed < 10,
           f"rel_defect={rel:.2e}, cg_iters={sol.cg_iterations}, {elapsed:.1f}s")

@@ -76,6 +76,15 @@ def test_unknown_method_rejected(tmp_path, capsys):
     ("data.initial", "x"),
     ("data.target.position", 3),
     ("scenario.dimension", True),
+    ("seed", "abc"),
+    ("seed", 1.5),
+    ("methods", [[1]]),
+    ("data.initial.position.amplitude", "big"),
+    ("data.initial.position.k", "x"),
+    ("data.initial.position", {"profile": "bump", "center": "mid"}),
+    ("sweep", {"path": 5, "values": [1]}),
+    ("output_dir", 5),
+    ("scenario.smoothing", "no"),
 ])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, key, value):
     path, _ = small_linear_config(tmp_path, **{key: value})
@@ -87,6 +96,7 @@ def test_malformed_field_is_a_config_error(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_committed_config_loads_and_builds(path):
     cli.build_problem(cli.load_config(path))
+    assert run_cli(["check", "--config", path]) == 0
 
 
 def test_run_writes_outputs_and_exit_zero(tmp_path):

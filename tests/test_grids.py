@@ -120,3 +120,30 @@ def test_geometry_2d_rectangle_coverage():
     # a sides-type region on exactly those sides does cover
     full = wc.sides_region(grid, ("right", "bottom", "top"), eps=0.12)
     assert wc.check_geometric_condition(grid, full, x0=(-0.2, 0.5)).covered
+
+
+@pytest.mark.parametrize("lengths,x0,gamma0,far", [
+    ((1.0,), -0.1, ("right",), (1.1,)),
+    ((1.0,), 1.3, ("left",), (1.3,)),
+    ((1.0, 1.5), (-0.2, 0.5), ("right", "bottom", "top"), (1.2, 1.0)),
+    ((1.0, 1.5), (1.3, 0.5), ("left", "bottom", "top"), (1.3, 1.0)),
+    ((1.0, 1.5), (0.4, -0.3), ("left", "right", "top"), (0.6, 1.8)),
+    ((1.0, 1.5), (0.4, 1.9), ("left", "right", "bottom"), (0.6, 1.9)),
+    ((1.0, 1.5), (-0.2, -0.2), ("right", "top"), (1.2, 1.7)),
+    ((1.0, 1.5), (1.2, 1.7), ("left", "bottom"), (1.2, 1.7)),
+], ids=["1d-left", "1d-right", "2d-left", "2d-right", "2d-bottom", "2d-top",
+        "2d-bottom-left", "2d-top-right"])
+def test_geometry_closed_form_for_each_side(lengths, x0, gamma0, far):
+    # Gamma_0 holds the sides whose outward normal points away from x0, and
+    # the farthest point of the box is the corner at the far end of each axis
+    grid = wc.SpaceTimeGrid(lengths, (41,) * len(lengths), T=1.0, nt=100)
+    if len(lengths) == 1:
+        region = wc.interval_region(grid, *((0.0, 0.2) if gamma0 == ("left",) else (0.8, 1.0)))
+    else:
+        region = wc.sides_region(grid, gamma0, eps=0.1)
+    T_min = 2 * math.hypot(*far)
+    rep = wc.check_geometric_condition(grid, region, x0, T=0.99 * T_min)
+    assert rep.gamma0 == gamma0
+    assert rep.T_min == pytest.approx(T_min, rel=1e-14)
+    assert rep.covered and not rep.time_ok and not rep.holds
+    assert wc.check_geometric_condition(grid, region, x0, T=1.01 * T_min).holds

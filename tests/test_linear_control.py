@@ -164,11 +164,6 @@ def test_nonconvergence_is_a_status_not_an_exception(grid, region):
     assert not sol.converged and sol.cg_iterations == 3
 
 
-def test_geometry_flag_is_carried(grid, region):
-    prob = wc.LinearControlProblem(grid, region, geometry_ok=True)
-    assert wc.solve_null_control(prob).geometry_ok is True
-
-
 def test_default_eps_is_h_squared(grid, region):
     prob = wc.LinearControlProblem(grid, region)
     assert prob.effective_eps == pytest.approx(min(grid.dx) ** 2, rel=1e-15)

@@ -564,11 +564,10 @@ def cmd_sweep(cfg, args) -> int:
 
 
 def cmd_check(cfg, args) -> int:
-    grid = build_grid(cfg)
-    region = build_region(cfg, grid)
-    nl = cfg["nonlinearity"]
-    g = builtin(nl["name"], **nl.get("params", {}))
-    C = float(cfg.get("least_squares", {}).get("C", 1.0))
+    # builds everything `run` builds, data states included, so that check
+    # rejects each config that run would reject before solving
+    problem, g, ls_cfg, _ = build_problem(cfg)
+    grid, region, C = problem.grid, problem.region, ls_cfg.C
 
     print(f"hypothesis report for scenario {cfg['scenario']['name']!r}")
     x0 = cfg["scenario"].get("x0")

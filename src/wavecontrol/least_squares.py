@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BlowupError, ConfigError, InsufficientRecords
 from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, v_norm
 from .grids import ControlRegion, SpaceTimeGrid
-from .linear_control import LinearControlProblem, solve_null_control
+from .linear_control import LinearControlProblem, RitzSpace, solve_null_control
 from .nonlinearity import Nonlinearity, beta_star
 from .solver import residual_field
 
@@ -107,7 +107,7 @@ class LSResult:
     records: list
     y: SpaceTimeField
     f: SpaceTimeField
-    status: str                        # converged | stagnated | cap_reached | inner_failure
+    status: str                        # converged | stagnated | cap_reached | diverged | inner_failure
     E0: float
     M_run: float
     method: str = "least_squares"
@@ -120,19 +120,20 @@ def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
     return 0.5 * l2_qt(r) ** 2
 
 
-def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField):
+def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField,
+                 space: RitzSpace | None = None):
     """Null-controlled pair of the linearized equation with potential gp = g'(y)
-    and source r, CG stopped at the Tikhonov floor.
+    and source r, CG stopped at the Tikhonov floor and deflated by `space`.
 
     The pair satisfies the linearized equation stencil-exactly however far
     CG has run, so the floor stop moves only its terminal defect, by at
-    most a factor 1 + FLOOR_THETA (see `linear_control`).
+    most a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) (see `linear_control`).
     """
     grid = problem.grid
     A = None if np.all(gp.values == 0.0) else gp
     return solve_null_control(problem.inner_problem(
         potential=A, source=r, initial=StatePair.zeros(grid),
-        target=StatePair.zeros(grid)), at_floor=True)
+        target=StatePair.zeros(grid)), at_floor=True, space=space)
 
 
 def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField,
@@ -260,13 +261,15 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
     return out
 
 
-def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str):
+def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str,
+               space: RitzSpace | None = None):
     """Starting pair: the controlled solution of a linear surrogate problem.
 
     linear         potential 0, source 0 (the g = 0 problem)
     linear_frozen  potential g'(0), source -g(0)
 
-    CG stops at the Tikhonov floor, as in every Newton step.
+    CG stops at the Tikhonov floor, as in every Newton step, and fills
+    `space` with Ritz vectors for the steps.
     """
     grid = problem.grid
     if strategy == "linear":
@@ -279,17 +282,23 @@ def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str):
         raise ConfigError(f"unknown initialization strategy {strategy!r}")
     return solve_null_control(problem.inner_problem(
         potential=potential, source=source,
-        initial=problem.initial, target=problem.target), at_floor=True)
+        initial=problem.initial, target=problem.target), at_floor=True, space=space)
 
 
 def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = None,
              force_lambda: float | None = None, method_name: str = "least_squares") -> LSResult:
     """Run the damped least-squares iteration until sqrt(2E) drops below
     tol * sqrt(2E_0) (or the absolute floor), the iteration cap, or a
-    stagnation/failure status."""
+    stagnation/failure status.
+
+    The inner solves of one run differ only in potential and right-hand
+    side, so they share one `RitzSpace`: each deflates CG with the lowest
+    Ritz vectors of the solves before it.
+    """
     config = config or LSConfig()
     grid, region = problem.grid, problem.region
-    init_sol = initialize(problem, g, config.init)
+    space = RitzSpace()
+    init_sol = initialize(problem, g, config.init, space)
     y, f = init_sol.trajectory, init_sol.control
     terminal = init_sol.terminal          # sum of scheme-exact snapshots at t=T
 
@@ -333,7 +342,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
             break
 
         try:
-            inner = _newton_step(problem, gp, r)
+            inner = _newton_step(problem, gp, r, space)
         except BlowupError:
             status = "inner_failure"
             break

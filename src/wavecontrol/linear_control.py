@@ -25,19 +25,23 @@ observable high-frequency modes at the price of an O(eps) terminal
 defect; eps_reg defaults to min(dx)^2.
 
 CG may stop at that floor instead of at cg_tol (`solve_null_control`
-with at_floor=True).  The terminal gap of the k-th iterate is
+with at_floor=True).  The terminal gap of an iterate rho_k is
 d_k = c - G rho_k = r_k + eps rho_k, and at the exact solution
-d* = eps rho*.  CG started from zero on an SPD system has |rho_k|
-increasing toward |rho*| (Hestenes & Stiefel 1952, Thm 6:3), so the
-stop |r_k| <= FLOOR_THETA * eps |rho_k| gives
+d* = eps rho*.  The stop |r_k| <= FLOOR_THETA * eps |rho_k| bounds the
+algebraic error by the regularization error (Arioli, Numer. Math. 97,
+2004) whatever the starting iterate:
 
-    |d_k| <= (1 + theta) eps |rho_k| <= (1 + theta) |d*|,
-    |rho_k - rho*| <= |r_k| / eps <= theta |rho_k|:
+    |rho_k - rho*| <= |r_k| / eps <= theta |rho_k|,
+    so |rho_k| <= |rho*| / (1 - theta) and
+    |d_k| <= (1 + theta) eps |rho_k| <= (1 + theta) / (1 - theta) |d*|,
 
-the algebraic error stays below the regularization error (Arioli,
-Numer. Math. 97, 2004).  The default solve keeps the fixed cg_tol:
-callers that compare controls across solves (linearity, oracle
-agreement, fixed-point step sizes) need the exact solve.
+a factor 1.0202 at theta = 0.01.  The bound needs no monotone |rho_k|,
+so it also holds for deflated CG (Saad, Yeung, Erhel & Guyomarc'h,
+SISC 21, 2000), which starts from the Galerkin solution on a space W
+carried over from earlier solves (`RitzSpace`).  The default solve
+keeps the fixed cg_tol and no space: callers that compare controls
+across solves (linearity, oracle agreement, fixed-point step sizes)
+need the exact solve.
 
 The dense oracle (`dense_oracle_control`) assembles the constraint
 matrix that maps control dofs to terminal coordinates by rows, not
@@ -62,6 +66,8 @@ from .grids import ControlRegion, SpaceTimeGrid
 from .solver import solve_backward, solve_forward, terminal_state
 
 FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
+RITZ_K = 16             # deflation vectors a RitzSpace carries between solves
+RITZ_BLOCK = 32         # search directions between two Rayleigh-Ritz compressions
 
 
 @dataclass
@@ -183,41 +189,94 @@ def _gramian_rho(grid, potential, region, rho):
     return dual_to_rho(grid, term.velocity, -term.position)
 
 
-def _cg(apply_op, c, tol, max_iter, eps, floor=0.0):
-    """Plain CG for (G + eps I) x = c; returns (x, iters, converged, history).
+@dataclass
+class RitzSpace:
+    """Deflation vectors recycled across a sequence of related CG solves.
+
+    Holds up to RITZ_K vectors as the rows of W; `_cg` deflates with them
+    and refills them with the lowest Ritz vectors of its own search space.
+    A fresh space holds none, so its first solve is the plain one.
+    """
+
+    W: np.ndarray | None = None
+
+
+def _a_orthonormal(W, AW):
+    """Rows of W and of A W recombined so that W A W^T = I; directions of
+    W that A W cannot tell apart from zero are dropped."""
+    lam, Q = np.linalg.eigh(W @ AW.T)
+    keep = lam > 1e-12 * lam[-1]
+    T = Q[:, keep] / np.sqrt(lam[keep])
+    return T.T @ W, T.T @ AW
+
+
+def _lowest_ritz(Z, k):
+    """The k lowest Ritz vectors of A on the span of the A-orthonormal rows
+    of Z: the Gram matrix Z Z^T has the eigenvalues 1 / theta."""
+    _, Y = np.linalg.eigh(Z @ Z.T)
+    return Y[:, -k:].T @ Z
+
+
+def _cg(apply_op, c, tol, max_iter, eps, floor=0.0, space=None):
+    """CG for A x = c, A = G + eps I; returns (x, iters, converged, history).
 
     Stops once |r_k| <= max(tol |c|, floor |x_k|); floor = 0 is the plain
-    relative-residual stop.
+    relative-residual stop.  With a `RitzSpace` holding vectors W this is
+    deflated CG (Saad, Yeung, Erhel & Guyomarc'h, SISC 21, 2000): forming
+    A W costs len(W) applies, x starts from the Galerkin solution on
+    span W and every search direction is made A-conjugate to W.  On exit
+    W becomes the RITZ_K lowest Ritz vectors of span[W, search directions],
+    compressed by Rayleigh-Ritz every RITZ_BLOCK directions; the
+    A-conjugacy of that basis gives its A-products, so harvesting costs
+    no apply.
     """
     x = np.zeros_like(c)
     nc = math.sqrt(float(c @ c))
     if nc == 0.0:
         return x, 0, True, [0.0]
     r = c.copy()
-    d = r.copy()
+    W = basis = None
+    if space is not None:
+        basis = np.empty((RITZ_K + RITZ_BLOCK, c.size))   # A-orthonormal rows
+        nb = 0
+        if space.W is not None:
+            W, AW = _a_orthonormal(space.W, np.array([apply_op(w) + eps * w
+                                                       for w in space.W]))
+            mu = W @ c
+            x = mu @ W
+            r = c - mu @ AW
+            nb = len(W)
+            basis[:nb] = W
+    d = r.copy() if W is None else r - (AW @ r) @ W
     rs = float(r @ r)
     history = [math.sqrt(rs) / nc]
     it = 0
-    converged = math.sqrt(rs) <= tol * nc
+    converged = math.sqrt(rs) <= max(tol * nc, floor * math.sqrt(float(x @ x)))
     while not converged and it < max_iter:
         Gd = apply_op(d) + eps * d
         dGd = float(d @ Gd)
         if dGd <= 0.0:
             break   # positivity lost to roundoff; keep the best iterate
+        if basis is not None:
+            if nb == len(basis):
+                basis[:RITZ_K] = _lowest_ritz(basis, RITZ_K)
+                nb = RITZ_K
+            basis[nb] = d / math.sqrt(dGd)
+            nb += 1
         alpha = rs / dGd
         x = x + alpha * d
         r = r - alpha * Gd
         rs_new = float(r @ r)
         it += 1
         history.append(math.sqrt(rs_new) / nc)
-        stop = tol * nc
-        if floor:
-            stop = max(stop, floor * math.sqrt(float(x @ x)))
-        if math.sqrt(rs_new) <= stop:
-            converged = True
-        else:
+        converged = math.sqrt(rs_new) <= max(tol * nc, floor * math.sqrt(float(x @ x)))
+        if not converged:
             d = r + (rs_new / rs) * d
+            if W is not None:
+                d -= (AW @ r) @ W
         rs = rs_new
+    if basis is not None and nb:
+        space.W = basis[:nb].copy() if nb <= RITZ_K else _lowest_ritz(basis[:nb], RITZ_K)
     return x, it, converged, history
 
 
@@ -261,7 +320,8 @@ def _controlled_solution(problem, free, free_term, u, **solver_info) -> ControlS
     )
 
 
-def solve_null_control(problem: LinearControlProblem, at_floor: bool = False) -> ControlSolution:
+def solve_null_control(problem: LinearControlProblem, at_floor: bool = False,
+                       space: RitzSpace | None = None) -> ControlSolution:
     """Steer the initial state to the target; control of minimal L^2(q_T) norm.
 
     Reduction to a reach-from-rest problem: subtract the uncontrolled
@@ -269,15 +329,17 @@ def solve_null_control(problem: LinearControlProblem, at_floor: bool = False) ->
     terminal gap through the Gramian equation (G + eps I) rho = c.
     at_floor=True also stops CG once its residual is below FLOOR_THETA
     times the Tikhonov term, which keeps the terminal defect within a
-    factor 1 + FLOOR_THETA of the exact regularized solve's (module
-    docstring); `converged` then means either stop was met.
+    factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) of the exact regularized
+    solve's (module docstring); `converged` then means either stop was
+    met.  A `RitzSpace` deflates CG with the vectors that earlier solves
+    left in it, and this solve refills it.
     """
     grid, region, A = problem.grid, problem.region, problem.potential
     eps = problem.effective_eps
     free, free_term, c = _free_response(problem)
     rho, iters, converged, history = _cg(lambda r: _gramian_rho(grid, A, region, r), c,
                                          problem.cg_tol, problem.cg_max_iter, eps,
-                                         FLOOR_THETA * eps if at_floor else 0.0)
+                                         FLOOR_THETA * eps if at_floor else 0.0, space)
     u = None
     if np.any(rho != 0.0):
         u = _adjoint_control(grid, A, region, seed_from_rho(grid, rho))

@@ -26,10 +26,9 @@ def sample_profile(grid: SpaceTimeGrid, spec: dict) -> np.ndarray:
         _reject_extras(name or "zero", spec)
         return np.zeros(grid.shape)
     if name == "eigenmode":
-        amplitude = float(spec.pop("amplitude", 1.0))
-        k = spec.pop("k", 1)
+        amplitude = _number(spec, "amplitude", 1.0)
+        ks = _numbers(spec, "k", 1)
         _reject_extras(name, spec)
-        ks = np.atleast_1d(np.asarray(k, dtype=float))
         if ks.size != grid.dim:
             raise ConfigError(f"eigenmode k must have {grid.dim} component(s)")
         out = np.ones(grid.shape) * amplitude
@@ -38,10 +37,9 @@ def sample_profile(grid: SpaceTimeGrid, spec: dict) -> np.ndarray:
             out = out * np.sin(ks[axis] * np.pi * coords[axis] / grid.lengths[axis])
         return out
     if name == "bump":
-        amplitude = float(spec.pop("amplitude", 1.0))
-        width = float(spec.pop("width", 0.2))
-        center = np.atleast_1d(np.asarray(spec.pop("center", [L / 2 for L in grid.lengths]),
-                                          dtype=float))
+        amplitude = _number(spec, "amplitude", 1.0)
+        width = _number(spec, "width", 0.2)
+        center = _numbers(spec, "center", [L / 2 for L in grid.lengths])
         _reject_extras(name, spec)
         if center.size != grid.dim or width <= 0:
             raise ConfigError("bump needs a center per axis and a positive width")
@@ -54,6 +52,30 @@ def sample_profile(grid: SpaceTimeGrid, spec: dict) -> np.ndarray:
         out[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
         return out
     raise ConfigError(f"unknown profile {name!r}")
+
+
+def _numbers(spec, key, default) -> np.ndarray:
+    """Pop spec[key], a number or a list of numbers, as a 1D float array;
+    absent or null selects the default."""
+    value = spec.pop(key, None)
+    if value is None:
+        value = default
+    try:
+        arr = np.atleast_1d(np.asarray(value))
+    except ValueError:          # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ConfigError(f"profile key {key!r} must be a number or a list of "
+                          f"numbers, got {value!r}")
+    return arr.astype(float)
+
+
+def _number(spec, key, default) -> float:
+    """Pop spec[key], a single number."""
+    arr = _numbers(spec, key, default)
+    if arr.size != 1:
+        raise ConfigError(f"profile key {key!r} must be a number, got {arr.size} values")
+    return float(arr[0])
 
 
 def _reject_extras(name, spec):

@@ -232,6 +232,16 @@ def test_check_reports_hypotheses(capsys):
     assert "geometry: fails" in out and "2.2" in out
 
 
+def test_check_rejects_what_run_rejects(tmp_path, capsys):
+    # a non-integer eigenmode does not vanish on the boundary: found when the
+    # data states are built, which check does as well as run
+    path, _ = small_linear_config(
+        tmp_path, **{"data.initial.position": {"profile": "eigenmode", "k": 1.5}})
+    for command in ("check", "run"):
+        assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
+        assert "does not vanish on the boundary" in capsys.readouterr().err
+
+
 def test_check_growth_report_for_loglimit(tmp_path, capsys):
     path, cfg = small_linear_config(tmp_path)
     cfg["nonlinearity"] = {"name": "loglimit", "params": {"a": 0.0, "b": 0.0, "c": 1.0}}

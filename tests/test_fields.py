@@ -136,3 +136,15 @@ def test_linf_v_matches_per_level_reference_bitwise(lengths, nodes):
         assert np.array_equal(batched[n], cp)
         best = max(best, float(np.sum(mu * cp * cp) + np.sum(cv * cv)))
     assert linf_v(f) == math.sqrt(best)
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"profile": "bump", "center": "mid"}, "center"),
+    ({"profile": "eigenmode", "amplitude": "big"}, "amplitude"),
+    ({"profile": "eigenmode", "k": "x"}, "k"),
+    ({"profile": "bump", "width": "wide"}, "width"),
+])
+def test_sample_profile_non_number_is_a_config_error(grid, spec, key):
+    # library calls get the same ConfigError the CLI's validation gives
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        wc.sample_profile(grid, spec)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
 from wavecontrol.errors import ConfigError
-from wavecontrol.linear_control import (FLOOR_THETA, _constraint_rows, _free_response,
-                                        dual_to_rho, rho_from_seed, seed_from_rho)
+from wavecontrol.linear_control import (FLOOR_THETA, RITZ_K, RitzSpace, _constraint_rows,
+                                        _free_response, _gramian_rho, dual_to_rho,
+                                        rho_from_seed, seed_from_rho)
 
 
 @pytest.fixture()
@@ -53,6 +55,38 @@ def test_gramian_symmetry_and_positivity(grid, region):
         qt_norm2 = wc.l2_qt(wc.SpaceTimeField(grid, u)) ** 2
         assert p11 >= 0.0
         assert abs(p11 - qt_norm2) <= 1e-10 * qt_norm2
+
+
+def symmetry_case(dim, nodes, scale, phase, offset):
+    """A small grid with a control region and a smooth potential varying in
+    space and time."""
+    if dim == 1:
+        grid = wc.SpaceTimeGrid((1.0,), (nodes,), T=2.0, nt=3 * nodes)
+        region = wc.interval_region(grid, 0.6, 1.0)
+    else:
+        grid = wc.SpaceTimeGrid((1.0, 1.2), (nodes, nodes + 2), T=1.5, nt=3 * nodes)
+        region = wc.sides_region(grid, ["right", "top"], 0.3)
+    x = grid.meshgrid()[0]
+    t = grid.time_levels().reshape((-1,) + (1,) * dim)
+    return grid, region, wc.SpaceTimeField(
+        grid, scale * (np.sin(3 * x + phase)[None] * np.cos(t + phase) + offset))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(dim=st.sampled_from([1, 2]), nodes=st.integers(5, 12),
+       scale=st.floats(-3.0, 3.0), phase=st.floats(0.0, 3.0), offset=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_gramian_symmetry_property(dim, nodes, scale, phase, offset, seed):
+    # rho1 . G rho2 = rho2 . G rho1 on the rho coordinates CG works in, to
+    # 1e-12 of the Cauchy-Schwarz scale sqrt((rho1 . G rho1)(rho2 . G rho2))
+    grid, region, A = symmetry_case(dim, nodes, scale, phase, offset)
+    rng = np.random.default_rng(seed)
+    rho1, rho2 = rng.standard_normal((2, 2 * math.prod(grid.interior_shape)))
+    G1 = _gramian_rho(grid, A, region, rho1)
+    G2 = _gramian_rho(grid, A, region, rho2)
+    bound = math.sqrt(float(rho1 @ G1) * float(rho2 @ G2))
+    assert bound > 0.0
+    assert abs(float(rho1 @ G2) - float(rho2 @ G1)) <= 1e-12 * bound
 
 
 def test_rho_coordinates_roundtrip(grid):
@@ -219,6 +253,58 @@ def test_floor_stop_defect_bound_property(nx, log_eps, a, modes):
     floor = wc.solve_null_control(prob, at_floor=True)
     assert floor.cg_iterations <= tight.cg_iterations
     assert floor.defect <= (1 + FLOOR_THETA) * tight.defect + 1e-14 * wc.v_norm(prob.initial)
+
+
+def potential_problem(prob, scale):
+    """prob with the potential scale * (sin(3x) cos(t) + 1/2)."""
+    return dataclasses.replace(prob, potential=random_potential(prob.grid, scale=scale))
+
+
+def test_fresh_space_solve_is_the_plain_floor_solve():
+    prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
+    plain = wc.solve_null_control(prob, at_floor=True)
+    space = RitzSpace()
+    first = wc.solve_null_control(prob, at_floor=True, space=space)
+    assert first.cg_iterations == plain.cg_iterations
+    assert np.array_equal(first.control.values, plain.control.values)
+    assert space.W.shape == (RITZ_K, 2 * math.prod(prob.grid.interior_shape))
+
+
+def test_recycled_space_saves_applies(monkeypatch):
+    # the second solve pays RITZ_K applies to form (G + eps I) W, which
+    # cg_iterations does not count, and still does less work in total
+    prob = floor_problem(61, (1.0 / 60) ** 2, 0.8, [(1, 1.0, 0.0)])
+    space = RitzSpace()
+    first = wc.solve_null_control(potential_problem(prob, 0.5), at_floor=True, space=space)
+    applies = []
+    monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
+                        lambda *args: applies.append(1) or _gramian_rho(*args))
+    second = wc.solve_null_control(potential_problem(prob, 1.0), at_floor=True, space=space)
+    assert first.converged and second.converged
+    assert len(applies) == second.cg_iterations + RITZ_K
+    assert len(applies) < first.cg_iterations
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(nx=st.integers(8, 24),
+       log_eps=st.floats(-5.0, -1.0),
+       a=st.floats(0.3, 0.8),
+       scales=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                      min_size=1, max_size=3))
+def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes):
+    # harvest a space under one potential, solve under another: the deflated
+    # solve starts away from zero, so its defect obeys the nonzero-start bound
+    # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
+    prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
+    space = RitzSpace()
+    wc.solve_null_control(potential_problem(prob, scales[0]), at_floor=True, space=space)
+    target = potential_problem(prob, scales[1])
+    tight = wc.solve_null_control(target)
+    recycled = wc.solve_null_control(target, at_floor=True, space=space)
+    assert recycled.converged
+    bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
+    assert recycled.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,14 @@ class ControlRegion:
         return bool(np.all((self.weights == 0.0) | (self.weights == 1.0)))
 
 
+def check_same_grid(grid: SpaceTimeGrid, **parts) -> None:
+    """Raise ConfigError naming the first part (a field, state or region;
+    None is skipped) that is defined on another grid."""
+    for name, part in parts.items():
+        if part is not None and part.grid != grid:
+            raise ConfigError(f"{name} is defined on a different grid")
+
+
 def _smooth_ramp(dist_inside, cell):
     # one-cell linear ramp: 0 at the region edge, 1 one cell inside
     return np.clip(dist_inside / cell, 0.0, 1.0)

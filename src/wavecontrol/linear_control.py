@@ -43,6 +43,20 @@ keeps the fixed cg_tol and no space: callers that compare controls
 across solves (linearity, oracle agreement, fixed-point step sizes)
 need the exact solve.
 
+Each `solve_null_control` call builds one `_GramianOperator` from
+(grid, region, potential) and hands it to CG.  It owns every full-size
+field an apply writes: the backward trajectory, the control u, the
+forward trajectory and, in 1D, dt^2 u, plus in 1D dt^2 times the
+potential's interior, one field whose rows the backward march reads in
+reverse.  The march's row views of each are built with it.  So an apply
+(`_gramian_rho`) allocates no full-size array.  Fresh arrays of about
+1 MB and more can go back to the kernel when freed, and repeated applies
+that allocate them take about 900 page faults each at nx = 200,
+nt = 600.  Its marches run the same stepping kernels as
+`solve_forward` and give the same bits, but do not call it.  The
+operator is dropped before the control is reconstructed, so its fields
+and the reconstruction's are never held at once.
+
 The dense oracle (`dense_oracle_control`) assembles the constraint
 matrix that maps control dofs to terminal coordinates by rows, not
 columns.  The discrete Green identity behind the Gramian's symmetry
@@ -62,8 +76,9 @@ import numpy as np
 from .errors import ConfigError
 from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficients,
                      h10_norm, l2_qt, linf_lp, sine_coefficients, v_norm)
-from .grids import ControlRegion, SpaceTimeGrid
-from .solver import solve_backward, solve_forward, terminal_state
+from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
+from .solver import (_field_rows, _march, _terminal_velocity, _views, solve_backward,
+                     solve_forward, terminal_state)
 
 FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
 RITZ_K = 16             # deflation vectors a RitzSpace carries between solves
@@ -83,6 +98,8 @@ class LinearControlProblem:
     cg_max_iter: int = 500
 
     def __post_init__(self):
+        check_same_grid(self.grid, region=self.region, potential=self.potential,
+                        source=self.source, initial=self.initial, target=self.target)
         if self.initial is None:
             self.initial = StatePair.zeros(self.grid)
         if self.target is None:
@@ -183,10 +200,57 @@ def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     return _from_rest(grid, potential, _adjoint_control(grid, potential, region, seed))[1]
 
 
-def _gramian_rho(grid, potential, region, rho):
+class _GramianOperator:
+    """The scratch fields of repeated Gramian applies on one (grid, region,
+    potential), each with the march's views of it, built once.
+
+    Owns the backward trajectory (in reversed time, as the time-reversed
+    forward march writes it), the control u, the forward trajectory and,
+    in 1D, dt^2 u; in 1D also dt^2 times the interior of the potential,
+    whose rows the backward march reads in reverse.  `_gramian_rho`
+    writes into these and allocates no full-size array.
+    """
+
+    def __init__(self, grid, region, potential):
+        levels = (grid.nt + 1,) + grid.shape
+        self.grid = grid
+        self.weights = region.weights
+        self.A = A = potential.values if potential is not None else None
+        self.A_rows = _field_rows(grid, A)
+        # the backward march is the forward one with the potential reversed
+        self.back_A = A[::-1] if A is not None else None
+        self.back_rows = self.A_rows[::-1] if A is not None else None
+        self.back = np.zeros(levels)
+        self.back_views = _views(grid, self.back)
+        self.u = np.zeros(levels)
+        self.z = np.zeros(levels)
+        self.z_views = _views(grid, self.z)
+        if grid.dim == 1:
+            self.dt2_u = np.empty((grid.nt + 1, grid.shape[0] - 2))
+            self.u_rows = list(self.dt2_u)
+        else:
+            self.dt2_u = None
+            self.u_rows = _field_rows(grid, self.u)
+        self.rest = np.zeros(grid.shape)
+
+
+def _gramian_rho(op, rho):
+    """G rho: one Gramian apply in seed coordinates, in op's scratch fields.
+
+    The same arithmetic as `gramian_apply` on the seed of rho, bit for bit.
+    """
+    grid, A, u = op.grid, op.A, op.u
     seed = seed_from_rho(grid, rho)
-    term = gramian_apply(grid, potential, region, seed)
-    return dual_to_rho(grid, term.velocity, -term.position)
+    _march(grid, op.back, op.back_views, seed.position, -seed.velocity, op.back_A, None,
+           op.back_rows, None)
+    np.multiply(op.back[::-1], op.weights, out=u)
+    u[-1] = 0.0          # final level carries no quadrature weight
+    if op.dt2_u is not None:    # the rows `_field_rows` forms for a 1D source
+        np.multiply(u[:, 1:-1], grid.dt * grid.dt, out=op.dt2_u)
+    _march(grid, op.z, op.z_views, op.rest, op.rest, A, u, op.A_rows, op.u_rows)
+    velocity = np.zeros(grid.shape)
+    velocity[(slice(1, -1),) * grid.dim] = _terminal_velocity(grid, op.z, A, u)
+    return dual_to_rho(grid, velocity, -op.z[-1])
 
 
 @dataclass
@@ -217,8 +281,10 @@ def _lowest_ritz(Z, k):
     return Y[:, -k:].T @ Z
 
 
-def _cg(apply_op, c, tol, max_iter, eps, floor=0.0, space=None):
+def _cg(op, c, tol, max_iter, eps, floor=0.0, space=None):
     """CG for A x = c, A = G + eps I; returns (x, iters, converged, history).
+
+    G is applied by `_gramian_rho` on the `_GramianOperator` op.
 
     Stops once |r_k| <= max(tol |c|, floor |x_k|); floor = 0 is the plain
     relative-residual stop.  With a `RitzSpace` holding vectors W this is
@@ -240,7 +306,7 @@ def _cg(apply_op, c, tol, max_iter, eps, floor=0.0, space=None):
         basis = np.empty((RITZ_K + RITZ_BLOCK, c.size))   # A-orthonormal rows
         nb = 0
         if space.W is not None:
-            W, AW = _a_orthonormal(space.W, np.array([apply_op(w) + eps * w
+            W, AW = _a_orthonormal(space.W, np.array([_gramian_rho(op, w) + eps * w
                                                        for w in space.W]))
             mu = W @ c
             x = mu @ W
@@ -253,7 +319,7 @@ def _cg(apply_op, c, tol, max_iter, eps, floor=0.0, space=None):
     it = 0
     converged = math.sqrt(rs) <= max(tol * nc, floor * math.sqrt(float(x @ x)))
     while not converged and it < max_iter:
-        Gd = apply_op(d) + eps * d
+        Gd = _gramian_rho(op, d) + eps * d
         dGd = float(d @ Gd)
         if dGd <= 0.0:
             break   # positivity lost to roundoff; keep the best iterate
@@ -337,9 +403,10 @@ def solve_null_control(problem: LinearControlProblem, at_floor: bool = False,
     grid, region, A = problem.grid, problem.region, problem.potential
     eps = problem.effective_eps
     free, free_term, c = _free_response(problem)
-    rho, iters, converged, history = _cg(lambda r: _gramian_rho(grid, A, region, r), c,
+    rho, iters, converged, history = _cg(_GramianOperator(grid, region, A), c,
                                          problem.cg_tol, problem.cg_max_iter, eps,
                                          FLOOR_THETA * eps if at_floor else 0.0, space)
+    # the operator's fields are released here, before the reconstruction
     u = None
     if np.any(rho != 0.0):
         u = _adjoint_control(grid, A, region, seed_from_rho(grid, rho))

@@ -142,23 +142,32 @@ def _smoothstep(t):
 def _cubic_sat_g(R):
     def g(r):
         r = np.asarray(r, dtype=float)
-        ar = np.abs(r)
-        sign = np.sign(r)
-        t = np.clip((ar - R) / (0.2 * R), 0.0, 1.0)
-        # integral of g' = 3R^2 (1 - smoothstep) over the blend zone
-        blend = R**3 + 0.6 * R**3 * (t - t**3 + 0.5 * t**4)
-        out = np.where(ar <= R, r**3, sign * blend)
-        return np.where(ar >= 1.2 * R, sign * 1.3 * R**3, out)
+        # r**3 (libm pow, not r*r*r) everywhere, then only the |r| > R entries
+        # through the blend: the same values as a blend over the whole array
+        out = np.asarray(r**3)
+        big = np.abs(r) > R
+        if np.any(big):
+            rb = r[big]
+            ar = np.abs(rb)
+            sign = np.sign(rb)
+            t = np.clip((ar - R) / (0.2 * R), 0.0, 1.0)
+            # integral of g' = 3R^2 (1 - smoothstep) over the blend zone
+            blend = R**3 + 0.6 * R**3 * (t - t**3 + 0.5 * t**4)
+            out[big] = np.where(ar >= 1.2 * R, sign * 1.3 * R**3, sign * blend)
+        return out
     return g
 
 
 def _cubic_sat_dg(R):
     def dg(r):
         r = np.asarray(r, dtype=float)
-        ar = np.abs(r)
-        t = np.clip((ar - R) / (0.2 * R), 0.0, 1.0)
-        out = np.where(ar <= R, 3 * r * r, 3 * R * R * (1 - _smoothstep(t)))
-        return np.where(ar >= 1.2 * R, 0.0, out)
+        out = np.asarray(3 * r * r)
+        big = np.abs(r) > R
+        if np.any(big):
+            ar = np.abs(r[big])
+            t = np.clip((ar - R) / (0.2 * R), 0.0, 1.0)
+            out[big] = np.where(ar >= 1.2 * R, 0.0, 3 * R * R * (1 - _smoothstep(t)))
+        return out
     return dg
 
 

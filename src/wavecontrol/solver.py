@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BlowupError, ConfigError
 from .fields import SpaceTimeField, StatePair
-from .grids import SpaceTimeGrid
+from .grids import SpaceTimeGrid, check_same_grid
 
 
 def laplacian_interior(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
@@ -60,28 +60,80 @@ def _accel(grid, level, A, S, n):
     return acc
 
 
+def _terminal_velocity(grid, y, A, S):
+    """Scheme-exact velocity at t=T of the trajectory y, interior nodes."""
+    return ((_interior(grid, y[-1]) - _interior(grid, y[-2])) / grid.dt
+            + 0.5 * grid.dt * _accel(grid, y[-1], A, S, grid.nt))
+
+
 def solve_forward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
                   source: SpaceTimeField | None, init: StatePair) -> SpaceTimeField:
     """March the leapfrog scheme from t=0; raises BlowupError on nonfinite values."""
-    _check_inputs(grid, potential, source)
-    dt = grid.dt
+    _check_inputs(grid, potential=potential, source=source, init=init)
     A = potential.values if potential is not None else None
     S = source.values if source is not None else None
-    sl = (slice(1, -1),) * grid.dim
-
     y = np.zeros((grid.nt + 1,) + grid.shape)
-    y[0] = init.position
-    y[(1,) + sl] = (_interior(grid, init.position) + dt * _interior(grid, init.velocity)
-                    + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0))
+    _march(grid, y, _views(grid, y), init.position, init.velocity, A, S,
+           _field_rows(grid, A), _field_rows(grid, S))
+    return SpaceTimeField._trusted(grid, y)
+
+
+def _march(grid, y, views, position, velocity, A, S, A_rows, S_rows):
+    """Fill the trajectory buffer y from the data (position, velocity) at t=0.
+
+    No step writes the boundary nodes of levels 1..nt, so y must hold zeros
+    there.  A and S are the potential and source arrays (or None) that the
+    first step reads; A_rows and S_rows are the march's rows of the same
+    fields (`_field_rows`) and views those of y (`_views`).  Raises
+    BlowupError at the first nonfinite level.
+    """
+    dt = grid.dt
+    y[0] = position
+    y[(1,) + (slice(1, -1),) * grid.dim] = (
+        _interior(grid, position) + dt * _interior(grid, velocity)
+        + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0))
     if not np.all(np.isfinite(y[1])):
         raise BlowupError(1)
-    if grid.dim == 1:
-        _march_1d(grid, y, A, S)
-    else:
-        _march_2d(grid, y, A, S)
+    (_march_1d if grid.dim == 1 else _march_2d)(grid, y, views, A_rows, S_rows)
     # no rescan: the march raised on any nonfinite level, since a nonfinite
     # node stays nonfinite through y[nt], which is always checked
-    return SpaceTimeField._trusted(grid, y)
+
+
+def _flat_range(grid):
+    """[lo, hi): the flat node indices i*ny + j that the 2D march steps."""
+    nx, ny = grid.shape
+    return ny + 1, (nx - 1) * ny - 1
+
+
+def _views(grid, y):
+    """Per-level views of the trajectory buffer y that the march steps through.
+
+    1D: whole rows and interior rows.  2D: the j = 0, ny-1 edge nodes of the
+    inner rows, then the flat range [lo, hi) and its x (+-ny) and y (+-1)
+    neighbour ranges.  Built once per buffer, so the march creates none.
+    """
+    if grid.dim == 1:
+        return list(y), list(y[:, 1:-1])
+    ny = grid.shape[1]
+    lo, hi = _flat_range(grid)
+    flat = y.reshape(grid.nt + 1, -1)   # a view: y is C-contiguous
+    return (list(y[:, 1:-1, ::ny - 1]), list(flat[:, lo:hi]),
+            list(flat[:, lo + ny:hi + ny]), list(flat[:, lo - ny:hi - ny]),
+            list(flat[:, lo + 1:hi + 1]), list(flat[:, lo - 1:hi - 1]))
+
+
+def _field_rows(grid, values):
+    """Per-level rows of a potential or source array that the march reads.
+
+    1D: dt^2 times the interior, scaled here once.  2D: views of the flat
+    range, which the march scales per step, so no field is added.
+    """
+    if values is None:
+        return None
+    if grid.dim == 1:
+        return list(grid.dt * grid.dt * values[:, 1:-1])
+    lo, hi = _flat_range(grid)
+    return list(values.reshape(grid.nt + 1, -1)[:, lo:hi])
 
 
 _CHECK_STRIDE = 32
@@ -95,21 +147,18 @@ def _blowup_scan(y, lo, hi):
     raise BlowupError(hi)
 
 
-def _march_1d(grid, y, A, S):
+def _march_1d(grid, y, views, dA, dS):
     # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S,
     # evaluated left to right; that order is part of the output contract
     # (byte-identical results), so only the buffers may change, not the sums.
-    # Every row view is built before the loop, which then creates none.
+    # The loop creates no view: views and rows come prepared.
     dt = grid.dt
     dt2 = dt * dt
     c = dt2 / grid.dx[0] ** 2
     k0 = 2.0 - 2.0 * c
     nt = grid.nt
     mul, add, sub = np.multiply, np.add, np.subtract
-    rows = list(y)
-    inner = list(y[:, 1:-1])
-    dA = list(dt2 * A[:, 1:-1]) if A is not None else None
-    dS = list(dt2 * S[:, 1:-1]) if S is not None else None
+    rows, inner = views
     cy = np.empty(grid.shape[0])
     cy_r, cy_l = cy[2:], cy[:-2]
     tmp = np.empty(grid.shape[0] - 2)
@@ -134,7 +183,7 @@ def _march_1d(grid, y, A, S):
         _blowup_scan(y, max(1, nt + 1 - _CHECK_STRIDE), nt)
 
 
-def _march_2d(grid, y, A, S):
+def _march_2d(grid, y, views, Ar, Sr):
     # Per node: ((((k0 core - prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) core) + dt2 S,
     # in this order.  Each level is marched as one contiguous flat range
     # [lo, hi) of node indices i*ny + j, from the first interior node to the
@@ -149,16 +198,9 @@ def _march_2d(grid, y, A, S):
     cy = dt2 / grid.dx[1] ** 2
     k0 = 2.0 - 2.0 * cx - 2.0 * cy
     nt = grid.nt
-    nx, ny = grid.shape
-    lo, hi = ny + 1, (nx - 1) * ny - 1
+    lo, hi = _flat_range(grid)
     mul, add, sub = np.multiply, np.add, np.subtract
-    flat = y.reshape(nt + 1, nx * ny)   # a view: y is C-contiguous
-    edges = list(y[:, 1:-1, ::ny - 1])
-    core = list(flat[:, lo:hi])
-    xp, xm = list(flat[:, lo + ny:hi + ny]), list(flat[:, lo - ny:hi - ny])
-    yp, ym = list(flat[:, lo + 1:hi + 1]), list(flat[:, lo - 1:hi - 1])
-    Ar = list(A.reshape(nt + 1, nx * ny)[:, lo:hi]) if A is not None else None
-    Sr = list(S.reshape(nt + 1, nx * ny)[:, lo:hi]) if S is not None else None
+    edges, core, xp, xm, yp, ym = views
     tmp = np.empty(hi - lo)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
@@ -193,6 +235,7 @@ def solve_backward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     Equals the time reversal of a forward solve with time-reversed
     potential and velocity sign flipped (the scheme is reversible).
     """
+    check_same_grid(grid, terminal=terminal)
     rev_potential = potential.time_reversed() if potential is not None else None
     rev_init = StatePair._trusted(grid, terminal.position, -terminal.velocity)
     return solve_forward(grid, rev_potential, None, rev_init).time_reversed()
@@ -204,8 +247,7 @@ def terminal_state(grid: SpaceTimeGrid, y: SpaceTimeField,
     """Scheme-exact (position, velocity) at t=T for a forward solve output."""
     A = potential.values if potential is not None else None
     S = source.values if source is not None else None
-    v = ((_interior(grid, y.values[-1]) - _interior(grid, y.values[-2])) / grid.dt
-         + 0.5 * grid.dt * _accel(grid, y.values[-1], A, S, grid.nt))
+    v = _terminal_velocity(grid, y.values, A, S)
     full_v = np.zeros(grid.shape)
     full_v[(slice(1, -1),) * grid.dim] = v
     return StatePair(grid, y.values[-1].copy(), full_v)
@@ -261,9 +303,7 @@ def discrete_energy(grid: SpaceTimeGrid, y: SpaceTimeField) -> np.ndarray:
     return np.asarray(energies)
 
 
-def _check_inputs(grid, potential, source):
-    for name, f in (("potential", potential), ("source", source)):
-        if f is not None and f.grid != grid:
-            raise ConfigError(f"{name} is defined on a different grid")
+def _check_inputs(grid, **parts):
+    check_same_grid(grid, **parts)
     if grid.dt > grid.cfl_factor * min(grid.dx) / math.sqrt(grid.dim) * (1 + 1e-12):
         raise ConfigError("CFL condition violated")

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
-from wavecontrol.errors import ConfigError
+from wavecontrol.errors import BlowupError, ConfigError
 from wavecontrol.linear_control import (FLOOR_THETA, RITZ_K, RitzSpace, _constraint_rows,
-                                        _free_response, _gramian_rho, dual_to_rho,
-                                        rho_from_seed, seed_from_rho)
+                                        _free_response, _GramianOperator, _gramian_rho,
+                                        dual_to_rho, rho_from_seed, seed_from_rho)
 
 
 @pytest.fixture()
@@ -82,11 +82,52 @@ def test_gramian_symmetry_property(dim, nodes, scale, phase, offset, seed):
     grid, region, A = symmetry_case(dim, nodes, scale, phase, offset)
     rng = np.random.default_rng(seed)
     rho1, rho2 = rng.standard_normal((2, 2 * math.prod(grid.interior_shape)))
-    G1 = _gramian_rho(grid, A, region, rho1)
-    G2 = _gramian_rho(grid, A, region, rho2)
+    op = _GramianOperator(grid, region, A)
+    G1 = _gramian_rho(op, rho1)
+    G2 = _gramian_rho(op, rho2)
     bound = math.sqrt(float(rho1 @ G1) * float(rho2 @ G2))
     assert bound > 0.0
     assert abs(float(rho1 @ G2) - float(rho2 @ G1)) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smoothed"])
+@pytest.mark.parametrize("with_A", [False, True], ids=["A=0", "A"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operator_apply_matches_one_shot_apply(dim, with_A, smooth):
+    # consecutive applies reuse the operator's fields; each must equal the
+    # one-shot gramian_apply bit for bit, so nothing carries over
+    grid, region, A = symmetry_case(dim, 12, 1.3, 0.4, 0.2)
+    if smooth:
+        region = (wc.interval_region(grid, 0.55, 1.0, smoothing=True) if dim == 1
+                  else wc.sides_region(grid, ["right", "top"], 0.3, smoothing=True))
+        assert not region.is_sharp
+    A = A if with_A else None
+    op = _GramianOperator(grid, region, A)
+    for seed in (3, 4, 5):
+        rho = np.random.default_rng(seed).standard_normal(2 * math.prod(grid.interior_shape))
+        term = wc.gramian_apply(grid, A, region, seed_from_rho(grid, rho))
+        assert np.array_equal(_gramian_rho(op, rho),
+                              dual_to_rho(grid, term.velocity, -term.position))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_operator_blowup_level_matches_solve_forward(dim):
+    # an unstable potential blows the backward march up: the operator reports
+    # the level of the one-shot march, and the nonfinite values it leaves in
+    # its fields do not reach the next apply
+    grid, region, _ = symmetry_case(dim, 12, 0.0, 0.0, 0.0)
+    A = wc.SpaceTimeField.constant(grid, -1e14)
+    n = 2 * math.prod(grid.interior_shape)
+    rho = np.random.default_rng(0).standard_normal(n)
+    seed = seed_from_rho(grid, rho)
+    with pytest.raises(BlowupError) as one_shot:
+        wc.solve_forward(grid, A.time_reversed(), None,
+                         wc.StatePair(grid, seed.position, -seed.velocity))
+    op = _GramianOperator(grid, region, A)
+    with pytest.raises(BlowupError) as through_op:
+        _gramian_rho(op, rho)
+    assert 1 < through_op.value.time_level == one_shot.value.time_level < grid.nt
+    assert np.array_equal(_gramian_rho(op, np.zeros(n)), np.zeros(n))
 
 
 def test_rho_coordinates_roundtrip(grid):
@@ -166,8 +207,6 @@ def test_cg_gramian_norm_error_is_monotone():
     # the energy-norm error of CG decreases at every iteration; capped runs
     # reproduce the iterates exactly (deterministic), so compare each against
     # a converged reference
-    from wavecontrol.linear_control import _gramian_rho
-
     grid = wc.SpaceTimeGrid((1.0,), (31,), T=2.5, nt=100)
     region = wc.interval_region(grid, 0.8, 1.0)
     (x,) = grid.meshgrid()
@@ -177,9 +216,11 @@ def test_cg_gramian_norm_error_is_monotone():
     ref = wc.solve_null_control(wc.LinearControlProblem(
         grid, region, cg_max_iter=500, **base)).seed_coords
 
+    op = _GramianOperator(grid, region, None)
+
     def g_norm_error(rho):
         e = ref - rho
-        return float(e @ (_gramian_rho(grid, None, region, e) + eps * e))
+        return float(e @ (_gramian_rho(op, e) + eps * e))
 
     errors = []
     for cap in range(0, 13):
@@ -204,6 +245,24 @@ def test_default_eps_is_h_squared(grid, region):
     assert wc.LinearControlProblem(grid, region, eps_reg=0.0).effective_eps == 0.0
     with pytest.raises(ConfigError):
         wc.LinearControlProblem(grid, region, eps_reg=-1.0)
+
+
+@pytest.mark.parametrize("part", ["region", "potential", "source", "initial", "target"])
+@pytest.mark.parametrize("lengths,nodes", [((1.0,), (30,)), ((2.0,), (60,))],
+                         ids=["other-shape", "other-length"])
+def test_problem_part_on_another_grid_is_a_config_error(grid, region, part, lengths, nodes):
+    # rejected up front: a part of another shape would fail deep in numpy
+    # broadcasting, one of the same shape on another grid (here L = 2) could
+    # run silently
+    other = wc.SpaceTimeGrid(lengths, nodes, T=2.5, nt=200)
+    wrong = {"region": wc.interval_region(other, 0.8, 1.0),
+             "potential": wc.SpaceTimeField.zeros(other),
+             "source": wc.SpaceTimeField.zeros(other),
+             "initial": wc.StatePair.zeros(other),
+             "target": wc.StatePair.zeros(other)}[part]
+    parts = {"region": region, part: wrong}
+    with pytest.raises(ConfigError, match=f"{part} is defined on a different grid"):
+        wc.LinearControlProblem(grid, **parts)
 
 
 # ---------------------------------------------------------------------------

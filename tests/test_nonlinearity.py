@@ -73,6 +73,57 @@ def test_cubic_sat_blend_is_c1_and_saturates():
     assert float(g.g(-100.0)) == pytest.approx(-1.3 * R**3, rel=1e-14)
 
 
+def _smoothstep(t):
+    return t * t * (3 - 2 * t)
+
+
+def reference_cubic_sat(R):
+    """g and g' of cubic_sat as whole-array blends, the reference for the
+    vectorized builtin: both must give the same bits."""
+    def g(r):
+        r = np.asarray(r, dtype=float)
+        ar = np.abs(r)
+        sign = np.sign(r)
+        t = np.clip((ar - R) / (0.2 * R), 0.0, 1.0)
+        blend = R**3 + 0.6 * R**3 * (t - t**3 + 0.5 * t**4)
+        out = np.where(ar <= R, r**3, sign * blend)
+        return np.where(ar >= 1.2 * R, sign * 1.3 * R**3, out)
+
+    def dg(r):
+        r = np.asarray(r, dtype=float)
+        ar = np.abs(r)
+        t = np.clip((ar - R) / (0.2 * R), 0.0, 1.0)
+        out = np.where(ar <= R, 3 * r * r, 3 * R * R * (1 - _smoothstep(t)))
+        return np.where(ar >= 1.2 * R, 0.0, out)
+
+    return g, dg
+
+
+@pytest.mark.parametrize("R", [50.0, 1.0, 3.7])
+def test_cubic_sat_matches_whole_array_blend_bitwise(R):
+    nl = wc.builtin("cubic_sat", R=R)
+    ref_g, ref_dg = reference_cubic_sat(R)
+    edges = [R, -R, 1.2 * R, -1.2 * R, np.nextafter(R, 0.0), np.nextafter(R, 2 * R),
+             np.nextafter(1.2 * R, 0.0), np.nextafter(1.2 * R, 2 * R), 0.0, -0.0,
+             np.inf, -np.inf]
+    rng = np.random.default_rng(7)
+    r = np.concatenate([edges, rng.uniform(-2 * R, 2 * R, 5000)])
+    field = rng.uniform(-1.5 * R, 1.5 * R, (31, 40))
+    for new, ref in ((nl.g, ref_g), (nl.dg, ref_dg)):
+        for x in (r, field, field[:, ::3]):
+            out = new(x)
+            assert out.shape == np.shape(x)
+            assert np.array_equal(out, ref(x))
+            assert np.array_equal(np.signbit(out), np.signbit(ref(x)))
+        assert np.isnan(new(np.array([np.nan, 1.0])))[0] and np.isnan(ref(np.nan))
+        # a 0-d input gives a 0-d array, as the blend's np.where does
+        for x in (0.0, -0.0, R, -1.2 * R, 2.0, 100.0, np.nan):
+            out, want = new(x), ref(x)
+            assert type(out) is type(want) and out.shape == want.shape == ()
+            assert np.array_equal(out, want, equal_nan=True)
+            assert np.signbit(out) == np.signbit(want)
+
+
 def test_hat_g_linear_and_quadratic():
     g = wc.builtin("linear", b=0.7)
     for r in (-3.0, 1e-12, 0.0, 2.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavecontrol as wc
-from wavecontrol.errors import BlowupError
+from wavecontrol.errors import BlowupError, ConfigError
 from wavecontrol.solver import _CHECK_STRIDE, laplacian_interior
 
 
@@ -316,6 +316,19 @@ def test_march_matches_reference_bitwise(nodes, with_A, with_S):
     rev_A = wc.SpaceTimeField(grid, A.values[::-1]) if with_A else None
     flipped = wc.StatePair(grid, init.position, -init.velocity)
     assert np.array_equal(phi.values, reference_forward(grid, rev_A, None, flipped)[::-1])
+
+
+@pytest.mark.parametrize("other", [((1.0,), (30,)), ((2.0,), (51,))],
+                         ids=["other-shape", "other-length"])
+def test_state_on_another_grid_is_a_config_error(other):
+    grid, _x, init = eigenmode_problem(51, 80)
+    lengths, shape = other
+    state = wc.StatePair.zeros(wc.SpaceTimeGrid(lengths, shape, T=1.0, nt=80))
+    with pytest.raises(ConfigError, match="init is defined on a different grid"):
+        wc.solve_forward(grid, None, None, state)
+    with pytest.raises(ConfigError, match="terminal is defined on a different grid"):
+        wc.solve_backward(grid, None, state)
+    assert np.all(np.isfinite(wc.solve_backward(grid, None, init).values))
 
 
 def test_terminal_state_second_order():

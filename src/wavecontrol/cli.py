@@ -253,9 +253,9 @@ def config_hash(cfg: dict) -> str:
 
 def build_grid(cfg: dict) -> SpaceTimeGrid:
     sc = cfg["scenario"]
+    optional = {"cfl_factor": float(sc["cfl_factor"])} if "cfl_factor" in sc else {}
     return SpaceTimeGrid(tuple(sc["lengths"]), tuple(sc["nodes"]),
-                         T=float(sc["T"]), nt=int(sc["nt"]),
-                         cfl_factor=float(sc.get("cfl_factor", 0.95)))
+                         T=float(sc["T"]), nt=int(sc["nt"]), **optional)
 
 
 def build_region(cfg: dict, grid: SpaceTimeGrid):
@@ -275,13 +275,7 @@ def build_problem(cfg: dict):
     region = build_region(cfg, grid)
     initial = build_state(grid, cfg["data"]["initial"])
     target = build_state(grid, cfg["data"]["target"])
-    inner = cfg.get("inner", {})
-    problem = TargetProblem(
-        grid, region, initial, target,
-        eps_reg=inner.get("eps_reg"),
-        cg_tol=float(inner.get("cg_tol", 1e-8)),
-        cg_max_iter=int(inner.get("cg_max_iter", 500)),
-    )
+    problem = TargetProblem(grid, region, initial, target, **cfg.get("inner", {}))
     nl = cfg["nonlinearity"]
     g = builtin(nl["name"], **nl.get("params", {}))
     ls_cfg = LSConfig(**cfg.get("least_squares", {}))

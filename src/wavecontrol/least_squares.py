@@ -121,7 +121,7 @@ def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
 
 
 def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField,
-                 space: RitzSpace | None = None):
+                 space: RitzSpace):
     """Null-controlled pair of the linearized equation with potential gp = g'(y)
     and source r, CG stopped at the Tikhonov floor and deflated by `space`.
 
@@ -133,7 +133,7 @@ def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField,
     A = None if np.all(gp.values == 0.0) else gp
     return solve_null_control(problem.inner_problem(
         potential=A, source=r, initial=StatePair.zeros(grid),
-        target=StatePair.zeros(grid)), at_floor=True, space=space)
+        target=StatePair.zeros(grid)), space)
 
 
 def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField,
@@ -145,7 +145,8 @@ def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField
     so E'(y, f).(Y1, F1) = 2 E(y, f).
     """
     r = residual_field(y, f, g, problem.region)
-    inner = _newton_step(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r)
+    inner = _newton_step(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r,
+                         RitzSpace())
     return inner.trajectory, inner.control, inner, r
 
 
@@ -269,7 +270,7 @@ def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str,
     linear_frozen  potential g'(0), source -g(0)
 
     CG stops at the Tikhonov floor, as in every Newton step, and fills
-    `space` with Ritz vectors for the steps.
+    `space` (a fresh one when None) with Ritz vectors for the steps.
     """
     grid = problem.grid
     if strategy == "linear":
@@ -282,7 +283,8 @@ def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str,
         raise ConfigError(f"unknown initialization strategy {strategy!r}")
     return solve_null_control(problem.inner_problem(
         potential=potential, source=source,
-        initial=problem.initial, target=problem.target), at_floor=True, space=space)
+        initial=problem.initial, target=problem.target),
+        RitzSpace() if space is None else space)
 
 
 def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = None,

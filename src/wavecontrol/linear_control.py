@@ -25,7 +25,7 @@ observable high-frequency modes at the price of an O(eps) terminal
 defect; eps_reg defaults to min(dx)^2.
 
 CG may stop at that floor instead of at cg_tol (`solve_null_control`
-with at_floor=True).  The terminal gap of an iterate rho_k is
+with a `RitzSpace`).  The terminal gap of an iterate rho_k is
 d_k = c - G rho_k = r_k + eps rho_k, and at the exact solution
 d* = eps rho*.  The stop |r_k| <= FLOOR_THETA * eps |rho_k| bounds the
 algebraic error by the regularization error (Arioli, Numer. Math. 97,
@@ -38,32 +38,35 @@ algebraic error by the regularization error (Arioli, Numer. Math. 97,
 a factor 1.0202 at theta = 0.01.  The bound needs no monotone |rho_k|,
 so it also holds for deflated CG (Saad, Yeung, Erhel & Guyomarc'h,
 SISC 21, 2000), which starts from the Galerkin solution on a space W
-carried over from earlier solves (`RitzSpace`).  The default solve
-keeps the fixed cg_tol and no space: callers that compare controls
-across solves (linearity, oracle agreement, fixed-point step sizes)
-need the exact solve.
+carried over from earlier solves (`RitzSpace`).  The solve without a
+space keeps the fixed cg_tol: callers that compare controls across
+solves (linearity, oracle agreement, fixed-point step sizes) need the
+exact solve.
 
-Each `solve_null_control` call builds one `_GramianOperator` from
-(grid, region, potential) and hands it to CG.  It owns every full-size
-field an apply writes: the backward trajectory, the control u, the
-forward trajectory and, in 1D, dt^2 u, plus in 1D dt^2 times the
-potential's interior, one field whose rows the backward march reads in
-reverse.  The march's row views of each are built with it.  So an apply
-(`_gramian_rho`) allocates no full-size array.  Fresh arrays of about
-1 MB and more can go back to the kernel when freed, and repeated applies
-that allocate them take about 900 page faults each at nx = 200,
-nt = 600.  Its marches run the same stepping kernels as
-`solve_forward` and give the same bits, but do not call it.  The
-operator is dropped before the control is reconstructed, so its fields
-and the reconstruction's are never held at once.
+A `_GramianOperator` on (grid, region, potential) is the one place that
+turns an adjoint seed into a control (`adjoint_control`: u = chi phi)
+and a control into the state it drives from rest (`from_rest`).  It
+owns every full-size field these write: the backward trajectory, the
+control u, the forward trajectory and, in 1D, the march's dt^2-scaled
+rows of u and of the potential.  The march's row views of each are built
+with it.  So a Gramian apply (`_gramian_rho`: both halves in turn)
+allocates no full-size array.  Fresh arrays of about 1 MB and more can
+go back to the kernel when freed, and repeated applies that allocate
+them take about 900 page faults each at nx = 200, nt = 600.  Its marches
+run the same stepping kernels as `solve_forward` and give the same bits,
+but do not call it.  `solve_null_control` hands one operator to CG and
+then reconstructs the controlled solution in it: the backward
+trajectory is freed once the control is formed, and the free solution
+is summed into the forward trajectory in place.
 
 The dense oracle (`dense_oracle_control`) assembles the constraint
 matrix that maps control dofs to terminal coordinates by rows, not
 columns.  The discrete Green identity behind the Gramian's symmetry
 gives e_i . c(u) = (u, chi phi_i)_{L^2(q_T)}, phi_i the adjoint solved
 backward from the seed of the unit coordinate e_i, so row i is the
-adjoint control of e_i: 2 * n_modes backward solves build the matrix,
-where its columns would take one forward solve per control dof.
+adjoint control of e_i: 2 * n_modes backward marches on one operator
+build the matrix, where its columns would take one forward solve per
+control dof.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from .errors import ConfigError
 from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficients,
                      h10_norm, l2_qt, linf_lp, sine_coefficients, v_norm)
 from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
-from .solver import (_field_rows, _march, _terminal_velocity, _views, solve_backward,
+from .solver import (_field_rows, _march, _source_rows, _terminal_velocity, _views,
                      solve_forward, terminal_state)
 
 FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
@@ -174,41 +177,15 @@ def hum_pairing(terminal: StatePair, seed: StatePair) -> float:
 # Gramian
 # ---------------------------------------------------------------------------
 
-def _adjoint_control(grid, potential, region, seed):
-    """The control chi * phi, phi the adjoint solved backward from `seed`."""
-    phi = solve_backward(grid, potential, seed)
-    u = phi.values * region.weights       # new array; phi is finite, weights in [0, 1]
-    u[-1] = 0.0          # final level carries no quadrature weight
-    return SpaceTimeField._trusted(grid, u)
-
-
-def _from_rest(grid, potential, u):
-    """The state driven from rest by the control u, and its terminal state."""
-    z = solve_forward(grid, potential, u, StatePair.zeros(grid))
-    return z, terminal_state(grid, z, potential, u)
-
-
-def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
-                  region: ControlRegion, seed: StatePair) -> StatePair:
-    """Apply the control Gramian to an adjoint seed (data of phi at t=T).
-
-    Solves the adjoint backward from the seed, drives the state forward
-    from rest with the restricted adjoint as control, and returns the
-    scheme-exact terminal state; combine with `hum_pairing` to evaluate
-    <Lambda s, s'> = (phi_s, phi_s')_{L^2(q_T)}.
-    """
-    return _from_rest(grid, potential, _adjoint_control(grid, potential, region, seed))[1]
-
-
 class _GramianOperator:
-    """The scratch fields of repeated Gramian applies on one (grid, region,
-    potential), each with the march's views of it, built once.
+    """Adjoint seeds to controls and controls to states on one (grid, region,
+    potential), in fields built once.
 
     Owns the backward trajectory (in reversed time, as the time-reversed
-    forward march writes it), the control u, the forward trajectory and,
-    in 1D, dt^2 u; in 1D also dt^2 times the interior of the potential,
-    whose rows the backward march reads in reverse.  `_gramian_rho`
-    writes into these and allocates no full-size array.
+    forward march writes it), the control u and the forward trajectory z,
+    each with the march's views of it, and the march's rows of u and of
+    the potential (in 1D dt^2 times the interior, which the backward march
+    reads in reverse).  Neither half allocates a full-size array.
     """
 
     def __init__(self, grid, region, potential):
@@ -223,34 +200,51 @@ class _GramianOperator:
         self.back = np.zeros(levels)
         self.back_views = _views(grid, self.back)
         self.u = np.zeros(levels)
+        self.u_rows, self.refresh_u_rows = _source_rows(grid, self.u)
         self.z = np.zeros(levels)
         self.z_views = _views(grid, self.z)
-        if grid.dim == 1:
-            self.dt2_u = np.empty((grid.nt + 1, grid.shape[0] - 2))
-            self.u_rows = list(self.dt2_u)
-        else:
-            self.dt2_u = None
-            self.u_rows = _field_rows(grid, self.u)
         self.rest = np.zeros(grid.shape)
+
+    def adjoint_control(self, seed: StatePair):
+        """Write into u the control chi * phi, phi the adjoint solved
+        backward from `seed` (data of phi at t=T)."""
+        _march(self.grid, self.back, self.back_views, seed.position, -seed.velocity,
+               self.back_A, None, self.back_rows, None)
+        np.multiply(self.back[::-1], self.weights, out=self.u)
+        self.u[-1] = 0.0          # final level carries no quadrature weight
+
+    def from_rest(self) -> StatePair:
+        """Write into z the state driven from rest by the control u; returns
+        its scheme-exact terminal state."""
+        grid = self.grid
+        self.refresh_u_rows()
+        _march(grid, self.z, self.z_views, self.rest, self.rest, self.A, self.u,
+               self.A_rows, self.u_rows)
+        velocity = np.zeros(grid.shape)
+        velocity[(slice(1, -1),) * grid.dim] = _terminal_velocity(grid, self.z, self.A, self.u)
+        return StatePair._trusted(grid, self.z[-1].copy(), velocity)
+
+
+def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
+                  region: ControlRegion, seed: StatePair) -> StatePair:
+    """Apply the control Gramian to an adjoint seed (data of phi at t=T).
+
+    Solves the adjoint backward from the seed, drives the state forward
+    from rest with the restricted adjoint as control, and returns the
+    scheme-exact terminal state; combine with `hum_pairing` to evaluate
+    <Lambda s, s'> = (phi_s, phi_s')_{L^2(q_T)}.
+    """
+    check_same_grid(grid, region=region, potential=potential, seed=seed)
+    op = _GramianOperator(grid, region, potential)
+    op.adjoint_control(seed)
+    return op.from_rest()
 
 
 def _gramian_rho(op, rho):
-    """G rho: one Gramian apply in seed coordinates, in op's scratch fields.
-
-    The same arithmetic as `gramian_apply` on the seed of rho, bit for bit.
-    """
-    grid, A, u = op.grid, op.A, op.u
-    seed = seed_from_rho(grid, rho)
-    _march(grid, op.back, op.back_views, seed.position, -seed.velocity, op.back_A, None,
-           op.back_rows, None)
-    np.multiply(op.back[::-1], op.weights, out=u)
-    u[-1] = 0.0          # final level carries no quadrature weight
-    if op.dt2_u is not None:    # the rows `_field_rows` forms for a 1D source
-        np.multiply(u[:, 1:-1], grid.dt * grid.dt, out=op.dt2_u)
-    _march(grid, op.z, op.z_views, op.rest, op.rest, A, u, op.A_rows, op.u_rows)
-    velocity = np.zeros(grid.shape)
-    velocity[(slice(1, -1),) * grid.dim] = _terminal_velocity(grid, op.z, A, u)
-    return dual_to_rho(grid, velocity, -op.z[-1])
+    """G rho: one Gramian apply in seed coordinates, in op's fields."""
+    op.adjoint_control(seed_from_rho(op.grid, rho))
+    terminal = op.from_rest()
+    return dual_to_rho(op.grid, terminal.velocity, -terminal.position)
 
 
 @dataclass
@@ -364,53 +358,48 @@ def _free_response(problem):
     return free, free_term, dual_to_rho(grid, gap.velocity, -gap.position)
 
 
-def _controlled_solution(problem, free, free_term, u, **solver_info) -> ControlSolution:
-    """Superpose the free solution and the response from rest to the control u
-    (None for the zero control, which needs no solve)."""
-    grid = problem.grid
-    if u is None:
-        u = SpaceTimeField.zeros(grid)
-        w_term = StatePair.zeros(grid)
-        traj_values = free.values if free is not None else np.zeros((grid.nt + 1,) + grid.shape)
-    else:
-        w, w_term = _from_rest(grid, problem.potential, u)
-        traj_values = (free.values if free is not None else 0.0) + w.values
+def _controlled_solution(problem, op, free, free_term, **solver_info) -> ControlSolution:
+    """The control in op.u and its state: the response from rest, written into
+    op.z once the backward trajectory is freed, plus the free solution."""
+    del op.back, op.back_views          # the forward march reads only u
+    w_term = op.from_rest()
+    if free is not None:
+        op.z += free.values
     terminal = free_term + w_term
+    control = SpaceTimeField._trusted(problem.grid, op.u)
     return ControlSolution(
-        control=u,
-        trajectory=SpaceTimeField(grid, traj_values),
+        control=control,
+        trajectory=SpaceTimeField(problem.grid, op.z),
         terminal=terminal,
         defect=float(v_norm(terminal - problem.target)),
-        control_norm=float(l2_qt(u)),
+        control_norm=float(l2_qt(control)),
         **solver_info,
     )
 
 
-def solve_null_control(problem: LinearControlProblem, at_floor: bool = False,
+def solve_null_control(problem: LinearControlProblem,
                        space: RitzSpace | None = None) -> ControlSolution:
     """Steer the initial state to the target; control of minimal L^2(q_T) norm.
 
     Reduction to a reach-from-rest problem: subtract the uncontrolled
     solution with the given data and source, then match the remaining
     terminal gap through the Gramian equation (G + eps I) rho = c.
-    at_floor=True also stops CG once its residual is below FLOOR_THETA
-    times the Tikhonov term, which keeps the terminal defect within a
-    factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) of the exact regularized
-    solve's (module docstring); `converged` then means either stop was
-    met.  A `RitzSpace` deflates CG with the vectors that earlier solves
-    left in it, and this solve refills it.
+    Without a `space` CG stops at cg_tol.  With one it also stops once
+    its residual is below FLOOR_THETA times the Tikhonov term, which keeps
+    the terminal defect within a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
+    of the exact regularized solve's (module docstring), and `converged`
+    means either stop was met; CG is deflated with the vectors that
+    earlier solves left in the space, and this solve refills it.  A fresh
+    `RitzSpace()` holds none, so its solve is the plain floor-stopped one.
     """
-    grid, region, A = problem.grid, problem.region, problem.potential
     eps = problem.effective_eps
     free, free_term, c = _free_response(problem)
-    rho, iters, converged, history = _cg(_GramianOperator(grid, region, A), c,
-                                         problem.cg_tol, problem.cg_max_iter, eps,
-                                         FLOOR_THETA * eps if at_floor else 0.0, space)
-    # the operator's fields are released here, before the reconstruction
-    u = None
-    if np.any(rho != 0.0):
-        u = _adjoint_control(grid, A, region, seed_from_rho(grid, rho))
-    return _controlled_solution(problem, free, free_term, u, cg_iterations=iters,
+    op = _GramianOperator(problem.grid, problem.region, problem.potential)
+    rho, iters, converged, history = _cg(op, c, problem.cg_tol, problem.cg_max_iter, eps,
+                                         FLOOR_THETA * eps if space is not None else 0.0,
+                                         space)
+    op.adjoint_control(seed_from_rho(problem.grid, rho))
+    return _controlled_solution(problem, op, free, free_term, cg_iterations=iters,
                                 converged=bool(converged), residual_history=history,
                                 seed_coords=rho)
 
@@ -419,27 +408,26 @@ def solve_null_control(problem: LinearControlProblem, at_floor: bool = False,
 # dense oracle
 # ---------------------------------------------------------------------------
 
-def _constraint_rows(problem):
-    """Whitened constraint matrix Ct, square-root quadrature weights sqrt_w
-    and the boolean mask of the active control dofs.
+def _constraint_rows(op):
+    """Whitened constraint matrix Ct of the `_GramianOperator` op, square-root
+    quadrature weights sqrt_w and the boolean mask of the active control dofs.
 
-    Row i is the adjoint control of the unit seed e_i read on the mask
-    (time level outer, interior node in C order inner) times sqrt_w.
+    Row i is the adjoint control of the unit seed e_i, formed in op, read
+    on the mask (time level outer, interior node in C order inner) times
+    sqrt_w.
     """
-    grid, region = problem.grid, problem.region
-    if math.prod(grid.shape) * (grid.nt + 1) > 5 * 10**4:
-        raise ConfigError("grid too large for the dense oracle (cap 5e4 unknowns)")
-    if not region.is_sharp:
-        raise ConfigError("dense oracle requires a sharp (0/1) control region")
+    grid = op.grid
     interior = (slice(1, -1),) * grid.dim
     mask = np.zeros((grid.nt + 1,) + grid.shape, dtype=bool)
-    mask[(slice(0, -1),) + interior] = region.weights[interior] == 1.0
+    mask[(slice(0, -1),) + interior] = op.weights[interior] == 1.0
     w = np.full(grid.nt, grid.dt * math.prod(grid.dx))
     w[0] *= 0.5
     sqrt_w = np.sqrt(np.repeat(w, np.count_nonzero(mask[0])))
     eye = np.eye(2 * math.prod(grid.interior_shape))
-    Ct = np.array([_adjoint_control(grid, problem.potential, region,
-                                    seed_from_rho(grid, e)).values[mask] for e in eye])
+    Ct = np.empty((len(eye), sqrt_w.size))
+    for row, e in zip(Ct, eye):
+        op.adjoint_control(seed_from_rho(grid, e))
+        row[:] = op.u[mask]
     return Ct * sqrt_w, sqrt_w, mask
 
 
@@ -450,15 +438,22 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
     levels 0..nt-1, scaled by the square-root quadrature weights, to the
     coordinates of the terminal state they reach from rest.  Its rows are
     adjoint controls of the unit seeds (Green identity, module
-    docstring), so 2 * n_modes backward solves build it; the control is
-    written back through the same active-dof mask.
+    docstring), so 2 * n_modes backward marches build it; the control is
+    written back through the same active-dof mask and reconstructed in the
+    same operator.
 
     eps_reg = 0: exact minimal-norm solution of the terminal constraint
     (LAPACK least squares); eps_reg > 0: direct solve of the same
     regularized normal equations the CG path addresses.
     """
+    grid, region = problem.grid, problem.region
+    if math.prod(grid.shape) * (grid.nt + 1) > 5 * 10**4:
+        raise ConfigError("grid too large for the dense oracle (cap 5e4 unknowns)")
+    if not region.is_sharp:
+        raise ConfigError("dense oracle requires a sharp (0/1) control region")
     eps = problem.effective_eps
-    Ct, sqrt_w, mask = _constraint_rows(problem)
+    op = _GramianOperator(grid, region, problem.potential)
+    Ct, sqrt_w, mask = _constraint_rows(op)
     free, free_term, c = _free_response(problem)
     if eps == 0.0:
         ut, *_ = np.linalg.lstsq(Ct, c, rcond=None)
@@ -467,9 +462,9 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
         rho = np.linalg.solve(G, c)
         ut = Ct.T @ rho
 
-    u = np.zeros(mask.shape)
-    u[mask] = ut / sqrt_w
-    return _controlled_solution(problem, free, free_term, SpaceTimeField(problem.grid, u),
+    op.u.fill(0.0)
+    op.u[mask] = ut / sqrt_w
+    return _controlled_solution(problem, op, free, free_term,
                                 cg_iterations=0, converged=True, residual_history=[])
 
 

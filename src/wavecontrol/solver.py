@@ -21,11 +21,9 @@ keeps the control Gramian symmetric to machine precision.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import BlowupError, ConfigError
+from .errors import BlowupError
 from .fields import SpaceTimeField, StatePair
 from .grids import SpaceTimeGrid, check_same_grid
 
@@ -69,7 +67,7 @@ def _terminal_velocity(grid, y, A, S):
 def solve_forward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
                   source: SpaceTimeField | None, init: StatePair) -> SpaceTimeField:
     """March the leapfrog scheme from t=0; raises BlowupError on nonfinite values."""
-    _check_inputs(grid, potential=potential, source=source, init=init)
+    check_same_grid(grid, potential=potential, source=source, init=init)
     A = potential.values if potential is not None else None
     S = source.values if source is not None else None
     y = np.zeros((grid.nt + 1,) + grid.shape)
@@ -130,10 +128,21 @@ def _field_rows(grid, values):
     """
     if values is None:
         return None
-    if grid.dim == 1:
-        return list(grid.dt * grid.dt * values[:, 1:-1])
-    lo, hi = _flat_range(grid)
-    return list(values.reshape(grid.nt + 1, -1)[:, lo:hi])
+    rows, refresh = _source_rows(grid, values)
+    refresh()
+    return rows
+
+
+def _source_rows(grid, values):
+    """The rows of `_field_rows` for a buffer that is rewritten between
+    marches, and the call that brings them up to date after each rewrite:
+    in 1D it scales the interior into the rows in place, 2D rows are views
+    and need no update."""
+    if grid.dim == 2:
+        lo, hi = _flat_range(grid)
+        return list(values.reshape(grid.nt + 1, -1)[:, lo:hi]), lambda: None
+    scaled = np.empty((grid.nt + 1, grid.shape[0] - 2))
+    return list(scaled), lambda: np.multiply(values[:, 1:-1], grid.dt * grid.dt, out=scaled)
 
 
 _CHECK_STRIDE = 32
@@ -301,9 +310,3 @@ def discrete_energy(grid: SpaceTimeGrid, y: SpaceTimeField) -> np.ndarray:
                                         * _interior(grid, vals[n])))
         energies.append(kinetic + cross)
     return np.asarray(energies)
-
-
-def _check_inputs(grid, **parts):
-    check_same_grid(grid, **parts)
-    if grid.dt > grid.cfl_factor * min(grid.dx) / math.sqrt(grid.dim) * (1 + 1e-12):
-        raise ConfigError("CFL condition violated")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
 from wavecontrol.errors import BlowupError, ConfigError
-from wavecontrol.linear_control import (FLOOR_THETA, RITZ_K, RitzSpace, _constraint_rows,
+from wavecontrol.linear_control import (FLOOR_THETA, RITZ_K, RitzSpace, _cg, _constraint_rows,
                                         _free_response, _GramianOperator, _gramian_rho,
                                         dual_to_rho, rho_from_seed, seed_from_rho)
 
@@ -90,12 +90,22 @@ def test_gramian_symmetry_property(dim, nodes, scale, phase, offset, seed):
     assert abs(float(rho1 @ G2) - float(rho2 @ G1)) <= 1e-12 * bound
 
 
+def from_seed(grid, A, region, seed):
+    """The adjoint control of `seed`, the state it drives from rest and that
+    state's terminal state, built from the public solves alone."""
+    u = wc.solve_backward(grid, A, seed).values * region.weights
+    u[-1] = 0.0
+    control = wc.SpaceTimeField(grid, u)
+    z = wc.solve_forward(grid, A, control, wc.StatePair.zeros(grid))
+    return control, z, wc.terminal_state(grid, z, A, control)
+
+
 @pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smoothed"])
 @pytest.mark.parametrize("with_A", [False, True], ids=["A=0", "A"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_operator_apply_matches_one_shot_apply(dim, with_A, smooth):
     # consecutive applies reuse the operator's fields; each must equal the
-    # one-shot gramian_apply bit for bit, so nothing carries over
+    # apply built from the public solves bit for bit, so nothing carries over
     grid, region, A = symmetry_case(dim, 12, 1.3, 0.4, 0.2)
     if smooth:
         region = (wc.interval_region(grid, 0.55, 1.0, smoothing=True) if dim == 1
@@ -105,9 +115,65 @@ def test_operator_apply_matches_one_shot_apply(dim, with_A, smooth):
     op = _GramianOperator(grid, region, A)
     for seed in (3, 4, 5):
         rho = np.random.default_rng(seed).standard_normal(2 * math.prod(grid.interior_shape))
-        term = wc.gramian_apply(grid, A, region, seed_from_rho(grid, rho))
+        pair = seed_from_rho(grid, rho)
+        term = from_seed(grid, A, region, pair)[2]
         assert np.array_equal(_gramian_rho(op, rho),
                               dual_to_rho(grid, term.velocity, -term.position))
+        public = wc.gramian_apply(grid, A, region, pair)
+        assert np.array_equal(public.position, term.position)
+        assert np.array_equal(public.velocity, term.velocity)
+
+
+def reconstruction_case(dim, with_data):
+    """A small sharp-region problem, with or without potential, source and
+    initial data."""
+    grid, region, A = symmetry_case(dim, 7 if dim == 2 else 12, 1.3, 0.4, 0.2)
+    if not with_data:
+        return wc.LinearControlProblem(grid, region)
+    x = grid.meshgrid()[0]
+    bump = math.prod(np.sin(np.pi * X / L) for X, L in zip(grid.meshgrid(), grid.lengths))
+    t = grid.time_levels().reshape((-1,) + (1,) * dim)
+    source = wc.SpaceTimeField(grid, np.cos(2 * t) * np.sin(2 * np.pi * x)[None])
+    return wc.LinearControlProblem(grid, region, potential=A, source=source,
+                                   initial=wc.StatePair(grid, bump, 0.5 * bump))
+
+
+def assert_reconstructs(sol, prob, control):
+    """sol's trajectory and terminal state are the free solution plus the
+    state that `control` drives from rest, bit for bit."""
+    grid, A = prob.grid, prob.potential
+    z = wc.solve_forward(grid, A, control, wc.StatePair.zeros(grid))
+    terminal = wc.terminal_state(grid, z, A, control)
+    trajectory = z.values
+    if prob.source is not None or not prob.initial.is_zero():
+        free = wc.solve_forward(grid, A, prob.source, prob.initial)
+        terminal = wc.terminal_state(grid, free, A, prob.source) + terminal
+        trajectory = free.values + trajectory
+    assert np.array_equal(sol.control.values, control.values)
+    assert np.array_equal(sol.trajectory.values, trajectory)
+    assert np.array_equal(sol.terminal.position, terminal.position)
+    assert np.array_equal(sol.terminal.velocity, terminal.velocity)
+
+
+@pytest.mark.parametrize("with_data", [False, True], ids=["rest", "A_source_data"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solutions_are_the_public_reconstruction(dim, with_data):
+    # the control, trajectory and terminal state both solvers return equal
+    # the ones the public solves build from their rho / ut
+    prob = reconstruction_case(dim, with_data)
+    grid = prob.grid
+    sol = wc.solve_null_control(prob)
+    assert np.any(sol.control.values != 0.0) == with_data
+    assert_reconstructs(sol, prob, from_seed(grid, prob.potential, prob.region,
+                                             seed_from_rho(grid, sol.seed_coords))[0])
+
+    oracle = wc.dense_oracle_control(prob)
+    Ct, sqrt_w, mask = _constraint_rows(_GramianOperator(grid, prob.region, prob.potential))
+    c = _free_response(prob)[2]
+    rho = np.linalg.solve(Ct @ Ct.T + prob.effective_eps * np.eye(len(c)), c)
+    u = np.zeros(mask.shape)
+    u[mask] = (Ct.T @ rho) / sqrt_w
+    assert_reconstructs(oracle, prob, wc.SpaceTimeField(grid, u))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -284,7 +350,7 @@ def floor_problem(nx, eps, a, modes, cg_tol=1e-14):
 def test_floor_stop_saves_iterations_and_keeps_the_defect():
     prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
     tight = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, at_floor=True)
+    floor = wc.solve_null_control(prob, RitzSpace())
     assert tight.converged and floor.converged
     assert floor.cg_iterations < tight.cg_iterations
     assert floor.defect <= (1 + FLOOR_THETA) * tight.defect
@@ -293,7 +359,7 @@ def test_floor_stop_saves_iterations_and_keeps_the_defect():
 def test_floor_stop_without_regularization_is_the_plain_solve():
     prob = floor_problem(31, 0.0, 0.8, [(1, 1.0, 0.0)], cg_tol=1e-8)
     plain = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, at_floor=True)
+    floor = wc.solve_null_control(prob, RitzSpace())
     assert floor.cg_iterations == plain.cg_iterations
     assert np.array_equal(floor.control.values, plain.control.values)
 
@@ -309,7 +375,7 @@ def test_floor_stop_defect_bound_property(nx, log_eps, a, modes):
     # defect of a solve run to cg_tol = 1e-14
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
     tight = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, at_floor=True)
+    floor = wc.solve_null_control(prob, RitzSpace())
     assert floor.cg_iterations <= tight.cg_iterations
     assert floor.defect <= (1 + FLOOR_THETA) * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
@@ -321,11 +387,15 @@ def potential_problem(prob, scale):
 
 def test_fresh_space_solve_is_the_plain_floor_solve():
     prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
-    plain = wc.solve_null_control(prob, at_floor=True)
+    eps = prob.effective_eps
+    op = _GramianOperator(prob.grid, prob.region, prob.potential)
+    rho, iters, converged, history = _cg(op, _free_response(prob)[2], prob.cg_tol,
+                                         prob.cg_max_iter, eps, FLOOR_THETA * eps)
     space = RitzSpace()
-    first = wc.solve_null_control(prob, at_floor=True, space=space)
-    assert first.cg_iterations == plain.cg_iterations
-    assert np.array_equal(first.control.values, plain.control.values)
+    first = wc.solve_null_control(prob, space)
+    assert (first.cg_iterations, first.converged) == (iters, converged)
+    assert first.residual_history == history
+    assert np.array_equal(first.seed_coords, rho)
     assert space.W.shape == (RITZ_K, 2 * math.prod(prob.grid.interior_shape))
 
 
@@ -334,11 +404,11 @@ def test_recycled_space_saves_applies(monkeypatch):
     # cg_iterations does not count, and still does less work in total
     prob = floor_problem(61, (1.0 / 60) ** 2, 0.8, [(1, 1.0, 0.0)])
     space = RitzSpace()
-    first = wc.solve_null_control(potential_problem(prob, 0.5), at_floor=True, space=space)
+    first = wc.solve_null_control(potential_problem(prob, 0.5), space)
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
-    second = wc.solve_null_control(potential_problem(prob, 1.0), at_floor=True, space=space)
+    second = wc.solve_null_control(potential_problem(prob, 1.0), space)
     assert first.converged and second.converged
     assert len(applies) == second.cg_iterations + RITZ_K
     assert len(applies) < first.cg_iterations
@@ -357,10 +427,10 @@ def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes
     # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
     space = RitzSpace()
-    wc.solve_null_control(potential_problem(prob, scales[0]), at_floor=True, space=space)
+    wc.solve_null_control(potential_problem(prob, scales[0]), space)
     target = potential_problem(prob, scales[1])
     tight = wc.solve_null_control(target)
-    recycled = wc.solve_null_control(target, at_floor=True, space=space)
+    recycled = wc.solve_null_control(target, space)
     assert recycled.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     assert recycled.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
@@ -415,7 +485,7 @@ def oracle_row_cases():
 def test_oracle_rows_match_impulse_responses(case):
     prob = oracle_row_cases()[case]
     grid, region = prob.grid, prob.region
-    Ct, sqrt_w, mask = _constraint_rows(prob)
+    Ct, sqrt_w, mask = _constraint_rows(_GramianOperator(grid, region, prob.potential))
     # active dofs: interior nodes of omega on levels 0..nt-1
     active = np.zeros(grid.shape, dtype=bool)
     interior = (slice(1, -1),) * grid.dim
@@ -435,7 +505,7 @@ def test_oracle_rows_match_impulse_responses(case):
 
 def test_oracle_optimality_against_feasible_perturbations():
     prob = oracle_problem(eps=0.0)
-    Ct = _constraint_rows(prob)[0]
+    Ct = _constraint_rows(_GramianOperator(prob.grid, prob.region, None))[0]
     c = _free_response(prob)[2]
     ut, *_ = np.linalg.lstsq(Ct, c, rcond=None)
     # null-space directions of the constraint keep the terminal condition

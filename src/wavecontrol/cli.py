@@ -59,6 +59,7 @@ SUMMARY_METHOD_SCHEMA = {
     "sqrt2E_final": (float, type(None)),
     "order": (float, type(None)), "order_fit_residual": (float, type(None)),
     "term_defect_V": (float, type(None)), "M_run": float, "wall_time_s": float,
+    "inner_unconverged": list,          # outer steps k, ints
 }
 
 METHOD_RUNNERS = {
@@ -350,6 +351,8 @@ def method_summary(result, wall_time):
         "term_defect_V": _json_number(last.term_defect_V),
         "M_run": float(result.M_run),
         "wall_time_s": float(wall_time),
+        # the steps whose inner CG stopped short of its tolerance and floor
+        "inner_unconverged": [rec.k for rec in result.records if not rec.inner_converged],
     }
 
 
@@ -369,6 +372,8 @@ def validate_summary(summary: dict):
                 ok = isinstance(value, typ)
             else:
                 ok = isinstance(value, typ) or (typ is float and isinstance(value, int))
+            if ok and typ is list:
+                ok = all(type(k) is int and k >= 0 for k in value)
             if not ok:
                 raise ValueError(f"summary.methods.{name}.{key} has wrong type")
 

@@ -123,7 +123,7 @@ def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
 def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField,
                  space: RitzSpace):
     """Null-controlled pair of the linearized equation with potential gp = g'(y)
-    and source r, CG stopped at the Tikhonov floor and deflated by `space`.
+    and source r, CG stopped at the Tikhonov floor and accelerated by `space`.
 
     The pair satisfies the linearized equation stencil-exactly however far
     CG has run, so the floor stop moves only its terminal defect, by at
@@ -270,7 +270,10 @@ def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str,
     linear_frozen  potential g'(0), source -g(0)
 
     CG stops at the Tikhonov floor, as in every Newton step, and fills
-    `space` (a fresh one when None) with Ritz vectors for the steps.
+    `space` (a fresh one when None) for the steps: with the free-wave
+    preconditioner P = G(0) + eps I under the size rule of
+    `linear_control`, which is this solve's exact operator under
+    `linear`, and with Ritz vectors otherwise.
     """
     grid = problem.grid
     if strategy == "linear":
@@ -294,8 +297,11 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     stagnation/failure status.
 
     The inner solves of one run differ only in potential and right-hand
-    side, so they share one `RitzSpace`: each deflates CG with the lowest
-    Ritz vectors of the solves before it.
+    side, so they share one `RitzSpace`: under the size rule of
+    `linear_control` (every committed 1D config with eps > 0) each is
+    preconditioned with the closed-form P = G(0) + eps I that the starting
+    pair builds; otherwise each deflates CG with the lowest Ritz vectors
+    of the solves before it.
     """
     config = config or LSConfig()
     grid, region = problem.grid, problem.region

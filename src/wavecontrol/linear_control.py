@@ -29,19 +29,44 @@ with a `RitzSpace`).  The terminal gap of an iterate rho_k is
 d_k = c - G rho_k = r_k + eps rho_k, and at the exact solution
 d* = eps rho*.  The stop |r_k| <= FLOOR_THETA * eps |rho_k| bounds the
 algebraic error by the regularization error (Arioli, Numer. Math. 97,
-2004) whatever the starting iterate:
+2004) whatever the iterate and however it was reached:
 
     |rho_k - rho*| <= |r_k| / eps <= theta |rho_k|,
     so |rho_k| <= |rho*| / (1 - theta) and
     |d_k| <= (1 + theta) eps |rho_k| <= (1 + theta) / (1 - theta) |d*|,
 
 a factor 1.0202 at theta = 0.01.  The bound needs no monotone |rho_k|,
-so it also holds for deflated CG (Saad, Yeung, Erhel & Guyomarc'h,
-SISC 21, 2000), which starts from the Galerkin solution on a space W
-carried over from earlier solves (`RitzSpace`).  The solve without a
-space keeps the fixed cg_tol: callers that compare controls across
-solves (linearity, oracle agreement, fixed-point step sizes) need the
-exact solve.
+so it holds for preconditioned CG, whose iterates grow in the
+preconditioner's norm rather than the Euclidean one, and for deflated
+CG (Saad, Yeung, Erhel & Guyomarc'h, SISC 21, 2000), which starts from
+the Galerkin solution on a space W carried over from earlier solves.
+The solve without a space keeps the fixed cg_tol: callers that compare
+controls across solves (linearity, oracle agreement, fixed-point step
+sizes) need the exact solve.
+
+The floor-stopped solves of one run share a `RitzSpace`, which picks
+one of two accelerations by a fixed size rule.  For a constant
+potential a every sine mode of the box grid evolves on its own under
+the leapfrog scheme, T_k(m+1) = (2 - dt^2 (mu_h,k + a)) T_k(m) - T_k(m-1)
+with mu_h,k the eigenvalues of -Lap_h, so the Gramian has the closed form
+
+    G(a) = (T W T^T) o [[M, M], [M, M]]
+
+(`_free_wave_gramian`, no march): the rows of T are the time signals,
+in backward time, of the unit seeds (a position seed starts at 1, a
+velocity seed at 0 with velocity -sqrt(mu_k), in `seed_from_rho`
+scaling), W holds the quadrature weights in backward
+time (0 at t=T, dt/2 at t=0, dt between), and M = D diag(chi) D^T is
+the omega-mass matrix of the sine basis, D the orthonormal DST-I.
+When eps > 0 and (2n)^2 <= 3 (nt+1) nodes, n the interior nodes (P is
+no larger than the three trajectories an operator holds; every 1D grid
+with nt >= 4 nx / 3, no 2D grid of the committed configs), the space
+holds the eigendecomposition of P = G(0) + eps I, built once at its first
+solve, and CG is preconditioned with it (operator preconditioning, Hiptmair,
+Comput. Math. Appl. 52, 2006; CG on the HUM Gramian, Glowinski, Lions
+& He, CUP 2008): P carries the full mode coupling of omega, so a solve
+with a potential takes a few iterations and one without takes one.
+Otherwise the space carries Ritz deflation vectors from solve to solve.
 
 A `_GramianOperator` on (grid, region, potential) is the one place that
 turns an adjoint seed into a control (`adjoint_control`: u = chi phi)
@@ -73,8 +98,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import ConfigError
 from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficients,
@@ -247,16 +274,75 @@ def _gramian_rho(op, rho):
     return dual_to_rho(op.grid, terminal.velocity, -terminal.position)
 
 
+def _discrete_eigenvalues(grid):
+    """Eigenvalues of -Lap_h on the sine modes, flattened in C order."""
+    per_axis = [(4.0 / h ** 2) * np.sin(np.arange(1, N - 1) * np.pi / (2 * (N - 1))) ** 2
+                for h, N in zip(grid.dx, grid.shape)]
+    return reduce(np.add.outer, per_axis).ravel()
+
+
+def _free_wave_gramian(grid, region, a=0.0):
+    """G(a) for the constant potential a, in closed form (module docstring).
+
+    T is stored transposed: its row m holds, for every unit seed (position
+    seeds first), the coefficient of the seed's one sine mode in the
+    backward trajectory at backward time m, from the mode's leapfrog
+    recurrence started as the march starts.
+    """
+    dt = grid.dt
+    mu_h = _discrete_eigenvalues(grid)
+    n = mu_h.size
+    T = np.empty((grid.nt + 1, 2 * n))
+    T[0, :n] = 1.0
+    T[0, n:] = 0.0
+    T[1, :n] = 1.0 - 0.5 * dt * dt * (mu_h + a)
+    T[1, n:] = -dt * _sqrt_mu(grid).ravel()
+    k = np.tile(2.0 - dt * dt * (mu_h + a), 2)
+    for m in range(1, grid.nt):
+        np.multiply(k, T[m], out=T[m + 1])
+        T[m + 1] -= T[m - 1]
+    w = np.full((grid.nt + 1, 1), dt)
+    w[0] = 0.0                # t = T: the final control level carries no weight
+    w[-1] = 0.5 * dt          # t = 0
+    G = T.T @ (w * T)
+    del T
+    D = sp_fft.dstn(np.eye(n).reshape((n,) + grid.interior_shape), type=1, norm="ortho",
+                    axes=tuple(range(-grid.dim, 0))).reshape(n, n)
+    chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
+    G.reshape(2, n, 2, n)[...] *= ((D * chi) @ D.T)[:, None, :]
+    return G
+
+
+def _free_wave_fits(grid, eps):
+    """The size rule: precondition with P = G(0) + eps I when eps > 0 and
+    P has no more entries than the three trajectories an operator holds."""
+    n2 = 2 * math.prod(grid.interior_shape)
+    return eps > 0.0 and n2 * n2 <= 3 * (grid.nt + 1) * math.prod(grid.shape)
+
+
+def _free_wave_preconditioner(grid, region, eps):
+    """(V, lam), the eigendecomposition of P = G(0) + eps I."""
+    P = _free_wave_gramian(grid, region)
+    P[np.diag_indices_from(P)] += eps
+    lam, V = np.linalg.eigh(P)
+    return V, lam
+
+
 @dataclass
 class RitzSpace:
-    """Deflation vectors recycled across a sequence of related CG solves.
+    """What the floor-stopped solves of one run, on one grid, region and
+    eps, carry from solve to solve.
 
-    Holds up to RITZ_K vectors as the rows of W; `_cg` deflates with them
-    and refills them with the lowest Ritz vectors of its own search space.
-    A fresh space holds none, so its first solve is the plain one.
+    Under the size rule (`_free_wave_fits`) it holds the eigendecomposition
+    (V, lam) of P = G(0) + eps I, built at its first solve, and `_cg` is
+    preconditioned with P.  Otherwise it holds up to RITZ_K vectors as the
+    rows of W; `_cg` deflates with them and refills them with the lowest
+    Ritz vectors of its own search space.  A fresh space holds neither, so
+    its first solve off the rule is the plain floor-stopped one.
     """
 
     W: np.ndarray | None = None
+    precond: tuple | None = None
 
 
 def _a_orthonormal(W, AW):
@@ -275,20 +361,31 @@ def _lowest_ritz(Z, k):
     return Y[:, -k:].T @ Z
 
 
-def _cg(op, c, tol, max_iter, eps, floor=0.0, space=None):
+def _precondition(precond, r):
+    """P^{-1} r from precond = (V, lam), the eigendecomposition of P; r
+    itself when precond is None."""
+    if precond is None:
+        return r
+    V, lam = precond
+    return V @ ((V.T @ r) / lam)
+
+
+def _cg(op, c, tol, max_iter, eps, floor=0.0, space=None, precond=None):
     """CG for A x = c, A = G + eps I; returns (x, iters, converged, history).
 
     G is applied by `_gramian_rho` on the `_GramianOperator` op.
 
     Stops once |r_k| <= max(tol |c|, floor |x_k|); floor = 0 is the plain
-    relative-residual stop.  With a `RitzSpace` holding vectors W this is
-    deflated CG (Saad, Yeung, Erhel & Guyomarc'h, SISC 21, 2000): forming
-    A W costs len(W) applies, x starts from the Galerkin solution on
-    span W and every search direction is made A-conjugate to W.  On exit
-    W becomes the RITZ_K lowest Ritz vectors of span[W, search directions],
-    compressed by Rayleigh-Ritz every RITZ_BLOCK directions; the
-    A-conjugacy of that basis gives its A-products, so harvesting costs
-    no apply.
+    relative-residual stop.  With precond = (V, lam), the eigendecomposition
+    of a symmetric positive definite P, this is preconditioned CG with
+    z = V (V^T r / lam) = P^{-1} r; the stop still reads the true residual
+    r.  With a `RitzSpace` holding vectors W this is deflated CG (Saad,
+    Yeung, Erhel & Guyomarc'h, SISC 21, 2000): forming A W costs len(W)
+    applies, x starts from the Galerkin solution on span W and every
+    search direction is made A-conjugate to W.  On exit W becomes the
+    RITZ_K lowest Ritz vectors of span[W, search directions], compressed by
+    Rayleigh-Ritz every RITZ_BLOCK directions; the A-conjugacy of that
+    basis gives its A-products, so harvesting costs no apply.
     """
     x = np.zeros_like(c)
     nc = math.sqrt(float(c @ c))
@@ -307,8 +404,10 @@ def _cg(op, c, tol, max_iter, eps, floor=0.0, space=None):
             r = c - mu @ AW
             nb = len(W)
             basis[:nb] = W
-    d = r.copy() if W is None else r - (AW @ r) @ W
+    z = _precondition(precond, r)
+    d = z.copy() if W is None else z - (AW @ z) @ W
     rs = float(r @ r)
+    rz = float(r @ z)
     history = [math.sqrt(rs) / nc]
     it = 0
     converged = math.sqrt(rs) <= max(tol * nc, floor * math.sqrt(float(x @ x)))
@@ -323,18 +422,20 @@ def _cg(op, c, tol, max_iter, eps, floor=0.0, space=None):
                 nb = RITZ_K
             basis[nb] = d / math.sqrt(dGd)
             nb += 1
-        alpha = rs / dGd
+        alpha = rz / dGd
         x = x + alpha * d
         r = r - alpha * Gd
-        rs_new = float(r @ r)
+        rs = float(r @ r)
         it += 1
-        history.append(math.sqrt(rs_new) / nc)
-        converged = math.sqrt(rs_new) <= max(tol * nc, floor * math.sqrt(float(x @ x)))
+        history.append(math.sqrt(rs) / nc)
+        converged = math.sqrt(rs) <= max(tol * nc, floor * math.sqrt(float(x @ x)))
         if not converged:
-            d = r + (rs_new / rs) * d
+            z = _precondition(precond, r)
+            rz_new = float(r @ z)
+            d = z + (rz_new / rz) * d
             if W is not None:
-                d -= (AW @ r) @ W
-        rs = rs_new
+                d -= (AW @ z) @ W
+            rz = rz_new
     if basis is not None and nb:
         space.W = basis[:nb].copy() if nb <= RITZ_K else _lowest_ritz(basis[:nb], RITZ_K)
     return x, it, converged, history
@@ -388,17 +489,27 @@ def solve_null_control(problem: LinearControlProblem,
     its residual is below FLOOR_THETA times the Tikhonov term, which keeps
     the terminal defect within a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     of the exact regularized solve's (module docstring), and `converged`
-    means either stop was met; CG is deflated with the vectors that
-    earlier solves left in the space, and this solve refills it.  A fresh
-    `RitzSpace()` holds none, so its solve is the plain floor-stopped one.
+    means either stop was met.  Under the size rule CG is preconditioned
+    with P = G(0) + eps I, which the first solve on the space builds;
+    otherwise it is deflated with the vectors that earlier solves left in
+    the space, and this solve refills it.  A fresh `RitzSpace()` off the
+    rule holds none, so its solve is the plain floor-stopped one.
     """
-    eps = problem.effective_eps
+    grid, eps = problem.grid, problem.effective_eps
+    floor, precond = 0.0, None
+    if space is not None:
+        floor = FLOOR_THETA * eps
+        if _free_wave_fits(grid, eps):
+            # built before the solve's fields, so its scratch is freed first
+            if space.precond is None:
+                space.precond = _free_wave_preconditioner(grid, problem.region, eps)
+            precond = space.precond
+            space = None            # P replaces the deflation
     free, free_term, c = _free_response(problem)
-    op = _GramianOperator(problem.grid, problem.region, problem.potential)
+    op = _GramianOperator(grid, problem.region, problem.potential)
     rho, iters, converged, history = _cg(op, c, problem.cg_tol, problem.cg_max_iter, eps,
-                                         FLOOR_THETA * eps if space is not None else 0.0,
-                                         space)
-    op.adjoint_control(seed_from_rho(problem.grid, rho))
+                                         floor, space, precond)
+    op.adjoint_control(seed_from_rho(grid, rho))
     return _controlled_solution(problem, op, free, free_term, cg_iterations=iters,
                                 converged=bool(converged), residual_history=history,
                                 seed_coords=rho)

@@ -115,6 +115,7 @@ def test_run_writes_outputs_and_exit_zero(tmp_path):
     assert summary["geometry"]["holds"] is True
     for m in cfg["methods"]:
         assert summary["methods"][m]["status"] == "converged"
+        assert summary["methods"][m]["inner_unconverged"] == []
 
 
 def test_run_exit_two_on_cap(tmp_path):
@@ -166,6 +167,27 @@ def test_summary_order_only_for_converged_runs(status, has_order):
     assert (summary["order_fit_residual"] is not None) == has_order
     if has_order:
         assert summary["order"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_summary_lists_unconverged_inner_solves():
+    # the steps whose inner CG stopped at cg_max_iter, as the inner_converged
+    # column gives them; validate_summary takes only a list of step indices
+    records = [IterateRecord(k=k, E=0.5 ** k, sqrt_E=0.5 ** (k / 2),
+                             inner_converged=k not in (1, 3)) for k in range(5)]
+    result = LSResult(records=records, y=None, f=None, status="cap_reached", E0=1.0,
+                      M_run=0.0)
+    entry = cli.method_summary(result, wall_time=0.0)
+    assert entry["inner_unconverged"] == [1, 3]
+    summary = {"schema": "wavecontrol-summary-v1", "config_hash": "0", "scenario": "s",
+               "seed": 0, "geometry": None, "methods": {"least_squares": entry}}
+    cli.validate_summary(json.loads(json.dumps(summary)))
+    for bad in ([1.0], ["1"], [True], [-1], 3, None, "13"):
+        entry["inner_unconverged"] = bad
+        with pytest.raises(ValueError, match="inner_unconverged has wrong type"):
+            cli.validate_summary(summary)
+    del entry["inner_unconverged"]
+    with pytest.raises(ValueError, match="missing 'inner_unconverged'"):
+        cli.validate_summary(summary)
 
 
 def test_sweep_resolution_defect_decreases(tmp_path):

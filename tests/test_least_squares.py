@@ -255,3 +255,25 @@ def test_forced_lambda_matches_newton(small_problem):
                       "y_linf_L1", "inner_defect", "inner_cg_iters"):
             va, vb = getattr(ra, field), getattr(rb, field)
             assert va == vb or (math.isnan(va) and math.isnan(vb))
+
+
+def test_lipschitz_default_gramian_applies(monkeypatch, configs_dir):
+    # exact work counts of the preconditioned floor solves: the starting pair
+    # under init `linear` has P = G(0) + eps I as its operator and takes one
+    # apply; the run takes 19 (1 + 6 per Newton step)
+    from wavecontrol import cli
+    from wavecontrol.linear_control import _gramian_rho
+
+    problem, g, ls_cfg, _ = cli.build_problem(
+        cli.load_config(configs_dir / "lipschitz_default.json"))
+    assert ls_cfg.init == "linear"
+    applies = []
+    monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
+                        lambda *args: applies.append(1) or _gramian_rho(*args))
+    start = initialize(problem, g, "linear")
+    assert start.converged and start.cg_iterations == len(applies) == 1
+    applies.clear()
+    res = wc.ls_solve(problem, g, ls_cfg)
+    assert res.status == "converged"
+    assert [rec.inner_cg_iters for rec in res.records] == [6, 6, 6, 0]
+    assert len(applies) == 19

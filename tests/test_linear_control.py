@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import wavecontrol as wc
 from wavecontrol.errors import BlowupError, ConfigError
 from wavecontrol.linear_control import (FLOOR_THETA, RITZ_K, RitzSpace, _cg, _constraint_rows,
-                                        _free_response, _GramianOperator, _gramian_rho,
-                                        dual_to_rho, rho_from_seed, seed_from_rho)
+                                        _free_response, _free_wave_fits, _free_wave_gramian,
+                                        _GramianOperator, _gramian_rho, dual_to_rho,
+                                        rho_from_seed, seed_from_rho)
 
 
 @pytest.fixture()
@@ -23,10 +24,9 @@ def region(grid):
 
 
 def random_potential(grid, seed=0, scale=1.0):
-    (x,) = grid.meshgrid()
-    t = grid.time_levels()
-    return wc.SpaceTimeField(
-        grid, scale * (np.sin(3 * x)[None, :] * np.cos(t)[:, None] + 0.5))
+    x = grid.meshgrid()[0]
+    t = grid.time_levels().reshape((-1,) + (1,) * grid.dim)
+    return wc.SpaceTimeField(grid, scale * (np.sin(3 * x)[None] * np.cos(t) + 0.5))
 
 
 def random_seed_pair(grid, rng):
@@ -385,8 +385,24 @@ def potential_problem(prob, scale):
     return dataclasses.replace(prob, potential=random_potential(prob.grid, scale=scale))
 
 
+def ritz_problem(scale):
+    """A 2D floor problem off the size rule (so on the Ritz path): the first
+    eigenmode steered to rest from a sharp `sides` region, under the
+    potential scale * (sin(3x) cos(t) + 1/2)."""
+    grid = wc.SpaceTimeGrid((1.0, 1.0), (14, 14), T=2.5, nt=52)
+    X, Y = grid.meshgrid()
+    t = grid.time_levels()[:, None, None]
+    mode = np.sin(np.pi * X) * np.sin(np.pi * Y)
+    prob = wc.LinearControlProblem(
+        grid, wc.sides_region(grid, ["right", "top"], 0.3),
+        potential=wc.SpaceTimeField(grid, scale * (np.sin(3 * X)[None] * np.cos(t) + 0.5)),
+        initial=wc.StatePair(grid, mode, np.zeros(grid.shape)), cg_tol=1e-14)
+    assert not _free_wave_fits(grid, prob.effective_eps)
+    return prob
+
+
 def test_fresh_space_solve_is_the_plain_floor_solve():
-    prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
+    prob = ritz_problem(0.5)
     eps = prob.effective_eps
     op = _GramianOperator(prob.grid, prob.region, prob.potential)
     rho, iters, converged, history = _cg(op, _free_response(prob)[2], prob.cg_tol,
@@ -397,18 +413,18 @@ def test_fresh_space_solve_is_the_plain_floor_solve():
     assert first.residual_history == history
     assert np.array_equal(first.seed_coords, rho)
     assert space.W.shape == (RITZ_K, 2 * math.prod(prob.grid.interior_shape))
+    assert space.precond is None
 
 
 def test_recycled_space_saves_applies(monkeypatch):
     # the second solve pays RITZ_K applies to form (G + eps I) W, which
     # cg_iterations does not count, and still does less work in total
-    prob = floor_problem(61, (1.0 / 60) ** 2, 0.8, [(1, 1.0, 0.0)])
     space = RitzSpace()
-    first = wc.solve_null_control(potential_problem(prob, 0.5), space)
+    first = wc.solve_null_control(ritz_problem(0.5), space)
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
-    second = wc.solve_null_control(potential_problem(prob, 1.0), space)
+    second = wc.solve_null_control(ritz_problem(1.0), space)
     assert first.converged and second.converged
     assert len(applies) == second.cg_iterations + RITZ_K
     assert len(applies) < first.cg_iterations
@@ -422,9 +438,11 @@ def test_recycled_space_saves_applies(monkeypatch):
        modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                       min_size=1, max_size=3))
 def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes):
-    # harvest a space under one potential, solve under another: the deflated
-    # solve starts away from zero, so its defect obeys the nonzero-start bound
+    # fill a space under one potential, solve under another: these 1D grids
+    # fall under the size rule, so the second solve reuses the preconditioner
+    # the first built, and its defect obeys the bound
     # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
+    # (`test_recycled_ritz_floor_stop_defect_bound` covers the deflated path)
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
     space = RitzSpace()
     wc.solve_null_control(potential_problem(prob, scales[0]), space)
@@ -434,6 +452,98 @@ def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes
     assert recycled.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     assert recycled.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
+
+
+def test_recycled_ritz_floor_stop_defect_bound():
+    # the deflated solve starts away from zero, at the Galerkin solution on
+    # the harvested space, so its defect obeys the nonzero-start bound
+    space = RitzSpace()
+    wc.solve_null_control(ritz_problem(0.5), space)
+    target = ritz_problem(1.0)
+    tight = wc.solve_null_control(target)
+    recycled = wc.solve_null_control(target, space)
+    assert tight.converged and recycled.converged
+    assert recycled.cg_iterations < tight.cg_iterations
+    bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
+    assert recycled.defect <= bound * tight.defect
+
+
+# ---------------------------------------------------------------------------
+# the closed-form free-wave Gramian and the preconditioned floor solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smoothed"])
+@pytest.mark.parametrize("a", [0.0, 3.7], ids=["a=0", "a=3.7"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_free_wave_gramian_matches_operator(dim, a, smooth):
+    # G(a) in closed form against the marched operator, column by column and
+    # on random vectors, for an interval (1D) or sides (2D) region
+    if dim == 1:
+        grid = wc.SpaceTimeGrid((1.0,), (40,), T=2.5, nt=120)
+        region = wc.interval_region(grid, 0.55, 1.0, smoothing=smooth)
+    else:
+        grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
+        region = wc.sides_region(grid, ["right", "top"], 0.3, smoothing=smooth)
+    assert region.is_sharp != smooth
+    G = _free_wave_gramian(grid, region, a)
+    op = _GramianOperator(grid, region, wc.SpaceTimeField.constant(grid, a) if a else None)
+    columns = np.array([_gramian_rho(op, e) for e in np.eye(len(G))]).T
+    assert np.max(np.abs(columns - G)) <= 1e-12 * np.max(np.abs(columns))
+    for rho in np.random.default_rng(7).standard_normal((3, len(G))):
+        G_rho = _gramian_rho(op, rho)
+        assert np.linalg.norm(G @ rho - G_rho) <= 1e-12 * np.linalg.norm(G_rho)
+
+
+def test_free_wave_preconditioner_is_exact_without_potential(monkeypatch):
+    # P = G(0) + eps I is the operator of a potential-free solve: one apply
+    prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
+    assert _free_wave_fits(prob.grid, prob.effective_eps)
+    applies = []
+    monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
+                        lambda *args: applies.append(1) or _gramian_rho(*args))
+    space = RitzSpace()
+    sol = wc.solve_null_control(prob, space)
+    assert sol.converged and sol.cg_iterations == len(applies) == 1
+    assert space.W is None and space.precond is not None
+
+
+def pcg_problem(dim, nx, eps, a, modes):
+    """floor_problem in 1D; in 2D the same modes (times sin(pi y)) on an
+    nx x nx square steered from the sides (right, top) of width 1.1 - a."""
+    if dim == 1:
+        return floor_problem(nx, eps, a, modes)
+    grid = wc.SpaceTimeGrid((1.0, 1.0), (nx, nx), T=2.5,
+                            nt=math.ceil(2.5 * (nx - 1) * math.sqrt(2) / 0.9))
+    X, Y = grid.meshgrid()
+    pos = sum(p * np.sin(k * np.pi * X) for k, p, _ in modes) * np.sin(np.pi * Y)
+    vel = sum(v * np.sin(k * np.pi * X) for k, _, v in modes) * np.sin(np.pi * Y)
+    return wc.LinearControlProblem(grid, wc.sides_region(grid, ["right", "top"], 1.1 - a),
+                                   initial=wc.StatePair(grid, pos, vel), eps_reg=eps,
+                                   cg_tol=1e-14, cg_max_iter=500)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(dim=st.sampled_from([1, 2]),
+       nx=st.integers(6, 24),
+       log_eps=st.floats(-5.0, -1.0),
+       a=st.floats(0.3, 0.8),
+       scale=st.floats(-2.0, 2.0),
+       modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                      min_size=1, max_size=3))
+def test_preconditioned_floor_stop_defect_bound_property(dim, nx, log_eps, a, scale, modes):
+    # CG preconditioned with G(0) + eps I on a problem with a potential: its
+    # iterates need not grow in the Euclidean norm, so the defect obeys the
+    # bound |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14
+    # solve; 2D squares of 5 to 8 nodes a side fall under the size rule too
+    nx = nx if dim == 1 else 5 + nx % 4
+    prob = potential_problem(pcg_problem(dim, nx, 10.0 ** log_eps, a, modes), scale)
+    assert _free_wave_fits(prob.grid, prob.effective_eps)
+    tight = wc.solve_null_control(prob)
+    space = RitzSpace()
+    floor = wc.solve_null_control(prob, space)
+    assert floor.converged and space.precond is not None
+    bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
+    assert floor.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
 
 # ---------------------------------------------------------------------------

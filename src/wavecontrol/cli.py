@@ -113,10 +113,10 @@ def _numbers(d, path, keys, **kinds):
             _number(d, path, key, **kinds)
 
 
-def _vector(d, path, key) -> int:
-    """An optional number or list of numbers; returns its length, 0 when absent or null."""
+def _vector(d, path, key) -> int | None:
+    """An optional number or list of numbers; returns its length, None when absent or null."""
     if d.get(key) is None:
-        return 0
+        return None
     items = dict(enumerate(d[key] if isinstance(d[key], list) else [d[key]]))
     _numbers(items, f"{path}.{key}", items)
     return len(items)
@@ -170,7 +170,7 @@ def validate_config(cfg: dict):
     _numbers(sc, "scenario", ("cfl_factor",))
     if not isinstance(sc.get("smoothing", False), bool):
         _fail("scenario.smoothing", "must be true or false")
-    if _vector(sc, "scenario", "x0") not in (0, dim):
+    if _vector(sc, "scenario", "x0") not in (None, dim):
         _fail("scenario.x0", f"must be a number or a list of {dim} numbers")
     region = sc["region"]
     if not isinstance(region, dict) or "type" not in region:

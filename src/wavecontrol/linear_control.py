@@ -223,7 +223,7 @@ class _GramianOperator:
         self.A_rows = _field_rows(grid, A)
         # the backward march is the forward one with the potential reversed
         self.back_A = A[::-1] if A is not None else None
-        self.back_rows = self.A_rows[::-1] if A is not None else None
+        self.back_rows = self.A_rows.reversed() if A is not None else None
         self.back = np.zeros(levels)
         self.back_views = _views(grid, self.back)
         self.u = np.zeros(levels)

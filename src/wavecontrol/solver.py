@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _leapfrog
 from .errors import BlowupError
 from .fields import SpaceTimeField, StatePair
 from .grids import SpaceTimeGrid, check_same_grid
@@ -84,6 +85,9 @@ def _march(grid, y, views, position, velocity, A, S, A_rows, S_rows):
     first step reads; A_rows and S_rows are the march's rows of the same
     fields (`_field_rows`) and views those of y (`_views`).  Raises
     BlowupError at the first nonfinite level.
+
+    Levels 2..nt are stepped by the compiled kernel (`_leapfrog.c`) when it
+    loads, else by `_march_1d`/`_march_2d`; both write the same bits.
     """
     dt = grid.dt
     y[0] = position
@@ -92,9 +96,53 @@ def _march(grid, y, views, position, velocity, A, S, A_rows, S_rows):
         + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0))
     if not np.all(np.isfinite(y[1])):
         raise BlowupError(1)
-    (_march_1d if grid.dim == 1 else _march_2d)(grid, y, views, A_rows, S_rows)
+    lib = _leapfrog.LOADER.load()
+    if lib is None:
+        (_march_1d if grid.dim == 1 else _march_2d)(grid, y, views, A_rows, S_rows)
+    else:
+        level = _march_compiled(lib, grid, y, A_rows, S_rows)
+        if level:
+            raise BlowupError(level)
     # no rescan: the march raised on any nonfinite level, since a nonfinite
     # node stays nonfinite through y[nt], which is always checked
+
+
+def _march_compiled(lib, grid, y, A_rows, S_rows):
+    """Levels 2..nt of y by the compiled kernel; returns the first
+    nonfinite level, 0 when there is none."""
+    if y.dtype != np.float64 or not y.flags.c_contiguous or y.shape != (grid.nt + 1,) + grid.shape:
+        raise ValueError(f"march buffer must be C-contiguous float64 of shape "
+                         f"{(grid.nt + 1,) + grid.shape}")
+    dt2, cs, k0 = _coefficients(grid)
+    a, a_stride = _row_args(grid, A_rows)
+    s, s_stride = _row_args(grid, S_rows)
+    if grid.dim == 1:
+        return lib.march_1d(y.ctypes.data, grid.nt, *grid.shape, *cs, k0,
+                            a, a_stride, s, s_stride)
+    return lib.march_2d(y.ctypes.data, grid.nt, *grid.shape, *cs, k0, dt2,
+                        a, a_stride, s, s_stride)
+
+
+def _row_args(grid, rows):
+    """(base, stride) of a field's `_Rows` for the kernel, (None, 0) without
+    a field; checks that the kernel reads inside them."""
+    if rows is None:
+        return None, 0
+    lo, hi = (1, grid.shape[0] - 1) if grid.dim == 1 else _flat_range(grid)
+    if len(rows) != grid.nt + 1 or rows[0].shape != (hi - lo,):
+        raise ValueError(f"march rows must be {grid.nt + 1} rows of {hi - lo} nodes")
+    return rows.base, rows.stride
+
+
+def _coefficients(grid):
+    """dt^2, the per-axis dt^2/dx^2 and the centre weight 2 - 2 sum of them,
+    shared by both marches so that they round alike."""
+    dt2 = grid.dt * grid.dt
+    cs = tuple(dt2 / h ** 2 for h in grid.dx)
+    k0 = 2.0
+    for c in cs:
+        k0 = k0 - 2.0 * c
+    return dt2, cs, k0
 
 
 def _flat_range(grid):
@@ -120,6 +168,26 @@ def _views(grid, y):
             list(flat[:, lo + 1:hi + 1]), list(flat[:, lo - 1:hi - 1]))
 
 
+class _Rows(list):
+    """The march's per-level rows of one field: the list that the numpy
+    march indexes, and for the compiled kernel the address `base` of row 0
+    and the level `stride` in elements (negative for rows in reversed time).
+    The rows must be C-contiguous float64 and evenly spaced in memory."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        first = rows[0]
+        if first.dtype != np.float64 or first.ndim != 1 or not first.flags.c_contiguous:
+            raise ValueError("march rows must be contiguous float64 vectors")
+        self.base = first.ctypes.data
+        self.stride = (rows[1].ctypes.data - self.base) // first.itemsize
+        if rows[-1].ctypes.data != self.base + (len(rows) - 1) * self.stride * first.itemsize:
+            raise ValueError("march rows must be evenly spaced")
+
+    def reversed(self):
+        return _Rows(self[::-1])
+
+
 def _field_rows(grid, values):
     """Per-level rows of a potential or source array that the march reads.
 
@@ -140,9 +208,9 @@ def _source_rows(grid, values):
     and need no update."""
     if grid.dim == 2:
         lo, hi = _flat_range(grid)
-        return list(values.reshape(grid.nt + 1, -1)[:, lo:hi]), lambda: None
+        return _Rows(values.reshape(grid.nt + 1, -1)[:, lo:hi]), lambda: None
     scaled = np.empty((grid.nt + 1, grid.shape[0] - 2))
-    return list(scaled), lambda: np.multiply(values[:, 1:-1], grid.dt * grid.dt, out=scaled)
+    return _Rows(scaled), lambda: np.multiply(values[:, 1:-1], grid.dt * grid.dt, out=scaled)
 
 
 _CHECK_STRIDE = 32
@@ -161,10 +229,7 @@ def _march_1d(grid, y, views, dA, dS):
     # evaluated left to right; that order is part of the output contract
     # (byte-identical results), so only the buffers may change, not the sums.
     # The loop creates no view: views and rows come prepared.
-    dt = grid.dt
-    dt2 = dt * dt
-    c = dt2 / grid.dx[0] ** 2
-    k0 = 2.0 - 2.0 * c
+    _dt2, (c,), k0 = _coefficients(grid)
     nt = grid.nt
     mul, add, sub = np.multiply, np.add, np.subtract
     rows, inner = views
@@ -201,11 +266,7 @@ def _march_2d(grid, y, views, Ar, Sr):
     # the step writes junk there (their stencils wrap to the adjacent row),
     # which is reset to zero before anything reads it.  dt2 A[n] and dt2 S[n]
     # are formed per step in one range-sized buffer, so no field is added.
-    dt = grid.dt
-    dt2 = dt * dt
-    cx = dt2 / grid.dx[0] ** 2
-    cy = dt2 / grid.dx[1] ** 2
-    k0 = 2.0 - 2.0 * cx - 2.0 * cy
+    dt2, (cx, cy), k0 = _coefficients(grid)
     nt = grid.nt
     lo, hi = _flat_range(grid)
     mul, add, sub = np.multiply, np.add, np.subtract

@@ -1,15 +1,47 @@
 """Shared fixtures: canonical problems and the expensive desk-scale runs."""
 
+import contextlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wavecontrol as wc
+from wavecontrol import _leapfrog
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = REPO_ROOT / "configs"
+
+# the compiled march is under test wherever a compiler is
+MARCH_KERNELS = ("numpy", "compiled") if shutil.which("cc") else ("numpy",)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """The compiled kernel's cache for the session, outside the user's home.
+
+    Subprocesses the tests start inherit it through the environment."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
+class _NoKernel:
+    def load(self):
+        return None
+
+
+@contextlib.contextmanager
+def march_kernel(name):
+    """March on one kernel of MARCH_KERNELS inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "numpy":
+            mp.setattr(_leapfrog, "LOADER", _NoKernel())
+        else:
+            assert _leapfrog.LOADER.load() is not None, "cc is on PATH, the kernel must load"
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -85,12 +85,23 @@ def test_unknown_method_rejected(tmp_path, capsys):
     ("sweep", {"path": 5, "values": [1]}),
     ("output_dir", 5),
     ("scenario.smoothing", "no"),
+    ("scenario.x0", []),
 ])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, key, value):
     path, _ = small_linear_config(tmp_path, **{key: value})
     assert run_cli(["run", "--config", path, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key.split(".")[-1] in err
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_empty_2d_x0_is_a_config_error(tmp_path, capsys, command):
+    cfg = load_json(CONFIGS / "smoke_2d.json")
+    cfg["scenario"]["x0"] = []
+    path = tmp_path / "x0.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
+    assert "config error: scenario.x0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)

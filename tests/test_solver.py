@@ -7,6 +7,8 @@ import wavecontrol as wc
 from wavecontrol.errors import BlowupError, ConfigError
 from wavecontrol.solver import _CHECK_STRIDE, laplacian_interior
 
+from conftest import MARCH_KERNELS, march_kernel
+
 
 def eigenmode_problem(nx, nt, T=1.0):
     grid = wc.SpaceTimeGrid((1.0,), (nx,), T=T, nt=nt)
@@ -209,13 +211,21 @@ def blowup_case(dim, nt, T):
     pytest.param(1, 110, 1.375, 97, id="1d-final"),
     pytest.param(2, 140, 7.0 / 6.0, 109, id="2d-in-loop"),
     pytest.param(2, 120, 1.0, 109, id="2d-final"),
+    # just below a check level: the in-loop check at level 96 finds it
+    pytest.param(1, 160, 2.16, 95, id="1d-below-check"),
+    pytest.param(2, 140, 1.9, 95, id="2d-below-check"),
 ])
 def test_blowup_reports_first_bad_level(dim, nt, T, expected):
+    for kernel in MARCH_KERNELS:
+        with march_kernel(kernel):
+            assert first_bad_level(dim, nt, T) == expected, kernel
+
+
+def first_bad_level(dim, nt, T):
     grid, A, init = blowup_case(dim, nt, T)
     with pytest.raises(BlowupError) as err:
         wc.solve_forward(grid, A, None, init)
     level = err.value.time_level
-    assert level == expected
     assert level % _CHECK_STRIDE != 0
     assert str(level) in str(err.value)
     # truncated re-runs with the same dt: levels up to level-1 are finite
@@ -228,6 +238,7 @@ def test_blowup_reports_first_bad_level(dim, nt, T, expected):
     with pytest.raises(BlowupError) as err_stop:
         wc.solve_forward(stop, A_stop, None, init_stop)
     assert err_stop.value.time_level == level
+    return level
 
 
 def _reference_lap(grid, v):
@@ -307,15 +318,19 @@ def test_march_matches_reference_bitwise(nodes, with_A, with_S):
     pos[(slice(1, -1),) * dim] = rng.standard_normal(grid.interior_shape)
     init = wc.StatePair(grid, pos, rng.standard_normal(grid.shape))
 
-    y = wc.solve_forward(grid, A, S, init)
-    assert np.array_equal(y.values, reference_forward(grid, A, S, init))
-
+    expected = reference_forward(grid, A, S, init)
     # the backward solve takes no source: it is the reversed forward march
-    # with reversed potential and negated velocity
-    phi = wc.solve_backward(grid, A, init)
+    # with reversed potential (read with a negative level stride) and
+    # negated velocity
     rev_A = wc.SpaceTimeField(grid, A.values[::-1]) if with_A else None
     flipped = wc.StatePair(grid, init.position, -init.velocity)
-    assert np.array_equal(phi.values, reference_forward(grid, rev_A, None, flipped)[::-1])
+    expected_back = reference_forward(grid, rev_A, None, flipped)[::-1]
+    for kernel in MARCH_KERNELS:
+        with march_kernel(kernel):
+            y = wc.solve_forward(grid, A, S, init)
+            phi = wc.solve_backward(grid, A, init)
+        assert np.array_equal(y.values, expected), kernel
+        assert np.array_equal(phi.values, expected_back), kernel
 
 
 @pytest.mark.parametrize("other", [((1.0,), (30,)), ((2.0,), (51,))],

@@ -6,12 +6,13 @@
  * and no sum is reassociated, and the trajectory equals the numpy march
  * bit for bit.  y is the C-contiguous trajectory, (nt+1) levels of n nodes
  * (2D: n = nx*ny, C order) with level 0 and 1 already written and zeros on
- * the boundary.  a and s are the march's rows of the potential and the
- * source (NULL when absent): row n starts at a + n*a_stride (the stride may
- * be negative) and holds the interior nodes (1D) or the flat node range
- * [ny+1, (nx-1)*ny-1) (2D).  Both return the first level that holds a
- * nonfinite value, 0 when there is none; the march stops at the check that
- * finds it, as the numpy march does.
+ * the boundary.  a and s are the potential and the source (NULL when
+ * absent), unscaled: level n starts at a + n*a_stride (the stride may be
+ * negative, for a field in reversed time) and holds its n nodes
+ * contiguously, in the order of y's, so both are read at y's node index.
+ * Both loops return the first level that holds a nonfinite value, 0 when
+ * there is none; the march stops at the check that finds it, as the numpy
+ * march does.
  */
 #include <math.h>
 #include <stddef.h>
@@ -46,29 +47,30 @@ static ptrdiff_t check(const double *y, ptrdiff_t n, ptrdiff_t m, ptrdiff_t nt)
     return 0;
 }
 
-/* ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S; a and s are
- * scaled by dt2 already. */
+/* ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S */
 static void step_1d(double *restrict out, const double *restrict cur,
                     const double *restrict prev, const double *restrict a,
-                    const double *restrict s, ptrdiff_t nx, double c, double k0)
+                    const double *restrict s, ptrdiff_t nx, double c, double k0,
+                    double dt2)
 {
     for (ptrdiff_t i = 1; i < nx - 1; i++) {
         double v = k0 * cur[i] + c * cur[i + 1] + c * cur[i - 1] - prev[i];
         if (a)
-            v = v - a[i - 1] * cur[i];
+            v = v - a[i] * dt2 * cur[i];
         if (s)
-            v = v + s[i - 1];
+            v = v + s[i] * dt2;
         out[i] = v;
     }
 }
 
 ptrdiff_t march_1d(double *y, ptrdiff_t nt, ptrdiff_t nx, double c, double k0,
-                   const double *a, ptrdiff_t a_stride,
+                   double dt2, const double *a, ptrdiff_t a_stride,
                    const double *s, ptrdiff_t s_stride)
 {
     for (ptrdiff_t n = 1; n < nt; n++) {
         step_1d(y + (n + 1) * nx, y + n * nx, y + (n - 1) * nx,
-                a ? a + n * a_stride : NULL, s ? s + n * s_stride : NULL, nx, c, k0);
+                a ? a + n * a_stride : NULL, s ? s + n * s_stride : NULL, nx, c, k0,
+                dt2);
         ptrdiff_t bad = check(y, nx, n + 1, nt);
         if (bad)
             return bad;
@@ -77,7 +79,7 @@ ptrdiff_t march_1d(double *y, ptrdiff_t nt, ptrdiff_t nx, double c, double k0,
 }
 
 /* ((((k0 y - y_prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) y) + dt2 S on
- * the interior of one level; a and s are indexed from flat node ny+1. */
+ * the interior of one level. */
 static void step_2d(double *restrict out, const double *restrict cur,
                     const double *restrict prev, const double *restrict a,
                     const double *restrict s, ptrdiff_t nx, ptrdiff_t ny,
@@ -92,9 +94,9 @@ static void step_2d(double *restrict out, const double *restrict cur,
             v = v + cx * (cur[k + ny] + cur[k - ny]);
             v = v + cy * (cur[k + 1] + cur[k - 1]);
             if (a)
-                v = v - a[k - ny - 1] * dt2 * cur[k];
+                v = v - a[k] * dt2 * cur[k];
             if (s)
-                v = v + s[k - ny - 1] * dt2;
+                v = v + s[k] * dt2;
             out[k] = v;
         }
     }

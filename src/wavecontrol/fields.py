@@ -83,7 +83,9 @@ class SpaceTimeField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # C order, copied only when it is not: the compiled march reads each
+        # time level as one contiguous block
+        v = np.ascontiguousarray(self.values, dtype=float)
         expected = (self.grid.nt + 1,) + self.grid.shape
         if v.shape != expected:
             raise ConfigError(f"field shape {v.shape} does not match grid {expected}")

@@ -72,12 +72,12 @@ A `_GramianOperator` on (grid, region, potential) is the one place that
 turns an adjoint seed into a control (`adjoint_control`: u = chi phi)
 and a control into the state it drives from rest (`from_rest`).  It
 owns every full-size field these write: the backward trajectory, the
-control u, the forward trajectory and, in 1D, the march's dt^2-scaled
-rows of u and of the potential.  The march's row views of each are built
-with it.  So a Gramian apply (`_gramian_rho`: both halves in turn)
-allocates no full-size array.  Fresh arrays of about 1 MB and more can
-go back to the kernel when freed, and repeated applies that allocate
-them take about 900 page faults each at nx = 200, nt = 600.  Its marches
+control u and the forward trajectory.  The march reads the potential and
+u where they are, the potential in reversed time for the backward half.
+So a Gramian apply (`_gramian_rho`: both halves in turn) allocates no
+full-size array.  Fresh arrays of about 1 MB and more can go back to
+the kernel when freed, and repeated applies that allocate them take
+about 900 page faults each at nx = 200, nt = 600.  Its marches
 run the same stepping kernels as `solve_forward` and give the same bits,
 but do not call it.  `solve_null_control` hands one operator to CG and
 then reconstructs the controlled solution in it: the backward
@@ -107,8 +107,7 @@ from .errors import ConfigError
 from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficients,
                      h10_norm, l2_qt, linf_lp, sine_coefficients, v_norm)
 from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
-from .solver import (_field_rows, _march, _source_rows, _terminal_velocity, _views,
-                     solve_forward, terminal_state)
+from .solver import _march, _terminal_velocity, solve_forward, terminal_state
 
 FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
 RITZ_K = 16             # deflation vectors a RitzSpace carries between solves
@@ -209,10 +208,9 @@ class _GramianOperator:
     potential), in fields built once.
 
     Owns the backward trajectory (in reversed time, as the time-reversed
-    forward march writes it), the control u and the forward trajectory z,
-    each with the march's views of it, and the march's rows of u and of
-    the potential (in 1D dt^2 times the interior, which the backward march
-    reads in reverse).  Neither half allocates a full-size array.
+    forward march writes it), the control u and the forward trajectory z.
+    The marches read the potential and u in place, the backward one the
+    potential in reversed time.  Neither half allocates a full-size array.
     """
 
     def __init__(self, grid, region, potential):
@@ -220,23 +218,17 @@ class _GramianOperator:
         self.grid = grid
         self.weights = region.weights
         self.A = A = potential.values if potential is not None else None
-        self.A_rows = _field_rows(grid, A)
         # the backward march is the forward one with the potential reversed
         self.back_A = A[::-1] if A is not None else None
-        self.back_rows = self.A_rows.reversed() if A is not None else None
         self.back = np.zeros(levels)
-        self.back_views = _views(grid, self.back)
         self.u = np.zeros(levels)
-        self.u_rows, self.refresh_u_rows = _source_rows(grid, self.u)
         self.z = np.zeros(levels)
-        self.z_views = _views(grid, self.z)
         self.rest = np.zeros(grid.shape)
 
     def adjoint_control(self, seed: StatePair):
         """Write into u the control chi * phi, phi the adjoint solved
         backward from `seed` (data of phi at t=T)."""
-        _march(self.grid, self.back, self.back_views, seed.position, -seed.velocity,
-               self.back_A, None, self.back_rows, None)
+        _march(self.grid, self.back, seed.position, -seed.velocity, self.back_A, None)
         np.multiply(self.back[::-1], self.weights, out=self.u)
         self.u[-1] = 0.0          # final level carries no quadrature weight
 
@@ -244,9 +236,7 @@ class _GramianOperator:
         """Write into z the state driven from rest by the control u; returns
         its scheme-exact terminal state."""
         grid = self.grid
-        self.refresh_u_rows()
-        _march(grid, self.z, self.z_views, self.rest, self.rest, self.A, self.u,
-               self.A_rows, self.u_rows)
+        _march(grid, self.z, self.rest, self.rest, self.A, self.u)
         velocity = np.zeros(grid.shape)
         velocity[(slice(1, -1),) * grid.dim] = _terminal_velocity(grid, self.z, self.A, self.u)
         return StatePair._trusted(grid, self.z[-1].copy(), velocity)
@@ -462,7 +452,7 @@ def _free_response(problem):
 def _controlled_solution(problem, op, free, free_term, **solver_info) -> ControlSolution:
     """The control in op.u and its state: the response from rest, written into
     op.z once the backward trajectory is freed, plus the free solution."""
-    del op.back, op.back_views          # the forward march reads only u
+    del op.back                 # the forward march reads only u
     w_term = op.from_rest()
     if free is not None:
         op.z += free.values

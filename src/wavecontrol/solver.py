@@ -72,19 +72,17 @@ def solve_forward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     A = potential.values if potential is not None else None
     S = source.values if source is not None else None
     y = np.zeros((grid.nt + 1,) + grid.shape)
-    _march(grid, y, _views(grid, y), init.position, init.velocity, A, S,
-           _field_rows(grid, A), _field_rows(grid, S))
+    _march(grid, y, init.position, init.velocity, A, S)
     return SpaceTimeField._trusted(grid, y)
 
 
-def _march(grid, y, views, position, velocity, A, S, A_rows, S_rows):
+def _march(grid, y, position, velocity, A, S):
     """Fill the trajectory buffer y from the data (position, velocity) at t=0.
 
     No step writes the boundary nodes of levels 1..nt, so y must hold zeros
-    there.  A and S are the potential and source arrays (or None) that the
-    first step reads; A_rows and S_rows are the march's rows of the same
-    fields (`_field_rows`) and views those of y (`_views`).  Raises
-    BlowupError at the first nonfinite level.
+    there.  A and S are the potential and source arrays (or None), shaped
+    as y; a field in reversed time, such as the backward march's `A[::-1]`,
+    is read as it is.  Raises BlowupError at the first nonfinite level.
 
     Levels 2..nt are stepped by the compiled kernel (`_leapfrog.c`) when it
     loads, else by `_march_1d`/`_march_2d`; both write the same bits.
@@ -98,40 +96,44 @@ def _march(grid, y, views, position, velocity, A, S, A_rows, S_rows):
         raise BlowupError(1)
     lib = _leapfrog.LOADER.load()
     if lib is None:
-        (_march_1d if grid.dim == 1 else _march_2d)(grid, y, views, A_rows, S_rows)
+        (_march_1d if grid.dim == 1 else _march_2d)(grid, y, A, S)
     else:
-        level = _march_compiled(lib, grid, y, A_rows, S_rows)
+        level = _march_compiled(lib, grid, y, A, S)
         if level:
             raise BlowupError(level)
     # no rescan: the march raised on any nonfinite level, since a nonfinite
     # node stays nonfinite through y[nt], which is always checked
 
 
-def _march_compiled(lib, grid, y, A_rows, S_rows):
+def _march_compiled(lib, grid, y, A, S):
     """Levels 2..nt of y by the compiled kernel; returns the first
     nonfinite level, 0 when there is none."""
     if y.dtype != np.float64 or not y.flags.c_contiguous or y.shape != (grid.nt + 1,) + grid.shape:
         raise ValueError(f"march buffer must be C-contiguous float64 of shape "
                          f"{(grid.nt + 1,) + grid.shape}")
     dt2, cs, k0 = _coefficients(grid)
-    a, a_stride = _row_args(grid, A_rows)
-    s, s_stride = _row_args(grid, S_rows)
-    if grid.dim == 1:
-        return lib.march_1d(y.ctypes.data, grid.nt, *grid.shape, *cs, k0,
-                            a, a_stride, s, s_stride)
-    return lib.march_2d(y.ctypes.data, grid.nt, *grid.shape, *cs, k0, dt2,
-                        a, a_stride, s, s_stride)
+    march = lib.march_1d if grid.dim == 1 else lib.march_2d
+    return march(y.ctypes.data, grid.nt, *grid.shape, *cs, k0, dt2,
+                 *_level_args(grid, A), *_level_args(grid, S))
 
 
-def _row_args(grid, rows):
-    """(base, stride) of a field's `_Rows` for the kernel, (None, 0) without
-    a field; checks that the kernel reads inside them."""
-    if rows is None:
+def _level_args(grid, values):
+    """(address of level 0, level stride in elements) of a potential or
+    source array for the kernel, (None, 0) without one.
+
+    Checks that the kernel reads it as it reads y: float64, of y's shape,
+    each level C-contiguous, levels a whole number of elements apart.  The
+    stride may be negative (a field in reversed time).
+    """
+    if values is None:
         return None, 0
-    lo, hi = (1, grid.shape[0] - 1) if grid.dim == 1 else _flat_range(grid)
-    if len(rows) != grid.nt + 1 or rows[0].shape != (hi - lo,):
-        raise ValueError(f"march rows must be {grid.nt + 1} rows of {hi - lo} nodes")
-    return rows.base, rows.stride
+    shape = (grid.nt + 1,) + grid.shape
+    if values.dtype != np.float64 or values.shape != shape:
+        raise ValueError(f"march fields must be float64 of shape {shape}")
+    if not values[0].flags.c_contiguous or values.strides[0] % values.itemsize:
+        raise ValueError("march fields must hold C-contiguous levels, "
+                         "a whole number of elements apart")
+    return values.ctypes.data, values.strides[0] // values.itemsize
 
 
 def _coefficients(grid):
@@ -145,72 +147,14 @@ def _coefficients(grid):
     return dt2, cs, k0
 
 
-def _flat_range(grid):
-    """[lo, hi): the flat node indices i*ny + j that the 2D march steps."""
-    nx, ny = grid.shape
-    return ny + 1, (nx - 1) * ny - 1
-
-
-def _views(grid, y):
-    """Per-level views of the trajectory buffer y that the march steps through.
-
-    1D: whole rows and interior rows.  2D: the j = 0, ny-1 edge nodes of the
-    inner rows, then the flat range [lo, hi) and its x (+-ny) and y (+-1)
-    neighbour ranges.  Built once per buffer, so the march creates none.
-    """
-    if grid.dim == 1:
-        return list(y), list(y[:, 1:-1])
-    ny = grid.shape[1]
-    lo, hi = _flat_range(grid)
-    flat = y.reshape(grid.nt + 1, -1)   # a view: y is C-contiguous
-    return (list(y[:, 1:-1, ::ny - 1]), list(flat[:, lo:hi]),
-            list(flat[:, lo + ny:hi + ny]), list(flat[:, lo - ny:hi - ny]),
-            list(flat[:, lo + 1:hi + 1]), list(flat[:, lo - 1:hi - 1]))
-
-
-class _Rows(list):
-    """The march's per-level rows of one field: the list that the numpy
-    march indexes, and for the compiled kernel the address `base` of row 0
-    and the level `stride` in elements (negative for rows in reversed time).
-    The rows must be C-contiguous float64 and evenly spaced in memory."""
-
-    def __init__(self, rows):
-        super().__init__(rows)
-        first = rows[0]
-        if first.dtype != np.float64 or first.ndim != 1 or not first.flags.c_contiguous:
-            raise ValueError("march rows must be contiguous float64 vectors")
-        self.base = first.ctypes.data
-        self.stride = (rows[1].ctypes.data - self.base) // first.itemsize
-        if rows[-1].ctypes.data != self.base + (len(rows) - 1) * self.stride * first.itemsize:
-            raise ValueError("march rows must be evenly spaced")
-
-    def reversed(self):
-        return _Rows(self[::-1])
-
-
-def _field_rows(grid, values):
-    """Per-level rows of a potential or source array that the march reads.
-
-    1D: dt^2 times the interior, scaled here once.  2D: views of the flat
-    range, which the march scales per step, so no field is added.
-    """
+def _level_rows(values, lo, hi):
+    """Per-level views of the flat node range [lo, hi) of an array shaped
+    as the trajectory (None for None), built once per march so that its
+    loop creates none.  They write through to y, whose levels are
+    C-contiguous."""
     if values is None:
         return None
-    rows, refresh = _source_rows(grid, values)
-    refresh()
-    return rows
-
-
-def _source_rows(grid, values):
-    """The rows of `_field_rows` for a buffer that is rewritten between
-    marches, and the call that brings them up to date after each rewrite:
-    in 1D it scales the interior into the rows in place, 2D rows are views
-    and need no update."""
-    if grid.dim == 2:
-        lo, hi = _flat_range(grid)
-        return _Rows(values.reshape(grid.nt + 1, -1)[:, lo:hi]), lambda: None
-    scaled = np.empty((grid.nt + 1, grid.shape[0] - 2))
-    return _Rows(scaled), lambda: np.multiply(values[:, 1:-1], grid.dt * grid.dt, out=scaled)
+    return list(values.reshape(len(values), -1)[:, lo:hi])
 
 
 _CHECK_STRIDE = 32
@@ -224,18 +168,19 @@ def _blowup_scan(y, lo, hi):
     raise BlowupError(hi)
 
 
-def _march_1d(grid, y, views, dA, dS):
+def _march_1d(grid, y, A, S):
     # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S,
     # evaluated left to right; that order is part of the output contract
     # (byte-identical results), so only the buffers may change, not the sums.
-    # The loop creates no view: views and rows come prepared.
-    _dt2, (c,), k0 = _coefficients(grid)
-    nt = grid.nt
+    # dt2 A[n] and dt2 S[n] are formed per step in one row-sized buffer.
+    dt2, (c,), k0 = _coefficients(grid)
+    nt, nx = grid.nt, grid.shape[0]
     mul, add, sub = np.multiply, np.add, np.subtract
-    rows, inner = views
-    cy = np.empty(grid.shape[0])
+    rows = list(y)
+    inner, a, s = (_level_rows(v, 1, nx - 1) for v in (y, A, S))
+    cy = np.empty(nx)
     cy_r, cy_l = cy[2:], cy[:-2]
-    tmp = np.empty(grid.shape[0] - 2)
+    tmp = np.empty(nx - 2)
     # overflow is detected and reported, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
@@ -246,18 +191,20 @@ def _march_1d(grid, y, views, dA, dS):
             add(out, cy_r, out=out)
             add(out, cy_l, out=out)
             sub(out, inner[n - 1], out=out)
-            if dA is not None:
-                mul(dA[n], core, out=tmp)
+            if a is not None:
+                mul(a[n], dt2, out=tmp)
+                mul(tmp, core, out=tmp)
                 sub(out, tmp, out=out)
-            if dS is not None:
-                add(out, dS[n], out=out)
+            if s is not None:
+                mul(s[n], dt2, out=tmp)
+                add(out, tmp, out=out)
             if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(out)):
                 _blowup_scan(y, n + 2 - _CHECK_STRIDE, n + 1)
     if not np.all(np.isfinite(y[nt])):
         _blowup_scan(y, max(1, nt + 1 - _CHECK_STRIDE), nt)
 
 
-def _march_2d(grid, y, views, Ar, Sr):
+def _march_2d(grid, y, A, S):
     # Per node: ((((k0 core - prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) core) + dt2 S,
     # in this order.  Each level is marched as one contiguous flat range
     # [lo, hi) of node indices i*ny + j, from the first interior node to the
@@ -268,9 +215,12 @@ def _march_2d(grid, y, views, Ar, Sr):
     # are formed per step in one range-sized buffer, so no field is added.
     dt2, (cx, cy), k0 = _coefficients(grid)
     nt = grid.nt
-    lo, hi = _flat_range(grid)
+    nx, ny = grid.shape
+    lo, hi = ny + 1, (nx - 1) * ny - 1
     mul, add, sub = np.multiply, np.add, np.subtract
-    edges, core, xp, xm, yp, ym = views
+    edges = list(y[:, 1:-1, ::ny - 1])
+    core, xp, xm, yp, ym = (_level_rows(y, lo + d, hi + d) for d in (0, ny, -ny, 1, -1))
+    a, s = _level_rows(A, lo, hi), _level_rows(S, lo, hi)
     tmp = np.empty(hi - lo)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nt):
@@ -284,12 +234,12 @@ def _march_2d(grid, y, views, Ar, Sr):
             add(yp[n], ym[n], out=tmp)
             mul(tmp, cy, out=tmp)
             add(out, tmp, out=out)
-            if Ar is not None:
-                mul(Ar[n], dt2, out=tmp)
+            if a is not None:
+                mul(a[n], dt2, out=tmp)
                 mul(tmp, cur, out=tmp)
                 sub(out, tmp, out=out)
-            if Sr is not None:
-                mul(Sr[n], dt2, out=tmp)
+            if s is not None:
+                mul(s[n], dt2, out=tmp)
                 add(out, tmp, out=out)
             edges[n + 1].fill(0.0)
             if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(out)):

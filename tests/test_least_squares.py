@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
 from wavecontrol.errors import ConfigError, InsufficientRecords
@@ -103,6 +104,40 @@ def test_line_search_converged_at_zero_residual(small_problem):
     zero = wc.SpaceTimeField.zeros(grid)
     res = wc.line_search(zero, zero, zero, wc.builtin("zero"), m=2.0)
     assert res.status == "converged" and res.lam == 0.0 and res.E_new == 0.0
+
+
+LINE_SEARCH_G = {"lipschitz_sat": wc.builtin("lipschitz_sat", kappa=5.0),
+                 "cubic_sat": wc.builtin("cubic_sat", R=5.0)}
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(dim=st.sampled_from([1, 2]), name=st.sampled_from(sorted(LINE_SEARCH_G)),
+       m=st.floats(1.0, 4.0), scale=st.floats(0.1, 3.0), r_exp=st.integers(-12, 0),
+       seed=st.integers(0, 2**16))
+def test_line_search_never_raises_E(dim, name, m, scale, r_exp, seed):
+    # random fields in place of a descent direction: no PDE solve.  A
+    # residual far below the step's curvature term makes the search stagnate,
+    # so both outcomes are drawn
+    grid = wc.SpaceTimeGrid((1.0,) * dim, (9,) * dim, T=1.0, nt=12)
+    rng = np.random.default_rng(seed)
+    shape = (grid.nt + 1,) + grid.shape
+    y, Y1 = (wc.SpaceTimeField(grid, scale * rng.standard_normal(shape)) for _ in range(2))
+    r = wc.SpaceTimeField(grid, 10.0 ** r_exp * scale * rng.standard_normal(shape))
+    g = LINE_SEARCH_G[name]
+    res = wc.line_search(y, r, Y1, g, m)
+
+    sl = (slice(1, -1),) * (dim + 1)
+    y_mid, r_mid, Y_mid = y.values[sl], r.values[sl], Y1.values[sl]
+
+    def E_at(lam):
+        val = (1.0 - lam) * r_mid + (g.g(y_mid - lam * Y_mid) - g.g(y_mid)
+                                     + lam * g.dg(y_mid) * Y_mid)
+        return 0.5 * grid.dt * math.prod(grid.dx) * float(np.sum(val * val))
+
+    assert 0.0 <= res.lam <= m
+    assert res.E_new <= E_at(0.0)
+    assert res.E_new == pytest.approx(E_at(res.lam), rel=1e-12)
+    assert (res.status == "stagnated") == (res.lam == 0.0)
 
 
 def test_line_search_on_synthetic_profile():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from wavecontrol.linear_control import (FLOOR_THETA, RITZ_K, RitzSpace, _cg, _co
                                         _free_response, _free_wave_fits, _free_wave_gramian,
                                         _GramianOperator, _gramian_rho, dual_to_rho,
                                         rho_from_seed, seed_from_rho)
+
+from conftest import MARCH_KERNELS, march_kernel
 
 
 @pytest.fixture()
@@ -174,6 +177,33 @@ def test_solutions_are_the_public_reconstruction(dim, with_data):
     u = np.zeros(mask.shape)
     u[mask] = (Ct.T @ rho) / sqrt_w
     assert_reconstructs(oracle, prob, wc.SpaceTimeField(grid, u))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_repeated_applies_allocate_no_field(dim):
+    # the marches read the potential, its time reversal and the control in
+    # place: a per-apply copy of any of them would peak at a whole field
+    if dim == 1:
+        grid = wc.SpaceTimeGrid((1.0,), (200,), T=2.5, nt=600)
+        region = wc.interval_region(grid, 0.8, 1.0)
+    else:
+        grid = wc.SpaceTimeGrid((1.0, 1.0), (40, 40), T=3.5, nt=210)
+        region = wc.sides_region(grid, ["right", "top"], 0.15)
+    field_bytes = 8 * (grid.nt + 1) * math.prod(grid.shape)
+    A = wc.SpaceTimeField.constant(grid, 0.5)
+    rho = np.random.default_rng(0).standard_normal(2 * math.prod(grid.interior_shape))
+    for kernel in MARCH_KERNELS:
+        with march_kernel(kernel):
+            op = _GramianOperator(grid, region, A)
+            _gramian_rho(op, rho)
+            tracemalloc.start()
+            try:
+                for _ in range(3):
+                    _gramian_rho(op, rho)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * field_bytes, (kernel, peak / field_bytes)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError
+from .errors import BlowupError, ConfigError, whole_number
 from .fields import SpaceTimeField, h10_norm, l2_qt, linf_l1, linf_lp, v_norm
 from .least_squares import (DIVERGENCE_THRESHOLD, IterateRecord, LSConfig, LSResult,
                             TargetProblem, initialize, ls_solve)
@@ -35,6 +35,13 @@ class FixedPointConfig:
     step_tol: float = 1e-10         # fixed-point detector on |y_{k+1} - y_k|
     max_outer: int = 50
     e_floor: float = 1e-20
+
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("fixed_point.tol must be positive and finite")
+        if not (math.isfinite(self.step_tol) and math.isfinite(self.e_floor)):
+            raise ConfigError("fixed_point.step_tol and e_floor must be finite")
+        self.max_outer = whole_number("fixed_point.max_outer", self.max_outer)
 
 
 def newton_classic_solve(problem: TargetProblem, g: Nonlinearity,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .baselines import (FixedPointConfig, newton_classic_solve, picard_solve,
                         variant_solve)
-from .errors import ConfigError, InsufficientRecords
+from .errors import ConfigError, InsufficientRecords, whole_number
 from .grids import (SpaceTimeGrid, check_geometric_condition, interval_region,
                     rectangle_region, sides_region)
 from .least_squares import LSConfig, TargetProblem, estimate_order, ls_solve
@@ -124,8 +124,8 @@ def _vector(d, path, key) -> int | None:
 
 def _count(d, path, key):
     """An optional nonnegative integer."""
-    if key in d and _number(d, path, key, integer=True) < 0:
-        _fail(f"{path}.{key}", "must be nonnegative")
+    if key in d:
+        whole_number(f"{path}.{key}", d[key])
 
 
 def load_config(path) -> dict:

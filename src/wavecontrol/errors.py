@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import math
+from numbers import Real
 
 
 class ConfigError(ValueError):
@@ -15,3 +19,12 @@ class BlowupError(RuntimeError):
 
 class InsufficientRecords(ValueError):
     """Not enough usable iterates for a convergence-order fit."""
+
+
+def whole_number(name, value, least=0) -> int:
+    """value as an int when it is a whole number (an int or an integral
+    float, not a bool) of at least `least`; ConfigError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or value != int(value) or value < least):
+        raise ConfigError(f"{name}: must be a whole number >= {least}")
+    return int(value)

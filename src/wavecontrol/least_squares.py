@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, InsufficientRecords
+from .errors import BlowupError, ConfigError, InsufficientRecords, whole_number
 from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, v_norm
 from .grids import ControlRegion, SpaceTimeGrid
-from .linear_control import LinearControlProblem, RitzSpace, solve_null_control
+from .linear_control import FloorSpace, LinearControlProblem, solve_null_control
 from .nonlinearity import Nonlinearity, beta_star
 from .solver import residual_field
 
@@ -50,6 +50,10 @@ class TargetProblem:
     eps_reg: float | None = None            # inner Tikhonov parameter, None -> min(dx)^2
     cg_tol: float = 1e-8
     cg_max_iter: int = 500
+
+    def __post_init__(self):
+        # the inner settings are checked now, not at the first solve
+        self.inner_problem(None, None, self.initial, self.target)
 
     def inner_problem(self, potential, source, initial, target) -> LinearControlProblem:
         return LinearControlProblem(
@@ -73,13 +77,17 @@ class LSConfig:
     init: str = "linear"              # or "linear_frozen"
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ConfigError("line-search bound m must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not 1 <= self.m < math.inf:
+            raise ConfigError("line-search bound m must be finite and >= 1")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tolerance must be positive and finite")
         if not self.refine_rel_width > 0:
             # the golden-section refinement would never end
             raise ConfigError("least_squares.refine_rel_width must be positive")
+        if not (math.isfinite(self.e_floor) and math.isfinite(self.C)):
+            raise ConfigError("least_squares.e_floor and C must be finite")
+        self.max_outer = whole_number("least_squares.max_outer", self.max_outer)
+        self.scan_points = whole_number("least_squares.scan_points", self.scan_points, 1)
 
 
 @dataclass
@@ -121,7 +129,7 @@ def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
 
 
 def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField,
-                 space: RitzSpace):
+                 space: FloorSpace):
     """Null-controlled pair of the linearized equation with potential gp = g'(y)
     and source r, CG stopped at the Tikhonov floor and accelerated by `space`.
 
@@ -146,7 +154,7 @@ def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField
     """
     r = residual_field(y, f, g, problem.region)
     inner = _newton_step(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r,
-                         RitzSpace())
+                         FloorSpace())
     return inner.trajectory, inner.control, inner, r
 
 
@@ -263,17 +271,17 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
 
 
 def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str,
-               space: RitzSpace | None = None):
+               space: FloorSpace | None = None):
     """Starting pair: the controlled solution of a linear surrogate problem.
 
     linear         potential 0, source 0 (the g = 0 problem)
     linear_frozen  potential g'(0), source -g(0)
 
-    CG stops at the Tikhonov floor, as in every Newton step, and fills
-    `space` (a fresh one when None) for the steps: with the free-wave
-    preconditioner P = G(0) + eps I under the size rule of
-    `linear_control`, which is this solve's exact operator under
-    `linear`, and with Ritz vectors otherwise.
+    CG stops at the Tikhonov floor, as in every Newton step, and builds
+    the free-wave preconditioner P = G(0) + eps I of `linear_control` in
+    `space` (a fresh one when None) for the steps.  Under `linear` P is
+    this solve's exact operator, applied exactly under the size rule and
+    by its diagonal otherwise.
     """
     grid = problem.grid
     if strategy == "linear":
@@ -287,7 +295,7 @@ def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str,
     return solve_null_control(problem.inner_problem(
         potential=potential, source=source,
         initial=problem.initial, target=problem.target),
-        RitzSpace() if space is None else space)
+        FloorSpace() if space is None else space)
 
 
 def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = None,
@@ -297,15 +305,14 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     stagnation/failure status.
 
     The inner solves of one run differ only in potential and right-hand
-    side, so they share one `RitzSpace`: under the size rule of
-    `linear_control` (every committed 1D config with eps > 0) each is
-    preconditioned with the closed-form P = G(0) + eps I that the starting
-    pair builds; otherwise each deflates CG with the lowest Ritz vectors
-    of the solves before it.
+    side, so they share one `FloorSpace`: each is preconditioned with the
+    closed-form P = G(0) + eps I that the starting pair builds, applied
+    exactly under the size rule of `linear_control` (every committed 1D
+    config with eps > 0) and by its diagonal otherwise (2D).
     """
     config = config or LSConfig()
     grid, region = problem.grid, problem.region
-    space = RitzSpace()
+    space = FloorSpace()
     init_sol = initialize(problem, g, config.init, space)
     y, f = init_sol.trajectory, init_sol.control
     terminal = init_sol.terminal          # sum of scheme-exact snapshots at t=T

@@ -25,11 +25,11 @@ observable high-frequency modes at the price of an O(eps) terminal
 defect; eps_reg defaults to min(dx)^2.
 
 CG may stop at that floor instead of at cg_tol (`solve_null_control`
-with a `RitzSpace`).  The terminal gap of an iterate rho_k is
+with a `FloorSpace`).  The terminal gap of an iterate rho_k is
 d_k = c - G rho_k = r_k + eps rho_k, and at the exact solution
 d* = eps rho*.  The stop |r_k| <= FLOOR_THETA * eps |rho_k| bounds the
 algebraic error by the regularization error (Arioli, Numer. Math. 97,
-2004) whatever the iterate and however it was reached:
+2004) whatever the iterate:
 
     |rho_k - rho*| <= |r_k| / eps <= theta |rho_k|,
     so |rho_k| <= |rho*| / (1 - theta) and
@@ -37,18 +37,18 @@ algebraic error by the regularization error (Arioli, Numer. Math. 97,
 
 a factor 1.0202 at theta = 0.01.  The bound needs no monotone |rho_k|,
 so it holds for preconditioned CG, whose iterates grow in the
-preconditioner's norm rather than the Euclidean one, and for deflated
-CG (Saad, Yeung, Erhel & Guyomarc'h, SISC 21, 2000), which starts from
-the Galerkin solution on a space W carried over from earlier solves.
-The solve without a space keeps the fixed cg_tol: callers that compare
-controls across solves (linearity, oracle agreement, fixed-point step
-sizes) need the exact solve.
+preconditioner's norm rather than the Euclidean one.  The solve without
+a space keeps the fixed cg_tol: callers that compare controls across
+solves (linearity, oracle agreement, fixed-point step sizes) need the
+exact solve.
 
-The floor-stopped solves of one run share a `RitzSpace`, which picks
-one of two accelerations by a fixed size rule.  For a constant
-potential a every sine mode of the box grid evolves on its own under
-the leapfrog scheme, T_k(m+1) = (2 - dt^2 (mu_h,k + a)) T_k(m) - T_k(m-1)
-with mu_h,k the eigenvalues of -Lap_h, so the Gramian has the closed form
+The floor-stopped solves of one run with eps > 0 share a `FloorSpace`,
+which holds one preconditioner for all of them, built at its first
+solve: P = G(0) + eps I, the regularized Gramian without potential.
+For a constant potential a every sine mode of the box grid evolves on
+its own under the leapfrog scheme,
+T_k(m+1) = (2 - dt^2 (mu_h,k + a)) T_k(m) - T_k(m-1) with mu_h,k the
+eigenvalues of -Lap_h, so the Gramian has the closed form
 
     G(a) = (T W T^T) o [[M, M], [M, M]]
 
@@ -58,15 +58,17 @@ velocity seed at 0 with velocity -sqrt(mu_k), in `seed_from_rho`
 scaling), W holds the quadrature weights in backward
 time (0 at t=T, dt/2 at t=0, dt between), and M = D diag(chi) D^T is
 the omega-mass matrix of the sine basis, D the orthonormal DST-I.
-When eps > 0 and (2n)^2 <= 3 (nt+1) nodes, n the interior nodes (P is
-no larger than the three trajectories an operator holds; every 1D grid
-with nt >= 4 nx / 3, no 2D grid of the committed configs), the space
-holds the eigendecomposition of P = G(0) + eps I, built once at its first
-solve, and CG is preconditioned with it (operator preconditioning, Hiptmair,
-Comput. Math. Appl. 52, 2006; CG on the HUM Gramian, Glowinski, Lions
-& He, CUP 2008): P carries the full mode coupling of omega, so a solve
-with a potential takes a few iterations and one without takes one.
-Otherwise the space carries Ritz deflation vectors from solve to solve.
+When (2n)^2 <= 3 (nt+1) nodes, n the interior nodes (P is no larger
+than the three trajectories an operator holds; every 1D grid with
+nt >= 4 nx / 3, no 2D grid of the committed configs), CG applies P
+exactly through its eigendecomposition (operator preconditioning,
+Hiptmair, Comput. Math. Appl. 52, 2006; CG on the HUM Gramian,
+Glowinski, Lions & He, CUP 2008): P carries the full mode coupling of
+omega, so a solve with a potential takes a few iterations and one
+without takes one.  Otherwise CG divides by P's diagonal,
+sum_m w_m T_k(m)^2 M_kk + eps (`_free_wave_diagonal`), which needs
+neither D nor M: M_kk is chi's interior under the squared orthonormal
+DST-I matrix of each axis.
 
 A `_GramianOperator` on (grid, region, potential) is the one place that
 turns an adjoint seed into a control (`adjoint_control`: u = chi phi)
@@ -103,15 +105,13 @@ from functools import reduce
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import ConfigError
+from .errors import ConfigError, whole_number
 from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficients,
                      h10_norm, l2_qt, linf_lp, sine_coefficients, v_norm)
 from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
 from .solver import _march, _terminal_velocity, solve_forward, terminal_state
 
 FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
-RITZ_K = 16             # deflation vectors a RitzSpace carries between solves
-RITZ_BLOCK = 32         # search directions between two Rayleigh-Ritz compressions
 
 
 @dataclass
@@ -133,10 +133,11 @@ class LinearControlProblem:
             self.initial = StatePair.zeros(self.grid)
         if self.target is None:
             self.target = StatePair.zeros(self.grid)
-        if self.eps_reg is not None and self.eps_reg < 0:
-            raise ConfigError("eps_reg must be nonnegative")
-        if self.cg_tol <= 0:
-            raise ConfigError("cg_tol must be positive")
+        if self.eps_reg is not None and not 0 <= self.eps_reg < math.inf:
+            raise ConfigError("eps_reg must be nonnegative and finite")
+        if not 0 < self.cg_tol < math.inf:
+            raise ConfigError("cg_tol must be positive and finite")
+        self.cg_max_iter = whole_number("cg_max_iter", self.cg_max_iter)
 
     @property
     def effective_eps(self) -> float:
@@ -271,8 +272,8 @@ def _discrete_eigenvalues(grid):
     return reduce(np.add.outer, per_axis).ravel()
 
 
-def _free_wave_gramian(grid, region, a=0.0):
-    """G(a) for the constant potential a, in closed form (module docstring).
+def _free_wave_signals(grid, a):
+    """T and W of the closed form G(a) (module docstring), W as a column.
 
     T is stored transposed: its row m holds, for every unit seed (position
     seeds first), the coefficient of the seed's one sine mode in the
@@ -294,8 +295,15 @@ def _free_wave_gramian(grid, region, a=0.0):
     w = np.full((grid.nt + 1, 1), dt)
     w[0] = 0.0                # t = T: the final control level carries no weight
     w[-1] = 0.5 * dt          # t = 0
+    return T, w
+
+
+def _free_wave_gramian(grid, region, a=0.0):
+    """G(a) for the constant potential a, in closed form (module docstring)."""
+    T, w = _free_wave_signals(grid, a)
     G = T.T @ (w * T)
     del T
+    n = len(G) // 2
     D = sp_fft.dstn(np.eye(n).reshape((n,) + grid.interior_shape), type=1, norm="ortho",
                     axes=tuple(range(-grid.dim, 0))).reshape(n, n)
     chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
@@ -303,15 +311,30 @@ def _free_wave_gramian(grid, region, a=0.0):
     return G
 
 
-def _free_wave_fits(grid, eps):
-    """The size rule: precondition with P = G(0) + eps I when eps > 0 and
-    P has no more entries than the three trajectories an operator holds."""
+def _free_wave_diagonal(grid, region, a=0.0):
+    """The diagonal of G(a), sum_m w_m T_k(m)^2 M_kk, without forming G or D:
+    M's diagonal is chi's interior under the squared orthonormal DST-I
+    matrix of each axis."""
+    T, w = _free_wave_signals(grid, a)
+    mass = region.weights[(slice(1, -1),) * grid.dim]
+    for axis, N in enumerate(grid.interior_shape):
+        S = sp_fft.dst(np.eye(N), type=1, norm="ortho")
+        mass = np.moveaxis(np.tensordot(S * S, mass, (1, axis)), 0, axis)
+    return np.einsum("m,mk,mk->k", w[:, 0], T, T) * np.tile(mass.ravel(), 2)
+
+
+def _free_wave_fits(grid):
+    """The size rule: apply P = G(0) + eps I exactly when it has no more
+    entries than the three trajectories an operator holds."""
     n2 = 2 * math.prod(grid.interior_shape)
-    return eps > 0.0 and n2 * n2 <= 3 * (grid.nt + 1) * math.prod(grid.shape)
+    return n2 * n2 <= 3 * (grid.nt + 1) * math.prod(grid.shape)
 
 
 def _free_wave_preconditioner(grid, region, eps):
-    """(V, lam), the eigendecomposition of P = G(0) + eps I."""
+    """(V, lam), the eigendecomposition of P = G(0) + eps I, under the size
+    rule; P's diagonal otherwise."""
+    if not _free_wave_fits(grid):
+        return _free_wave_diagonal(grid, region) + eps
     P = _free_wave_gramian(grid, region)
     P[np.diag_indices_from(P)] += eps
     lam, V = np.linalg.eigh(P)
@@ -319,99 +342,50 @@ def _free_wave_preconditioner(grid, region, eps):
 
 
 @dataclass
-class RitzSpace:
+class FloorSpace:
     """What the floor-stopped solves of one run, on one grid, region and
-    eps, carry from solve to solve.
+    eps > 0, share: the preconditioner `_free_wave_preconditioner` builds
+    at the first solve."""
 
-    Under the size rule (`_free_wave_fits`) it holds the eigendecomposition
-    (V, lam) of P = G(0) + eps I, built at its first solve, and `_cg` is
-    preconditioned with P.  Otherwise it holds up to RITZ_K vectors as the
-    rows of W; `_cg` deflates with them and refills them with the lowest
-    Ritz vectors of its own search space.  A fresh space holds neither, so
-    its first solve off the rule is the plain floor-stopped one.
-    """
-
-    W: np.ndarray | None = None
-    precond: tuple | None = None
-
-
-def _a_orthonormal(W, AW):
-    """Rows of W and of A W recombined so that W A W^T = I; directions of
-    W that A W cannot tell apart from zero are dropped."""
-    lam, Q = np.linalg.eigh(W @ AW.T)
-    keep = lam > 1e-12 * lam[-1]
-    T = Q[:, keep] / np.sqrt(lam[keep])
-    return T.T @ W, T.T @ AW
-
-
-def _lowest_ritz(Z, k):
-    """The k lowest Ritz vectors of A on the span of the A-orthonormal rows
-    of Z: the Gram matrix Z Z^T has the eigenvalues 1 / theta."""
-    _, Y = np.linalg.eigh(Z @ Z.T)
-    return Y[:, -k:].T @ Z
+    precond: tuple | np.ndarray | None = None
 
 
 def _precondition(precond, r):
-    """P^{-1} r from precond = (V, lam), the eigendecomposition of P; r
-    itself when precond is None."""
+    """P^{-1} r: r / precond for P's diagonal, V (V^T r / lam) for its
+    eigendecomposition precond = (V, lam), r itself for None."""
     if precond is None:
         return r
+    if isinstance(precond, np.ndarray):
+        return r / precond
     V, lam = precond
     return V @ ((V.T @ r) / lam)
 
 
-def _cg(op, c, tol, max_iter, eps, floor=0.0, space=None, precond=None):
-    """CG for A x = c, A = G + eps I; returns (x, iters, converged, history).
+def _cg(op, c, tol, max_iter, eps, floor=0.0, precond=None):
+    """Preconditioned CG for A x = c, A = G + eps I; returns (x, iters,
+    converged, history).
 
-    G is applied by `_gramian_rho` on the `_GramianOperator` op.
-
-    Stops once |r_k| <= max(tol |c|, floor |x_k|); floor = 0 is the plain
-    relative-residual stop.  With precond = (V, lam), the eigendecomposition
-    of a symmetric positive definite P, this is preconditioned CG with
-    z = V (V^T r / lam) = P^{-1} r; the stop still reads the true residual
-    r.  With a `RitzSpace` holding vectors W this is deflated CG (Saad,
-    Yeung, Erhel & Guyomarc'h, SISC 21, 2000): forming A W costs len(W)
-    applies, x starts from the Galerkin solution on span W and every
-    search direction is made A-conjugate to W.  On exit W becomes the
-    RITZ_K lowest Ritz vectors of span[W, search directions], compressed by
-    Rayleigh-Ritz every RITZ_BLOCK directions; the A-conjugacy of that
-    basis gives its A-products, so harvesting costs no apply.
+    G is applied by `_gramian_rho` on the `_GramianOperator` op, and
+    z = P^{-1} r by `_precondition`.  Stops once
+    |r_k| <= max(tol |c|, floor |x_k|), reading the true residual r;
+    floor = 0 is the plain relative-residual stop.
     """
     x = np.zeros_like(c)
     nc = math.sqrt(float(c @ c))
     if nc == 0.0:
         return x, 0, True, [0.0]
     r = c.copy()
-    W = basis = None
-    if space is not None:
-        basis = np.empty((RITZ_K + RITZ_BLOCK, c.size))   # A-orthonormal rows
-        nb = 0
-        if space.W is not None:
-            W, AW = _a_orthonormal(space.W, np.array([_gramian_rho(op, w) + eps * w
-                                                       for w in space.W]))
-            mu = W @ c
-            x = mu @ W
-            r = c - mu @ AW
-            nb = len(W)
-            basis[:nb] = W
-    z = _precondition(precond, r)
-    d = z.copy() if W is None else z - (AW @ z) @ W
+    d = z = _precondition(precond, r)
     rs = float(r @ r)
     rz = float(r @ z)
     history = [math.sqrt(rs) / nc]
     it = 0
-    converged = math.sqrt(rs) <= max(tol * nc, floor * math.sqrt(float(x @ x)))
+    converged = math.sqrt(rs) <= tol * nc
     while not converged and it < max_iter:
         Gd = _gramian_rho(op, d) + eps * d
         dGd = float(d @ Gd)
         if dGd <= 0.0:
             break   # positivity lost to roundoff; keep the best iterate
-        if basis is not None:
-            if nb == len(basis):
-                basis[:RITZ_K] = _lowest_ritz(basis, RITZ_K)
-                nb = RITZ_K
-            basis[nb] = d / math.sqrt(dGd)
-            nb += 1
         alpha = rz / dGd
         x = x + alpha * d
         r = r - alpha * Gd
@@ -423,11 +397,7 @@ def _cg(op, c, tol, max_iter, eps, floor=0.0, space=None, precond=None):
             z = _precondition(precond, r)
             rz_new = float(r @ z)
             d = z + (rz_new / rz) * d
-            if W is not None:
-                d -= (AW @ z) @ W
             rz = rz_new
-    if basis is not None and nb:
-        space.W = basis[:nb].copy() if nb <= RITZ_K else _lowest_ritz(basis[:nb], RITZ_K)
     return x, it, converged, history
 
 
@@ -469,36 +439,33 @@ def _controlled_solution(problem, op, free, free_term, **solver_info) -> Control
 
 
 def solve_null_control(problem: LinearControlProblem,
-                       space: RitzSpace | None = None) -> ControlSolution:
+                       space: FloorSpace | None = None) -> ControlSolution:
     """Steer the initial state to the target; control of minimal L^2(q_T) norm.
 
     Reduction to a reach-from-rest problem: subtract the uncontrolled
     solution with the given data and source, then match the remaining
     terminal gap through the Gramian equation (G + eps I) rho = c.
-    Without a `space` CG stops at cg_tol.  With one it also stops once
-    its residual is below FLOOR_THETA times the Tikhonov term, which keeps
-    the terminal defect within a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
-    of the exact regularized solve's (module docstring), and `converged`
-    means either stop was met.  Under the size rule CG is preconditioned
-    with P = G(0) + eps I, which the first solve on the space builds;
-    otherwise it is deflated with the vectors that earlier solves left in
-    the space, and this solve refills it.  A fresh `RitzSpace()` off the
-    rule holds none, so its solve is the plain floor-stopped one.
+    Without a `space`, or with eps_reg = 0, this is plain CG stopped at
+    cg_tol.  With one and eps > 0 CG also stops once its residual is below
+    FLOOR_THETA times the Tikhonov term, which keeps the terminal defect
+    within a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) of the exact
+    regularized solve's (module docstring), and `converged` means either
+    stop was met.  It is then preconditioned with P = G(0) + eps I, which
+    the first solve on the space builds: exactly under the size rule, by
+    its diagonal otherwise.
     """
     grid, eps = problem.grid, problem.effective_eps
     floor, precond = 0.0, None
-    if space is not None:
+    if space is not None and eps > 0.0:
         floor = FLOOR_THETA * eps
-        if _free_wave_fits(grid, eps):
-            # built before the solve's fields, so its scratch is freed first
-            if space.precond is None:
-                space.precond = _free_wave_preconditioner(grid, problem.region, eps)
-            precond = space.precond
-            space = None            # P replaces the deflation
+        # built before the solve's fields, so its scratch is freed first
+        if space.precond is None:
+            space.precond = _free_wave_preconditioner(grid, problem.region, eps)
+        precond = space.precond
     free, free_term, c = _free_response(problem)
     op = _GramianOperator(grid, problem.region, problem.potential)
     rho, iters, converged, history = _cg(op, c, problem.cg_tol, problem.cg_max_iter, eps,
-                                         floor, space, precond)
+                                         floor, precond)
     op.adjoint_control(seed_from_rho(grid, rho))
     return _controlled_solution(problem, op, free, free_term, cg_iterations=iters,
                                 converged=bool(converged), residual_history=history,

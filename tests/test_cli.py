@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wavecontrol.cli as cli
 from wavecontrol.errors import ConfigError
@@ -92,6 +94,41 @@ def test_malformed_field_is_a_config_error(tmp_path, capsys, key, value):
     assert run_cli(["run", "--config", path, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key.split(".")[-1] in err
+
+
+def json_leaves(node, path=()):
+    """The paths of every leaf of a JSON value; an empty list or object is one."""
+    if isinstance(node, (dict, list)) and node:
+        keys = node if isinstance(node, dict) else range(len(node))
+        return [leaf for key in keys for leaf in json_leaves(node[key], path + (key,))]
+    return [path]
+
+
+DELETE = object()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(p.stem for p in CONFIGS.glob("*.json"))),
+       pick=st.integers(0, 10 ** 6),
+       value=st.sampled_from(["x", "", True, False, None, [], [1, "a"], {}, {"a": 1},
+                              -1, -2.5, 0, math.inf, -math.inf, math.nan, DELETE]))
+def test_mutated_config_check_never_raises(tmp_path, name, pick, value):
+    # one leaf of a committed config replaced or deleted: `check` accepts the
+    # config or reports a config error, and never raises
+    cfg = load_json(CONFIGS / f"{name}.json")
+    leaves = json_leaves(cfg)
+    *parents, key = leaves[pick % len(leaves)]
+    node = cfg
+    for part in parents:
+        node = node[part]
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["check", "--config", path]) in (0, 1)
 
 
 @pytest.mark.parametrize("command", ["check", "run"])
@@ -273,6 +310,14 @@ def test_check_rejects_what_run_rejects(tmp_path, capsys):
     for command in ("check", "run"):
         assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
         assert "does not vanish on the boundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("inner.cg_tol", 0), ("inner.eps_reg", -1.0)])
+def test_check_rejects_the_inner_settings_run_rejects(tmp_path, capsys, key, value):
+    path, _ = small_linear_config(tmp_path, **{key: value})
+    for command in ("check", "run"):
+        assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
+        assert key.split(".")[-1] in capsys.readouterr().err
 
 
 def test_check_growth_report_for_loglimit(tmp_path, capsys):

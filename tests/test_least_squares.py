@@ -17,6 +17,36 @@ def test_config_validation():
         wc.LSConfig(tol=0.0)
 
 
+def small_linear_problem(**opts):
+    grid = wc.SpaceTimeGrid((1.0,), (20,), T=2.5, nt=60)
+    return wc.LinearControlProblem(grid, wc.interval_region(grid, 0.8, 1.0), **opts)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wc.LSConfig(scan_points=0),         # IndexError in line_search
+    lambda: wc.LSConfig(max_outer=-1),          # cap_reached with no records
+    lambda: wc.LSConfig(m=math.nan),            # nonfinite fields after a solve
+    lambda: wc.LSConfig(tol=math.inf),
+    lambda: wc.LSConfig(e_floor=math.nan),
+    lambda: wc.FixedPointConfig(max_outer=-1),
+    lambda: wc.FixedPointConfig(tol=math.nan),
+    lambda: small_linear_problem(cg_tol=math.nan),     # 500 iterations, then unconverged
+    lambda: small_linear_problem(cg_max_iter=-3),      # the zero control
+    lambda: small_linear_problem(eps_reg=math.nan),
+], ids=["scan_points=0", "ls.max_outer=-1", "m=nan", "ls.tol=inf", "e_floor=nan",
+        "fp.max_outer=-1", "fp.tol=nan", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan"])
+def test_bad_library_input_is_a_config_error(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_whole_float_counts_become_ints():
+    # JSON may write a count as 2.0; range() in the outer loops needs an int
+    assert type(wc.LSConfig(max_outer=2.0, scan_points=9.0).max_outer) is int
+    assert type(wc.FixedPointConfig(max_outer=2.0).max_outer) is int
+    assert type(small_linear_problem(cg_max_iter=7.0).cg_max_iter) is int
+
+
 def test_compute_E_of_linear_controlled_pair_is_floor_level(small_problem):
     g = wc.builtin("zero")
     sol = initialize(small_problem, g, "linear")
@@ -312,3 +342,24 @@ def test_lipschitz_default_gramian_applies(monkeypatch, configs_dir):
     assert res.status == "converged"
     assert [rec.inner_cg_iters for rec in res.records] == [6, 6, 6, 0]
     assert len(applies) == 19
+
+
+def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
+    # exact work counts off the size rule, where every floor solve divides by
+    # the diagonal of P = G(0) + eps I: the starting pair takes 56 applies
+    # and the run 231 (56 + 80 + 95)
+    from wavecontrol import cli
+    from wavecontrol.linear_control import _free_wave_fits, _gramian_rho
+
+    problem, g, ls_cfg, _ = cli.build_problem(cli.load_config(configs_dir / "smoke_2d.json"))
+    assert not _free_wave_fits(problem.grid)
+    applies = []
+    monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
+                        lambda *args: applies.append(1) or _gramian_rho(*args))
+    start = initialize(problem, g, ls_cfg.init)
+    assert start.converged and start.cg_iterations == len(applies) == 56
+    applies.clear()
+    res = wc.ls_solve(problem, g, ls_cfg)
+    assert res.status == "converged"
+    assert [rec.inner_cg_iters for rec in res.records] == [80, 95, 0]
+    assert len(applies) == 231

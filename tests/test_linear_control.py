@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
 from wavecontrol.errors import BlowupError, ConfigError
-from wavecontrol.linear_control import (FLOOR_THETA, RITZ_K, RitzSpace, _cg, _constraint_rows,
-                                        _free_response, _free_wave_fits, _free_wave_gramian,
-                                        _GramianOperator, _gramian_rho, dual_to_rho,
-                                        rho_from_seed, seed_from_rho)
+from wavecontrol.linear_control import (FLOOR_THETA, FloorSpace, _cg, _constraint_rows,
+                                        _free_response, _free_wave_diagonal, _free_wave_fits,
+                                        _free_wave_gramian, _GramianOperator, _gramian_rho,
+                                        dual_to_rho, rho_from_seed, seed_from_rho)
 
 from conftest import MARCH_KERNELS, march_kernel
 
@@ -380,7 +380,7 @@ def floor_problem(nx, eps, a, modes, cg_tol=1e-14):
 def test_floor_stop_saves_iterations_and_keeps_the_defect():
     prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
     tight = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, RitzSpace())
+    floor = wc.solve_null_control(prob, FloorSpace())
     assert tight.converged and floor.converged
     assert floor.cg_iterations < tight.cg_iterations
     assert floor.defect <= (1 + FLOOR_THETA) * tight.defect
@@ -389,7 +389,7 @@ def test_floor_stop_saves_iterations_and_keeps_the_defect():
 def test_floor_stop_without_regularization_is_the_plain_solve():
     prob = floor_problem(31, 0.0, 0.8, [(1, 1.0, 0.0)], cg_tol=1e-8)
     plain = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, RitzSpace())
+    floor = wc.solve_null_control(prob, FloorSpace())
     assert floor.cg_iterations == plain.cg_iterations
     assert np.array_equal(floor.control.values, plain.control.values)
 
@@ -405,7 +405,7 @@ def test_floor_stop_defect_bound_property(nx, log_eps, a, modes):
     # defect of a solve run to cg_tol = 1e-14
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
     tight = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, RitzSpace())
+    floor = wc.solve_null_control(prob, FloorSpace())
     assert floor.cg_iterations <= tight.cg_iterations
     assert floor.defect <= (1 + FLOOR_THETA) * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
@@ -415,10 +415,10 @@ def potential_problem(prob, scale):
     return dataclasses.replace(prob, potential=random_potential(prob.grid, scale=scale))
 
 
-def ritz_problem(scale):
-    """A 2D floor problem off the size rule (so on the Ritz path): the first
-    eigenmode steered to rest from a sharp `sides` region, under the
-    potential scale * (sin(3x) cos(t) + 1/2)."""
+def diagonal_problem(scale):
+    """A 2D floor problem off the size rule (so preconditioned by P's
+    diagonal): the first eigenmode steered to rest from a sharp `sides`
+    region, under the potential scale * (sin(3x) cos(t) + 1/2)."""
     grid = wc.SpaceTimeGrid((1.0, 1.0), (14, 14), T=2.5, nt=52)
     X, Y = grid.meshgrid()
     t = grid.time_levels()[:, None, None]
@@ -427,37 +427,23 @@ def ritz_problem(scale):
         grid, wc.sides_region(grid, ["right", "top"], 0.3),
         potential=wc.SpaceTimeField(grid, scale * (np.sin(3 * X)[None] * np.cos(t) + 0.5)),
         initial=wc.StatePair(grid, mode, np.zeros(grid.shape)), cg_tol=1e-14)
-    assert not _free_wave_fits(grid, prob.effective_eps)
+    assert not _free_wave_fits(grid)
     return prob
 
 
-def test_fresh_space_solve_is_the_plain_floor_solve():
-    prob = ritz_problem(0.5)
+def test_floor_solve_off_the_rule_divides_by_the_diagonal():
+    prob = diagonal_problem(0.5)
     eps = prob.effective_eps
     op = _GramianOperator(prob.grid, prob.region, prob.potential)
     rho, iters, converged, history = _cg(op, _free_response(prob)[2], prob.cg_tol,
-                                         prob.cg_max_iter, eps, FLOOR_THETA * eps)
-    space = RitzSpace()
+                                         prob.cg_max_iter, eps, FLOOR_THETA * eps,
+                                         precond=_free_wave_diagonal(prob.grid, prob.region) + eps)
+    space = FloorSpace()
     first = wc.solve_null_control(prob, space)
     assert (first.cg_iterations, first.converged) == (iters, converged)
     assert first.residual_history == history
     assert np.array_equal(first.seed_coords, rho)
-    assert space.W.shape == (RITZ_K, 2 * math.prod(prob.grid.interior_shape))
-    assert space.precond is None
-
-
-def test_recycled_space_saves_applies(monkeypatch):
-    # the second solve pays RITZ_K applies to form (G + eps I) W, which
-    # cg_iterations does not count, and still does less work in total
-    space = RitzSpace()
-    first = wc.solve_null_control(ritz_problem(0.5), space)
-    applies = []
-    monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
-                        lambda *args: applies.append(1) or _gramian_rho(*args))
-    second = wc.solve_null_control(ritz_problem(1.0), space)
-    assert first.converged and second.converged
-    assert len(applies) == second.cg_iterations + RITZ_K
-    assert len(applies) < first.cg_iterations
+    assert space.precond.shape == (2 * math.prod(prob.grid.interior_shape),)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -472,9 +458,9 @@ def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes
     # fall under the size rule, so the second solve reuses the preconditioner
     # the first built, and its defect obeys the bound
     # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
-    # (`test_recycled_ritz_floor_stop_defect_bound` covers the deflated path)
+    # (`test_diagonal_floor_stop_defect_bound` covers the diagonal path)
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
-    space = RitzSpace()
+    space = FloorSpace()
     wc.solve_null_control(potential_problem(prob, scales[0]), space)
     target = potential_problem(prob, scales[1])
     tight = wc.solve_null_control(target)
@@ -484,12 +470,13 @@ def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes
     assert recycled.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
 
-def test_recycled_ritz_floor_stop_defect_bound():
-    # the deflated solve starts away from zero, at the Galerkin solution on
-    # the harvested space, so its defect obeys the nonzero-start bound
-    space = RitzSpace()
-    wc.solve_null_control(ritz_problem(0.5), space)
-    target = ritz_problem(1.0)
+def test_diagonal_floor_stop_defect_bound():
+    # the second solve reuses the diagonal the first built; its iterates
+    # need not grow in the Euclidean norm, so its defect obeys the bound
+    # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
+    space = FloorSpace()
+    wc.solve_null_control(diagonal_problem(0.5), space)
+    target = diagonal_problem(1.0)
     tight = wc.solve_null_control(target)
     recycled = wc.solve_null_control(target, space)
     assert tight.converged and recycled.converged
@@ -522,19 +509,22 @@ def test_free_wave_gramian_matches_operator(dim, a, smooth):
     for rho in np.random.default_rng(7).standard_normal((3, len(G))):
         G_rho = _gramian_rho(op, rho)
         assert np.linalg.norm(G @ rho - G_rho) <= 1e-12 * np.linalg.norm(G_rho)
+    # the diagonal the off-rule preconditioner divides by, without G
+    diag = np.diag(G)
+    assert np.max(np.abs(_free_wave_diagonal(grid, region, a) - diag)) <= 1e-12 * np.max(diag)
 
 
 def test_free_wave_preconditioner_is_exact_without_potential(monkeypatch):
     # P = G(0) + eps I is the operator of a potential-free solve: one apply
     prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
-    assert _free_wave_fits(prob.grid, prob.effective_eps)
+    assert _free_wave_fits(prob.grid)
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
-    space = RitzSpace()
+    space = FloorSpace()
     sol = wc.solve_null_control(prob, space)
     assert sol.converged and sol.cg_iterations == len(applies) == 1
-    assert space.W is None and space.precond is not None
+    assert space.precond is not None
 
 
 def pcg_problem(dim, nx, eps, a, modes):
@@ -567,11 +557,33 @@ def test_preconditioned_floor_stop_defect_bound_property(dim, nx, log_eps, a, sc
     # solve; 2D squares of 5 to 8 nodes a side fall under the size rule too
     nx = nx if dim == 1 else 5 + nx % 4
     prob = potential_problem(pcg_problem(dim, nx, 10.0 ** log_eps, a, modes), scale)
-    assert _free_wave_fits(prob.grid, prob.effective_eps)
+    assert _free_wave_fits(prob.grid)
     tight = wc.solve_null_control(prob)
-    space = RitzSpace()
+    space = FloorSpace()
     floor = wc.solve_null_control(prob, space)
     assert floor.converged and space.precond is not None
+    bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
+    assert floor.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(nx=st.integers(9, 12),
+       log_eps=st.floats(-5.0, -1.0),
+       a=st.floats(0.3, 0.8),
+       scale=st.floats(-2.0, 2.0),
+       modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                      min_size=1, max_size=3))
+def test_diagonal_floor_stop_defect_bound_property(nx, log_eps, a, scale, modes):
+    # CG preconditioned with the diagonal of G(0) + eps I on 2D squares of 9
+    # to 12 nodes a side, off the size rule, with a potential: the defect
+    # obeys |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14
+    # solve
+    prob = potential_problem(pcg_problem(2, nx, 10.0 ** log_eps, a, modes), scale)
+    assert not _free_wave_fits(prob.grid)
+    tight = wc.solve_null_control(prob)
+    space = FloorSpace()
+    floor = wc.solve_null_control(prob, space)
+    assert floor.converged and space.precond.ndim == 1
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     assert floor.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 

@@ -56,7 +56,7 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
     config = config or FixedPointConfig()
     grid, region = problem.grid, problem.region
 
-    sol = initialize(problem, g, "linear")
+    sol = initialize(problem)
     y, f = sol.trajectory, sol.control
     records = []
     status = "cap_reached"

@@ -15,7 +15,6 @@ in shortest round-trip form and wall-clock timings stay out of CSV
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import hashlib
 import json
@@ -156,7 +155,7 @@ def validate_config(cfg: dict):
     sc = cfg["scenario"]
     _expect_keys(sc, "scenario", required=("name", "dimension", "lengths", "nodes",
                                            "T", "nt", "region"),
-                 optional=("x0", "cfl_factor", "smoothing"))
+                 optional=("x0", "smoothing"))
     if isinstance(sc["dimension"], bool) or sc["dimension"] not in (1, 2):
         _fail("scenario.dimension", "must be 1 or 2")
     dim = sc["dimension"]
@@ -167,7 +166,6 @@ def validate_config(cfg: dict):
         _numbers(items, f"scenario.{key}", items, positive=True, integer=key == "nodes")
     _number(sc, "scenario", "T", positive=True)
     _number(sc, "scenario", "nt", positive=True, integer=True)
-    _numbers(sc, "scenario", ("cfl_factor",))
     if not isinstance(sc.get("smoothing", False), bool):
         _fail("scenario.smoothing", "must be true or false")
     if _vector(sc, "scenario", "x0") not in (None, dim):
@@ -209,16 +207,16 @@ def validate_config(cfg: dict):
     methods = cfg["methods"]
     if not isinstance(methods, list) or not methods:
         _fail("config.methods", "must be a non-empty list")
-    for m in methods:
+    for i, m in enumerate(methods):
         if not isinstance(m, str) or m not in METHOD_RUNNERS:
             _fail("config.methods", f"unknown method {m!r}")
+        if m in methods[:i]:
+            _fail("config.methods", f"duplicate method {m!r}")
     if "least_squares" in cfg:
         ls = cfg["least_squares"]
         _expect_keys(ls, "least_squares", required=(),
-                     optional=("m", "tol", "max_outer", "e_floor", "scan_points",
-                               "refine_rel_width", "C", "init"))
-        _numbers(ls, "least_squares", ("m", "tol", "e_floor", "refine_rel_width", "C"))
-        _numbers(ls, "least_squares", ("scan_points",), positive=True, integer=True)
+                     optional=("m", "tol", "max_outer", "e_floor", "C"))
+        _numbers(ls, "least_squares", ("m", "tol", "e_floor", "C"))
         _count(ls, "least_squares", "max_outer")
     if "fixed_point" in cfg:
         fp = cfg["fixed_point"]
@@ -254,9 +252,8 @@ def config_hash(cfg: dict) -> str:
 
 def build_grid(cfg: dict) -> SpaceTimeGrid:
     sc = cfg["scenario"]
-    optional = {"cfl_factor": float(sc["cfl_factor"])} if "cfl_factor" in sc else {}
     return SpaceTimeGrid(tuple(sc["lengths"]), tuple(sc["nodes"]),
-                         T=float(sc["T"]), nt=int(sc["nt"]), **optional)
+                         T=float(sc["T"]), nt=int(sc["nt"]))
 
 
 def build_region(cfg: dict, grid: SpaceTimeGrid):
@@ -398,8 +395,10 @@ def _out_dir(cfg, args) -> Path:
     return path
 
 
-def _run_methods(cfg, methods, verbose=False):
-    problem, g, ls_cfg, fp_cfg = build_problem(cfg)
+def _run_methods(built, methods, verbose=False):
+    """Solve with each method the (problem, g, ls_cfg, fp_cfg) that
+    `build_problem` returned; maps each name to (result, wall time)."""
+    problem, g, ls_cfg, fp_cfg = built
     results = {}
     for name in methods:
         t0 = time.perf_counter()
@@ -410,14 +409,17 @@ def _run_methods(cfg, methods, verbose=False):
             for rec in result.records:
                 print(f"  [{name}] k={rec.k} E={rec.E:.6e} lam={rec.lam:.4f} "
                       f"cg={rec.inner_cg_iters} defect={rec.inner_defect:.3e}")
-    return problem, results
+    return results
 
 
 def cmd_run(cfg, args) -> int:
+    built = build_problem(cfg)
+    # a bad observation point is rejected here, before anything is solved
+    geometry = geometry_summary(cfg, built[0].grid, built[0].region)
     out = _out_dir(cfg, args)
     chash = config_hash(cfg)
     name = cfg["scenario"]["name"]
-    problem, results = _run_methods(cfg, cfg["methods"], args.verbose)
+    results = _run_methods(built, cfg["methods"], args.verbose)
 
     rows = []
     for method in cfg["methods"]:
@@ -437,7 +439,7 @@ def cmd_run(cfg, args) -> int:
         "config_hash": chash,
         "scenario": name,
         "seed": int(cfg.get("seed", 0)),
-        "geometry": geometry_summary(cfg, problem.grid, problem.region),
+        "geometry": geometry,
         "methods": {m: method_summary(r, w) for m, (r, w) in results.items()},
     }
     with open(out / "summary.json", "w") as fh:
@@ -460,7 +462,7 @@ def cmd_compare(cfg, args) -> int:
     chash = config_hash(cfg)
     name = cfg["scenario"]["name"]
     methods = list(METHOD_RUNNERS)
-    problem, results = _run_methods(cfg, methods, args.verbose)
+    results = _run_methods(build_problem(cfg), methods, args.verbose)
     rows = []
     for m in methods:
         result, wall = results[m]
@@ -498,7 +500,7 @@ def _sweep_point(base_cfg, dotted, value, methods):
     _set_by_path(cfg, dotted, value)
     validate_config(cfg)
     chash = config_hash(cfg)
-    _, results = _run_methods(cfg, methods)
+    results = _run_methods(build_problem(cfg), methods)
     rows = []
     for m in methods:
         result, _ = results[m]
@@ -515,45 +517,16 @@ def _sweep_point(base_cfg, dotted, value, methods):
     return rows
 
 
-def _thread_count(args) -> int:
-    """Sweep fan-out from --threads, else WAVECONTROL_THREADS, else 1."""
-    if args.threads is not None:
-        source, raw = "--threads", args.threads
-    else:
-        source, raw = "WAVECONTROL_THREADS", os.environ.get("WAVECONTROL_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"{source}: expected an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{source}: must be at least 1, got {threads}")
-    return threads
-
-
 def cmd_sweep(cfg, args) -> int:
     if "sweep" not in cfg:
         print("config error: sweep: missing sweep declaration", file=sys.stderr)
         return 1
-    threads = _thread_count(args)
     out = _out_dir(cfg, args)
     dotted = cfg["sweep"]["path"]
-    values = cfg["sweep"]["values"]
-    methods = cfg["methods"]
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sweep_point, cfg, dotted, v, methods) for v in values]
-            per_point = [f.result() for f in futures]
-    else:
-        per_point = [_sweep_point(cfg, dotted, v, methods) for v in values]
-
     rows = []
-    for idx, point_rows in enumerate(per_point):
-        for row in point_rows:
-            row = dict(row)
-            row["index"] = idx
-            row["param_path"] = dotted
-            rows.append(row)
+    for idx, value in enumerate(cfg["sweep"]["values"]):
+        for row in _sweep_point(cfg, dotted, value, cfg["methods"]):
+            rows.append(dict(row, index=idx, param_path=dotted))
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     for row in rows:
         print(f"[{row['index']}] {row['param_path']}={row['param_value']} "
@@ -569,14 +542,13 @@ def cmd_check(cfg, args) -> int:
     grid, region, C = problem.grid, problem.region, ls_cfg.C
 
     print(f"hypothesis report for scenario {cfg['scenario']['name']!r}")
-    x0 = cfg["scenario"].get("x0")
-    if x0 is None:
+    geo = geometry_summary(cfg, grid, region)
+    if geo is None:
         print("  geometry: unknown (no observation point x0 configured)")
     else:
-        rep = check_geometric_condition(grid, region, x0)
-        verdict = "holds" if rep.holds else "fails"
-        print(f"  geometry: {verdict}  T={grid.T} T_min={rep.T_min:.6g} "
-              f"gamma0={list(rep.gamma0)} region_covers={rep.covered}")
+        verdict = "holds" if geo["holds"] else "fails"
+        print(f"  geometry: {verdict}  T={grid.T} T_min={geo['T_min']:.6g} "
+              f"gamma0={geo['gamma0']} region_covers={geo['covered']}")
 
     print(f"  nonlinearity {g.name!r}: Holder exponent s={g.s}")
     sampled = holder_seminorm_sample(g, g.s, R=10.0, n_samples=2000)
@@ -610,7 +582,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", default=None)   # checked by _thread_count
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
         p.set_defaults(fn=fn)

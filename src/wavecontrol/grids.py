@@ -4,7 +4,7 @@ The domain is an interval (0, L) or an axis-aligned rectangle
 (0, Lx) x (0, Ly) with homogeneous Dirichlet boundary, discretized by
 uniformly spaced nodes (boundary nodes included).  Time is discretized
 with nt uniform steps over [0, T]; the explicit scheme requires
-dt <= cfl_factor * min(dx) / sqrt(d).
+dt <= CFL_FACTOR * min(dx) / sqrt(d).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .errors import ConfigError
 
 SIDES_2D = ("left", "right", "bottom", "top")   # low and high end of axis 0, then of axis 1
 
+CFL_FACTOR = 0.95                               # margin below the leapfrog stability limit
+
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -28,7 +30,6 @@ class SpaceTimeGrid:
     shape: tuple            # nodes per axis, boundary included
     T: float
     nt: int
-    cfl_factor: float = 0.95
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
@@ -43,14 +44,10 @@ class SpaceTimeGrid:
             raise ConfigError("time horizon T must be positive")
         if self.nt < 2:
             raise ConfigError("need at least 2 time steps")
-        if not (0 < self.cfl_factor <= 0.95):
-            raise ConfigError("cfl_factor must lie in (0, 0.95]")
-        if self.dt > self.cfl_factor * min(self.dx) / math.sqrt(self.dim) * (1 + 1e-12):
-            raise ConfigError(
-                f"CFL violated: dt={self.dt:.3e} exceeds "
-                f"{self.cfl_factor:.2f}*dx/sqrt(d)="
-                f"{self.cfl_factor * min(self.dx) / math.sqrt(self.dim):.3e}"
-            )
+        dt_max = CFL_FACTOR * min(self.dx) / math.sqrt(self.dim)
+        if self.dt > dt_max * (1 + 1e-12):
+            raise ConfigError(f"CFL violated: dt={self.dt:.3e} exceeds "
+                              f"{CFL_FACTOR:.2f}*dx/sqrt(d)={dt_max:.3e}")
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,9 @@ source for the minimal-norm null-controlled pair (Y1, F1), then updates
 
     (y_{k+1}, f_{k+1}) = (y_k, f_k) - lambda_k (Y1, F1),
 
-with lambda_k minimizing E over [0, m].  The directional derivative
+with lambda_k minimizing E over [0, m] (a scan of SCAN_POINTS values,
+refined to a bracket of width REFINE_REL_WIDTH * m) and (y_0, f_0) the
+controlled pair of the linear (g = 0) problem.  The directional derivative
 satisfies E'(y,f).(Y1,F1) = 2 E(y,f) exactly at the discrete level
 because (Y1, F1) satisfies the linearized equation stencil-exactly, so
 -(Y1, F1) is always a descent direction; forcing lambda = 1 recovers
@@ -63,6 +65,8 @@ class TargetProblem:
 
 
 DIVERGENCE_THRESHOLD = 1e6            # on |y|_{Linf(L1)}, shared by all methods
+SCAN_POINTS = 33                      # uniform line-search scan over [0, m]
+REFINE_REL_WIDTH = 1e-3               # golden-section bracket width, relative to m
 
 
 @dataclass
@@ -71,23 +75,16 @@ class LSConfig:
     tol: float = 1e-8                 # stop when sqrt(2E) <= tol * sqrt(2E_0)
     max_outer: int = 50
     e_floor: float = 1e-20            # absolute E floor counted as converged
-    scan_points: int = 33
-    refine_rel_width: float = 1e-3
     C: float = 1.0                    # diagnostic constant, never used by the solver
-    init: str = "linear"              # or "linear_frozen"
 
     def __post_init__(self):
         if not 1 <= self.m < math.inf:
             raise ConfigError("line-search bound m must be finite and >= 1")
         if not 0 < self.tol < math.inf:
             raise ConfigError("tolerance must be positive and finite")
-        if not self.refine_rel_width > 0:
-            # the golden-section refinement would never end
-            raise ConfigError("least_squares.refine_rel_width must be positive")
         if not (math.isfinite(self.e_floor) and math.isfinite(self.C)):
             raise ConfigError("least_squares.e_floor and C must be finite")
         self.max_outer = whole_number("least_squares.max_outer", self.max_outer)
-        self.scan_points = whole_number("least_squares.scan_points", self.scan_points, 1)
 
 
 @dataclass
@@ -166,9 +163,9 @@ class LineSearchResult:
 
 
 def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
-                g: Nonlinearity, m: float, scan_points: int = 33,
-                refine_rel_width: float = 1e-3) -> LineSearchResult:
-    """argmin over [0, m] of E along -(Y1, F1): uniform scan + golden refinement.
+                g: Nonlinearity, m: float) -> LineSearchResult:
+    """argmin over [0, m] of E along -(Y1, F1): a uniform scan of SCAN_POINTS
+    values, then golden-section refinement to a bracket of REFINE_REL_WIDTH * m.
 
     Every evaluation combines cached fields pointwise (no PDE solve).
     Returns the best evaluated point, so E never increases at the
@@ -187,7 +184,7 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
         val = (1.0 - lam) * r_mid + (g.g(y_mid - lam * Y_mid) - gy + lam * gpyY)
         return 0.5 * cell * float(np.sum(val * val))
 
-    lams = np.linspace(0.0, m, scan_points)
+    lams = np.linspace(0.0, m, SCAN_POINTS)
     vals = [E_at(la) for la in lams]
     if vals[0] == 0.0:
         return LineSearchResult(0.0, 0.0, "converged")
@@ -195,12 +192,12 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     best_lam, best_E = float(lams[i]), vals[i]
 
     a = float(lams[max(i - 1, 0)])
-    b = float(lams[min(i + 1, scan_points - 1)])
+    b = float(lams[min(i + 1, SCAN_POINTS - 1)])
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = E_at(x1), E_at(x2)
-    while (b - a) > refine_rel_width * m:
+    while (b - a) > REFINE_REL_WIDTH * m:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv_phi * (b - a)
@@ -270,31 +267,18 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
     return out
 
 
-def initialize(problem: TargetProblem, g: Nonlinearity, strategy: str,
-               space: FloorSpace | None = None):
-    """Starting pair: the controlled solution of a linear surrogate problem.
-
-    linear         potential 0, source 0 (the g = 0 problem)
-    linear_frozen  potential g'(0), source -g(0)
+def initialize(problem: TargetProblem, space: FloorSpace | None = None):
+    """Starting pair: the controlled solution of the linear (g = 0) problem,
+    potential 0 and source 0.
 
     CG stops at the Tikhonov floor, as in every Newton step, and builds
     the free-wave preconditioner P = G(0) + eps I of `linear_control` in
-    `space` (a fresh one when None) for the steps.  Under `linear` P is
-    this solve's exact operator, applied exactly under the size rule and
-    by its diagonal otherwise.
+    `space` (a fresh one when None) for the steps.  P is this solve's
+    exact operator, applied exactly under the size rule and by its
+    diagonal otherwise.
     """
-    grid = problem.grid
-    if strategy == "linear":
-        potential, source = None, None
-    elif strategy == "linear_frozen":
-        dg0 = float(g.dg(0.0))
-        potential = None if dg0 == 0.0 else SpaceTimeField.constant(grid, dg0)
-        source = None if g.g0 == 0.0 else SpaceTimeField.constant(grid, -g.g0)
-    else:
-        raise ConfigError(f"unknown initialization strategy {strategy!r}")
     return solve_null_control(problem.inner_problem(
-        potential=potential, source=source,
-        initial=problem.initial, target=problem.target),
+        potential=None, source=None, initial=problem.initial, target=problem.target),
         FloorSpace() if space is None else space)
 
 
@@ -313,7 +297,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     config = config or LSConfig()
     grid, region = problem.grid, problem.region
     space = FloorSpace()
-    init_sol = initialize(problem, g, config.init, space)
+    init_sol = initialize(problem, space)
     y, f = init_sol.trajectory, init_sol.control
     terminal = init_sol.terminal          # sum of scheme-exact snapshots at t=T
 
@@ -372,8 +356,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
         if force_lambda is not None:
             lam = float(force_lambda)
         else:
-            ls = line_search(y, r, Y1, g, config.m,
-                             config.scan_points, config.refine_rel_width)
+            ls = line_search(y, r, Y1, g, config.m)
             if ls.status == "stagnated":
                 rec.lam = 0.0
                 status = "stagnated"

@@ -106,8 +106,9 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import ConfigError, whole_number
-from .fields import (SpaceTimeField, StatePair, eigenvalues, from_sine_coefficients,
-                     h10_norm, l2_qt, linf_lp, sine_coefficients, v_norm)
+from .fields import (SpaceTimeField, StatePair, _embed, eigenvalues,
+                     from_sine_coefficients, h10_norm, l2_qt, linf_lp, sine_coefficients,
+                     v_norm)
 from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
 from .solver import _march, _terminal_velocity, solve_forward, terminal_state
 
@@ -238,8 +239,7 @@ class _GramianOperator:
         its scheme-exact terminal state."""
         grid = self.grid
         _march(grid, self.z, self.rest, self.rest, self.A, self.u)
-        velocity = np.zeros(grid.shape)
-        velocity[(slice(1, -1),) * grid.dim] = _terminal_velocity(grid, self.z, self.A, self.u)
+        velocity = _embed(grid, _terminal_velocity(grid, self.z, self.A, self.u))
         return StatePair._trusted(grid, self.z[-1].copy(), velocity)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _leapfrog
 from .errors import BlowupError
-from .fields import SpaceTimeField, StatePair
+from .fields import SpaceTimeField, StatePair, _embed
 from .grids import SpaceTimeGrid, check_same_grid
 
 
@@ -268,9 +268,7 @@ def terminal_state(grid: SpaceTimeGrid, y: SpaceTimeField,
     A = potential.values if potential is not None else None
     S = source.values if source is not None else None
     v = _terminal_velocity(grid, y.values, A, S)
-    full_v = np.zeros(grid.shape)
-    full_v[(slice(1, -1),) * grid.dim] = v
-    return StatePair(grid, y.values[-1].copy(), full_v)
+    return StatePair(grid, y.values[-1].copy(), _embed(grid, v))
 
 
 def initial_state(grid: SpaceTimeGrid, y: SpaceTimeField,
@@ -281,9 +279,7 @@ def initial_state(grid: SpaceTimeGrid, y: SpaceTimeField,
     S = source.values if source is not None else None
     v = ((_interior(grid, y.values[1]) - _interior(grid, y.values[0])) / grid.dt
          - 0.5 * grid.dt * _accel(grid, y.values[0], A, S, 0))
-    full_v = np.zeros(grid.shape)
-    full_v[(slice(1, -1),) * grid.dim] = v
-    return StatePair(grid, y.values[0].copy(), full_v)
+    return StatePair(grid, y.values[0].copy(), _embed(grid, v))
 
 
 def residual_field(y: SpaceTimeField, f: SpaceTimeField | None, g, region=None) -> SpaceTimeField:

@@ -107,7 +107,7 @@ def lipschitz_iterates(desk_problem):
     """First three iterates of the saturated-Lipschitz run, with directions."""
     problem = desk_problem
     g = wc.builtin("lipschitz_sat", kappa=5.0)
-    sol = initialize(problem, g, "linear")
+    sol = initialize(problem)
     y, f = sol.trajectory, sol.control
     captured = []
     for _ in range(3):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wavecontrol.cli as cli
-from wavecontrol.errors import ConfigError
-from wavecontrol.least_squares import IterateRecord, LSConfig, LSResult
+from wavecontrol.least_squares import IterateRecord, LSResult
 
 from conftest import CONFIGS, load_json
 
@@ -264,32 +263,15 @@ def test_sweep_empty_values_rejected(tmp_path):
     assert run_cli(["sweep", "--config", path, "--out", tmp_path / "o"]) == 1
 
 
-def test_sweep_threads_match_serial(tmp_path):
-    cfg = load_json(CONFIGS / "loglimit_csweep.json")
-    cfg["scenario"]["nodes"] = [60]
-    cfg["scenario"]["nt"] = 180
-    cfg["sweep"]["values"] = [0.5, 1.0]
-    path = tmp_path / "cs.json"
-    path.write_text(json.dumps(cfg))
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    assert run_cli(["sweep", "--config", path, "--out", out1]) == 0
-    assert run_cli(["sweep", "--config", path, "--out", out2, "--threads", 2]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-
-
-@pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_sweep_bad_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys,
-                                                  source, value):
+def test_sweep_threads_flag_is_a_usage_error(tmp_path, capsys):
+    # sweeps run serially; the flag is refused, not ignored
     out = tmp_path / "out"
-    argv = ["sweep", "--config", CONFIGS / "resolution_sweep.json", "--out", out]
-    if source == "flag":
-        argv += ["--threads", value]
-    else:
-        monkeypatch.setenv("WAVECONTROL_THREADS", value)
-    assert run_cli(argv) == 1
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()   # rejected before any solve
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--config", CONFIGS / "resolution_sweep.json", "--out", out,
+                 "--threads", 2])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_reports_hypotheses(capsys):
@@ -338,15 +320,40 @@ def test_check_of_saturated_nonlinearity_is_warning_free(capsys):
     assert "growth |g'| <= 0.5 + 0 ln^(1/2)(1+|r|): holds" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("width", [0, -1])
-def test_nonpositive_refine_width_is_a_config_error(width):
-    # a golden-section refinement to a width <= 0 never ends; built, not solved
+@pytest.mark.parametrize("key,value", [
+    ("least_squares.init", "linear_frozen"),
+    ("least_squares.scan_points", 9),
+    ("least_squares.refine_rel_width", 1e-2),
+    ("scenario.cfl_factor", 0.5),
+])
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, key, value):
+    # the line search, the start and the CFL margin are fixed; a config that
+    # still sets one is refused, not silently run with the constant
     cfg = load_json(CONFIGS / "lipschitz_default.json")
-    cfg.setdefault("least_squares", {})["refine_rel_width"] = width
-    with pytest.raises(ConfigError, match="refine_rel_width"):
-        cli.build_problem(cfg)
-    with pytest.raises(ConfigError, match="refine_rel_width"):
-        LSConfig(refine_rel_width=width)
+    section, leaf = key.split(".")
+    cfg.setdefault(section, {})[leaf] = value
+    path = tmp_path / "removed.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["check", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert f"{section}: unknown keys ['{leaf}']" in err
+
+
+def test_duplicate_method_is_a_config_error(tmp_path, capsys):
+    path, _ = small_linear_config(tmp_path, methods=["least_squares", "least_squares"])
+    assert run_cli(["check", "--config", path]) == 1
+    assert "duplicate method 'least_squares'" in capsys.readouterr().err
+
+
+def test_run_rejects_x0_inside_the_domain_before_solving(tmp_path, capsys):
+    cfg = load_json(CONFIGS / "geometry_pass.json")
+    cfg["scenario"]["x0"] = 0.5
+    path = tmp_path / "x0.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run_cli(["run", "--config", path, "--out", out]) == 1
+    assert "x0 must lie strictly outside the closed domain" in capsys.readouterr().err
+    assert not (out / "iterates.csv").exists()
 
 
 def test_config_hash_ignores_output_dir(tmp_path):

@@ -27,8 +27,6 @@ def test_grid_rejects_bad_shapes_and_params():
     with pytest.raises(ConfigError):
         wc.SpaceTimeGrid((1.0,), (50,), T=-1.0, nt=100)
     with pytest.raises(ConfigError):
-        wc.SpaceTimeGrid((1.0,), (50,), T=1.0, nt=100, cfl_factor=1.2)
-    with pytest.raises(ConfigError):
         wc.SpaceTimeGrid((1.0, 1.0), (50,), T=1.0, nt=100)
 
 

@@ -23,7 +23,6 @@ def small_linear_problem(**opts):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: wc.LSConfig(scan_points=0),         # IndexError in line_search
     lambda: wc.LSConfig(max_outer=-1),          # cap_reached with no records
     lambda: wc.LSConfig(m=math.nan),            # nonfinite fields after a solve
     lambda: wc.LSConfig(tol=math.inf),
@@ -33,7 +32,7 @@ def small_linear_problem(**opts):
     lambda: small_linear_problem(cg_tol=math.nan),     # 500 iterations, then unconverged
     lambda: small_linear_problem(cg_max_iter=-3),      # the zero control
     lambda: small_linear_problem(eps_reg=math.nan),
-], ids=["scan_points=0", "ls.max_outer=-1", "m=nan", "ls.tol=inf", "e_floor=nan",
+], ids=["ls.max_outer=-1", "m=nan", "ls.tol=inf", "e_floor=nan",
         "fp.max_outer=-1", "fp.tol=nan", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan"])
 def test_bad_library_input_is_a_config_error(build):
     with pytest.raises(ConfigError):
@@ -42,14 +41,14 @@ def test_bad_library_input_is_a_config_error(build):
 
 def test_whole_float_counts_become_ints():
     # JSON may write a count as 2.0; range() in the outer loops needs an int
-    assert type(wc.LSConfig(max_outer=2.0, scan_points=9.0).max_outer) is int
+    assert type(wc.LSConfig(max_outer=2.0).max_outer) is int
     assert type(wc.FixedPointConfig(max_outer=2.0).max_outer) is int
     assert type(small_linear_problem(cg_max_iter=7.0).cg_max_iter) is int
 
 
 def test_compute_E_of_linear_controlled_pair_is_floor_level(small_problem):
     g = wc.builtin("zero")
-    sol = initialize(small_problem, g, "linear")
+    sol = initialize(small_problem)
     E = wc.compute_E(sol.trajectory, sol.control, g, small_problem.region)
     assert E <= 1e-20
 
@@ -80,7 +79,7 @@ def test_compute_E_against_independent_double_sum(small_problem):
 
 def test_descent_direction_on_controlled_pair_is_zero(small_problem):
     g = wc.builtin("zero")
-    sol = initialize(small_problem, g, "linear")
+    sol = initialize(small_problem)
     Y1, F1, inner, r = wc.descent_direction(small_problem, g, sol.trajectory, sol.control)
     assert wc.l2_qt(Y1) <= 1e-8
     assert wc.l2_qt(F1) <= 1e-8
@@ -88,7 +87,7 @@ def test_descent_direction_on_controlled_pair_is_zero(small_problem):
 
 def test_descent_identity_finite_difference(small_problem):
     g = wc.builtin("lipschitz_sat", kappa=0.5)
-    sol = initialize(small_problem, g, "linear")
+    sol = initialize(small_problem)
     y, f = sol.trajectory, sol.control
     E = wc.compute_E(y, f, g, small_problem.region)
     Y1, F1, inner, r = wc.descent_direction(small_problem, g, y, f)
@@ -102,7 +101,7 @@ def test_descent_identity_finite_difference(small_problem):
 
 def test_linear_g_profile_is_exact_quadratic(small_problem):
     g = wc.builtin("linear", b=0.3)
-    sol = initialize(small_problem, g, "linear")
+    sol = initialize(small_problem)
     y, f = sol.trajectory, sol.control
     E = wc.compute_E(y, f, g, small_problem.region)
     Y1, F1, inner, r = wc.descent_direction(small_problem, g, y, f)
@@ -118,7 +117,7 @@ def test_linear_g_profile_is_exact_quadratic(small_problem):
 
 def test_line_search_segment_matches_fresh_E(small_problem):
     g = wc.builtin("lipschitz_sat", kappa=1.0)
-    sol = initialize(small_problem, g, "linear")
+    sol = initialize(small_problem)
     y, f = sol.trajectory, sol.control
     Y1, F1, inner, r = wc.descent_direction(small_problem, g, y, f)
     res = wc.line_search(y, r, Y1, g, m=2.0)
@@ -274,13 +273,6 @@ def test_ls_solve_lipschitz_run_properties(small_problem):
     assert res.records[-1].term_defect_V <= init_defect + 2 * inner_sum + 1e-12
 
 
-def test_ls_solve_linear_frozen_initialization(small_problem):
-    g = wc.builtin("loglimit", a=0.5, b=0.2, c=0.3)
-    cfg = wc.LSConfig(init="linear_frozen", max_outer=25)
-    res = wc.ls_solve(small_problem, g, cfg)
-    assert res.status == "converged"
-
-
 def test_ls_solve_loglimit_superlinear_order():
     from conftest import make_problem
 
@@ -324,18 +316,17 @@ def test_forced_lambda_matches_newton(small_problem):
 
 def test_lipschitz_default_gramian_applies(monkeypatch, configs_dir):
     # exact work counts of the preconditioned floor solves: the starting pair
-    # under init `linear` has P = G(0) + eps I as its operator and takes one
+    # of the g = 0 problem has P = G(0) + eps I as its operator and takes one
     # apply; the run takes 19 (1 + 6 per Newton step)
     from wavecontrol import cli
     from wavecontrol.linear_control import _gramian_rho
 
     problem, g, ls_cfg, _ = cli.build_problem(
         cli.load_config(configs_dir / "lipschitz_default.json"))
-    assert ls_cfg.init == "linear"
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
-    start = initialize(problem, g, "linear")
+    start = initialize(problem)
     assert start.converged and start.cg_iterations == len(applies) == 1
     applies.clear()
     res = wc.ls_solve(problem, g, ls_cfg)
@@ -356,7 +347,7 @@ def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
-    start = initialize(problem, g, ls_cfg.init)
+    start = initialize(problem)
     assert start.converged and start.cg_iterations == len(applies) == 56
     applies.clear()
     res = wc.ls_solve(problem, g, ls_cfg)

@@ -179,10 +179,22 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     gy = g.g(y_mid)
     gpyY = g.dg(y_mid) * Y_mid
     cell = grid.dt * math.prod(grid.dx)
+    work = np.empty(y_mid.shape)
+    val = np.empty(y_mid.shape)
 
     def E_at(lam: float) -> float:
-        val = (1.0 - lam) * r_mid + (g.g(y_mid - lam * Y_mid) - gy + lam * gpyY)
-        return 0.5 * cell * float(np.sum(val * val))
+        # (1 - lam) r + ((g(y - lam Y) - g(y)) + lam g'(y) Y), in this order,
+        # in two buffers; g's result is read, never written, so a g that
+        # returns its argument is safe
+        np.multiply(Y_mid, lam, out=work)
+        np.subtract(y_mid, work, out=work)
+        np.subtract(g.g(work), gy, out=val)
+        np.multiply(gpyY, lam, out=work)
+        np.add(val, work, out=val)
+        np.multiply(r_mid, 1.0 - lam, out=work)
+        np.add(work, val, out=val)
+        np.square(val, out=val)
+        return 0.5 * cell * float(np.sum(val))
 
     lams = np.linspace(0.0, m, SCAN_POINTS)
     vals = [E_at(la) for la in lams]

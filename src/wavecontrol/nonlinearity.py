@@ -142,9 +142,9 @@ def _smoothstep(t):
 def _cubic_sat_g(R):
     def g(r):
         r = np.asarray(r, dtype=float)
-        # r**3 (libm pow, not r*r*r) everywhere, then only the |r| > R entries
-        # through the blend: the same values as a blend over the whole array
-        out = np.asarray(r**3)
+        # r^3 everywhere, then only the |r| > R entries through the blend:
+        # the same values as a blend over the whole array
+        out = np.asarray(r * r * r)
         big = np.abs(r) > R
         if np.any(big):
             rb = r[big]

@@ -130,6 +130,32 @@ def test_mutated_config_check_never_raises(tmp_path, name, pick, value):
     assert run_cli(["check", "--config", path]) in (0, 1)
 
 
+FUZZ_G = {"zero": {}, "linear": {"b": 0.3}, "lipschitz_sat": {"kappa": 5.0},
+          "loglimit": {"a": 0.0, "b": 0.0, "c": 0.5}, "cubic_sat": {"R": 50.0}}
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 2.0, 10.0, 40.0])
+@settings(max_examples=15, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(nodes=st.integers(7, 17), nt=st.integers(10, 40), cfl=st.floats(0.5, 0.95),
+       g=st.sampled_from(sorted(FUZZ_G)), method=st.sampled_from(sorted(cli.METHOD_RUNNERS)))
+def test_run_on_tiny_grids_never_raises(tmp_path, amplitude, nodes, nt, cfl, g, method):
+    # a 1D run, from zero data to amplitudes where cubic_sat makes the
+    # methods diverge, cap or stagnate, ends converged (0) or not (2) with a
+    # valid summary, and never raises
+    cfg = load_json(CONFIGS / "lipschitz_default.json")
+    cfg["scenario"].update(nodes=[nodes], nt=nt, T=cfl * nt / (nodes - 1))
+    cfg["data"]["initial"]["position"]["amplitude"] = amplitude
+    cfg["nonlinearity"] = {"name": g, "params": FUZZ_G[g]}
+    cfg["methods"] = [method]
+    cfg["least_squares"] = {"max_outer": 8}
+    path, out = tmp_path / "fuzz.json", tmp_path / "fuzz"
+    path.write_text(json.dumps(cfg))
+    (out / "summary.json").unlink(missing_ok=True)
+    assert run_cli(["run", "--config", path, "--out", out]) in (0, 2)
+    cli.validate_summary(json.loads((out / "summary.json").read_text()))
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_empty_2d_x0_is_a_config_error(tmp_path, capsys, command):
     cfg = load_json(CONFIGS / "smoke_2d.json")

@@ -136,7 +136,34 @@ def test_line_search_converged_at_zero_residual(small_problem):
 
 
 LINE_SEARCH_G = {"lipschitz_sat": wc.builtin("lipschitz_sat", kappa=5.0),
-                 "cubic_sat": wc.builtin("cubic_sat", R=5.0)}
+                 "cubic_sat": wc.builtin("cubic_sat", R=5.0),
+                 "loglimit": wc.builtin("loglimit", a=0.2, b=0.5, c=1.0),
+                 "linear": wc.builtin("linear", b=0.3),
+                 "zero": wc.builtin("zero")}
+
+
+def segment_E(y, r, Y1, g):
+    """E along the segment as the plain expression, a fresh array per term:
+    the reference the line search must match bit for bit."""
+    grid = y.grid
+    sl = (slice(1, -1),) * (grid.dim + 1)
+    y_mid, r_mid, Y_mid = y.values[sl], r.values[sl], Y1.values[sl]
+
+    def E_at(lam):
+        val = (1.0 - lam) * r_mid + (g.g(y_mid - lam * Y_mid) - g.g(y_mid)
+                                     + lam * (g.dg(y_mid) * Y_mid))
+        return 0.5 * grid.dt * math.prod(grid.dx) * float(np.sum(val * val))
+    return E_at
+
+
+def random_segment(dim, scale, r_exp, seed):
+    # random fields in place of a descent direction: no PDE solve
+    grid = wc.SpaceTimeGrid((1.0,) * dim, (9,) * dim, T=1.0, nt=12)
+    rng = np.random.default_rng(seed)
+    shape = (grid.nt + 1,) + grid.shape
+    y, Y1 = (wc.SpaceTimeField(grid, scale * rng.standard_normal(shape)) for _ in range(2))
+    r = wc.SpaceTimeField(grid, 10.0 ** r_exp * scale * rng.standard_normal(shape))
+    return y, r, Y1
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -144,29 +171,40 @@ LINE_SEARCH_G = {"lipschitz_sat": wc.builtin("lipschitz_sat", kappa=5.0),
        m=st.floats(1.0, 4.0), scale=st.floats(0.1, 3.0), r_exp=st.integers(-12, 0),
        seed=st.integers(0, 2**16))
 def test_line_search_never_raises_E(dim, name, m, scale, r_exp, seed):
-    # random fields in place of a descent direction: no PDE solve.  A
-    # residual far below the step's curvature term makes the search stagnate,
-    # so both outcomes are drawn
-    grid = wc.SpaceTimeGrid((1.0,) * dim, (9,) * dim, T=1.0, nt=12)
-    rng = np.random.default_rng(seed)
-    shape = (grid.nt + 1,) + grid.shape
-    y, Y1 = (wc.SpaceTimeField(grid, scale * rng.standard_normal(shape)) for _ in range(2))
-    r = wc.SpaceTimeField(grid, 10.0 ** r_exp * scale * rng.standard_normal(shape))
+    # a residual far below the step's curvature term makes the search
+    # stagnate, so both outcomes are drawn
+    y, r, Y1 = random_segment(dim, scale, r_exp, seed)
     g = LINE_SEARCH_G[name]
     res = wc.line_search(y, r, Y1, g, m)
-
-    sl = (slice(1, -1),) * (dim + 1)
-    y_mid, r_mid, Y_mid = y.values[sl], r.values[sl], Y1.values[sl]
-
-    def E_at(lam):
-        val = (1.0 - lam) * r_mid + (g.g(y_mid - lam * Y_mid) - g.g(y_mid)
-                                     + lam * g.dg(y_mid) * Y_mid)
-        return 0.5 * grid.dt * math.prod(grid.dx) * float(np.sum(val * val))
+    E_at = segment_E(y, r, Y1, g)
 
     assert 0.0 <= res.lam <= m
     assert res.E_new <= E_at(0.0)
-    assert res.E_new == pytest.approx(E_at(res.lam), rel=1e-12)
+    assert res.E_new == E_at(res.lam)
     assert (res.status == "stagnated") == (res.lam == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_line_search_leaves_its_inputs_unchanged(dim):
+    y, r, Y1 = random_segment(dim, 8.0, 0, seed=3)
+    before = [f.values.copy() for f in (y, r, Y1)]
+    wc.line_search(y, r, Y1, LINE_SEARCH_G["cubic_sat"], 2.0)
+    for field, old in zip((y, r, Y1), before):
+        assert np.array_equal(field.values, old)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_line_search_with_g_returning_its_argument(dim):
+    # g(r) = r hands back the array it was given: the evaluation buffer
+    # itself, which must not be overwritten before g's result is read
+    ident = Nonlinearity("identity", lambda r: r, lambda r: np.ones_like(r),
+                         s=1.0, seminorm=0.0, alpha=1.0, beta=0.0)
+    y, r, Y1 = random_segment(dim, 1.0, -1, seed=5)
+    res = wc.line_search(y, r, Y1, ident, 2.0)
+    assert res.status == "ok"
+    assert res.E_new == segment_E(y, r, Y1, ident)(res.lam)
+    same = wc.line_search(y, r, Y1, wc.builtin("linear", b=1.0), 2.0)
+    assert (same.lam, same.E_new) == (res.lam, res.E_new)
 
 
 def test_line_search_on_synthetic_profile():

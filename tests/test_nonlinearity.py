@@ -86,7 +86,7 @@ def reference_cubic_sat(R):
         sign = np.sign(r)
         t = np.clip((ar - R) / (0.2 * R), 0.0, 1.0)
         blend = R**3 + 0.6 * R**3 * (t - t**3 + 0.5 * t**4)
-        out = np.where(ar <= R, r**3, sign * blend)
+        out = np.where(ar <= R, r * r * r, sign * blend)
         return np.where(ar >= 1.2 * R, sign * 1.3 * R**3, out)
 
     def dg(r):
@@ -122,6 +122,19 @@ def test_cubic_sat_matches_whole_array_blend_bitwise(R):
             assert type(out) is type(want) and out.shape == want.shape == ()
             assert np.array_equal(out, want, equal_nan=True)
             assert np.signbit(out) == np.signbit(want)
+
+
+@pytest.mark.parametrize("R", [50.0, 1.0, 3.7])
+def test_cubic_sat_within_one_ulp_of_pow(R):
+    # r * r * r rounds twice where libm pow rounds once: at most 1 ulp apart
+    g = wc.builtin("cubic_sat", R=R).g
+    edges = [R, -R, np.nextafter(R, 0.0), -np.nextafter(R, 0.0), 0.0, -0.0,
+             1.0, -1.0, 1e-100, -1e-100, 1e-200, np.nextafter(0.0, 1.0)]
+    rng = np.random.default_rng(11)
+    r = np.concatenate([edges, rng.uniform(-R, R, 10**5)])
+    want = r**3
+    assert np.all(np.abs(g(r) - want) <= np.spacing(np.abs(want)))
+    assert np.array_equal(np.signbit(g(r)), np.signbit(want))
 
 
 def test_hat_g_linear_and_quadratic():

@@ -22,7 +22,6 @@ from .errors import BlowupError, ConfigError, whole_number
 from .fields import SpaceTimeField, h10_norm, l2_qt, linf_l1, linf_lp, v_norm
 from .least_squares import (DIVERGENCE_THRESHOLD, IterateRecord, LSConfig, LSResult,
                             TargetProblem, initialize, ls_solve)
-from .linear_control import solve_null_control
 from .nonlinearity import Nonlinearity
 from .solver import residual_field
 
@@ -95,7 +94,7 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
 
         potential, source = linearize(grid, g, y)
         try:
-            sol = solve_linear_step(problem, potential, source)
+            sol = problem.solve(potential, source, problem.initial, problem.target)
         except BlowupError:
             status = "inner_failure"
             break
@@ -108,12 +107,6 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
                     M_run=max((r.y_linf_L1 for r in records if math.isfinite(r.y_linf_L1)),
                               default=0.0),
                     method=method_name)
-
-
-def solve_linear_step(problem: TargetProblem, potential, source):
-    return solve_null_control(problem.inner_problem(
-        potential=potential, source=source,
-        initial=problem.initial, target=problem.target))
 
 
 def _picard_linearization(grid, g, y):
@@ -151,7 +144,8 @@ def contraction_ratio(problem: TargetProblem, g: Nonlinearity,
     diff = xi2.values - xi1.values
     if float(np.max(np.abs(diff))) == 0.0:
         raise ValueError("xi1 and xi2 must differ")
-    sols = [solve_linear_step(problem, *_picard_linearization(grid, g, xi)) for xi in (xi1, xi2)]
+    sols = [problem.solve(*_picard_linearization(grid, g, xi), problem.initial, problem.target)
+            for xi in (xi1, xi2)]
     gap_vals = sols[1].trajectory.values - sols[0].trajectory.values
     num = max(h10_norm(grid, gap_vals[n]) for n in range(grid.nt + 1))
     den = linf_lp(SpaceTimeField(grid, diff), float(grid.dim + 1))

@@ -156,6 +156,9 @@ def validate_config(cfg: dict):
     _expect_keys(sc, "scenario", required=("name", "dimension", "lengths", "nodes",
                                            "T", "nt", "region"),
                  optional=("x0", "smoothing"))
+    # written unquoted into every CSV row and as a string into summary.json
+    if not isinstance(sc["name"], str) or any(c in sc["name"] for c in ',"\r\n'):
+        _fail("scenario.name", "must be a string without commas, quotes or line breaks")
     if isinstance(sc["dimension"], bool) or sc["dimension"] not in (1, 2):
         _fail("scenario.dimension", "must be 1 or 2")
     dim = sc["dimension"]

@@ -30,20 +30,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BlowupError, ConfigError, InsufficientRecords, whole_number
 from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, v_norm
 from .grids import ControlRegion, SpaceTimeGrid
-from .linear_control import FloorSpace, LinearControlProblem, solve_null_control
+from .linear_control import (ControlSolution, LinearControlProblem,
+                             _free_wave_preconditioner, solve_null_control)
 from .nonlinearity import Nonlinearity, beta_star
 from .solver import residual_field
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetProblem:
-    """Steering problem: drive `initial` to `target` on grid with support region."""
+    """Steering problem: drive `initial` to `target` on grid with support region.
+
+    Frozen, so the one preconditioner its inner solves share never goes stale.
+    """
 
     grid: SpaceTimeGrid
     region: ControlRegion
@@ -55,13 +60,27 @@ class TargetProblem:
 
     def __post_init__(self):
         # the inner settings are checked now, not at the first solve
-        self.inner_problem(None, None, self.initial, self.target)
+        self._inner(None, None, self.initial, self.target)
 
-    def inner_problem(self, potential, source, initial, target) -> LinearControlProblem:
+    def _inner(self, potential, source, initial, target) -> LinearControlProblem:
         return LinearControlProblem(
             self.grid, self.region, potential=potential, source=source,
             initial=initial, target=target, eps_reg=self.eps_reg,
             cg_tol=self.cg_tol, cg_max_iter=self.cg_max_iter)
+
+    @cached_property
+    def _precond(self):
+        """P = G(0) + eps I of `linear_control` (None with eps = 0), built at
+        the first solve: `check` builds problems it never solves."""
+        eps = self._inner(None, None, self.initial, self.target).effective_eps
+        return _free_wave_preconditioner(self.grid, self.region, eps) if eps > 0.0 else None
+
+    def solve(self, potential, source, initial, target, floor=False) -> ControlSolution:
+        """The null-controlled solution of the linear problem with this
+        potential, source and data, preconditioned with the shared P and,
+        with floor, stopped at the Tikhonov floor (`solve_null_control`)."""
+        problem = self._inner(potential, source, initial, target)
+        return solve_null_control(problem, floor, self._precond)
 
 
 DIVERGENCE_THRESHOLD = 1e6            # on |y|_{Linf(L1)}, shared by all methods
@@ -125,10 +144,9 @@ def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
     return 0.5 * l2_qt(r) ** 2
 
 
-def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField,
-                 space: FloorSpace):
+def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField):
     """Null-controlled pair of the linearized equation with potential gp = g'(y)
-    and source r, CG stopped at the Tikhonov floor and accelerated by `space`.
+    and source r, CG stopped at the Tikhonov floor.
 
     The pair satisfies the linearized equation stencil-exactly however far
     CG has run, so the floor stop moves only its terminal defect, by at
@@ -136,9 +154,7 @@ def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField,
     """
     grid = problem.grid
     A = None if np.all(gp.values == 0.0) else gp
-    return solve_null_control(problem.inner_problem(
-        potential=A, source=r, initial=StatePair.zeros(grid),
-        target=StatePair.zeros(grid)), space)
+    return problem.solve(A, r, StatePair.zeros(grid), StatePair.zeros(grid), floor=True)
 
 
 def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField,
@@ -150,8 +166,7 @@ def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField
     so E'(y, f).(Y1, F1) = 2 E(y, f).
     """
     r = residual_field(y, f, g, problem.region)
-    inner = _newton_step(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r,
-                         FloorSpace())
+    inner = _newton_step(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r)
     return inner.trajectory, inner.control, inner, r
 
 
@@ -279,19 +294,16 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
     return out
 
 
-def initialize(problem: TargetProblem, space: FloorSpace | None = None):
+def initialize(problem: TargetProblem):
     """Starting pair: the controlled solution of the linear (g = 0) problem,
     potential 0 and source 0.
 
-    CG stops at the Tikhonov floor, as in every Newton step, and builds
-    the free-wave preconditioner P = G(0) + eps I of `linear_control` in
-    `space` (a fresh one when None) for the steps.  P is this solve's
-    exact operator, applied exactly under the size rule and by its
-    diagonal otherwise.
+    CG stops at the Tikhonov floor, as in every Newton step.  Its
+    preconditioner, the problem's P = G(0) + eps I of `linear_control`, is
+    this solve's exact operator when applied exactly (under the size
+    rule), so the solve then takes one CG iteration.
     """
-    return solve_null_control(problem.inner_problem(
-        potential=None, source=None, initial=problem.initial, target=problem.target),
-        FloorSpace() if space is None else space)
+    return problem.solve(None, None, problem.initial, problem.target, floor=True)
 
 
 def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = None,
@@ -300,16 +312,15 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     tol * sqrt(2E_0) (or the absolute floor), the iteration cap, or a
     stagnation/failure status.
 
-    The inner solves of one run differ only in potential and right-hand
-    side, so they share one `FloorSpace`: each is preconditioned with the
-    closed-form P = G(0) + eps I that the starting pair builds, applied
-    exactly under the size rule of `linear_control` (every committed 1D
-    config with eps > 0) and by its diagonal otherwise (2D).
+    The inner solves differ only in potential and right-hand side, so
+    each is preconditioned with the problem's closed-form
+    P = G(0) + eps I, applied exactly under the size rule of
+    `linear_control` (every committed 1D config with eps > 0) and by its
+    diagonal otherwise (2D).
     """
     config = config or LSConfig()
     grid, region = problem.grid, problem.region
-    space = FloorSpace()
-    init_sol = initialize(problem, space)
+    init_sol = initialize(problem)
     y, f = init_sol.trajectory, init_sol.control
     terminal = init_sol.terminal          # sum of scheme-exact snapshots at t=T
 
@@ -353,7 +364,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
             break
 
         try:
-            inner = _newton_step(problem, gp, r, space)
+            inner = _newton_step(problem, gp, r)
         except BlowupError:
             status = "inner_failure"
             break

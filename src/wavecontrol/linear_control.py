@@ -25,7 +25,7 @@ observable high-frequency modes at the price of an O(eps) terminal
 defect; eps_reg defaults to min(dx)^2.
 
 CG may stop at that floor instead of at cg_tol (`solve_null_control`
-with a `FloorSpace`).  The terminal gap of an iterate rho_k is
+with floor=True).  The terminal gap of an iterate rho_k is
 d_k = c - G rho_k = r_k + eps rho_k, and at the exact solution
 d* = eps rho*.  The stop |r_k| <= FLOOR_THETA * eps |rho_k| bounds the
 algebraic error by the regularization error (Arioli, Numer. Math. 97,
@@ -38,15 +38,17 @@ algebraic error by the regularization error (Arioli, Numer. Math. 97,
 a factor 1.0202 at theta = 0.01.  The bound needs no monotone |rho_k|,
 so it holds for preconditioned CG, whose iterates grow in the
 preconditioner's norm rather than the Euclidean one.  The solve without
-a space keeps the fixed cg_tol: callers that compare controls across
-solves (linearity, oracle agreement, fixed-point step sizes) need the
-exact solve.
+the floor stop keeps the fixed cg_tol: callers that compare controls
+across solves (linearity, oracle agreement, fixed-point step sizes)
+need the exact solve.
 
-The floor-stopped solves of one run with eps > 0 share a `FloorSpace`,
-which holds one preconditioner for all of them, built at its first
-solve: P = G(0) + eps I, the regularized Gramian without potential.
-For a constant potential a every sine mode of the box grid evolves on
-its own under the leapfrog scheme,
+How CG stops and what it is preconditioned with are separate choices.
+Every solve with eps > 0, floor-stopped or exact, is preconditioned
+with P = G(0) + eps I, the regularized Gramian without potential; with
+eps = 0 CG runs plain.  P depends only on the grid, region and eps, so
+solves that share them share one P (every solve of one
+`least_squares.TargetProblem` does).  For a constant potential a every
+sine mode of the box grid evolves on its own under the leapfrog scheme,
 T_k(m+1) = (2 - dt^2 (mu_h,k + a)) T_k(m) - T_k(m-1) with mu_h,k the
 eigenvalues of -Lap_h, so the Gramian has the closed form
 
@@ -341,15 +343,6 @@ def _free_wave_preconditioner(grid, region, eps):
     return V, lam
 
 
-@dataclass
-class FloorSpace:
-    """What the floor-stopped solves of one run, on one grid, region and
-    eps > 0, share: the preconditioner `_free_wave_preconditioner` builds
-    at the first solve."""
-
-    precond: tuple | np.ndarray | None = None
-
-
 def _precondition(precond, r):
     """P^{-1} r: r / precond for P's diagonal, V (V^T r / lam) for its
     eigendecomposition precond = (V, lam), r itself for None."""
@@ -438,34 +431,30 @@ def _controlled_solution(problem, op, free, free_term, **solver_info) -> Control
     )
 
 
-def solve_null_control(problem: LinearControlProblem,
-                       space: FloorSpace | None = None) -> ControlSolution:
+def solve_null_control(problem: LinearControlProblem, floor: bool = False,
+                       precond: tuple | np.ndarray | None = None) -> ControlSolution:
     """Steer the initial state to the target; control of minimal L^2(q_T) norm.
 
     Reduction to a reach-from-rest problem: subtract the uncontrolled
     solution with the given data and source, then match the remaining
-    terminal gap through the Gramian equation (G + eps I) rho = c.
-    Without a `space`, or with eps_reg = 0, this is plain CG stopped at
-    cg_tol.  With one and eps > 0 CG also stops once its residual is below
+    terminal gap through the Gramian equation (G + eps I) rho = c, by CG
+    stopped at cg_tol.  With eps > 0 CG is preconditioned with
+    P = G(0) + eps I: `precond`, as `_free_wave_preconditioner` builds it
+    for this grid, region and eps, or one built here when None.  With
+    floor and eps > 0 CG also stops once its residual is below
     FLOOR_THETA times the Tikhonov term, which keeps the terminal defect
     within a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) of the exact
     regularized solve's (module docstring), and `converged` means either
-    stop was met.  It is then preconditioned with P = G(0) + eps I, which
-    the first solve on the space builds: exactly under the size rule, by
-    its diagonal otherwise.
+    stop was met.  With eps_reg = 0 and no `precond` this is plain CG.
     """
     grid, eps = problem.grid, problem.effective_eps
-    floor, precond = 0.0, None
-    if space is not None and eps > 0.0:
-        floor = FLOOR_THETA * eps
+    if precond is None and eps > 0.0:
         # built before the solve's fields, so its scratch is freed first
-        if space.precond is None:
-            space.precond = _free_wave_preconditioner(grid, problem.region, eps)
-        precond = space.precond
+        precond = _free_wave_preconditioner(grid, problem.region, eps)
     free, free_term, c = _free_response(problem)
     op = _GramianOperator(grid, problem.region, problem.potential)
     rho, iters, converged, history = _cg(op, c, problem.cg_tol, problem.cg_max_iter, eps,
-                                         floor, precond)
+                                         FLOOR_THETA * eps if floor else 0.0, precond)
     op.adjoint_control(seed_from_rho(grid, rho))
     return _controlled_solution(problem, op, free, free_term, cg_iterations=iters,
                                 converged=bool(converged), residual_history=history,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import wavecontrol as wc
+from wavecontrol import cli, least_squares, linear_control
 
-from conftest import make_problem
+from conftest import CONFIGS, load_json, make_problem
 
 
 def test_picard_linear_fixed_point_in_one_iteration(small_problem):
@@ -107,3 +108,43 @@ def test_contraction_ratio_scales_with_kappa():
     r2 = ratios[0.4] / ratios[0.2]
     assert 2 * 0.7 <= r1 <= 2 * 1.3
     assert 2 * 0.7 <= r2 <= 2 * 1.3
+
+
+def test_one_preconditioner_per_problem(monkeypatch):
+    # every inner solve of every method on one problem shares its free-wave
+    # preconditioner: one build in all, at the first solve, none at
+    # construction
+    problem = make_problem(nx=40, nt=120)
+    builds = []
+    build = linear_control._free_wave_preconditioner
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    for module in (least_squares, linear_control):
+        monkeypatch.setattr(module, "_free_wave_preconditioner", counted)
+    g = wc.builtin("lipschitz_sat", kappa=2.0)
+    ls_cfg, fp_cfg = wc.LSConfig(max_outer=3), wc.FixedPointConfig(max_outer=3)
+    assert builds == []
+    res = wc.ls_solve(problem, g, ls_cfg)
+    wc.newton_classic_solve(problem, g, ls_cfg)
+    wc.picard_solve(problem, g, fp_cfg)
+    wc.variant_solve(problem, g, fp_cfg)
+    for _ in range(2):
+        wc.descent_direction(problem, g, res.y, res.f)
+    xi = res.y
+    wc.contraction_ratio(problem, g, xi, wc.SpaceTimeField(problem.grid, 1.1 * xi.values))
+    assert len(builds) == 1
+
+
+def test_picard_steps_are_preconditioned():
+    # the exact solves of the picard steps share the problem's free-wave
+    # preconditioner: a few CG iterations each (129-151 unpreconditioned)
+    cfg = load_json(CONFIGS / "strong_nonlinearity.json")
+    problem, g, _, fp_cfg = cli.build_problem(cfg)
+    res = wc.picard_solve(problem, g, fp_cfg)
+    assert res.status == "cap_reached" and len(res.records) == 13
+    steps = [rec.inner_cg_iters for rec in res.records[1:]]
+    assert all(rec.inner_converged for rec in res.records)
+    assert max(steps) <= 15

@@ -87,6 +87,8 @@ def test_unknown_method_rejected(tmp_path, capsys):
     ("output_dir", 5),
     ("scenario.smoothing", "no"),
     ("scenario.x0", []),
+    ("scenario.name", 5),
+    ("scenario.name", "a,b\nc"),
 ])
 def test_malformed_field_is_a_config_error(tmp_path, capsys, key, value):
     path, _ = small_linear_config(tmp_path, **{key: value})

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
 from wavecontrol.errors import BlowupError, ConfigError
-from wavecontrol.linear_control import (FLOOR_THETA, FloorSpace, _cg, _constraint_rows,
-                                        _free_response, _free_wave_diagonal, _free_wave_fits,
-                                        _free_wave_gramian, _GramianOperator, _gramian_rho,
-                                        dual_to_rho, rho_from_seed, seed_from_rho)
+from wavecontrol.linear_control import (FLOOR_THETA, _cg, _constraint_rows, _free_response,
+                                        _free_wave_diagonal, _free_wave_fits,
+                                        _free_wave_gramian, _free_wave_preconditioner,
+                                        _GramianOperator, _gramian_rho, dual_to_rho,
+                                        rho_from_seed, seed_from_rho)
 
 from conftest import MARCH_KERNELS, march_kernel
 
@@ -282,17 +283,31 @@ def test_mirror_symmetry_of_control():
     assert np.max(np.abs(u - u[:, ::-1])) <= 1e-10 * max(1.0, np.max(np.abs(u)))
 
 
-def test_control_map_is_linear(grid, region):
-    (x,) = grid.meshgrid()
-    d1 = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
-    d2 = wc.StatePair(grid, np.zeros(grid.shape), np.sin(2 * np.pi * x))
-    a, b = 0.6, -1.3
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(dim=st.sampled_from([1, 2]), nodes=st.integers(9, 40), strength=st.floats(-2.0, 2.0),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), seed=st.integers(0, 2**16))
+def test_control_map_is_linear(dim, nodes, strength, a, b, seed):
+    # u(a d1 + b d2) = a u(d1) + b u(d2) for random data under a potential,
+    # with P applied exactly (1D grids) and by its diagonal (2D squares of 9
+    # to 12 nodes a side, off the size rule)
+    if dim == 1:
+        grid = wc.SpaceTimeGrid((1.0,), (nodes,), T=2.5, nt=math.ceil(2.5 * (nodes - 1) / 0.9))
+        region = wc.interval_region(grid, 0.6, 1.0)
+    else:
+        nodes = 9 + nodes % 4
+        grid = wc.SpaceTimeGrid((1.0, 1.0), (nodes, nodes), T=2.5,
+                                nt=math.ceil(2.5 * (nodes - 1) * math.sqrt(2) / 0.9))
+        region = wc.sides_region(grid, ["right", "top"], 0.4)
+    assert _free_wave_fits(grid) == (dim == 1)
+    rng = np.random.default_rng(seed)
+    d1, d2 = random_seed_pair(grid, rng), random_seed_pair(grid, rng)
     combo = wc.StatePair(grid, a * d1.position + b * d2.position,
                          a * d1.velocity + b * d2.velocity)
-    opts = dict(eps_reg=1e-6, cg_tol=1e-12, cg_max_iter=900)
-    u1 = wc.solve_null_control(wc.LinearControlProblem(grid, region, initial=d1, **opts))
-    u2 = wc.solve_null_control(wc.LinearControlProblem(grid, region, initial=d2, **opts))
-    uc = wc.solve_null_control(wc.LinearControlProblem(grid, region, initial=combo, **opts))
+    opts = dict(potential=random_potential(grid, scale=strength), eps_reg=1e-6, cg_tol=1e-12,
+                cg_max_iter=900)
+    u1, u2, uc = (wc.solve_null_control(wc.LinearControlProblem(grid, region, initial=d, **opts))
+                  for d in (d1, d2, combo))
+    assert u1.converged and u2.converged and uc.converged
     lhs = uc.control.values
     rhs = a * u1.control.values + b * u2.control.values
     scale = max(1.0, float(np.max(np.abs(lhs))))
@@ -300,26 +315,29 @@ def test_control_map_is_linear(grid, region):
 
 
 def test_cg_gramian_norm_error_is_monotone():
-    # the energy-norm error of CG decreases at every iteration; capped runs
-    # reproduce the iterates exactly (deterministic), so compare each against
-    # a converged reference
+    # the energy-norm error of preconditioned CG decreases at every
+    # iteration; capped runs reproduce the iterates exactly (deterministic),
+    # so compare each against a converged reference, up to the reference's
+    # iteration count.  With a potential the free-wave preconditioner is not
+    # the system's operator, so CG takes several iterations (8 here)
     grid = wc.SpaceTimeGrid((1.0,), (31,), T=2.5, nt=100)
     region = wc.interval_region(grid, 0.8, 1.0)
     (x,) = grid.meshgrid()
     init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
+    A = random_potential(grid, scale=1.5)
     eps = 1e-3
-    base = dict(initial=init, eps_reg=eps, cg_tol=1e-14)
-    ref = wc.solve_null_control(wc.LinearControlProblem(
-        grid, region, cg_max_iter=500, **base)).seed_coords
+    base = dict(potential=A, initial=init, eps_reg=eps, cg_tol=1e-14)
+    ref = wc.solve_null_control(wc.LinearControlProblem(grid, region, cg_max_iter=500, **base))
+    assert ref.converged and ref.cg_iterations >= 5
 
-    op = _GramianOperator(grid, region, None)
+    op = _GramianOperator(grid, region, A)
 
     def g_norm_error(rho):
-        e = ref - rho
+        e = ref.seed_coords - rho
         return float(e @ (_gramian_rho(op, e) + eps * e))
 
     errors = []
-    for cap in range(0, 13):
+    for cap in range(ref.cg_iterations):
         sol = wc.solve_null_control(wc.LinearControlProblem(
             grid, region, cg_max_iter=cap, **base))
         errors.append(g_norm_error(sol.seed_coords))
@@ -380,7 +398,7 @@ def floor_problem(nx, eps, a, modes, cg_tol=1e-14):
 def test_floor_stop_saves_iterations_and_keeps_the_defect():
     prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
     tight = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, FloorSpace())
+    floor = wc.solve_null_control(prob, floor=True)
     assert tight.converged and floor.converged
     assert floor.cg_iterations < tight.cg_iterations
     assert floor.defect <= (1 + FLOOR_THETA) * tight.defect
@@ -389,7 +407,7 @@ def test_floor_stop_saves_iterations_and_keeps_the_defect():
 def test_floor_stop_without_regularization_is_the_plain_solve():
     prob = floor_problem(31, 0.0, 0.8, [(1, 1.0, 0.0)], cg_tol=1e-8)
     plain = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, FloorSpace())
+    floor = wc.solve_null_control(prob, floor=True)
     assert floor.cg_iterations == plain.cg_iterations
     assert np.array_equal(floor.control.values, plain.control.values)
 
@@ -405,7 +423,7 @@ def test_floor_stop_defect_bound_property(nx, log_eps, a, modes):
     # defect of a solve run to cg_tol = 1e-14
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
     tight = wc.solve_null_control(prob)
-    floor = wc.solve_null_control(prob, FloorSpace())
+    floor = wc.solve_null_control(prob, floor=True)
     assert floor.cg_iterations <= tight.cg_iterations
     assert floor.defect <= (1 + FLOOR_THETA) * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
@@ -438,12 +456,12 @@ def test_floor_solve_off_the_rule_divides_by_the_diagonal():
     rho, iters, converged, history = _cg(op, _free_response(prob)[2], prob.cg_tol,
                                          prob.cg_max_iter, eps, FLOOR_THETA * eps,
                                          precond=_free_wave_diagonal(prob.grid, prob.region) + eps)
-    space = FloorSpace()
-    first = wc.solve_null_control(prob, space)
+    first = wc.solve_null_control(prob, floor=True)
     assert (first.cg_iterations, first.converged) == (iters, converged)
     assert first.residual_history == history
     assert np.array_equal(first.seed_coords, rho)
-    assert space.precond.shape == (2 * math.prod(prob.grid.interior_shape),)
+    precond = _free_wave_preconditioner(prob.grid, prob.region, eps)
+    assert precond.shape == (2 * math.prod(prob.grid.interior_shape),)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -454,31 +472,33 @@ def test_floor_solve_off_the_rule_divides_by_the_diagonal():
        modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                       min_size=1, max_size=3))
 def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes):
-    # fill a space under one potential, solve under another: these 1D grids
-    # fall under the size rule, so the second solve reuses the preconditioner
-    # the first built, and its defect obeys the bound
+    # one preconditioner shared by solves under two potentials: these 1D
+    # grids fall under the size rule, so both apply P exactly, and the
+    # second's defect obeys the bound
     # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
     # (`test_diagonal_floor_stop_defect_bound` covers the diagonal path)
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
-    space = FloorSpace()
-    wc.solve_null_control(potential_problem(prob, scales[0]), space)
+    precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
+    assert isinstance(precond, tuple)
+    wc.solve_null_control(potential_problem(prob, scales[0]), True, precond)
     target = potential_problem(prob, scales[1])
     tight = wc.solve_null_control(target)
-    recycled = wc.solve_null_control(target, space)
+    recycled = wc.solve_null_control(target, True, precond)
     assert recycled.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     assert recycled.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
 
 def test_diagonal_floor_stop_defect_bound():
-    # the second solve reuses the diagonal the first built; its iterates
-    # need not grow in the Euclidean norm, so its defect obeys the bound
+    # two solves share P's diagonal; the second's iterates need not grow in
+    # the Euclidean norm, so its defect obeys the bound
     # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
-    space = FloorSpace()
-    wc.solve_null_control(diagonal_problem(0.5), space)
+    first = diagonal_problem(0.5)
+    precond = _free_wave_preconditioner(first.grid, first.region, first.effective_eps)
+    wc.solve_null_control(first, True, precond)
     target = diagonal_problem(1.0)
     tight = wc.solve_null_control(target)
-    recycled = wc.solve_null_control(target, space)
+    recycled = wc.solve_null_control(target, True, precond)
     assert tight.converged and recycled.converged
     assert recycled.cg_iterations < tight.cg_iterations
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
@@ -521,10 +541,8 @@ def test_free_wave_preconditioner_is_exact_without_potential(monkeypatch):
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
-    space = FloorSpace()
-    sol = wc.solve_null_control(prob, space)
+    sol = wc.solve_null_control(prob, floor=True)
     assert sol.converged and sol.cg_iterations == len(applies) == 1
-    assert space.precond is not None
 
 
 def pcg_problem(dim, nx, eps, a, modes):
@@ -559,9 +577,10 @@ def test_preconditioned_floor_stop_defect_bound_property(dim, nx, log_eps, a, sc
     prob = potential_problem(pcg_problem(dim, nx, 10.0 ** log_eps, a, modes), scale)
     assert _free_wave_fits(prob.grid)
     tight = wc.solve_null_control(prob)
-    space = FloorSpace()
-    floor = wc.solve_null_control(prob, space)
-    assert floor.converged and space.precond is not None
+    precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
+    assert isinstance(precond, tuple)
+    floor = wc.solve_null_control(prob, True, precond)
+    assert floor.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     assert floor.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 
@@ -581,9 +600,10 @@ def test_diagonal_floor_stop_defect_bound_property(nx, log_eps, a, scale, modes)
     prob = potential_problem(pcg_problem(2, nx, 10.0 ** log_eps, a, modes), scale)
     assert not _free_wave_fits(prob.grid)
     tight = wc.solve_null_control(prob)
-    space = FloorSpace()
-    floor = wc.solve_null_control(prob, space)
-    assert floor.converged and space.precond.ndim == 1
+    precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
+    assert precond.ndim == 1
+    floor = wc.solve_null_control(prob, True, precond)
+    assert floor.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     assert floor.defect <= bound * tight.defect + 1e-14 * wc.v_norm(prob.initial)
 

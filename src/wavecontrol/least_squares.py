@@ -314,9 +314,9 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
 
     The inner solves differ only in potential and right-hand side, so
     each is preconditioned with the problem's closed-form
-    P = G(0) + eps I, applied exactly under the size rule of
-    `linear_control` (every committed 1D config with eps > 0) and by its
-    diagonal otherwise (2D).
+    P = G(0) + eps I of `linear_control`, exact on its band of modes
+    (every mode on each committed 1D config with eps > 0, the top 483 of
+    1444 on smoke_2d) and divided by its diagonal off it.
     """
     config = config or LSConfig()
     grid, region = problem.grid, problem.region

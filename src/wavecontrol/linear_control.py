@@ -54,23 +54,35 @@ eigenvalues of -Lap_h, so the Gramian has the closed form
 
     G(a) = (T W T^T) o [[M, M], [M, M]]
 
-(`_free_wave_gramian`, no march): the rows of T are the time signals,
-in backward time, of the unit seeds (a position seed starts at 1, a
-velocity seed at 0 with velocity -sqrt(mu_k), in `seed_from_rho`
-scaling), W holds the quadrature weights in backward
+(`_free_wave_block` of every mode, no march): the rows of T are the
+time signals, in backward time, of the unit seeds (a position seed
+starts at 1, a velocity seed at 0 with velocity -sqrt(mu_k), in
+`seed_from_rho` scaling), W holds the quadrature weights in backward
 time (0 at t=T, dt/2 at t=0, dt between), and M = D diag(chi) D^T is
-the omega-mass matrix of the sine basis, D the orthonormal DST-I.
-When (2n)^2 <= 3 (nt+1) nodes, n the interior nodes (P is no larger
-than the three trajectories an operator holds; every 1D grid with
-nt >= 4 nx / 3, no 2D grid of the committed configs), CG applies P
-exactly through its eigendecomposition (operator preconditioning,
-Hiptmair, Comput. Math. Appl. 52, 2006; CG on the HUM Gramian,
-Glowinski, Lions & He, CUP 2008): P carries the full mode coupling of
-omega, so a solve with a potential takes a few iterations and one
-without takes one.  Otherwise CG divides by P's diagonal,
-sum_m w_m T_k(m)^2 M_kk + eps (`_free_wave_diagonal`), which needs
-neither D nor M: M_kk is chi's interior under the squared orthonormal
-DST-I matrix of each axis.
+the omega-mass matrix of the sine basis, D the orthonormal DST-I, the
+Kronecker product of the DST-I matrices of the axes.
+
+P is applied in two levels.  It is exact on a band of modes
+(`_free_wave_band`): those within b of the top index of some axis,
+where the leapfrog's group velocity vanishes and the scheme observes
+worst (Zuazua, SIAM Review 47, 2005), for the largest b whose block
+has (2 n_band)^2 <= 3 (nt+1) nodes entries, no more than the three
+trajectories an operator holds.  Off the band CG divides by P's
+diagonal, sum_m w_m T_k(m)^2 M_kk + eps (`_free_wave_diagonal`), which
+needs neither D nor M: M_kk is chi's interior under the squared
+orthonormal DST-I matrix of each axis.  The band block
+(`_free_wave_block`) is formed from T's band columns and D's band rows
+only.  On every 1D grid with nt >= 4 nx / 3 and on 2D squares of 5 to 8
+nodes the band is every mode, and CG applies P exactly through its
+float64 eigendecomposition (operator preconditioning, Hiptmair, Comput.
+Math. Appl. 52, 2006; CG on the HUM Gramian, Glowinski, Lions & He, CUP
+2008): P carries the full mode coupling of omega, so a solve with a
+potential takes a few iterations and one without takes one.  On a
+partial band (smoke_2d: 483 of its 1444 modes, max(kx, ky) >= 32) the
+block is factored L L^T in float64 and CG applies the inverse factor
+L^{-1} in float32, half the memory and traffic of float64: with the
+slow modes solved exactly, the floor solves of smoke_2d take 63 Gramian
+applies where the diagonal alone took 231.
 
 A `_GramianOperator` on (grid, region, potential) is the one place that
 turns an adjoint seed into a control (`adjoint_control`: u = chi phi)
@@ -101,7 +113,7 @@ control dof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -274,8 +286,9 @@ def _discrete_eigenvalues(grid):
     return reduce(np.add.outer, per_axis).ravel()
 
 
-def _free_wave_signals(grid, a):
-    """T and W of the closed form G(a) (module docstring), W as a column.
+def _free_wave_signals(grid, a, modes):
+    """T and W of the closed form G(a) (module docstring) on the seeds of
+    `modes`, sine-mode indices in C order; W as a column.
 
     T is stored transposed: its row m holds, for every unit seed (position
     seeds first), the coefficient of the seed's one sine mode in the
@@ -283,13 +296,13 @@ def _free_wave_signals(grid, a):
     recurrence started as the march starts.
     """
     dt = grid.dt
-    mu_h = _discrete_eigenvalues(grid)
+    mu_h = _discrete_eigenvalues(grid)[modes]
     n = mu_h.size
     T = np.empty((grid.nt + 1, 2 * n))
     T[0, :n] = 1.0
     T[0, n:] = 0.0
     T[1, :n] = 1.0 - 0.5 * dt * dt * (mu_h + a)
-    T[1, n:] = -dt * _sqrt_mu(grid).ravel()
+    T[1, n:] = -dt * _sqrt_mu(grid).ravel()[modes]
     k = np.tile(2.0 - dt * dt * (mu_h + a), 2)
     for m in range(1, grid.nt):
         np.multiply(k, T[m], out=T[m + 1])
@@ -300,58 +313,83 @@ def _free_wave_signals(grid, a):
     return T, w
 
 
-def _free_wave_gramian(grid, region, a=0.0):
-    """G(a) for the constant potential a, in closed form (module docstring)."""
-    T, w = _free_wave_signals(grid, a)
+def _dst_matrices(grid):
+    """The orthonormal DST-I matrix of each axis; D is their Kronecker product."""
+    return [sp_fft.dst(np.eye(N), type=1, norm="ortho") for N in grid.interior_shape]
+
+
+def _free_wave_block(grid, region, modes, a=0.0):
+    """The block of G(a) on the position and velocity seeds of `modes`, in
+    closed form (module docstring), from T's columns and D's rows of those
+    modes only; every mode gives the whole G(a)."""
+    m = len(modes)
+    index = np.unravel_index(modes, grid.interior_shape)
+    rows = [S[k] for S, k in zip(_dst_matrices(grid), index)]
+    D = reduce(lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(m, -1), rows)
+    chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
+    M = (D * chi) @ D.T
+    del D                     # freed before G exists, which lowers the build's peak
+    T, w = _free_wave_signals(grid, a, modes)
     G = T.T @ (w * T)
     del T
-    n = len(G) // 2
-    D = sp_fft.dstn(np.eye(n).reshape((n,) + grid.interior_shape), type=1, norm="ortho",
-                    axes=tuple(range(-grid.dim, 0))).reshape(n, n)
-    chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
-    G.reshape(2, n, 2, n)[...] *= ((D * chi) @ D.T)[:, None, :]
+    G.reshape(2, m, 2, m)[...] *= M[:, None, :]
     return G
 
 
-def _free_wave_diagonal(grid, region, a=0.0):
-    """The diagonal of G(a), sum_m w_m T_k(m)^2 M_kk, without forming G or D:
-    M's diagonal is chi's interior under the squared orthonormal DST-I
-    matrix of each axis."""
-    T, w = _free_wave_signals(grid, a)
+def _free_wave_diagonal(grid, region, modes, a=0.0):
+    """The diagonal of G(a) on the seeds of `modes`, sum_m w_m T_k(m)^2 M_kk,
+    without D: M's diagonal is chi's interior under the squared orthonormal
+    DST-I matrix of each axis."""
+    T, w = _free_wave_signals(grid, a, modes)
     mass = region.weights[(slice(1, -1),) * grid.dim]
-    for axis, N in enumerate(grid.interior_shape):
-        S = sp_fft.dst(np.eye(N), type=1, norm="ortho")
+    for axis, S in enumerate(_dst_matrices(grid)):
         mass = np.moveaxis(np.tensordot(S * S, mass, (1, axis)), 0, axis)
-    return np.einsum("m,mk,mk->k", w[:, 0], T, T) * np.tile(mass.ravel(), 2)
+    return np.einsum("m,mk,mk->k", w[:, 0], T, T) * np.tile(mass.ravel()[modes], 2)
 
 
-def _free_wave_fits(grid):
-    """The size rule: apply P = G(0) + eps I exactly when it has no more
-    entries than the three trajectories an operator holds."""
-    n2 = 2 * math.prod(grid.interior_shape)
-    return n2 * n2 <= 3 * (grid.nt + 1) * math.prod(grid.shape)
+def _free_wave_band(grid):
+    """The modes (C order) on which P is exact: those within b of the top
+    index of some axis, for the largest b whose block, (2 modes)^2 entries,
+    is no larger than the three trajectories an operator holds."""
+    top_gap = reduce(np.minimum.outer,
+                     [np.arange(N - 1, -1, -1) for N in grid.interior_shape]).ravel()
+    budget = 3 * (grid.nt + 1) * math.prod(grid.shape)
+    fits = 4 * np.cumsum(np.bincount(top_gap)) ** 2 <= budget
+    return np.flatnonzero(top_gap < np.count_nonzero(fits))
 
 
 def _free_wave_preconditioner(grid, region, eps):
-    """(V, lam), the eigendecomposition of P = G(0) + eps I, under the size
-    rule; P's diagonal otherwise."""
-    if not _free_wave_fits(grid):
-        return _free_wave_diagonal(grid, region) + eps
-    P = _free_wave_gramian(grid, region)
+    """(band, F, s, diag) for P = G(0) + eps I: P^{-1} = F^T diag(1/s) F on
+    the seeds `band` of the `_free_wave_band` modes, and P's diagonal `diag`
+    off them (inf on the band).  A band of every mode keeps P's float64
+    eigendecomposition, F = V^T and s its eigenvalues; a partial band takes
+    the inverse F of the Cholesky factor of its block, in float32, and s = 1."""
+    n = math.prod(grid.interior_shape)
+    modes = _free_wave_band(grid)
+    off = np.setdiff1d(np.arange(n), modes)
+    diag = np.full(2 * n, np.inf)
+    diag[np.concatenate([off, n + off])] = _free_wave_diagonal(grid, region, off) + eps
+    band = np.concatenate([modes, n + modes])
+    P = _free_wave_block(grid, region, modes)
     P[np.diag_indices_from(P)] += eps
-    lam, V = np.linalg.eigh(P)
-    return V, lam
+    if len(modes) == n:
+        lam, V = np.linalg.eigh(P)
+        return band, V.T, lam, diag
+    L = np.linalg.cholesky(P).astype(np.float32)
+    del P
+    return band, np.linalg.inv(L), 1.0, diag
 
 
 def _precondition(precond, r):
-    """P^{-1} r: r / precond for P's diagonal, V (V^T r / lam) for its
-    eigendecomposition precond = (V, lam), r itself for None."""
+    """P^{-1} r for precond = (band, F, s, diag) of `_free_wave_preconditioner`:
+    r / diag off the band and F^T ((F r) / s) on it, F applied in its own
+    precision; r itself for None."""
     if precond is None:
         return r
-    if isinstance(precond, np.ndarray):
-        return r / precond
-    V, lam = precond
-    return V @ ((V.T @ r) / lam)
+    band, F, s, diag = precond
+    z = r / diag
+    z[band] = F.T @ ((F @ r[band].astype(F.dtype, copy=False)) / s)
+    return z
 
 
 def _cg(op, c, tol, max_iter, eps, floor=0.0, precond=None):
@@ -432,7 +470,7 @@ def _controlled_solution(problem, op, free, free_term, **solver_info) -> Control
 
 
 def solve_null_control(problem: LinearControlProblem, floor: bool = False,
-                       precond: tuple | np.ndarray | None = None) -> ControlSolution:
+                       precond: tuple | None = None) -> ControlSolution:
     """Steer the initial state to the target; control of minimal L^2(q_T) norm.
 
     Reduction to a reach-from-rest problem: subtract the uncontrolled
@@ -542,10 +580,13 @@ def perturbation_gap(grid: SpaceTimeGrid, region: ControlRegion,
     """
     A_pert_vals = a.values + (A.values if A is not None else 0.0)
     A_pert = SpaceTimeField(grid, A_pert_vals)
-    sol_base = solve_null_control(LinearControlProblem(
-        grid, region, potential=A, source=B, initial=initial, **solver_opts))
-    sol_pert = solve_null_control(LinearControlProblem(
-        grid, region, potential=A_pert, source=B, initial=initial, **solver_opts))
+    base = LinearControlProblem(grid, region, potential=A, source=B, initial=initial,
+                                **solver_opts)
+    # both solves share the grid, region and eps, so one P serves both
+    eps = base.effective_eps
+    precond = _free_wave_preconditioner(grid, region, eps) if eps > 0.0 else None
+    sol_base = solve_null_control(base, precond=precond)
+    sol_pert = solve_null_control(replace(base, potential=A_pert), precond=precond)
     diff = sol_base.trajectory.values - sol_pert.trajectory.values
     gap = max(h10_norm(grid, diff[n]) for n in range(grid.nt + 1))
 

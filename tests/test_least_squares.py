@@ -374,21 +374,22 @@ def test_lipschitz_default_gramian_applies(monkeypatch, configs_dir):
 
 
 def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
-    # exact work counts off the size rule, where every floor solve divides by
-    # the diagonal of P = G(0) + eps I: the starting pair takes 56 applies
-    # and the run 231 (56 + 80 + 95)
+    # exact work counts where every floor solve is preconditioned with the
+    # two-level P = G(0) + eps I, exact on the band of 483 of 1444 modes and
+    # its diagonal off it: the starting pair takes 17 applies and the run 63
+    # (17 + 23 + 23)
     from wavecontrol import cli
-    from wavecontrol.linear_control import _free_wave_fits, _gramian_rho
+    from wavecontrol.linear_control import _free_wave_band, _gramian_rho
 
     problem, g, ls_cfg, _ = cli.build_problem(cli.load_config(configs_dir / "smoke_2d.json"))
-    assert not _free_wave_fits(problem.grid)
+    assert len(_free_wave_band(problem.grid)) == 483
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
     start = initialize(problem)
-    assert start.converged and start.cg_iterations == len(applies) == 56
+    assert start.converged and start.cg_iterations == len(applies) == 17
     applies.clear()
     res = wc.ls_solve(problem, g, ls_cfg)
     assert res.status == "converged"
-    assert [rec.inner_cg_iters for rec in res.records] == [80, 95, 0]
-    assert len(applies) == 231
+    assert [rec.inner_cg_iters for rec in res.records] == [23, 23, 0]
+    assert len(applies) == 63

@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sp_fft
 
 import wavecontrol as wc
+from wavecontrol import cli
 from wavecontrol.errors import BlowupError, ConfigError
 from wavecontrol.linear_control import (FLOOR_THETA, _cg, _constraint_rows, _free_response,
-                                        _free_wave_diagonal, _free_wave_fits,
-                                        _free_wave_gramian, _free_wave_preconditioner,
+                                        _free_wave_band, _free_wave_block, _free_wave_diagonal,
+                                        _free_wave_preconditioner, _free_wave_signals,
                                         _GramianOperator, _gramian_rho, dual_to_rho,
                                         rho_from_seed, seed_from_rho)
 
@@ -25,6 +27,12 @@ def grid():
 @pytest.fixture()
 def region(grid):
     return wc.interval_region(grid, 0.8, 1.0)
+
+
+def band_is_every_mode(grid):
+    """P is exact on every mode (its float64 eigendecomposition), not on a
+    partial band with P's diagonal off it."""
+    return len(_free_wave_band(grid)) == math.prod(grid.interior_shape)
 
 
 def random_potential(grid, seed=0, scale=1.0):
@@ -288,8 +296,8 @@ def test_mirror_symmetry_of_control():
        a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), seed=st.integers(0, 2**16))
 def test_control_map_is_linear(dim, nodes, strength, a, b, seed):
     # u(a d1 + b d2) = a u(d1) + b u(d2) for random data under a potential,
-    # with P applied exactly (1D grids) and by its diagonal (2D squares of 9
-    # to 12 nodes a side, off the size rule)
+    # with P applied exactly (1D grids) and in two levels (2D squares of 9 to
+    # 12 nodes a side: its float32 band factor, its diagonal off the band)
     if dim == 1:
         grid = wc.SpaceTimeGrid((1.0,), (nodes,), T=2.5, nt=math.ceil(2.5 * (nodes - 1) / 0.9))
         region = wc.interval_region(grid, 0.6, 1.0)
@@ -298,7 +306,7 @@ def test_control_map_is_linear(dim, nodes, strength, a, b, seed):
         grid = wc.SpaceTimeGrid((1.0, 1.0), (nodes, nodes), T=2.5,
                                 nt=math.ceil(2.5 * (nodes - 1) * math.sqrt(2) / 0.9))
         region = wc.sides_region(grid, ["right", "top"], 0.4)
-    assert _free_wave_fits(grid) == (dim == 1)
+    assert band_is_every_mode(grid) == (dim == 1)
     rng = np.random.default_rng(seed)
     d1, d2 = random_seed_pair(grid, rng), random_seed_pair(grid, rng)
     combo = wc.StatePair(grid, a * d1.position + b * d2.position,
@@ -434,9 +442,10 @@ def potential_problem(prob, scale):
 
 
 def diagonal_problem(scale):
-    """A 2D floor problem off the size rule (so preconditioned by P's
-    diagonal): the first eigenmode steered to rest from a sharp `sides`
-    region, under the potential scale * (sin(3x) cos(t) + 1/2)."""
+    """A 2D floor problem whose P is exact only on a partial band of modes
+    (80 of 144) and divides by its diagonal off it: the first eigenmode
+    steered to rest from a sharp `sides` region, under the potential
+    scale * (sin(3x) cos(t) + 1/2)."""
     grid = wc.SpaceTimeGrid((1.0, 1.0), (14, 14), T=2.5, nt=52)
     X, Y = grid.meshgrid()
     t = grid.time_levels()[:, None, None]
@@ -445,23 +454,35 @@ def diagonal_problem(scale):
         grid, wc.sides_region(grid, ["right", "top"], 0.3),
         potential=wc.SpaceTimeField(grid, scale * (np.sin(3 * X)[None] * np.cos(t) + 0.5)),
         initial=wc.StatePair(grid, mode, np.zeros(grid.shape)), cg_tol=1e-14)
-    assert not _free_wave_fits(grid)
+    assert len(_free_wave_band(grid)) == 80
     return prob
 
 
 def test_floor_solve_off_the_rule_divides_by_the_diagonal():
+    # the floor solve runs CG with the two-level P built here, and that P
+    # divides by P's diagonal off the band and solves P's band block on it
     prob = diagonal_problem(0.5)
-    eps = prob.effective_eps
-    op = _GramianOperator(prob.grid, prob.region, prob.potential)
+    grid, region, eps = prob.grid, prob.region, prob.effective_eps
+    precond = _free_wave_preconditioner(grid, region, eps)
+    op = _GramianOperator(grid, region, prob.potential)
     rho, iters, converged, history = _cg(op, _free_response(prob)[2], prob.cg_tol,
-                                         prob.cg_max_iter, eps, FLOOR_THETA * eps,
-                                         precond=_free_wave_diagonal(prob.grid, prob.region) + eps)
+                                         prob.cg_max_iter, eps, FLOOR_THETA * eps, precond)
     first = wc.solve_null_control(prob, floor=True)
     assert (first.cg_iterations, first.converged) == (iters, converged)
     assert first.residual_history == history
     assert np.array_equal(first.seed_coords, rho)
-    precond = _free_wave_preconditioner(prob.grid, prob.region, eps)
-    assert precond.shape == (2 * math.prod(prob.grid.interior_shape),)
+
+    band, F, s, diag = precond
+    n = math.prod(grid.interior_shape)
+    off = np.setdiff1d(np.arange(2 * n), band)
+    assert len(band) == 160 and F.dtype == np.float32 and s == 1.0
+    P = closed_form_gramian(grid, region) + eps * np.eye(2 * n)
+    assert np.max(np.abs(diag[off] - np.diag(P)[off])) <= 1e-12 * np.max(np.diag(P))
+    r = np.random.default_rng(3).standard_normal(2 * n)
+    z = wc.linear_control._precondition(precond, r)
+    assert np.array_equal(z[off], r[off] / diag[off])
+    exact = np.linalg.solve(P[np.ix_(band, band)], r[band])
+    assert np.linalg.norm(z[band] - exact) <= 1e-4 * np.linalg.norm(exact)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -472,14 +493,14 @@ def test_floor_solve_off_the_rule_divides_by_the_diagonal():
        modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                       min_size=1, max_size=3))
 def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes):
-    # one preconditioner shared by solves under two potentials: these 1D
-    # grids fall under the size rule, so both apply P exactly, and the
+    # one preconditioner shared by solves under two potentials: on these 1D
+    # grids P's band is every mode, so both apply P exactly, and the
     # second's defect obeys the bound
     # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
     # (`test_diagonal_floor_stop_defect_bound` covers the diagonal path)
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
     precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
-    assert isinstance(precond, tuple)
+    assert band_is_every_mode(prob.grid) and np.all(np.isinf(precond[3]))
     wc.solve_null_control(potential_problem(prob, scales[0]), True, precond)
     target = potential_problem(prob, scales[1])
     tight = wc.solve_null_control(target)
@@ -490,8 +511,8 @@ def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes
 
 
 def test_diagonal_floor_stop_defect_bound():
-    # two solves share P's diagonal; the second's iterates need not grow in
-    # the Euclidean norm, so its defect obeys the bound
+    # two solves share the two-level P; the second's iterates need not grow
+    # in the Euclidean norm, so its defect obeys the bound
     # |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14 solve
     first = diagonal_problem(0.5)
     precond = _free_wave_preconditioner(first.grid, first.region, first.effective_eps)
@@ -522,22 +543,111 @@ def test_free_wave_gramian_matches_operator(dim, a, smooth):
         grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
         region = wc.sides_region(grid, ["right", "top"], 0.3, smoothing=smooth)
     assert region.is_sharp != smooth
-    G = _free_wave_gramian(grid, region, a)
+    n = math.prod(grid.interior_shape)
+    G = _free_wave_block(grid, region, np.arange(n), a)
     op = _GramianOperator(grid, region, wc.SpaceTimeField.constant(grid, a) if a else None)
     columns = np.array([_gramian_rho(op, e) for e in np.eye(len(G))]).T
     assert np.max(np.abs(columns - G)) <= 1e-12 * np.max(np.abs(columns))
     for rho in np.random.default_rng(7).standard_normal((3, len(G))):
         G_rho = _gramian_rho(op, rho)
         assert np.linalg.norm(G @ rho - G_rho) <= 1e-12 * np.linalg.norm(G_rho)
-    # the diagonal the off-rule preconditioner divides by, without G
+    # the diagonal the preconditioner divides by off its band, without G
     diag = np.diag(G)
-    assert np.max(np.abs(_free_wave_diagonal(grid, region, a) - diag)) <= 1e-12 * np.max(diag)
+    assert (np.max(np.abs(_free_wave_diagonal(grid, region, np.arange(n), a) - diag))
+            <= 1e-12 * np.max(diag))
+
+
+def closed_form_gramian(grid, region, a=0.0):
+    """The whole G(a) with D from `dstn` of the identity: the closed form
+    that `_free_wave_block` reproduces from per-axis DST-I matrices."""
+    n = math.prod(grid.interior_shape)
+    T, w = _free_wave_signals(grid, a, np.arange(n))
+    G = T.T @ (w * T)
+    D = sp_fft.dstn(np.eye(n).reshape((n,) + grid.interior_shape), type=1, norm="ortho",
+                    axes=tuple(range(-grid.dim, 0))).reshape(n, n)
+    chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
+    G.reshape(2, n, 2, n)[...] *= ((D * chi) @ D.T)[:, None, :]
+    return G
+
+
+def config_grids(configs_dir, name):
+    """(grid, region) of a committed config, one pair per swept node count."""
+    cfg = cli.load_config(configs_dir / f"{name}.json")
+    sweep = cfg.get("sweep", {"path": None})
+    nodes = sweep["values"] if sweep["path"] == "scenario.nodes" else [cfg["scenario"]["nodes"]]
+    for value in nodes:
+        cfg["scenario"]["nodes"] = value
+        grid = cli.build_grid(cfg)
+        yield grid, cli.build_region(cfg, grid)
+
+
+@pytest.mark.parametrize("name", ["lipschitz_default", "newton_diverge", "resolution_sweep",
+                                  "strong_nonlinearity"])
+def test_free_wave_block_of_every_mode_is_the_closed_form(configs_dir, name):
+    # in 1D the block of every mode keeps the bits of the whole closed form,
+    # so the exact P of every 1D solve is unchanged
+    for grid, region in config_grids(configs_dir, name):
+        assert band_is_every_mode(grid)
+        modes = np.arange(math.prod(grid.interior_shape))
+        block = _free_wave_block(grid, region, modes)
+        assert np.array_equal(block, closed_form_gramian(grid, region))
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smoothed"])
+@pytest.mark.parametrize("a", [0.0, 3.7], ids=["a=0", "a=3.7"])
+def test_free_wave_band_block_matches_the_gramian(a, smooth):
+    # the 2D band block, formed from T's band columns and D's band rows
+    # only, against the same entries of the whole closed form
+    grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
+    region = wc.sides_region(grid, ["right", "top"], 0.3, smoothing=smooth)
+    n = math.prod(grid.interior_shape)
+    modes = _free_wave_band(grid)
+    assert 0 < len(modes) < n
+    seeds = np.concatenate([modes, n + modes])
+    G = closed_form_gramian(grid, region, a)
+    block = _free_wave_block(grid, region, modes, a)
+    assert np.max(np.abs(block - G[np.ix_(seeds, seeds)])) <= 1e-12 * np.max(np.abs(G))
+
+
+def test_free_wave_band_is_the_top_of_each_axis(configs_dir):
+    # smoke_2d: the 483 modes with max(kx, ky) >= 32 of 38, the widest band
+    # whose block fits 3 (nt + 1) nodes entries (max(kx, ky) >= 31 would
+    # take 544 modes); every mode on the 1D configs and on the 2D squares of
+    # 5 to 8 nodes of the PCG property
+    ((grid, _),) = config_grids(configs_dir, "smoke_2d")
+    k = np.arange(1, 39)
+    top = np.flatnonzero(np.maximum.outer(k, k).ravel() >= 32)
+    assert len(top) == 483 and np.array_equal(_free_wave_band(grid), top)
+    assert (2 * 544) ** 2 > 3 * (grid.nt + 1) * math.prod(grid.shape)
+    for name in ["lipschitz_default", "newton_diverge", "resolution_sweep",
+                 "strong_nonlinearity", "loglimit_csweep", "linear_sanity"]:
+        assert all(band_is_every_mode(grid) for grid, _ in config_grids(configs_dir, name))
+    for nx in range(5, 9):
+        assert band_is_every_mode(pcg_problem(2, nx, 1e-3, 0.5, [(1, 1.0, 0.0)]).grid)
+
+
+@pytest.mark.parametrize("log_eps", [None, -6, -9], ids=["dx^2", "1e-6", "1e-9"])
+@pytest.mark.parametrize("nx", [12, 24, 37, 50])
+def test_free_wave_band_factor_builds(nx, log_eps):
+    # the float32 inverse Cholesky factor F of the band block P_b, on 2D
+    # squares: F P_b F^T = I to float32 accuracy (measured at most 1.0e-4,
+    # at 50 nodes and eps = 1e-9, where P_b's condition number is 9e7)
+    grid = pcg_problem(2, nx, 1e-3, 0.5, [(1, 1.0, 0.0)]).grid
+    region = wc.sides_region(grid, ["right", "top"], 0.3)
+    eps = min(grid.dx) ** 2 if log_eps is None else 10.0 ** log_eps
+    band, F, s, diag = _free_wave_preconditioner(grid, region, eps)
+    assert 0 < len(band) < len(diag) and s == 1.0
+    assert F.dtype == np.float32 and F.shape == (len(band),) * 2
+    assert np.all(np.isinf(diag[band])) and np.all(np.isfinite(np.delete(diag, band)))
+    P = _free_wave_block(grid, region, _free_wave_band(grid)) + eps * np.eye(len(band))
+    F = F.astype(np.float64)
+    assert np.linalg.norm(F @ P @ F.T - np.eye(len(band)), 2) <= 1e-3
 
 
 def test_free_wave_preconditioner_is_exact_without_potential(monkeypatch):
     # P = G(0) + eps I is the operator of a potential-free solve: one apply
     prob = floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)])
-    assert _free_wave_fits(prob.grid)
+    assert band_is_every_mode(prob.grid)
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
                         lambda *args: applies.append(1) or _gramian_rho(*args))
@@ -572,13 +682,13 @@ def test_preconditioned_floor_stop_defect_bound_property(dim, nx, log_eps, a, sc
     # CG preconditioned with G(0) + eps I on a problem with a potential: its
     # iterates need not grow in the Euclidean norm, so the defect obeys the
     # bound |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14
-    # solve; 2D squares of 5 to 8 nodes a side fall under the size rule too
+    # solve; on 2D squares of 5 to 8 nodes a side P's band is every mode too
     nx = nx if dim == 1 else 5 + nx % 4
     prob = potential_problem(pcg_problem(dim, nx, 10.0 ** log_eps, a, modes), scale)
-    assert _free_wave_fits(prob.grid)
+    assert band_is_every_mode(prob.grid)
     tight = wc.solve_null_control(prob)
     precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
-    assert isinstance(precond, tuple)
+    assert np.all(np.isinf(precond[3]))
     floor = wc.solve_null_control(prob, True, precond)
     assert floor.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
@@ -593,15 +703,16 @@ def test_preconditioned_floor_stop_defect_bound_property(dim, nx, log_eps, a, sc
        modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                       min_size=1, max_size=3))
 def test_diagonal_floor_stop_defect_bound_property(nx, log_eps, a, scale, modes):
-    # CG preconditioned with the diagonal of G(0) + eps I on 2D squares of 9
-    # to 12 nodes a side, off the size rule, with a potential: the defect
-    # obeys |d_k| <= (1 + theta) / (1 - theta) |d*| against a cg_tol = 1e-14
-    # solve
+    # CG preconditioned with the two-level G(0) + eps I on 2D squares of 9
+    # to 12 nodes a side, where its band is partial, with a potential: the
+    # defect obeys |d_k| <= (1 + theta) / (1 - theta) |d*| against a
+    # cg_tol = 1e-14 solve
     prob = potential_problem(pcg_problem(2, nx, 10.0 ** log_eps, a, modes), scale)
-    assert not _free_wave_fits(prob.grid)
+    assert not band_is_every_mode(prob.grid)
     tight = wc.solve_null_control(prob)
     precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
-    assert precond.ndim == 1
+    band, F, _, diag = precond
+    assert F.dtype == np.float32 and np.all(np.isfinite(np.delete(diag, band)))
     floor = wc.solve_null_control(prob, True, precond)
     assert floor.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
@@ -716,6 +827,21 @@ def test_perturbation_gap_zero_for_zero_perturbation(grid, region):
     out = wc.perturbation_gap(grid, region, None, zero, None, init,
                               cg_max_iter=150)
     assert out["gap_norm"] == 0.0
+
+
+def test_perturbation_gap_builds_one_preconditioner(grid, region, monkeypatch):
+    # both solves of one call share a grid, region and eps, so one P
+    build = wc.linear_control._free_wave_preconditioner
+    builds = []
+    monkeypatch.setattr("wavecontrol.linear_control._free_wave_preconditioner",
+                        lambda *args: builds.append(args) or build(*args))
+    (x,) = grid.meshgrid()
+    init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
+    a = wc.SpaceTimeField.constant(grid, 0.05)
+    wc.perturbation_gap(grid, region, None, a, None, init, cg_max_iter=150)
+    assert len(builds) == 1 and builds[0][2] == min(grid.dx) ** 2
+    wc.perturbation_gap(grid, region, None, a, None, init, eps_reg=0.0, cg_max_iter=150)
+    assert len(builds) == 1
 
 
 def test_perturbation_gap_scales_linearly(grid, region):

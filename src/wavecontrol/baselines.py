@@ -19,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, ConfigError, whole_number
-from .fields import SpaceTimeField, h10_norm, l2_qt, linf_l1, linf_lp, v_norm
+from .fields import SpaceTimeField, h10_norm, linf_l1, linf_lp, v_norm
 from .least_squares import (DIVERGENCE_THRESHOLD, IterateRecord, LSConfig, LSResult,
-                            TargetProblem, initialize, ls_solve)
+                            TargetProblem, compute_E, initialize, ls_solve)
 from .nonlinearity import Nonlinearity
-from .solver import residual_field
-
-METHOD_TAGS = ("picard", "newton_classic", "variant", "least_squares")
 
 
 @dataclass
@@ -63,7 +60,7 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
     prev_delta = math.nan
     for k in range(config.max_outer + 1):
         rec = IterateRecord(k=k, E=math.nan, sqrt_E=math.nan)
-        E = 0.5 * l2_qt(residual_field(y, f, g, region)) ** 2
+        E = compute_E(y, f, g, region)
         if E0 is None:
             E0 = E
         rec.E = float(E)

@@ -73,7 +73,7 @@ class TargetProblem:
         """P = G(0) + eps I of `linear_control` (None with eps = 0), built at
         the first solve: `check` builds problems it never solves."""
         eps = self._inner(None, None, self.initial, self.target).effective_eps
-        return _free_wave_preconditioner(self.grid, self.region, eps) if eps > 0.0 else None
+        return _free_wave_preconditioner(self.grid, self.region, eps)
 
     def solve(self, potential, source, initial, target, floor=False) -> ControlSolution:
         """The null-controlled solution of the linear problem with this
@@ -300,8 +300,8 @@ def initialize(problem: TargetProblem):
 
     CG stops at the Tikhonov floor, as in every Newton step.  Its
     preconditioner, the problem's P = G(0) + eps I of `linear_control`, is
-    this solve's exact operator when applied exactly (under the size
-    rule), so the solve then takes one CG iteration.
+    this solve's operator where P's band is every mode (every committed
+    1D config), so the solve then takes one CG iteration.
     """
     return problem.solve(None, None, problem.initial, problem.target, floor=True)
 

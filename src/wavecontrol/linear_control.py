@@ -71,18 +71,20 @@ trajectories an operator holds.  Off the band CG divides by P's
 diagonal, sum_m w_m T_k(m)^2 M_kk + eps (`_free_wave_diagonal`), which
 needs neither D nor M: M_kk is chi's interior under the squared
 orthonormal DST-I matrix of each axis.  The band block
-(`_free_wave_block`) is formed from T's band columns and D's band rows
-only.  On every 1D grid with nt >= 4 nx / 3 and on 2D squares of 5 to 8
-nodes the band is every mode, and CG applies P exactly through its
-float64 eigendecomposition (operator preconditioning, Hiptmair, Comput.
-Math. Appl. 52, 2006; CG on the HUM Gramian, Glowinski, Lions & He, CUP
-2008): P carries the full mode coupling of omega, so a solve with a
-potential takes a few iterations and one without takes one.  On a
-partial band (smoke_2d: 483 of its 1444 modes, max(kx, ky) >= 32) the
-block is factored L L^T in float64 and CG applies the inverse factor
-L^{-1} in float32, half the memory and traffic of float64: with the
-slow modes solved exactly, the floor solves of smoke_2d take 63 Gramian
-applies where the diagonal alone took 231.
+(`_free_wave_block`, from T's band columns and D's band rows only) is
+factored L L^T in float64, and CG applies the inverse factor L^{-1} in
+float32, half the memory and traffic of float64, to the band residual
+scaled by a power of two to a maximum in [1/2, 1), so the apply neither
+underflows nor overflows float32 at any amplitude, and changes no bit
+where the unscaled apply did neither (operator preconditioning,
+Hiptmair, Comput. Math. Appl. 52, 2006; CG on the HUM Gramian,
+Glowinski, Lions & He, CUP 2008).  On
+every 1D grid with nt >= 4 nx / 3 and on 2D squares of 5 to 8 nodes the
+band is every mode, so P carries the full mode coupling of omega: a
+solve with a potential takes a few iterations and one without takes
+one.  On smoke_2d the band holds 483 of its 1444 modes (max(kx, ky) >=
+32), and its floor solves take 63 Gramian applies where the diagonal
+alone took 231.
 
 A `_GramianOperator` on (grid, region, potential) is the one place that
 turns an adjoint seed into a control (`adjoint_control`: u = chi phi)
@@ -359,11 +361,12 @@ def _free_wave_band(grid):
 
 
 def _free_wave_preconditioner(grid, region, eps):
-    """(band, F, s, diag) for P = G(0) + eps I: P^{-1} = F^T diag(1/s) F on
-    the seeds `band` of the `_free_wave_band` modes, and P's diagonal `diag`
-    off them (inf on the band).  A band of every mode keeps P's float64
-    eigendecomposition, F = V^T and s its eigenvalues; a partial band takes
-    the inverse F of the Cholesky factor of its block, in float32, and s = 1."""
+    """(band, F, diag) for P = G(0) + eps I, or None with eps = 0, where CG
+    runs plain: P^{-1} = F^T F on the seeds `band` of the `_free_wave_band`
+    modes, F the inverse of the Cholesky factor of P's block there, in
+    float32, and P's diagonal `diag` off them (inf on the band)."""
+    if eps == 0.0:
+        return None
     n = math.prod(grid.interior_shape)
     modes = _free_wave_band(grid)
     off = np.setdiff1d(np.arange(n), modes)
@@ -372,23 +375,24 @@ def _free_wave_preconditioner(grid, region, eps):
     band = np.concatenate([modes, n + modes])
     P = _free_wave_block(grid, region, modes)
     P[np.diag_indices_from(P)] += eps
-    if len(modes) == n:
-        lam, V = np.linalg.eigh(P)
-        return band, V.T, lam, diag
     L = np.linalg.cholesky(P).astype(np.float32)
     del P
-    return band, np.linalg.inv(L), 1.0, diag
+    return band, np.linalg.inv(L), diag
 
 
 def _precondition(precond, r):
-    """P^{-1} r for precond = (band, F, s, diag) of `_free_wave_preconditioner`:
-    r / diag off the band and F^T ((F r) / s) on it, F applied in its own
-    precision; r itself for None."""
+    """P^{-1} r for precond = (band, F, diag) of `_free_wave_preconditioner`:
+    r / diag off the band and F^T F r on it, F applied in float32 to r's
+    band scaled by the power of two 2^e that brings its maximum into
+    [1/2, 1), and the result scaled back in float64; r itself for None."""
     if precond is None:
         return r
-    band, F, s, diag = precond
+    band, F, diag = precond
     z = r / diag
-    z[band] = F.T @ ((F @ r[band].astype(F.dtype, copy=False)) / s)
+    r_band = r[band]
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(r_band))))[1])
+    z[band] = F.T @ (F @ (r_band / scale).astype(np.float32))
+    z[band] *= scale          # on float64 z: float32 times a Python float stays float32
     return z
 
 
@@ -476,9 +480,9 @@ def solve_null_control(problem: LinearControlProblem, floor: bool = False,
     Reduction to a reach-from-rest problem: subtract the uncontrolled
     solution with the given data and source, then match the remaining
     terminal gap through the Gramian equation (G + eps I) rho = c, by CG
-    stopped at cg_tol.  With eps > 0 CG is preconditioned with
-    P = G(0) + eps I: `precond`, as `_free_wave_preconditioner` builds it
-    for this grid, region and eps, or one built here when None.  With
+    stopped at cg_tol.  CG is preconditioned with P = G(0) + eps I:
+    `precond`, as `_free_wave_preconditioner` builds it for this grid,
+    region and eps, or one built here when None (none with eps = 0).  With
     floor and eps > 0 CG also stops once its residual is below
     FLOOR_THETA times the Tikhonov term, which keeps the terminal defect
     within a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) of the exact
@@ -486,7 +490,7 @@ def solve_null_control(problem: LinearControlProblem, floor: bool = False,
     stop was met.  With eps_reg = 0 and no `precond` this is plain CG.
     """
     grid, eps = problem.grid, problem.effective_eps
-    if precond is None and eps > 0.0:
+    if precond is None:
         # built before the solve's fields, so its scratch is freed first
         precond = _free_wave_preconditioner(grid, problem.region, eps)
     free, free_term, c = _free_response(problem)
@@ -583,8 +587,7 @@ def perturbation_gap(grid: SpaceTimeGrid, region: ControlRegion,
     base = LinearControlProblem(grid, region, potential=A, source=B, initial=initial,
                                 **solver_opts)
     # both solves share the grid, region and eps, so one P serves both
-    eps = base.effective_eps
-    precond = _free_wave_preconditioner(grid, region, eps) if eps > 0.0 else None
+    precond = _free_wave_preconditioner(grid, region, base.effective_eps)
     sol_base = solve_null_control(base, precond=precond)
     sol_pert = solve_null_control(replace(base, potential=A_pert), precond=precond)
     diff = sol_base.trajectory.values - sol_pert.trajectory.values

@@ -113,14 +113,16 @@ def test_contraction_ratio_scales_with_kappa():
 def test_one_preconditioner_per_problem(monkeypatch):
     # every inner solve of every method on one problem shares its free-wave
     # preconditioner: one build in all, at the first solve, none at
-    # construction
+    # construction, and none for a problem with eps = 0
     problem = make_problem(nx=40, nt=120)
     builds = []
     build = linear_control._free_wave_preconditioner
 
     def counted(*args):
-        builds.append(args)
-        return build(*args)
+        precond = build(*args)
+        if precond is not None:
+            builds.append(args)
+        return precond
 
     for module in (least_squares, linear_control):
         monkeypatch.setattr(module, "_free_wave_preconditioner", counted)
@@ -135,6 +137,9 @@ def test_one_preconditioner_per_problem(monkeypatch):
         wc.descent_direction(problem, g, res.y, res.f)
     xi = res.y
     wc.contraction_ratio(problem, g, xi, wc.SpaceTimeField(problem.grid, 1.1 * xi.values))
+    assert len(builds) == 1
+    plain = make_problem(nx=40, nt=120, eps_reg=0.0)
+    plain.solve(None, None, plain.initial, plain.target)
     assert len(builds) == 1
 
 

@@ -30,7 +30,7 @@ def region(grid):
 
 
 def band_is_every_mode(grid):
-    """P is exact on every mode (its float64 eigendecomposition), not on a
+    """P is exact on every mode (its band block is all of P), not on a
     partial band with P's diagonal off it."""
     return len(_free_wave_band(grid)) == math.prod(grid.interior_shape)
 
@@ -472,10 +472,10 @@ def test_floor_solve_off_the_rule_divides_by_the_diagonal():
     assert first.residual_history == history
     assert np.array_equal(first.seed_coords, rho)
 
-    band, F, s, diag = precond
+    band, F, diag = precond
     n = math.prod(grid.interior_shape)
     off = np.setdiff1d(np.arange(2 * n), band)
-    assert len(band) == 160 and F.dtype == np.float32 and s == 1.0
+    assert len(band) == 160 and F.dtype == np.float32
     P = closed_form_gramian(grid, region) + eps * np.eye(2 * n)
     assert np.max(np.abs(diag[off] - np.diag(P)[off])) <= 1e-12 * np.max(np.diag(P))
     r = np.random.default_rng(3).standard_normal(2 * n)
@@ -500,7 +500,7 @@ def test_recycled_floor_stop_defect_bound_property(nx, log_eps, a, scales, modes
     # (`test_diagonal_floor_stop_defect_bound` covers the diagonal path)
     prob = floor_problem(nx, 10.0 ** log_eps, a, modes)
     precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
-    assert band_is_every_mode(prob.grid) and np.all(np.isinf(precond[3]))
+    assert band_is_every_mode(prob.grid) and np.all(np.isinf(precond[2]))
     wc.solve_null_control(potential_problem(prob, scales[0]), True, precond)
     target = potential_problem(prob, scales[1])
     tight = wc.solve_null_control(target)
@@ -524,6 +524,41 @@ def test_diagonal_floor_stop_defect_bound():
     assert recycled.cg_iterations < tight.cg_iterations
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
     assert recycled.defect <= bound * tight.defect
+
+
+def scaled_problem(prob, amplitude):
+    """prob with its initial state times amplitude."""
+    init = prob.initial
+    return dataclasses.replace(prob, initial=wc.StatePair(
+        prob.grid, amplitude * init.position, amplitude * init.velocity))
+
+
+@pytest.mark.parametrize("make, floor, rel", [
+    (lambda: diagonal_problem(0.5), True, 1e-10),
+    (lambda: diagonal_problem(0.5), False, 1e-12),
+    (lambda: potential_problem(floor_problem(31, 1e-3, 0.8, [(1, 1.0, 0.0), (3, 0.3, 0.5)]),
+                               1.0), False, 1e-12),
+], ids=["2d_partial_band_floor", "2d_partial_band_exact", "1d_every_mode_exact"])
+def test_solve_is_scale_invariant(make, floor, rel):
+    # the float32 band factor is applied to the band residual scaled by a
+    # power of two, so data of amplitude 1e-44 neither underflows float32
+    # (the 2D floor solve ran 184 iterations unconverged) nor data of
+    # amplitude 1e40 overflows it (nonfinite states).  Every amplitude takes
+    # the iterations of amplitude 1 and gives its defect and control up to
+    # the scale: to 1e-12 for the exact solves, and for the floor solve to
+    # the float32 rounding its stopped iterate keeps (7.4e-12 measured); a
+    # power-of-two amplitude gives the same bits
+    prob = make()
+    ref = wc.solve_null_control(prob, floor)
+    for amplitude in (1e-44, 1e40, 2.0 ** -146, 2.0 ** 133):
+        scaled = scaled_problem(prob, amplitude)
+        sol = wc.solve_null_control(scaled, floor)
+        assert sol.converged and sol.cg_iterations == ref.cg_iterations
+        assert sol.defect / wc.v_norm(scaled.initial) == pytest.approx(
+            ref.defect / wc.v_norm(prob.initial), rel=rel, abs=0.0)
+        assert sol.control_norm / amplitude == pytest.approx(ref.control_norm, rel=rel, abs=0.0)
+        if math.frexp(amplitude)[0] == 0.5:
+            assert np.array_equal(sol.seed_coords / amplitude, ref.seed_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +670,8 @@ def test_free_wave_band_factor_builds(nx, log_eps):
     grid = pcg_problem(2, nx, 1e-3, 0.5, [(1, 1.0, 0.0)]).grid
     region = wc.sides_region(grid, ["right", "top"], 0.3)
     eps = min(grid.dx) ** 2 if log_eps is None else 10.0 ** log_eps
-    band, F, s, diag = _free_wave_preconditioner(grid, region, eps)
-    assert 0 < len(band) < len(diag) and s == 1.0
+    band, F, diag = _free_wave_preconditioner(grid, region, eps)
+    assert 0 < len(band) < len(diag)
     assert F.dtype == np.float32 and F.shape == (len(band),) * 2
     assert np.all(np.isinf(diag[band])) and np.all(np.isfinite(np.delete(diag, band)))
     P = _free_wave_block(grid, region, _free_wave_band(grid)) + eps * np.eye(len(band))
@@ -688,7 +723,7 @@ def test_preconditioned_floor_stop_defect_bound_property(dim, nx, log_eps, a, sc
     assert band_is_every_mode(prob.grid)
     tight = wc.solve_null_control(prob)
     precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
-    assert np.all(np.isinf(precond[3]))
+    assert np.all(np.isinf(precond[2]))
     floor = wc.solve_null_control(prob, True, precond)
     assert floor.converged
     bound = (1 + FLOOR_THETA) / (1 - FLOOR_THETA)
@@ -711,7 +746,7 @@ def test_diagonal_floor_stop_defect_bound_property(nx, log_eps, a, scale, modes)
     assert not band_is_every_mode(prob.grid)
     tight = wc.solve_null_control(prob)
     precond = _free_wave_preconditioner(prob.grid, prob.region, prob.effective_eps)
-    band, F, _, diag = precond
+    band, F, diag = precond
     assert F.dtype == np.float32 and np.all(np.isfinite(np.delete(diag, band)))
     floor = wc.solve_null_control(prob, True, precond)
     assert floor.converged
@@ -830,11 +865,18 @@ def test_perturbation_gap_zero_for_zero_perturbation(grid, region):
 
 
 def test_perturbation_gap_builds_one_preconditioner(grid, region, monkeypatch):
-    # both solves of one call share a grid, region and eps, so one P
+    # both solves of one call share a grid, region and eps, so one P; with
+    # eps = 0 the builder returns none
     build = wc.linear_control._free_wave_preconditioner
     builds = []
-    monkeypatch.setattr("wavecontrol.linear_control._free_wave_preconditioner",
-                        lambda *args: builds.append(args) or build(*args))
+
+    def counted(*args):
+        precond = build(*args)
+        if precond is not None:
+            builds.append(args)
+        return precond
+
+    monkeypatch.setattr("wavecontrol.linear_control._free_wave_preconditioner", counted)
     (x,) = grid.meshgrid()
     init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
     a = wc.SpaceTimeField.constant(grid, 0.05)

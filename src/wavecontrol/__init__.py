@@ -6,8 +6,7 @@ minimal-norm linear-control kernel (conjugate gradient on the adjoint
 Gramian), baseline linearization methods, and a batch CLI.
 """
 
-from .baselines import (FixedPointConfig, contraction_ratio, newton_classic_solve,
-                        picard_solve, variant_solve)
+from .baselines import contraction_ratio, newton_classic_solve, picard_solve, variant_solve
 from .errors import BlowupError, ConfigError, InsufficientRecords
 from .fields import (SpaceTimeField, StatePair, h_norm, l2_qt, linf_l1, linf_lp,
                      linf_v, norms, v_norm)

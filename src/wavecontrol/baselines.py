@@ -8,36 +8,27 @@ variant        y_{k+1} is the controlled solution of the frozen-coefficient
                system with potential g'(y_k), source g'(y_k) y_k - g(y_k).
 
 All methods share compute_E, so E values are directly comparable
-across methods.  Divergence is flagged when |y|_{Linf(L1)} exceeds 1e6.
+across methods, and one iteration config (`LSConfig`, the outer step cap)
+and one stop on E (`least_squares.reached_tolerance`).  Divergence is
+flagged when |y|_{Linf(L1)} exceeds 1e6; picard and variant stop as
+stagnated once a step moves y by at most STEP_TOL max(1, |y|_{Linf(L1)})
+with E still above the stop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, whole_number
+from .errors import BlowupError
 from .fields import SpaceTimeField, h10_norm, linf_l1, linf_lp, v_norm
 from .least_squares import (DIVERGENCE_THRESHOLD, IterateRecord, LSConfig, LSResult,
-                            TargetProblem, compute_E, initialize, ls_solve)
+                            TargetProblem, compute_E, initialize, ls_solve,
+                            reached_tolerance)
 from .nonlinearity import Nonlinearity
 
-
-@dataclass
-class FixedPointConfig:
-    tol: float = 1e-8               # stop when sqrt(2E) <= tol * sqrt(2E_0)
-    step_tol: float = 1e-10         # fixed-point detector on |y_{k+1} - y_k|
-    max_outer: int = 50
-    e_floor: float = 1e-20
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ConfigError("fixed_point.tol must be positive and finite")
-        if not (math.isfinite(self.step_tol) and math.isfinite(self.e_floor)):
-            raise ConfigError("fixed_point.step_tol and e_floor must be finite")
-        self.max_outer = whole_number("fixed_point.max_outer", self.max_outer)
+STEP_TOL = 1e-10                    # fixed-point detector on |y_{k+1} - y_k|
 
 
 def newton_classic_solve(problem: TargetProblem, g: Nonlinearity,
@@ -49,7 +40,7 @@ def newton_classic_solve(problem: TargetProblem, g: Nonlinearity,
 def _fixed_point_loop(problem, g, config, linearize, method_name):
     """Shared driver for picard and variant: each iterate is itself a
     controlled pair of a frozen linear problem."""
-    config = config or FixedPointConfig()
+    config = config or LSConfig()
     grid, region = problem.grid, problem.region
 
     sol = initialize(problem)
@@ -77,10 +68,10 @@ def _fixed_point_loop(problem, g, config, linearize, method_name):
         if rec.y_linf_L1 > DIVERGENCE_THRESHOLD:
             status = "diverged"
             break
-        if math.sqrt(2 * E) <= config.tol * math.sqrt(2 * E0) or E <= config.e_floor:
+        if reached_tolerance(E, E0):
             status = "converged"
             break
-        if prev_delta <= config.step_tol * max(1.0, rec.y_linf_L1):
+        if prev_delta <= STEP_TOL * max(1.0, rec.y_linf_L1):
             # the map stopped moving but the residual is still above
             # tolerance: a spurious fixed point, not a solution
             status = "stagnated"
@@ -120,13 +111,13 @@ def _variant_linearization(grid, g, y):
 
 
 def picard_solve(problem: TargetProblem, g: Nonlinearity,
-                 config: FixedPointConfig | None = None) -> LSResult:
+                 config: LSConfig | None = None) -> LSResult:
     """Fixed-point iteration on the secant-linearized equation."""
     return _fixed_point_loop(problem, g, config, _picard_linearization, "picard")
 
 
 def variant_solve(problem: TargetProblem, g: Nonlinearity,
-                  config: FixedPointConfig | None = None) -> LSResult:
+                  config: LSConfig | None = None) -> LSResult:
     """Frozen-derivative iteration; every iterate is a controlled pair."""
     return _fixed_point_loop(problem, g, config, _variant_linearization, "variant")
 

@@ -24,12 +24,11 @@ import sys
 import time
 from pathlib import Path
 
-from .baselines import (FixedPointConfig, newton_classic_solve, picard_solve,
-                        variant_solve)
+from .baselines import newton_classic_solve, picard_solve, variant_solve
 from .errors import ConfigError, InsufficientRecords, whole_number
 from .grids import (SpaceTimeGrid, check_geometric_condition, interval_region,
                     rectangle_region, sides_region)
-from .least_squares import LSConfig, TargetProblem, estimate_order, ls_solve
+from .least_squares import DIAGNOSTIC_C, LSConfig, TargetProblem, estimate_order, ls_solve
 from .nonlinearity import beta_star, builtin, check_growth_H2, holder_seminorm_sample
 from .profiles import build_state
 
@@ -215,18 +214,10 @@ def validate_config(cfg: dict):
             _fail("config.methods", f"unknown method {m!r}")
         if m in methods[:i]:
             _fail("config.methods", f"duplicate method {m!r}")
-    if "least_squares" in cfg:
-        ls = cfg["least_squares"]
-        _expect_keys(ls, "least_squares", required=(),
-                     optional=("m", "tol", "max_outer", "e_floor", "C"))
-        _numbers(ls, "least_squares", ("m", "tol", "e_floor", "C"))
-        _count(ls, "least_squares", "max_outer")
-    if "fixed_point" in cfg:
-        fp = cfg["fixed_point"]
-        _expect_keys(fp, "fixed_point", required=(),
-                     optional=("tol", "step_tol", "max_outer", "e_floor"))
-        _numbers(fp, "fixed_point", ("tol", "step_tol", "e_floor"))
-        _count(fp, "fixed_point", "max_outer")
+    for section in ("least_squares", "fixed_point"):
+        if section in cfg:
+            _expect_keys(cfg[section], section, required=(), optional=("max_outer",))
+            _count(cfg[section], section, "max_outer")
     if "inner" in cfg:
         inner = cfg["inner"]
         _expect_keys(inner, "inner", required=(),
@@ -280,10 +271,7 @@ def build_problem(cfg: dict):
     nl = cfg["nonlinearity"]
     g = builtin(nl["name"], **nl.get("params", {}))
     ls_cfg = LSConfig(**cfg.get("least_squares", {}))
-    fp_raw = dict(cfg.get("fixed_point", {}))
-    fp_raw.setdefault("tol", ls_cfg.tol)
-    fp_raw.setdefault("max_outer", ls_cfg.max_outer)
-    fp_cfg = FixedPointConfig(**fp_raw)
+    fp_cfg = LSConfig(cfg.get("fixed_point", {}).get("max_outer", ls_cfg.max_outer))
     return problem, g, ls_cfg, fp_cfg
 
 
@@ -541,8 +529,8 @@ def cmd_sweep(cfg, args) -> int:
 def cmd_check(cfg, args) -> int:
     # builds everything `run` builds, data states included, so that check
     # rejects each config that run would reject before solving
-    problem, g, ls_cfg, _ = build_problem(cfg)
-    grid, region, C = problem.grid, problem.region, ls_cfg.C
+    problem, g, _, _ = build_problem(cfg)
+    grid, region, C = problem.grid, problem.region, DIAGNOSTIC_C
 
     print(f"hypothesis report for scenario {cfg['scenario']['name']!r}")
     geo = geometry_summary(cfg, grid, region)

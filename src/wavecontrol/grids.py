@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, whole_number
 
 SIDES_2D = ("left", "right", "bottom", "top")   # low and high end of axis 0, then of axis 1
 
@@ -33,15 +33,17 @@ class SpaceTimeGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        object.__setattr__(self, "shape", tuple(whole_number("grid nodes", n)
+                                                for n in self.shape))
+        object.__setattr__(self, "nt", whole_number("grid nt", self.nt))
         if len(self.lengths) not in (1, 2) or len(self.lengths) != len(self.shape):
             raise ConfigError("grid must be 1D or 2D with one node count per axis")
-        if any(L <= 0 for L in self.lengths):
-            raise ConfigError("domain lengths must be positive")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ConfigError("domain lengths must be positive and finite")
         if any(n < 3 for n in self.shape):
             raise ConfigError("need at least 3 nodes per axis")
-        if self.T <= 0:
-            raise ConfigError("time horizon T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ConfigError("time horizon T must be positive and finite")
         if self.nt < 2:
             raise ConfigError("need at least 2 time steps")
         dt_max = CFL_FACTOR * min(self.dx) / math.sqrt(self.dim)

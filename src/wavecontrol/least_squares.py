@@ -10,9 +10,12 @@ source for the minimal-norm null-controlled pair (Y1, F1), then updates
 
     (y_{k+1}, f_{k+1}) = (y_k, f_k) - lambda_k (Y1, F1),
 
-with lambda_k minimizing E over [0, m] (a scan of SCAN_POINTS values,
-refined to a bracket of width REFINE_REL_WIDTH * m) and (y_0, f_0) the
-controlled pair of the linear (g = 0) problem.  The directional derivative
+with lambda_k minimizing E over [0, m], m = LINE_SEARCH_BOUND (a scan of
+SCAN_POINTS values, refined to a bracket of width REFINE_REL_WIDTH * m),
+and (y_0, f_0) the controlled pair of the linear (g = 0) problem.  The
+iteration stops once sqrt(2E) <= TOL sqrt(2E_0) or E <= E_FLOOR; only its
+step cap is configured (`LSConfig`).  The decay estimate's constant C is
+unknown, so its diagnostics use DIAGNOSTIC_C.  The directional derivative
 satisfies E'(y,f).(Y1,F1) = 2 E(y,f) exactly at the discrete level
 because (Y1, F1) satisfies the linearized equation stencil-exactly, so
 -(Y1, F1) is always a descent direction; forcing lambda = 1 recovers
@@ -86,24 +89,28 @@ class TargetProblem:
 DIVERGENCE_THRESHOLD = 1e6            # on |y|_{Linf(L1)}, shared by all methods
 SCAN_POINTS = 33                      # uniform line-search scan over [0, m]
 REFINE_REL_WIDTH = 1e-3               # golden-section bracket width, relative to m
+LINE_SEARCH_BOUND = 2.0               # m: lambda_k minimizes E over [0, m]
+TOL = 1e-8                            # stop when sqrt(2E) <= TOL * sqrt(2E_0) ...
+E_FLOOR = 1e-20                       # ... or E <= E_FLOOR, for every method
+DIAGNOSTIC_C = 1.0                    # the paper's unknown C, for diagnostics only
 
 
 @dataclass
 class LSConfig:
-    m: float = 2.0                    # line-search upper bound
-    tol: float = 1e-8                 # stop when sqrt(2E) <= tol * sqrt(2E_0)
+    """The iteration config of every method: its outer step cap.  Its stop
+    on E is fixed; tol and e_floor are class constants, not fields."""
+
     max_outer: int = 50
-    e_floor: float = 1e-20            # absolute E floor counted as converged
-    C: float = 1.0                    # diagnostic constant, never used by the solver
+    tol = TOL
+    e_floor = E_FLOOR
 
     def __post_init__(self):
-        if not 1 <= self.m < math.inf:
-            raise ConfigError("line-search bound m must be finite and >= 1")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError("tolerance must be positive and finite")
-        if not (math.isfinite(self.e_floor) and math.isfinite(self.C)):
-            raise ConfigError("least_squares.e_floor and C must be finite")
-        self.max_outer = whole_number("least_squares.max_outer", self.max_outer)
+        self.max_outer = whole_number("max_outer", self.max_outer)
+
+
+def reached_tolerance(E: float, E0: float) -> bool:
+    """The stop on E that every method applies."""
+    return math.sqrt(2 * E) <= TOL * math.sqrt(2 * E0) or E <= E_FLOOR
 
 
 @dataclass
@@ -308,9 +315,8 @@ def initialize(problem: TargetProblem):
 
 def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = None,
              force_lambda: float | None = None, method_name: str = "least_squares") -> LSResult:
-    """Run the damped least-squares iteration until sqrt(2E) drops below
-    tol * sqrt(2E_0) (or the absolute floor), the iteration cap, or a
-    stagnation/failure status.
+    """Run the damped least-squares iteration until `reached_tolerance`,
+    the iteration cap of config, or a stagnation/failure status.
 
     The inner solves differ only in potential and right-hand side, so
     each is preconditioned with the problem's closed-form
@@ -348,12 +354,12 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
         gp = SpaceTimeField(grid, g.dg(y.values))     # also the step's potential
         rec.gprime_linf_ld = linf_lp(gp, d)
         if g.seminorm is not None and g.s > 0:
-            diag = diagnostic_constants(E, rec.gprime_linf_ld, g, config.C,
+            diag = diagnostic_constants(E, rec.gprime_linf_ld, g, DIAGNOSTIC_C,
                                         M_run, grid.domain_measure)
             rec.lam_tilde = analytic_lambda(E, diag["c_of_y"], g.s)
         rec.term_defect_V = v_norm(terminal - problem.target)
 
-        if math.sqrt(2 * E) <= config.tol * math.sqrt(2 * E0) or E <= config.e_floor:
+        if reached_tolerance(E, E0):
             status = "converged"
             break
         if rec.y_linf_L1 > DIVERGENCE_THRESHOLD:
@@ -379,7 +385,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
         if force_lambda is not None:
             lam = float(force_lambda)
         else:
-            ls = line_search(y, r, Y1, g, config.m)
+            ls = line_search(y, r, Y1, g, LINE_SEARCH_BOUND)
             if ls.status == "stagnated":
                 rec.lam = 0.0
                 status = "stagnated"
@@ -396,20 +402,23 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
                     method=method_name)
 
 
+ORDER_WINDOW = 4                      # pairs in the convergence-order fit
+C_CANDIDATES = np.logspace(-3, 3, 121)  # log grid of `smallest_sufficient_C`
+
+
 @dataclass
 class OrderEstimate:
     order: float
     fit_residual: float
-    n_pairs: int
 
 
-def estimate_order(records, window: int = 4) -> OrderEstimate:
+def estimate_order(records) -> OrderEstimate:
     """Convergence order: slope of ln sqrt(E_{k+1}) against ln sqrt(E_k).
 
-    Uses the last `window` strictly-decreasing consecutive pairs with E
+    Uses the last ORDER_WINDOW strictly-decreasing consecutive pairs with E
     above 1e3 * machine epsilon (floor effects excluded).
     """
-    E = [rec.E if hasattr(rec, "E") else float(rec) for rec in records]
+    E = [rec.E for rec in records]
     floor = 1e3 * np.finfo(float).eps
     xs, ys = [], []
     for a, b in zip(E[:-1], E[1:]):
@@ -419,16 +428,15 @@ def estimate_order(records, window: int = 4) -> OrderEstimate:
     if len(xs) < 2:
         raise InsufficientRecords(
             f"need at least 2 usable decreasing pairs above the floor, got {len(xs)}")
-    xs = np.asarray(xs[-window:])
-    ys = np.asarray(ys[-window:])
+    xs = np.asarray(xs[-ORDER_WINDOW:])
+    ys = np.asarray(ys[-ORDER_WINDOW:])
     slope, intercept = np.polyfit(xs, ys, 1)
     residual = math.sqrt(float(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return OrderEstimate(order=float(slope), fit_residual=residual, n_pairs=len(xs))
+    return OrderEstimate(order=float(slope), fit_residual=residual)
 
 
-def smallest_sufficient_C(records, g: Nonlinearity,
-                          grid_candidates=None) -> float | None:
-    """Smallest C on a log grid making the one-step decay bound
+def smallest_sufficient_C(records, g: Nonlinearity) -> float | None:
+    """Smallest C of C_CANDIDATES making the one-step decay bound
 
         sqrt(E_{k+1}) <= (|1 - lam_k| + lam_k^(1+s) c(y_k) E_k^(s/2)) sqrt(E_k)
 
@@ -443,8 +451,7 @@ def smallest_sufficient_C(records, g: Nonlinearity,
             pairs.append((prev.E, nxt.E, prev.lam, prev.gprime_linf_ld))
     if not pairs:
         return None
-    candidates = grid_candidates if grid_candidates is not None else np.logspace(-3, 3, 121)
-    for C in candidates:
+    for C in C_CANDIDATES:
         ok = True
         for E_k, E_next, lam, gnorm in pairs:
             d_of_y = C * math.exp(C * gnorm ** 2)

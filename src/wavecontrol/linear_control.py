@@ -404,7 +404,13 @@ def _cg(op, c, tol, max_iter, eps, floor=0.0, precond=None):
     z = P^{-1} r by `_precondition`.  Stops once
     |r_k| <= max(tol |c|, floor |x_k|), reading the true residual r;
     floor = 0 is the plain relative-residual stop.
+
+    CG and the apply are homogeneous, so it solves for c 2^-e, 2^e the
+    power of two of max|c|, and returns x 2^e: the same bits, but c @ c
+    neither underflows nor overflows.
     """
+    e = math.frexp(float(np.max(np.abs(c))))[1]
+    c = np.ldexp(c, -e)
     x = np.zeros_like(c)
     nc = math.sqrt(float(c @ c))
     if nc == 0.0:
@@ -433,7 +439,7 @@ def _cg(op, c, tol, max_iter, eps, floor=0.0, precond=None):
             rz_new = float(r @ z)
             d = z + (rz_new / rz) * d
             rz = rz_new
-    return x, it, converged, history
+    return np.ldexp(x, e), it, converged, history
 
 
 # ---------------------------------------------------------------------------

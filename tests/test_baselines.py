@@ -45,7 +45,7 @@ def test_variant_linear_one_step_exactness(small_problem):
 
 def test_variant_runs_on_saturated_nonlinearity(small_problem):
     g = wc.builtin("lipschitz_sat", kappa=0.5)
-    res = wc.variant_solve(small_problem, g, wc.FixedPointConfig(max_outer=30))
+    res = wc.variant_solve(small_problem, g, wc.LSConfig(max_outer=30))
     assert res.status == "converged"
     for rec in res.records:
         assert math.isfinite(rec.E) and math.isfinite(rec.y_linf_L1)
@@ -127,7 +127,7 @@ def test_one_preconditioner_per_problem(monkeypatch):
     for module in (least_squares, linear_control):
         monkeypatch.setattr(module, "_free_wave_preconditioner", counted)
     g = wc.builtin("lipschitz_sat", kappa=2.0)
-    ls_cfg, fp_cfg = wc.LSConfig(max_outer=3), wc.FixedPointConfig(max_outer=3)
+    ls_cfg = fp_cfg = wc.LSConfig(max_outer=3)
     assert builds == []
     res = wc.ls_solve(problem, g, ls_cfg)
     wc.newton_classic_solve(problem, g, ls_cfg)

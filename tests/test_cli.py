@@ -353,18 +353,28 @@ def test_check_of_saturated_nonlinearity_is_warning_free(capsys):
     ("least_squares.scan_points", 9),
     ("least_squares.refine_rel_width", 1e-2),
     ("scenario.cfl_factor", 0.5),
+    ("least_squares.m", 2.0),
+    ("least_squares.tol", 1e-8),
+    ("least_squares.e_floor", 1e-20),
+    ("least_squares.C", 1.0),
+    ("fixed_point.tol", 1e-8),
+    ("fixed_point.step_tol", 1e-10),
+    ("fixed_point.e_floor", 1e-20),
 ])
 def test_removed_settings_are_unknown_keys(tmp_path, capsys, key, value):
-    # the line search, the start and the CFL margin are fixed; a config that
-    # still sets one is refused, not silently run with the constant
+    # the line search, the stop on E, the diagnostic C, the start and the CFL
+    # margin are fixed; a config that still sets one, even to its constant,
+    # is refused by check and run alike, not silently run with the constant
     cfg = load_json(CONFIGS / "lipschitz_default.json")
     section, leaf = key.split(".")
     cfg.setdefault(section, {})[leaf] = value
     path = tmp_path / "removed.json"
     path.write_text(json.dumps(cfg))
-    assert run_cli(["check", "--config", path]) == 1
-    err = capsys.readouterr().err
-    assert f"{section}: unknown keys ['{leaf}']" in err
+    for command in ("check", "run"):
+        assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}: unknown keys ['{leaf}']" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_duplicate_method_is_a_config_error(tmp_path, capsys):

@@ -30,6 +30,22 @@ def test_grid_rejects_bad_shapes_and_params():
         wc.SpaceTimeGrid((1.0, 1.0), (50,), T=1.0, nt=100)
 
 
+@pytest.mark.parametrize("lengths, nodes, T, nt, words", [
+    ((1.0,), (50,), math.nan, 100, "T"),           # else dt = nan: the first march blows up
+    ((1.0,), (50,), math.inf, 100, "T"),
+    ((math.nan,), (50,), 1.0, 100, "lengths"),     # else dx = nan
+    ((1.0, math.inf), (50, 50), 1.0, 100, "lengths"),
+    ((1.0,), (50,), 1.0, 100.5, "nt"),             # else a numpy TypeError at the first solve
+    ((1.0,), (50.7,), 1.0, 100, "nodes"),          # else silently 50 nodes
+    ((1.0, 1.0), (50, 40.5), 1.0, 100, "nodes"),
+    ((1.0,), (50,), 1.0, True, "nt"),
+], ids=["T=nan", "T=inf", "length=nan", "length=inf", "nt=100.5", "nodes=50.7",
+        "2d_nodes=40.5", "nt=True"])
+def test_grid_rejects_nonfinite_and_fractional_input(lengths, nodes, T, nt, words):
+    with pytest.raises(ConfigError, match=words):
+        wc.SpaceTimeGrid(lengths, nodes, T=T, nt=nt)
+
+
 def test_2d_grid_cfl_uses_sqrt_d():
     # passes in 1D but the same dt/dx must fail in 2D
     wc.SpaceTimeGrid((1.0,), (51,), T=1.0, nt=60)

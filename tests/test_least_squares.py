@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
+from wavecontrol import cli
 from wavecontrol.errors import ConfigError, InsufficientRecords
 from wavecontrol.least_squares import IterateRecord, initialize
 from wavecontrol.nonlinearity import Nonlinearity
 
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        wc.LSConfig(m=0.5)
-    with pytest.raises(ConfigError):
-        wc.LSConfig(tol=0.0)
+from conftest import CONFIGS, load_json
 
 
 def small_linear_problem(**opts):
@@ -22,18 +18,20 @@ def small_linear_problem(**opts):
     return wc.LinearControlProblem(grid, wc.interval_region(grid, 0.8, 1.0), **opts)
 
 
+def config_with_fixed_point_cap(max_outer):
+    cfg = load_json(CONFIGS / "newton_equiv.json")
+    cfg["fixed_point"] = {"max_outer": max_outer}
+    return cfg
+
+
 @pytest.mark.parametrize("build", [
     lambda: wc.LSConfig(max_outer=-1),          # cap_reached with no records
-    lambda: wc.LSConfig(m=math.nan),            # nonfinite fields after a solve
-    lambda: wc.LSConfig(tol=math.inf),
-    lambda: wc.LSConfig(e_floor=math.nan),
-    lambda: wc.FixedPointConfig(max_outer=-1),
-    lambda: wc.FixedPointConfig(tol=math.nan),
+    # build_problem does not validate; the picard and variant cap is checked
+    lambda: cli.build_problem(config_with_fixed_point_cap(-1)),
     lambda: small_linear_problem(cg_tol=math.nan),     # 500 iterations, then unconverged
     lambda: small_linear_problem(cg_max_iter=-3),      # the zero control
     lambda: small_linear_problem(eps_reg=math.nan),
-], ids=["ls.max_outer=-1", "m=nan", "ls.tol=inf", "e_floor=nan",
-        "fp.max_outer=-1", "fp.tol=nan", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan"])
+], ids=["ls.max_outer=-1", "fp.max_outer=-1", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan"])
 def test_bad_library_input_is_a_config_error(build):
     with pytest.raises(ConfigError):
         build()
@@ -42,8 +40,10 @@ def test_bad_library_input_is_a_config_error(build):
 def test_whole_float_counts_become_ints():
     # JSON may write a count as 2.0; range() in the outer loops needs an int
     assert type(wc.LSConfig(max_outer=2.0).max_outer) is int
-    assert type(wc.FixedPointConfig(max_outer=2.0).max_outer) is int
+    assert type(cli.build_problem(config_with_fixed_point_cap(2.0))[3].max_outer) is int
     assert type(small_linear_problem(cg_max_iter=7.0).cg_max_iter) is int
+    grid = wc.SpaceTimeGrid((1.0,), (51.0,), T=1.0, nt=60.0)
+    assert type(grid.shape[0]) is int and type(grid.nt) is int
 
 
 def test_compute_E_of_linear_controlled_pair_is_floor_level(small_problem):
@@ -356,7 +356,6 @@ def test_lipschitz_default_gramian_applies(monkeypatch, configs_dir):
     # exact work counts of the preconditioned floor solves: the starting pair
     # of the g = 0 problem has P = G(0) + eps I as its operator and takes one
     # apply; the run takes 19 (1 + 6 per Newton step)
-    from wavecontrol import cli
     from wavecontrol.linear_control import _gramian_rho
 
     problem, g, ls_cfg, _ = cli.build_problem(
@@ -378,7 +377,6 @@ def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
     # two-level P = G(0) + eps I, exact on the band of 483 of 1444 modes and
     # its diagonal off it: the starting pair takes 17 applies and the run 63
     # (17 + 23 + 23)
-    from wavecontrol import cli
     from wavecontrol.linear_control import _free_wave_band, _gramian_rho
 
     problem, g, ls_cfg, _ = cli.build_problem(cli.load_config(configs_dir / "smoke_2d.json"))

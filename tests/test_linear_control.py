@@ -543,20 +543,26 @@ def test_solve_is_scale_invariant(make, floor, rel):
     # the float32 band factor is applied to the band residual scaled by a
     # power of two, so data of amplitude 1e-44 neither underflows float32
     # (the 2D floor solve ran 184 iterations unconverged) nor data of
-    # amplitude 1e40 overflows it (nonfinite states).  Every amplitude takes
-    # the iterations of amplitude 1 and gives its defect and control up to
-    # the scale: to 1e-12 for the exact solves, and for the floor solve to
-    # the float32 rounding its stopped iterate keeps (7.4e-12 measured); a
-    # power-of-two amplitude gives the same bits
+    # amplitude 1e40 overflows it (nonfinite states); CG solves for its data
+    # scaled by a power of two, so below 1e-154 c @ c does not underflow
+    # (it returned `converged` after 0 iterations with a zero control).
+    # Every amplitude takes the iterations of amplitude 1 and gives its
+    # defect and control up to the scale: to 1e-12 for the exact solves,
+    # and for the floor solve to the float32 rounding its stopped iterate
+    # keeps (7.4e-12 measured); a power-of-two amplitude gives the same bits.
+    # Below 1e-154 the norms of `fields` square and read 0.0, so there only
+    # the iterations and the bits are compared
     prob = make()
     ref = wc.solve_null_control(prob, floor)
-    for amplitude in (1e-44, 1e40, 2.0 ** -146, 2.0 ** 133):
+    for amplitude in (1e-44, 1e40, 2.0 ** -146, 2.0 ** 133, 2.0 ** -700, 1e-200):
         scaled = scaled_problem(prob, amplitude)
         sol = wc.solve_null_control(scaled, floor)
         assert sol.converged and sol.cg_iterations == ref.cg_iterations
-        assert sol.defect / wc.v_norm(scaled.initial) == pytest.approx(
-            ref.defect / wc.v_norm(prob.initial), rel=rel, abs=0.0)
-        assert sol.control_norm / amplitude == pytest.approx(ref.control_norm, rel=rel, abs=0.0)
+        if amplitude > 1e-150:
+            assert sol.defect / wc.v_norm(scaled.initial) == pytest.approx(
+                ref.defect / wc.v_norm(prob.initial), rel=rel, abs=0.0)
+            assert sol.control_norm / amplitude == pytest.approx(
+                ref.control_norm, rel=rel, abs=0.0)
         if math.frexp(amplitude)[0] == 0.5:
             assert np.array_equal(sol.seed_coords / amplitude, ref.seed_coords)
 

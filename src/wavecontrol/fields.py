@@ -11,6 +11,10 @@ orthonormal in L^2,
 where mu_k are the continuous eigenvalues (k pi / L)^2 (summed per axis
 in 2D).  The discrete sine transform is normalized so that Parseval
 holds exactly against the interior-node L^2 sum.
+
+The L^2(Q_T), L^2, H^1_0, H^-1, V and H norms hold at any finite
+amplitude: a sum of squares that could have underflowed or overflowed
+is summed again at a power-of-two scale (`_sqrt_sum_squares`).
 """
 
 from __future__ import annotations
@@ -210,16 +214,47 @@ def _zero_boundary(a, dim):
 # norms
 # ---------------------------------------------------------------------------
 
+def _sqrt_sum_squares(sum_squares, values) -> float:
+    """sqrt(sum_squares(values)) for sum_squares a weighted sum of the
+    squares of values, as a Python float.
+
+    A sum that is not well inside float64's normal range, [2^-900, 2^900],
+    may have underflowed or overflowed (values below about 1e-154 read 0,
+    above about 1e154 read inf), so it is summed again over values scaled
+    by the power of two 2^e of their maximum and the root scaled back by
+    2^e.  A sum inside the range keeps its bits and costs no second pass.
+    """
+    with np.errstate(over="ignore"):
+        s = sum_squares(values)
+    if 2.0 ** -900 <= s <= 2.0 ** 900:
+        return math.sqrt(s)
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return math.ldexp(math.sqrt(sum_squares(np.ldexp(values, -e))), e)
+
+
+def _pair_norm(a: float, b: float) -> float:
+    """sqrt(a^2 + b^2) for two norms: summed in float64 where the larger
+    square is well inside the normal range (a smaller square that
+    underflows is below its rounding), by math.hypot, which scales, where
+    it is not."""
+    if 2.0 ** -450 <= max(a, b) <= 2.0 ** 450:
+        return math.sqrt(a ** 2 + b ** 2)
+    return math.hypot(a, b)
+
+
 def space_l2(grid: SpaceTimeGrid, values: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(_space_weights(grid) * values * values)))
+    w = _space_weights(grid)
+    return _sqrt_sum_squares(lambda v: float(np.sum(w * v * v)), values)
 
 
 def l2_qt(f: SpaceTimeField, region=None) -> float:
     """L^2 norm over omega x (0, T); full Q_T when region is None."""
     chi = region.weights if region is not None else 1.0
-    per_level = np.sum((_space_weights(f.grid) * chi) * f.values * f.values,
-                       axis=tuple(range(1, f.values.ndim)))
-    return math.sqrt(float(np.sum(_time_weights(f.grid) * per_level)))
+    w = _space_weights(f.grid) * chi
+    tw = _time_weights(f.grid)
+    axes = tuple(range(1, f.values.ndim))
+    return _sqrt_sum_squares(lambda v: float(np.sum(tw * np.sum(w * v * v, axis=axes))),
+                             f.values)
 
 
 def linf_lp(f: SpaceTimeField, p: float) -> float:
@@ -234,25 +269,27 @@ def linf_l1(f: SpaceTimeField) -> float:
 
 
 def h10_norm(grid: SpaceTimeGrid, values: np.ndarray) -> float:
-    c = sine_coefficients(grid, values)
-    return math.sqrt(float(np.sum(eigenvalues(grid) * c * c)))
+    mu = eigenvalues(grid)
+    return _sqrt_sum_squares(lambda c: float(np.sum(mu * c * c)),
+                             sine_coefficients(grid, values))
 
 
 def hminus1_norm(grid: SpaceTimeGrid, values: np.ndarray) -> float:
-    c = sine_coefficients(grid, values)
-    return math.sqrt(float(np.sum(c * c / eigenvalues(grid))))
+    mu = eigenvalues(grid)
+    return _sqrt_sum_squares(lambda c: float(np.sum(c * c / mu)),
+                             sine_coefficients(grid, values))
 
 
 def v_norm(state: StatePair) -> float:
     """Norm of H^1_0 x L^2."""
-    return math.sqrt(h10_norm(state.grid, state.position) ** 2
-                     + space_l2(state.grid, state.velocity) ** 2)
+    return _pair_norm(h10_norm(state.grid, state.position),
+                      space_l2(state.grid, state.velocity))
 
 
 def h_norm(state: StatePair) -> float:
     """Norm of L^2 x H^-1."""
-    return math.sqrt(space_l2(state.grid, state.position) ** 2
-                     + hminus1_norm(state.grid, state.velocity) ** 2)
+    return _pair_norm(space_l2(state.grid, state.position),
+                      hminus1_norm(state.grid, state.velocity))
 
 
 def norms(obj, region=None, p: float | None = None) -> dict:

@@ -72,13 +72,14 @@ diagonal, sum_m w_m T_k(m)^2 M_kk + eps (`_free_wave_diagonal`), which
 needs neither D nor M: M_kk is chi's interior under the squared
 orthonormal DST-I matrix of each axis.  The band block
 (`_free_wave_block`, from T's band columns and D's band rows only) is
-factored L L^T in float64, and CG applies the inverse factor L^{-1} in
-float32, half the memory and traffic of float64, to the band residual
-scaled by a power of two to a maximum in [1/2, 1), so the apply neither
-underflows nor overflows float32 at any amplitude, and changes no bit
-where the unscaled apply did neither (operator preconditioning,
-Hiptmair, Comput. Math. Appl. 52, 2006; CG on the HUM Gramian,
-Glowinski, Lions & He, CUP 2008).  On
+factored L L^T in float64, L is inverted in its own storage by 2 x 2
+blocks of matrix products (`_invert_lower`), and CG applies the inverse
+factor F = L^{-1}, rounded once to float32, half the memory and traffic
+of float64, to the band residual scaled by a power of two to a maximum
+in [1/2, 1), so the apply neither underflows nor overflows float32 at
+any amplitude, and changes no bit where the unscaled apply did neither
+(operator preconditioning, Hiptmair, Comput. Math. Appl. 52, 2006; CG on
+the HUM Gramian, Glowinski, Lions & He, CUP 2008).  On
 every 1D grid with nt >= 4 nx / 3 and on 2D squares of 5 to 8 nodes the
 band is every mode, so P carries the full mode coupling of omega: a
 solve with a potential takes a few iterations and one without takes
@@ -360,11 +361,35 @@ def _free_wave_band(grid):
     return np.flatnonzero(top_gap < np.count_nonzero(fits))
 
 
+def _invert_lower(L):
+    """The inverse of the nonsingular lower-triangular float64 L, written
+    into L's own storage, which is returned; its upper triangle stays 0.
+
+    Recursive 2 x 2 blocks (Du Croz & Higham, IMA J. Numer. Anal. 12,
+    1992): [[A, 0], [C, B]]^{-1} = [[A^{-1}, 0], [-B^{-1} C A^{-1}, B^{-1}]],
+    so everything above the leaves of 64 rows or fewer is matrix products
+    (about 2 n^3 / 3 flops), where `np.linalg.inv` would run a pivoted LU and n
+    triangular solves on a matrix that is triangular already.
+    """
+    n = len(L)
+    if n <= 64:
+        L[...] = np.tril(np.linalg.inv(L))
+        return L
+    h = n // 2
+    A = _invert_lower(L[:h, :h])
+    B = _invert_lower(L[h:, h:])
+    C = L[h:, :h]
+    C[...] = -(B @ (C @ A))
+    return L
+
+
 def _free_wave_preconditioner(grid, region, eps):
     """(band, F, diag) for P = G(0) + eps I, or None with eps = 0, where CG
     runs plain: P^{-1} = F^T F on the seeds `band` of the `_free_wave_band`
-    modes, F the inverse of the Cholesky factor of P's block there, in
-    float32, and P's diagonal `diag` off them (inf on the band)."""
+    modes, F = L^{-1} for the Cholesky factor L of P's block there, inverted
+    in float64 in L's storage (`_invert_lower`) and rounded to float32 once,
+    so F is exactly lower-triangular, and P's diagonal `diag` off them (inf
+    on the band)."""
     if eps == 0.0:
         return None
     n = math.prod(grid.interior_shape)
@@ -375,9 +400,9 @@ def _free_wave_preconditioner(grid, region, eps):
     band = np.concatenate([modes, n + modes])
     P = _free_wave_block(grid, region, modes)
     P[np.diag_indices_from(P)] += eps
-    L = np.linalg.cholesky(P).astype(np.float32)
+    L = np.linalg.cholesky(P)
     del P
-    return band, np.linalg.inv(L), diag
+    return band, _invert_lower(L).astype(np.float32), diag
 
 
 def _precondition(precond, r):

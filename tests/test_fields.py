@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavecontrol as wc
+from wavecontrol import fields
 from wavecontrol.errors import ConfigError
 from wavecontrol.fields import (eigenvalues, from_sine_coefficients, h10_norm,
                                 hminus1_norm, sine_coefficients, space_l2)
@@ -63,6 +64,49 @@ def test_norm_homogeneity(grid):
     assert wc.l2_qt(g) == pytest.approx(3.7 * wc.l2_qt(f), rel=1e-13)
     assert wc.linf_l1(g) == pytest.approx(3.7 * wc.linf_l1(f), rel=1e-13)
     assert wc.linf_lp(g, 2.0) == pytest.approx(3.7 * wc.linf_lp(f, 2.0), rel=1e-13)
+
+
+def random_state_and_field(grid, amplitude=1.0):
+    rng = np.random.default_rng(11)
+    pos, vel = np.zeros(grid.shape), rng.standard_normal(grid.shape)
+    pos[1:-1] = rng.standard_normal(grid.shape[0] - 2)
+    vals = rng.standard_normal((grid.nt + 1,) + grid.shape)
+    return (wc.StatePair(grid, amplitude * pos, amplitude * vel),
+            wc.SpaceTimeField(grid, amplitude * vals))
+
+
+def test_norms_keep_their_bits_at_ordinary_amplitudes(grid):
+    # a sum of squares well inside the normal range takes no scaled pass:
+    # every norm is the plain formula, bit for bit
+    state, f = random_state_and_field(grid)
+    region = wc.interval_region(grid, 0.8, 1.0)
+    sw, mu = fields._space_weights(grid), eigenvalues(grid)
+    cp, cv = sine_coefficients(grid, state.position), sine_coefficients(grid, state.velocity)
+    h10 = math.sqrt(float(np.sum(mu * cp * cp)))
+    l2_pos = math.sqrt(float(np.sum(sw * state.position * state.position)))
+    l2_vel = math.sqrt(float(np.sum(sw * state.velocity * state.velocity)))
+    hm1 = math.sqrt(float(np.sum(cv * cv / mu)))
+    assert wc.v_norm(state) == math.sqrt(h10 ** 2 + l2_vel ** 2)
+    assert wc.h_norm(state) == math.sqrt(l2_pos ** 2 + hm1 ** 2)
+    for where, chi in ((None, 1.0), (region, region.weights)):
+        per_level = np.sum((sw * chi) * f.values * f.values, axis=1)
+        plain = math.sqrt(float(np.sum(fields._time_weights(grid) * per_level)))
+        assert wc.l2_qt(f, where) == plain
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [2.0 ** -700, 1e-200, 1e300],
+                         ids=["2^-700", "1e-200", "1e300"])
+def test_norms_are_scale_safe(grid, amplitude):
+    # squared, data below about 1e-154 would read 0 and data above about
+    # 1e154 would overflow (and warn); every norm is homogeneous instead
+    state, f = random_state_and_field(grid)
+    big_state, big_f = random_state_and_field(grid, amplitude)
+    region = wc.interval_region(grid, 0.8, 1.0)
+    for norm, a, b in [(wc.v_norm, state, big_state), (wc.h_norm, state, big_state),
+                       (wc.l2_qt, f, big_f),
+                       (lambda g: wc.l2_qt(g, region), f, big_f)]:
+        assert norm(b) == pytest.approx(amplitude * norm(a), rel=1e-14, abs=0.0)
 
 
 def test_v_h_norm_zero_iff_zero(grid):

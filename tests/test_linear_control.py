@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ from wavecontrol.errors import BlowupError, ConfigError
 from wavecontrol.linear_control import (FLOOR_THETA, _cg, _constraint_rows, _free_response,
                                         _free_wave_band, _free_wave_block, _free_wave_diagonal,
                                         _free_wave_preconditioner, _free_wave_signals,
-                                        _GramianOperator, _gramian_rho, dual_to_rho,
-                                        rho_from_seed, seed_from_rho)
+                                        _GramianOperator, _gramian_rho, _invert_lower,
+                                        dual_to_rho, rho_from_seed, seed_from_rho)
 
 from conftest import MARCH_KERNELS, march_kernel
 
@@ -545,24 +549,23 @@ def test_solve_is_scale_invariant(make, floor, rel):
     # (the 2D floor solve ran 184 iterations unconverged) nor data of
     # amplitude 1e40 overflows it (nonfinite states); CG solves for its data
     # scaled by a power of two, so below 1e-154 c @ c does not underflow
-    # (it returned `converged` after 0 iterations with a zero control).
+    # (it returned `converged` after 0 iterations with a zero control), and
+    # the norms of `fields` sum their squares at a power-of-two scale there
+    # (the defect and the control norm read 0.0).
     # Every amplitude takes the iterations of amplitude 1 and gives its
     # defect and control up to the scale: to 1e-12 for the exact solves,
     # and for the floor solve to the float32 rounding its stopped iterate
-    # keeps (7.4e-12 measured); a power-of-two amplitude gives the same bits.
-    # Below 1e-154 the norms of `fields` square and read 0.0, so there only
-    # the iterations and the bits are compared
+    # keeps (7.4e-12 measured); a power-of-two amplitude gives the same bits
     prob = make()
     ref = wc.solve_null_control(prob, floor)
     for amplitude in (1e-44, 1e40, 2.0 ** -146, 2.0 ** 133, 2.0 ** -700, 1e-200):
         scaled = scaled_problem(prob, amplitude)
         sol = wc.solve_null_control(scaled, floor)
         assert sol.converged and sol.cg_iterations == ref.cg_iterations
-        if amplitude > 1e-150:
-            assert sol.defect / wc.v_norm(scaled.initial) == pytest.approx(
-                ref.defect / wc.v_norm(prob.initial), rel=rel, abs=0.0)
-            assert sol.control_norm / amplitude == pytest.approx(
-                ref.control_norm, rel=rel, abs=0.0)
+        assert sol.defect / wc.v_norm(scaled.initial) == pytest.approx(
+            ref.defect / wc.v_norm(prob.initial), rel=rel, abs=0.0)
+        assert sol.control_norm / amplitude == pytest.approx(
+            ref.control_norm, rel=rel, abs=0.0)
         if math.frexp(amplitude)[0] == 0.5:
             assert np.array_equal(sol.seed_coords / amplitude, ref.seed_coords)
 
@@ -671,7 +674,7 @@ def test_free_wave_band_is_the_top_of_each_axis(configs_dir):
 @pytest.mark.parametrize("nx", [12, 24, 37, 50])
 def test_free_wave_band_factor_builds(nx, log_eps):
     # the float32 inverse Cholesky factor F of the band block P_b, on 2D
-    # squares: F P_b F^T = I to float32 accuracy (measured at most 1.0e-4,
+    # squares: F P_b F^T = I to float32 accuracy (measured at most 7.5e-5,
     # at 50 nodes and eps = 1e-9, where P_b's condition number is 9e7)
     grid = pcg_problem(2, nx, 1e-3, 0.5, [(1, 1.0, 0.0)]).grid
     region = wc.sides_region(grid, ["right", "top"], 0.3)
@@ -683,6 +686,45 @@ def test_free_wave_band_factor_builds(nx, log_eps):
     P = _free_wave_block(grid, region, _free_wave_band(grid)) + eps * np.eye(len(band))
     F = F.astype(np.float64)
     assert np.linalg.norm(F @ P @ F.T - np.eye(len(band)), 2) <= 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 966])
+def test_invert_lower_in_place(n):
+    # leaves of 64 rows or fewer, one split, and smoke_2d's band block size:
+    # L^{-1} in L's own storage, exactly lower-triangular, to float64 roundoff
+    rng = np.random.default_rng(n)
+    L = np.tril(rng.standard_normal((n, n))) / math.sqrt(n)
+    L[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n)
+    F = L.copy()
+    assert _invert_lower(F) is F
+    assert not np.triu(F, 1).any()
+    assert np.max(np.abs(F @ L - np.eye(n))) <= 1e-13
+
+
+def test_smoke_2d_band_factor_is_lower_triangular(configs_dir):
+    # the float64 inverse is rounded to float32 once, so F's upper triangle
+    # is exactly 0 (an inverse of the float32 factor carried roundoff there)
+    ((grid, region),) = config_grids(configs_dir, "smoke_2d")
+    band, F, _ = _free_wave_preconditioner(grid, region, min(grid.dx) ** 2)
+    assert F.dtype == np.float32 and F.shape == (966, 966) == (len(band),) * 2
+    assert not np.triu(F, 1).any() and np.all(np.diag(F) > 0)
+
+
+def test_band_factor_needs_no_scipy_linalg():
+    # the inverse is numpy's: importing scipy.linalg would cost every run
+    # about 6 MB of resident memory
+    code = ("import sys, wavecontrol as wc\n"
+            "from wavecontrol.linear_control import _free_wave_preconditioner\n"
+            "grid = wc.SpaceTimeGrid((1.0, 1.0), (14, 14), T=2.5, nt=52)\n"
+            "region = wc.sides_region(grid, ['right', 'top'], 0.3)\n"
+            "assert _free_wave_preconditioner(grid, region, 1e-3) is not None\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n")
+    src = str(Path(wc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_free_wave_preconditioner_is_exact_without_potential(monkeypatch):

@@ -7,94 +7,40 @@ newton_classic the damped least-squares iteration with lambda forced to 1.
 variant        y_{k+1} is the controlled solution of the frozen-coefficient
                system with potential g'(y_k), source g'(y_k) y_k - g(y_k).
 
-All methods share compute_E, so E values are directly comparable
-across methods, and one iteration config (`LSConfig`, the outer step cap)
-and one stop on E (`least_squares.reached_tolerance`).  Divergence is
-flagged when |y|_{Linf(L1)} exceeds 1e6; picard and variant stop as
-stagnated once a step moves y by at most STEP_TOL max(1, |y|_{Linf(L1)})
-with E still above the stop.
+Each is a step rule of `least_squares.iterate`, the one outer iteration:
+every method starts from the same g = 0 controlled pair, records the
+same columns, and stops by the same rules, in the same order (picard and
+variant reach stagnated once a step moves y by at most
+`least_squares.STEP_TOL` max(1, |y|_{Linf(L1)}) with E still above the
+stop).  Row k holds the inner solve made from y_k.
 """
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 
-from .errors import BlowupError
-from .fields import SpaceTimeField, h10_norm, linf_l1, linf_lp, v_norm
-from .least_squares import (DIVERGENCE_THRESHOLD, IterateRecord, LSConfig, LSResult,
-                            TargetProblem, compute_E, initialize, ls_solve,
-                            reached_tolerance)
+from .fields import SpaceTimeField, h10_norm, linf_l1, linf_lp
+from .least_squares import (LSConfig, LSResult, TargetProblem, iterate, newton_step,
+                            record_inner)
 from .nonlinearity import Nonlinearity
-
-STEP_TOL = 1e-10                    # fixed-point detector on |y_{k+1} - y_k|
 
 
 def newton_classic_solve(problem: TargetProblem, g: Nonlinearity,
                          config: LSConfig | None = None) -> LSResult:
-    """Newton iteration: identical machinery with the step length pinned to 1."""
-    return ls_solve(problem, g, config, force_lambda=1.0, method_name="newton_classic")
+    """Newton iteration: the least-squares step with its length pinned to 1."""
+    return iterate(problem, g, config, partial(newton_step, force_lambda=1.0),
+                   "newton_classic")
 
 
-def _fixed_point_loop(problem, g, config, linearize, method_name):
-    """Shared driver for picard and variant: each iterate is itself a
-    controlled pair of a frozen linear problem."""
-    config = config or LSConfig()
-    grid, region = problem.grid, problem.region
-
-    sol = initialize(problem)
-    y, f = sol.trajectory, sol.control
-    records = []
-    status = "cap_reached"
-    E0 = None
-    prev_delta = math.nan
-    for k in range(config.max_outer + 1):
-        rec = IterateRecord(k=k, E=math.nan, sqrt_E=math.nan)
-        E = compute_E(y, f, g, region)
-        if E0 is None:
-            E0 = E
-        rec.E = float(E)
-        rec.sqrt_E = math.sqrt(E)
-        rec.y_linf_L1 = linf_l1(y)
-        rec.gprime_linf_ld = linf_lp(SpaceTimeField(grid, g.dg(y.values)), float(grid.dim))
-        rec.term_defect_V = v_norm(sol.terminal - problem.target)
-        rec.inner_defect = sol.defect
-        rec.inner_cg_iters = sol.cg_iterations
-        rec.inner_converged = sol.converged
-        rec.inner_residuals = sol.residual_history
-        records.append(rec)
-
-        if rec.y_linf_L1 > DIVERGENCE_THRESHOLD:
-            status = "diverged"
-            break
-        if reached_tolerance(E, E0):
-            status = "converged"
-            break
-        if prev_delta <= STEP_TOL * max(1.0, rec.y_linf_L1):
-            # the map stopped moving but the residual is still above
-            # tolerance: a spurious fixed point, not a solution
-            status = "stagnated"
-            break
-        if k == config.max_outer:
-            status = "cap_reached"
-            break
-
-        potential, source = linearize(grid, g, y)
-        try:
-            sol = problem.solve(potential, source, problem.initial, problem.target)
-        except BlowupError:
-            status = "inner_failure"
-            break
-        y_next, f_next = sol.trajectory, sol.control
-        rec.step_delta = linf_l1(SpaceTimeField(grid, y_next.values - y.values))
-        prev_delta = rec.step_delta
-        y, f = y_next, f_next
-    return LSResult(records=records, y=y, f=f, status=status,
-                    E0=records[0].E if records else math.nan,
-                    M_run=max((r.y_linf_L1 for r in records if math.isfinite(r.y_linf_L1)),
-                              default=0.0),
-                    method=method_name)
+def _fixed_point_step(problem, g, rec, y, f, terminal, r, gp, *, linearize):
+    """The next iterate: the controlled pair of the frozen linear problem
+    that linearize(grid, g, y) gives, an exact (not floor-stopped) solve."""
+    sol = problem.solve(*linearize(problem.grid, g, y), problem.initial, problem.target)
+    record_inner(rec, sol)
+    rec.step_delta = linf_l1(SpaceTimeField(problem.grid, sol.trajectory.values - y.values))
+    return sol.trajectory, sol.control, sol.terminal
 
 
 def _picard_linearization(grid, g, y):
@@ -113,13 +59,15 @@ def _variant_linearization(grid, g, y):
 def picard_solve(problem: TargetProblem, g: Nonlinearity,
                  config: LSConfig | None = None) -> LSResult:
     """Fixed-point iteration on the secant-linearized equation."""
-    return _fixed_point_loop(problem, g, config, _picard_linearization, "picard")
+    return iterate(problem, g, config,
+                   partial(_fixed_point_step, linearize=_picard_linearization), "picard")
 
 
 def variant_solve(problem: TargetProblem, g: Nonlinearity,
                   config: LSConfig | None = None) -> LSResult:
     """Frozen-derivative iteration; every iterate is a controlled pair."""
-    return _fixed_point_loop(problem, g, config, _variant_linearization, "variant")
+    return iterate(problem, g, config,
+                   partial(_fixed_point_step, linearize=_variant_linearization), "variant")
 
 
 def contraction_ratio(problem: TargetProblem, g: Nonlinearity,

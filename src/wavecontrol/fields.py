@@ -12,9 +12,9 @@ where mu_k are the continuous eigenvalues (k pi / L)^2 (summed per axis
 in 2D).  The discrete sine transform is normalized so that Parseval
 holds exactly against the interior-node L^2 sum.
 
-The L^2(Q_T), L^2, H^1_0, H^-1, V and H norms hold at any finite
-amplitude: a sum of squares that could have underflowed or overflowed
-is summed again at a power-of-two scale (`_sqrt_sum_squares`).
+Every norm, the max-over-time ones included, holds at any finite
+amplitude: a sum of squares (or p-th powers) that could have underflowed
+or overflowed is summed again at a power-of-two scale (`_root_sum_powers`).
 """
 
 from __future__ import annotations
@@ -214,22 +214,27 @@ def _zero_boundary(a, dim):
 # norms
 # ---------------------------------------------------------------------------
 
-def _sqrt_sum_squares(sum_squares, values) -> float:
-    """sqrt(sum_squares(values)) for sum_squares a weighted sum of the
-    squares of values, as a Python float.
+def _root_sum_powers(sum_powers, values, root=math.sqrt) -> float:
+    """root(sum_powers(values)) for sum_powers a weighted sum of the p-th
+    powers of |values| (or their maximum over time levels) and root the
+    p-th root, by default p = 2, as a Python float.
 
     A sum that is not well inside float64's normal range, [2^-900, 2^900],
-    may have underflowed or overflowed (values below about 1e-154 read 0,
-    above about 1e154 read inf), so it is summed again over values scaled
-    by the power of two 2^e of their maximum and the root scaled back by
-    2^e.  A sum inside the range keeps its bits and costs no second pass.
+    may have underflowed or overflowed (squared, values below about 1e-154
+    read 0, above about 1e154 read inf), so it is summed again over values
+    scaled by the power of two 2^e of their maximum and the root scaled
+    back by 2^e.  A sum inside the range keeps its bits and costs no
+    second pass.
     """
     with np.errstate(over="ignore"):
-        s = sum_squares(values)
+        s = sum_powers(values)
     if 2.0 ** -900 <= s <= 2.0 ** 900:
-        return math.sqrt(s)
-    e = math.frexp(float(np.max(np.abs(values))))[1]
-    return math.ldexp(math.sqrt(sum_squares(np.ldexp(values, -e))), e)
+        return float(root(s))
+    top = float(np.max(np.abs(values)))
+    if top == 0.0 or not math.isfinite(top):       # no scale to take
+        return float(root(s))
+    e = math.frexp(top)[1]
+    return math.ldexp(float(root(sum_powers(np.ldexp(values, -e)))), e)
 
 
 def _pair_norm(a: float, b: float) -> float:
@@ -244,7 +249,7 @@ def _pair_norm(a: float, b: float) -> float:
 
 def space_l2(grid: SpaceTimeGrid, values: np.ndarray) -> float:
     w = _space_weights(grid)
-    return _sqrt_sum_squares(lambda v: float(np.sum(w * v * v)), values)
+    return _root_sum_powers(lambda v: float(np.sum(w * v * v)), values)
 
 
 def l2_qt(f: SpaceTimeField, region=None) -> float:
@@ -253,15 +258,16 @@ def l2_qt(f: SpaceTimeField, region=None) -> float:
     w = _space_weights(f.grid) * chi
     tw = _time_weights(f.grid)
     axes = tuple(range(1, f.values.ndim))
-    return _sqrt_sum_squares(lambda v: float(np.sum(tw * np.sum(w * v * v, axis=axes))),
-                             f.values)
+    return _root_sum_powers(lambda v: float(np.sum(tw * np.sum(w * v * v, axis=axes))),
+                            f.values)
 
 
 def linf_lp(f: SpaceTimeField, p: float) -> float:
     """max over time of the spatial L^p norm."""
     w = _space_weights(f.grid)
-    per_level = np.sum(w * np.abs(f.values) ** p, axis=tuple(range(1, f.values.ndim)))
-    return float(np.max(per_level) ** (1.0 / p))
+    axes = tuple(range(1, f.values.ndim))
+    return _root_sum_powers(lambda v: np.max(np.sum(w * np.abs(v) ** p, axis=axes)),
+                            f.values, lambda s: s ** (1.0 / p))
 
 
 def linf_l1(f: SpaceTimeField) -> float:
@@ -270,14 +276,14 @@ def linf_l1(f: SpaceTimeField) -> float:
 
 def h10_norm(grid: SpaceTimeGrid, values: np.ndarray) -> float:
     mu = eigenvalues(grid)
-    return _sqrt_sum_squares(lambda c: float(np.sum(mu * c * c)),
-                             sine_coefficients(grid, values))
+    return _root_sum_powers(lambda c: float(np.sum(mu * c * c)),
+                            sine_coefficients(grid, values))
 
 
 def hminus1_norm(grid: SpaceTimeGrid, values: np.ndarray) -> float:
     mu = eigenvalues(grid)
-    return _sqrt_sum_squares(lambda c: float(np.sum(c * c / mu)),
-                             sine_coefficients(grid, values))
+    return _root_sum_powers(lambda c: float(np.sum(c * c / mu)),
+                            sine_coefficients(grid, values))
 
 
 def v_norm(state: StatePair) -> float:
@@ -325,5 +331,7 @@ def linf_v(f: SpaceTimeField) -> float:
     cp = sine_coefficients(grid, f.values).reshape(levels, -1)
     cv = sine_coefficients(grid, velocity_levels(grid, f.values)).reshape(levels, -1)
     mu = eigenvalues(grid).ravel()
-    per_level = np.sum(mu * cp * cp, axis=1) + np.sum(cv * cv, axis=1)
-    return math.sqrt(float(np.max(per_level)))
+    # c holds (cp, cv), scaled by one power of two where the sum is out of range
+    return _root_sum_powers(
+        lambda c: float(np.max(np.sum(mu * c[0] * c[0], axis=1) + np.sum(c[1] * c[1], axis=1))),
+        (cp, cv))

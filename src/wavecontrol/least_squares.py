@@ -14,12 +14,14 @@ with lambda_k minimizing E over [0, m], m = LINE_SEARCH_BOUND (a scan of
 SCAN_POINTS values, refined to a bracket of width REFINE_REL_WIDTH * m),
 and (y_0, f_0) the controlled pair of the linear (g = 0) problem.  The
 iteration stops once sqrt(2E) <= TOL sqrt(2E_0) or E <= E_FLOOR; only its
-step cap is configured (`LSConfig`).  The decay estimate's constant C is
-unknown, so its diagnostics use DIAGNOSTIC_C.  The directional derivative
-satisfies E'(y,f).(Y1,F1) = 2 E(y,f) exactly at the discrete level
-because (Y1, F1) satisfies the linearized equation stencil-exactly, so
--(Y1, F1) is always a descent direction; forcing lambda = 1 recovers
-the classical Newton iteration.  The inner CG therefore only sets the
+step cap is configured (`LSConfig`).  Its loop, `iterate`, is the outer
+iteration of every method: the least-squares and Newton steps are
+`newton_step`, and `baselines` passes the fixed-point steps.  The decay
+estimate's constant C is unknown, so its diagnostics use DIAGNOSTIC_C.
+The directional derivative satisfies E'(y,f).(Y1,F1) = 2 E(y,f) exactly
+at the discrete level because (Y1, F1) satisfies the linearized equation
+stencil-exactly, so -(Y1, F1) is always a descent direction; forcing
+lambda = 1 recovers the classical Newton iteration.  The inner CG therefore only sets the
 terminal defect of the pair, and it stops once that defect is within
 1% of the Tikhonov floor (`linear_control.FLOOR_THETA`).
 
@@ -87,6 +89,7 @@ class TargetProblem:
 
 
 DIVERGENCE_THRESHOLD = 1e6            # on |y|_{Linf(L1)}, shared by all methods
+STEP_TOL = 1e-10                      # stagnated: a step moved y by <= STEP_TOL max(1, |y|)
 SCAN_POINTS = 33                      # uniform line-search scan over [0, m]
 REFINE_REL_WIDTH = 1e-3               # golden-section bracket width, relative to m
 LINE_SEARCH_BOUND = 2.0               # m: lambda_k minimizes E over [0, m]
@@ -109,8 +112,8 @@ class LSConfig:
 
 
 def reached_tolerance(E: float, E0: float) -> bool:
-    """The stop on E that every method applies."""
-    return math.sqrt(2 * E) <= TOL * math.sqrt(2 * E0) or E <= E_FLOOR
+    """The stop on E that every method applies; never met by a nonfinite E."""
+    return math.isfinite(E) and (math.sqrt(2 * E) <= TOL * math.sqrt(2 * E0) or E <= E_FLOOR)
 
 
 @dataclass
@@ -129,7 +132,7 @@ class IterateRecord:
     inner_converged: bool = True
     init_defect_V: float = 0.0
     term_defect_V: float = 0.0
-    step_delta: float = math.nan      # Picard-style |y_{k+1} - y_k|, nan for Newton paths
+    step_delta: float = math.nan      # fixed-point |y_{k+1} - y_k|_{Linf(L1)}, nan for Newton
     inner_residuals: list = field(default_factory=list)   # CG history, verbose export
 
 
@@ -144,14 +147,22 @@ class LSResult:
     method: str = "least_squares"
 
 
+def _energy(r: SpaceTimeField) -> float:
+    """1/2 |r|^2 in the trapezoidal L^2(Q_T) norm; inf once the square
+    leaves float64 (|r| above about 1.3e154)."""
+    try:
+        return 0.5 * l2_qt(r) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
               region: ControlRegion | None) -> float:
     """E = 1/2 |residual|^2 in the trapezoidal L^2(Q_T) norm."""
-    r = residual_field(y, f, g, region)
-    return 0.5 * l2_qt(r) ** 2
+    return _energy(residual_field(y, f, g, region))
 
 
-def _newton_step(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField):
+def _newton_pair(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField):
     """Null-controlled pair of the linearized equation with potential gp = g'(y)
     and source r, CG stopped at the Tikhonov floor.
 
@@ -173,7 +184,7 @@ def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField
     so E'(y, f).(Y1, F1) = 2 E(y, f).
     """
     r = residual_field(y, f, g, problem.region)
-    inner = _newton_step(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r)
+    inner = _newton_pair(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r)
     return inner.trajectory, inner.control, inner, r
 
 
@@ -260,11 +271,11 @@ def analytic_lambda(E: float, c_of_y: float, s: float) -> float:
     return 1.0 if t < 1.0 else 1.0 / t
 
 
-def _safe_exp(x: float) -> float:
-    # the observability constants grow doubly exponentially; report inf
-    # instead of crashing when they leave floating-point range
+def _exp_c_square(c: float, x: float) -> float:
+    # exp(c x^2): the observability constants grow doubly exponentially;
+    # report inf instead of crashing when x^2 or the exp leaves float range
     try:
-        return math.exp(x)
+        return math.exp(c * x ** 2)
     except OverflowError:
         return math.inf
 
@@ -281,7 +292,7 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
     if C <= 0:
         raise ConfigError("diagnostic constant C must be positive")
     s = g.s
-    out = {"d_of_y": C * _safe_exp(C * gprime_linf_ld ** 2),
+    out = {"d_of_y": C * _exp_c_square(C, gprime_linf_ld),
            "beta_star_s": beta_star(s, C) if s > 0 else 0.0}
     if g.seminorm is not None:
         c_of_y = C / ((1 + s) * math.sqrt(2.0)) * g.seminorm * out["d_of_y"] ** (1 + s)
@@ -291,7 +302,7 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
         out["c_of_y"] = None
         out["e_k"] = None
     if g.alpha is not None and g.beta is not None and g.seminorm is not None:
-        C3 = 2.0 * C * max(1.0, _safe_exp(2.0 * C * g.alpha ** 2) * domain_measure)
+        C3 = 2.0 * C * max(1.0, _exp_c_square(2.0 * C, g.alpha) * domain_measure)
         d_M = C3 * (1.0 + M / domain_measure) ** (2.0 * C * g.beta ** 2)
         out["d_M"] = d_M
         out["c_M"] = C / ((1 + s) * math.sqrt(2.0)) * g.seminorm * d_M ** (1 + s)
@@ -313,10 +324,100 @@ def initialize(problem: TargetProblem):
     return problem.solve(None, None, problem.initial, problem.target, floor=True)
 
 
-def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = None,
-             force_lambda: float | None = None, method_name: str = "least_squares") -> LSResult:
-    """Run the damped least-squares iteration until `reached_tolerance`,
-    the iteration cap of config, or a stagnation/failure status.
+def record_inner(rec: IterateRecord, sol: ControlSolution):
+    """Row k's record of the inner solve its step made."""
+    rec.inner_defect, rec.inner_cg_iters = sol.defect, sol.cg_iterations
+    rec.inner_converged, rec.inner_residuals = sol.converged, sol.residual_history
+
+
+def newton_step(problem: TargetProblem, g: Nonlinearity, rec: IterateRecord, y, f,
+                terminal, r, gp, force_lambda: float | None = None):
+    """The paper's step: (y, f) - lambda (Y1, F1) with (Y1, F1) the floor-stopped
+    pair of `descent_direction` and lambda the line search's (or force_lambda)."""
+    inner = _newton_pair(problem, gp, r)
+    record_inner(rec, inner)
+    Y1 = inner.trajectory
+    rec.F1_qT, rec.Y1_linf_V = inner.control_norm, linf_v(Y1)
+    if force_lambda is None:
+        ls = line_search(y, r, Y1, g, LINE_SEARCH_BOUND)
+        rec.lam = ls.lam
+        if ls.status == "stagnated":
+            return "stagnated"
+    else:
+        rec.lam = float(force_lambda)
+    lam = rec.lam
+    return (SpaceTimeField(problem.grid, y.values - lam * Y1.values),
+            SpaceTimeField(problem.grid, f.values - lam * inner.control.values),
+            terminal - inner.terminal.scaled(lam))
+
+
+def iterate(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None, step,
+            method: str) -> LSResult:
+    """The outer iteration of every method, from the g = 0 controlled pair.
+
+    Row k records y_k and tests the stops in the order converged
+    (`reached_tolerance`), diverged (a nonfinite E, or |y|_{Linf(L1)} above
+    DIVERGENCE_THRESHOLD), stagnated (the last step moved y by at most
+    STEP_TOL max(1, |y|_{Linf(L1)})) and cap_reached.  Otherwise
+    step(problem, g, rec, y, f, terminal, r, gp), with r the residual of
+    (y, f) and gp = g'(y), records its inner solve on row k and returns the
+    next (y, f, terminal), or a status that ends the run.  A nonfinite field
+    (ConfigError) or a blown-up march (BlowupError) ends it inner_failure.
+    """
+    config = config or LSConfig()
+    grid = problem.grid
+    start = initialize(problem)
+    y, f, terminal = start.trajectory, start.control, start.terminal
+    records: list[IterateRecord] = []
+    E0 = None
+    M_run = 0.0
+    for k in range(config.max_outer + 1):
+        rec = IterateRecord(k=k, E=math.nan, sqrt_E=math.nan)
+        records.append(rec)
+        try:
+            r = residual_field(y, f, g, problem.region)
+            gp = SpaceTimeField(grid, g.dg(y.values))     # also the Newton potential
+        except ConfigError:
+            status = "inner_failure"
+            break
+        E = _energy(r)
+        E0 = E if E0 is None else E0
+        rec.E, rec.sqrt_E = float(E), math.sqrt(E)
+        rec.y_linf_L1 = linf_l1(y)
+        M_run = max(M_run, rec.y_linf_L1)
+        rec.gprime_linf_ld = linf_lp(gp, float(grid.dim))
+        if g.seminorm is not None and g.s > 0:
+            diag = diagnostic_constants(E, rec.gprime_linf_ld, g, DIAGNOSTIC_C,
+                                        M_run, grid.domain_measure)
+            rec.lam_tilde = analytic_lambda(E, diag["c_of_y"], g.s)
+        rec.term_defect_V = v_norm(terminal - problem.target)
+
+        moved = records[k - 1].step_delta if k else math.nan
+        if reached_tolerance(E, E0):
+            status = "converged"
+        elif not math.isfinite(E) or rec.y_linf_L1 > DIVERGENCE_THRESHOLD:
+            status = "diverged"
+        elif moved <= STEP_TOL * max(1.0, rec.y_linf_L1):
+            status = "stagnated"      # a fixed point of the step, E above the stop
+        elif k == config.max_outer:
+            status = "cap_reached"
+        else:
+            try:
+                nxt = step(problem, g, rec, y, f, terminal, r, gp)
+            except (BlowupError, ConfigError):
+                nxt = "inner_failure"
+            if not isinstance(nxt, str):
+                y, f, terminal = nxt
+                continue
+            status = nxt
+        break
+    return LSResult(records=records, y=y, f=f, status=status,
+                    E0=float(E0 if E0 is not None else math.nan), M_run=M_run, method=method)
+
+
+def ls_solve(problem: TargetProblem, g: Nonlinearity,
+             config: LSConfig | None = None) -> LSResult:
+    """The damped least-squares iteration: `iterate` with `newton_step`.
 
     The inner solves differ only in potential and right-hand side, so
     each is preconditioned with the problem's closed-form
@@ -324,82 +425,7 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None = 
     (every mode on each committed 1D config with eps > 0, the top 483 of
     1444 on smoke_2d) and divided by its diagonal off it.
     """
-    config = config or LSConfig()
-    grid, region = problem.grid, problem.region
-    init_sol = initialize(problem)
-    y, f = init_sol.trajectory, init_sol.control
-    terminal = init_sol.terminal          # sum of scheme-exact snapshots at t=T
-
-    records: list[IterateRecord] = []
-    status = "cap_reached"
-    E0 = None
-    M_run = 0.0
-    d = float(grid.dim)
-
-    for k in range(config.max_outer + 1):
-        rec = IterateRecord(k=k, E=math.nan, sqrt_E=math.nan)
-        records.append(rec)
-        try:
-            r = residual_field(y, f, g, region)
-        except ConfigError:
-            status = "inner_failure"
-            break
-        E = 0.5 * l2_qt(r) ** 2
-        if E0 is None:
-            E0 = E
-        rec.E = float(E)
-        rec.sqrt_E = math.sqrt(E)
-        rec.y_linf_L1 = linf_l1(y)
-        M_run = max(M_run, rec.y_linf_L1)
-        gp = SpaceTimeField(grid, g.dg(y.values))     # also the step's potential
-        rec.gprime_linf_ld = linf_lp(gp, d)
-        if g.seminorm is not None and g.s > 0:
-            diag = diagnostic_constants(E, rec.gprime_linf_ld, g, DIAGNOSTIC_C,
-                                        M_run, grid.domain_measure)
-            rec.lam_tilde = analytic_lambda(E, diag["c_of_y"], g.s)
-        rec.term_defect_V = v_norm(terminal - problem.target)
-
-        if reached_tolerance(E, E0):
-            status = "converged"
-            break
-        if rec.y_linf_L1 > DIVERGENCE_THRESHOLD:
-            status = "diverged"
-            break
-        if k == config.max_outer:
-            status = "cap_reached"
-            break
-
-        try:
-            inner = _newton_step(problem, gp, r)
-        except BlowupError:
-            status = "inner_failure"
-            break
-        Y1, F1 = inner.trajectory, inner.control
-        rec.F1_qT = inner.control_norm
-        rec.Y1_linf_V = linf_v(Y1)
-        rec.inner_defect = inner.defect
-        rec.inner_cg_iters = inner.cg_iterations
-        rec.inner_converged = inner.converged
-        rec.inner_residuals = inner.residual_history
-
-        if force_lambda is not None:
-            lam = float(force_lambda)
-        else:
-            ls = line_search(y, r, Y1, g, LINE_SEARCH_BOUND)
-            if ls.status == "stagnated":
-                rec.lam = 0.0
-                status = "stagnated"
-                break
-            lam = ls.lam
-        rec.lam = lam
-
-        y = SpaceTimeField(grid, y.values - lam * Y1.values)
-        f = SpaceTimeField(grid, f.values - lam * F1.values)
-        terminal = terminal - inner.terminal.scaled(lam)
-
-    return LSResult(records=records, y=y, f=f, status=status,
-                    E0=float(E0 if E0 is not None else math.nan), M_run=M_run,
-                    method=method_name)
+    return iterate(problem, g, config, newton_step, "least_squares")
 
 
 ORDER_WINDOW = 4                      # pairs in the convergence-order fit

@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import wavecontrol as wc
-from wavecontrol import cli, least_squares, linear_control
+from wavecontrol import baselines, cli, least_squares, linear_control
 
 from conftest import CONFIGS, load_json, make_problem
 
@@ -150,6 +151,18 @@ def test_picard_steps_are_preconditioned():
     problem, g, _, fp_cfg = cli.build_problem(cfg)
     res = wc.picard_solve(problem, g, fp_cfg)
     assert res.status == "cap_reached" and len(res.records) == 13
-    steps = [rec.inner_cg_iters for rec in res.records[1:]]
+    steps = [rec.inner_cg_iters for rec in res.records[:-1]]
     assert all(rec.inner_converged for rec in res.records)
     assert max(steps) <= 15
+
+
+def test_fixed_point_stagnates_at_a_spurious_fixed_point(small_problem):
+    # a map that ignores y_k (the g = 0 problem at every step) lands on the
+    # same pair twice: its second step moves y by 0 while E stays far above
+    # the stop, and the next row reads stagnated
+    step = partial(baselines._fixed_point_step, linearize=lambda grid, g, y: (None, None))
+    res = least_squares.iterate(small_problem, wc.builtin("linear", b=0.4), None, step,
+                                "frozen")
+    assert res.status == "stagnated" and len(res.records) == 3
+    assert res.records[0].step_delta > 0.0 and res.records[1].step_delta == 0.0
+    assert res.records[-1].E > 1e-3

@@ -201,6 +201,24 @@ def test_run_exit_two_on_cap(tmp_path):
     assert run_cli(["run", "--config", path, "--out", tmp_path / "o"]) == 2
 
 
+def test_overflowed_residual_ends_every_method_diverged(tmp_path):
+    # |r| near 1e160: E = |r|^2 / 2 leaves float64, and a nonfinite E ends
+    # every method diverged at its first row, with a valid summary
+    cfg = load_json(CONFIGS / "lipschitz_default.json")
+    cfg["nonlinearity"] = {"name": "linear", "params": {"b": 1e160}}
+    cfg["methods"] = sorted(cli.METHOD_RUNNERS)
+    path, out = tmp_path / "huge.json", tmp_path / "huge"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["run", "--config", path, "--out", out]) == 2
+    text = (out / "summary.json").read_text()
+    summary = json.loads(text)
+    cli.validate_summary(summary)
+    assert "Infinity" not in text and "NaN" not in text
+    for entry in summary["methods"].values():
+        assert entry["status"] == "diverged" and entry["iterations"] == 0
+        assert entry["E_final"] is None and entry["sqrt2E_final"] is None
+
+
 def test_run_determinism_byte_identical(tmp_path):
     path, _ = small_linear_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

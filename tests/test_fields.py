@@ -92,6 +92,9 @@ def test_norms_keep_their_bits_at_ordinary_amplitudes(grid):
         per_level = np.sum((sw * chi) * f.values * f.values, axis=1)
         plain = math.sqrt(float(np.sum(fields._time_weights(grid) * per_level)))
         assert wc.l2_qt(f, where) == plain
+    for p in (1.0, 2.0, 3.0):
+        per_level = np.sum(sw * np.abs(f.values) ** p, axis=1)
+        assert wc.linf_lp(f, p) == float(np.max(per_level) ** (1.0 / p))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -99,13 +102,17 @@ def test_norms_keep_their_bits_at_ordinary_amplitudes(grid):
                          ids=["2^-700", "1e-200", "1e300"])
 def test_norms_are_scale_safe(grid, amplitude):
     # squared, data below about 1e-154 would read 0 and data above about
-    # 1e154 would overflow (and warn); every norm is homogeneous instead
+    # 1e154 would overflow (and warn); every norm, the max-over-time ones
+    # included, is homogeneous instead
     state, f = random_state_and_field(grid)
     big_state, big_f = random_state_and_field(grid, amplitude)
     region = wc.interval_region(grid, 0.8, 1.0)
     for norm, a, b in [(wc.v_norm, state, big_state), (wc.h_norm, state, big_state),
                        (wc.l2_qt, f, big_f),
-                       (lambda g: wc.l2_qt(g, region), f, big_f)]:
+                       (lambda g: wc.l2_qt(g, region), f, big_f),
+                       (wc.linf_v, f, big_f), (wc.linf_l1, f, big_f),
+                       (lambda g: wc.linf_lp(g, 2.0), f, big_f),
+                       (lambda g: wc.linf_lp(g, 3.0), f, big_f)]:
         assert norm(b) == pytest.approx(amplitude * norm(a), rel=1e-14, abs=0.0)
 
 

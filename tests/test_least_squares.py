@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
-from wavecontrol import cli
-from wavecontrol.errors import ConfigError, InsufficientRecords
+from wavecontrol import cli, least_squares
+from wavecontrol.errors import BlowupError, ConfigError, InsufficientRecords
 from wavecontrol.least_squares import IterateRecord, initialize
 from wavecontrol.nonlinearity import Nonlinearity
 
@@ -391,3 +391,85 @@ def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
     assert res.status == "converged"
     assert [rec.inner_cg_iters for rec in res.records] == [23, 23, 0]
     assert len(applies) == 63
+
+
+def test_reached_tolerance_is_never_met_by_a_nonfinite_E():
+    # sqrt(2 inf) <= TOL sqrt(2 inf) holds; a nonfinite E is no solution
+    assert not least_squares.reached_tolerance(math.inf, math.inf)
+    assert not least_squares.reached_tolerance(math.nan, 1.0)
+    assert least_squares.reached_tolerance(0.0, 1.0)
+
+
+def stub_step(action):
+    """A step rule of `iterate` that makes no solve: it records one CG
+    iteration on its row, then returns action(rec, y, f, terminal)."""
+    def step(problem, g, rec, y, f, terminal, r, gp):
+        rec.inner_cg_iters = 1
+        return action(rec, y, f, terminal)
+    return step
+
+
+def never_called(problem, g, rec, y, f, terminal, r, gp):
+    pytest.fail("a stopped row takes no step")
+
+
+LINEAR = wc.builtin("linear", b=0.4)     # E_0 of the g = 0 pair is far above the stop
+
+
+def test_loop_converged_wins_over_diverged(small_problem, monkeypatch):
+    # with the threshold at 0 every row is above it: the converged row of
+    # g = 0 still reads converged, and any other row diverged
+    monkeypatch.setattr(least_squares, "DIVERGENCE_THRESHOLD", 0.0)
+    for g, status in ((wc.builtin("zero"), "converged"), (LINEAR, "diverged")):
+        res = least_squares.iterate(small_problem, g, None, never_called, "stub")
+        assert res.status == status and len(res.records) == 1
+        assert res.records[0].y_linf_L1 > 0.0
+
+
+def test_loop_stagnates_after_a_step_that_leaves_y_unchanged(small_problem):
+    def stay(rec, y, f, terminal):
+        rec.step_delta = 0.0
+        return y, f, terminal
+
+    res = least_squares.iterate(small_problem, LINEAR, None, stub_step(stay), "stub")
+    assert res.status == "stagnated"
+    assert [rec.inner_cg_iters for rec in res.records] == [1, 0]
+    assert res.records[1].E == res.records[0].E > 1e-3
+
+
+@pytest.mark.parametrize("error", [BlowupError(3), ConfigError("nonfinite field values")],
+                         ids=["BlowupError", "ConfigError"])
+def test_loop_failed_step_is_inner_failure(small_problem, error):
+    def fail(rec, y, f, terminal):
+        raise error
+
+    res = least_squares.iterate(small_problem, LINEAR, None, stub_step(fail), "stub")
+    assert res.status == "inner_failure" and len(res.records) == 1
+
+
+def test_loop_status_of_the_step_ends_the_run(small_problem):
+    res = least_squares.iterate(small_problem, LINEAR, None,
+                                stub_step(lambda *state: "stagnated"), "stub")
+    assert res.status == "stagnated" and len(res.records) == 1
+
+
+def test_loop_cap_reached_at_max_outer(small_problem):
+    # steps that report no step_delta never stagnate the loop
+    res = least_squares.iterate(small_problem, LINEAR, wc.LSConfig(max_outer=2),
+                                stub_step(lambda rec, *state: state), "stub")
+    assert res.status == "cap_reached" and res.method == "stub"
+    assert [rec.inner_cg_iters for rec in res.records] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHOD_RUNNERS))
+def test_row_k_holds_the_solve_made_from_y_k(small_problem, method):
+    # one row layout for every method: rows 0..K-1 hold the inner solve
+    # their step made from y_k, the last row (y_K, no step) holds none
+    g = wc.builtin("lipschitz_sat", kappa=0.2)
+    config = wc.LSConfig()
+    res = cli.METHOD_RUNNERS[method](small_problem, g, config, config)
+    assert res.status == "converged" and len(res.records) >= 3
+    assert all(rec.inner_cg_iters > 0 for rec in res.records[:-1])
+    assert all(math.isfinite(rec.inner_defect) for rec in res.records[:-1])
+    last = res.records[-1]
+    assert last.inner_cg_iters == 0 and math.isnan(last.inner_defect)

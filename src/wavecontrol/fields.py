@@ -12,6 +12,12 @@ where mu_k are the continuous eigenvalues (k pi / L)^2 (summed per axis
 in 2D).  The discrete sine transform is normalized so that Parseval
 holds exactly against the interior-node L^2 sum.
 
+Every sine transform goes through `dst1`, which calls pocketfft's DST-I
+binding, the one that ships with scipy, directly: `scipy.fft.dstn`, `idstn`
+and `dst` with ``type=1, norm="ortho"`` make the same call, so the bits
+are theirs, but importing `scipy.fft` loads some 85 scipy modules around
+it, which was most of a run's set-up time and about 21 MB of its memory.
+
 Every norm, the max-over-time ones included, holds at any finite
 amplitude: a sum of squares (or p-th powers) that could have underflowed
 or overflowed is summed again at a power-of-two scale (`_root_sum_powers`).
@@ -19,15 +25,55 @@ or overflowed is summed again at a power-of-two scale (`_root_sum_powers`).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import ConfigError
 from .grids import SpaceTimeGrid
+
+
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    """scipy's pocketfft binding, loaded from its extension file without
+    running `scipy.fft`'s ``__init__`` (`find_spec` does not import scipy
+    either); through its package, at that package's import cost, where the
+    file is missing or does not load."""
+    spec = importlib.util.find_spec("scipy")
+    for root in getattr(spec, "submodule_search_locations", None) or []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if not os.path.isfile(path):
+                continue
+            try:
+                loader = importlib.machinery.ExtensionFileLoader(_POCKETFFT, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(_POCKETFFT, path, loader=loader))
+                loader.exec_module(module)
+                return module
+            except ImportError:
+                break
+    from scipy.fft._pocketfft import pypocketfft
+    return pypocketfft
+
+
+_pocketfft = _load_pocketfft()
+
+
+def dst1(x: np.ndarray, axes) -> np.ndarray:
+    """The orthonormal DST-I of float64 `x` over `axes`, into a new array;
+    it is its own inverse.  The call `scipy.fft.dstn`, `idstn` and `dst`
+    make for ``type=1, norm="ortho"``: inorm 1 (ortho) and one worker,
+    passed positionally as every scipy >= 1.10 binding takes them."""
+    axes = tuple(a + x.ndim if a < 0 else a for a in axes)
+    return _pocketfft.dst(x, 1, axes, 1, None, 1)
 
 
 def _embed(grid: SpaceTimeGrid, interior: np.ndarray) -> np.ndarray:
@@ -55,14 +101,13 @@ def sine_coefficients(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
     """
     v = values[(Ellipsis,) + (slice(1, -1),) * grid.dim]
     scale = math.sqrt(math.prod(grid.dx))
-    return scale * sp_fft.dstn(v, type=1, norm="ortho", axes=tuple(range(-grid.dim, 0)))
+    return scale * dst1(v, range(-grid.dim, 0))
 
 
 def from_sine_coefficients(grid: SpaceTimeGrid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of sine_coefficients, returns a full spatial array."""
     scale = math.sqrt(math.prod(grid.dx))
-    return _embed(grid, sp_fft.idstn(coeffs / scale, type=1, norm="ortho",
-                                     axes=tuple(range(-grid.dim, 0))))
+    return _embed(grid, dst1(coeffs / scale, range(-grid.dim, 0)))
 
 
 def _trapezoid(h: float, n: int) -> np.ndarray:

@@ -280,6 +280,17 @@ def _exp_c_square(c: float, x: float) -> float:
         return math.inf
 
 
+def _decay_constant(C: float, s: float, seminorm: float, d: float) -> float:
+    # C / ((1+s) sqrt 2) [g']_s d^(1+s): exactly 0 for a zero seminorm, where
+    # d may be inf (0 * inf reads nan), and inf where d^(1+s) leaves float range
+    if seminorm == 0:
+        return 0.0
+    try:
+        return C / ((1 + s) * math.sqrt(2.0)) * seminorm * d ** (1 + s)
+    except OverflowError:
+        return math.inf
+
+
 def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
                          C: float, M: float, domain_measure: float) -> dict:
     """Constants of the decay estimate, evaluated for a user-chosen C.
@@ -295,7 +306,7 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
     out = {"d_of_y": C * _exp_c_square(C, gprime_linf_ld),
            "beta_star_s": beta_star(s, C) if s > 0 else 0.0}
     if g.seminorm is not None:
-        c_of_y = C / ((1 + s) * math.sqrt(2.0)) * g.seminorm * out["d_of_y"] ** (1 + s)
+        c_of_y = _decay_constant(C, s, g.seminorm, out["d_of_y"])
         out["c_of_y"] = c_of_y
         out["e_k"] = c_of_y * E ** (s / 2.0) if c_of_y > 0 else 0.0
     else:
@@ -305,7 +316,7 @@ def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
         C3 = 2.0 * C * max(1.0, _exp_c_square(2.0 * C, g.alpha) * domain_measure)
         d_M = C3 * (1.0 + M / domain_measure) ** (2.0 * C * g.beta ** 2)
         out["d_M"] = d_M
-        out["c_M"] = C / ((1 + s) * math.sqrt(2.0)) * g.seminorm * d_M ** (1 + s)
+        out["c_M"] = _decay_constant(C, s, g.seminorm, d_M)
     else:
         out["d_M"] = None
         out["c_M"] = None

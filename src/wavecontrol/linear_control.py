@@ -120,10 +120,9 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import ConfigError, whole_number
-from .fields import (SpaceTimeField, StatePair, _embed, eigenvalues,
+from .fields import (SpaceTimeField, StatePair, _embed, dst1, eigenvalues,
                      from_sine_coefficients, h10_norm, l2_qt, linf_lp, sine_coefficients,
                      v_norm)
 from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
@@ -318,7 +317,7 @@ def _free_wave_signals(grid, a, modes):
 
 def _dst_matrices(grid):
     """The orthonormal DST-I matrix of each axis; D is their Kronecker product."""
-    return [sp_fft.dst(np.eye(N), type=1, norm="ortho") for N in grid.interior_shape]
+    return [dst1(np.eye(N), (-1,)) for N in grid.interior_shape]
 
 
 def _free_wave_block(grid, region, modes, a=0.0):
@@ -394,7 +393,9 @@ def _free_wave_preconditioner(grid, region, eps):
         return None
     n = math.prod(grid.interior_shape)
     modes = _free_wave_band(grid)
-    off = np.setdiff1d(np.arange(n), modes)
+    keep = np.ones(n, bool)
+    keep[modes] = False
+    off = np.flatnonzero(keep)
     diag = np.full(2 * n, np.inf)
     diag[np.concatenate([off, n + off])] = _free_wave_diagonal(grid, region, off) + eps
     band = np.concatenate([modes, n + modes])

@@ -132,6 +132,67 @@ def test_sine_transform_roundtrip_and_parseval(grid):
     assert float(np.sum(c * c)) == pytest.approx(space_l2(grid, v) ** 2, rel=1e-13)
 
 
+def _scipy_sine_transforms(grid, values):
+    """sine_coefficients of `values` and from_sine_coefficients of its last
+    level's coefficients, the way they were computed through `scipy.fft`."""
+    from scipy import fft as sp_fft
+
+    axes = tuple(range(-grid.dim, 0))
+    interior = (slice(1, -1),) * grid.dim
+    scale = math.sqrt(math.prod(grid.dx))
+    c = scale * sp_fft.dstn(values[(Ellipsis,) + interior], type=1, norm="ortho", axes=axes)
+    back = np.zeros(grid.shape)
+    back[interior] = sp_fft.idstn(c[-1] / scale, type=1, norm="ortho", axes=axes)
+    return c, back
+
+
+@pytest.mark.parametrize("lengths,nodes", [((1.0,), (37,)), ((1.0, 2.0), (13, 17))],
+                         ids=["1d", "2d"])
+def test_sine_transforms_match_scipy_fft_bitwise(lengths, nodes):
+    # the strided interior views the solver passes: whole fields with their
+    # time axis, a time-reversed field (negative strides) and single levels
+    from scipy import fft as sp_fft
+
+    from wavecontrol.linear_control import _dst_matrices
+
+    grid = wc.SpaceTimeGrid(lengths, nodes, T=1.0, nt=60)
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((grid.nt + 1,) + grid.shape)
+    for v in (values, values[::-1], values[5:6], values[::7]):
+        c, back = _scipy_sine_transforms(grid, v)
+        assert np.array_equal(sine_coefficients(grid, v), c)
+        assert np.array_equal(sine_coefficients(grid, v[-1]), c[-1])
+        assert np.array_equal(from_sine_coefficients(grid, c[-1]), back)
+    for S, N in zip(_dst_matrices(grid), grid.interior_shape):
+        assert np.array_equal(S, sp_fft.dst(np.eye(N), type=1, norm="ortho"))
+
+
+def test_sine_transform_fallback_through_scipy_fft_keeps_the_bits(monkeypatch):
+    # where the binding's extension file does not load, it is imported
+    # through its package, and every transform keeps its bits
+    import sys
+
+    from wavecontrol.linear_control import _dst_matrices
+
+    class FailingLoader:
+        def __init__(self, *args):
+            raise ImportError("no extension file")
+
+    grid = wc.SpaceTimeGrid((1.0, 2.0), (13, 17), T=1.0, nt=60)
+    values = np.random.default_rng(29).standard_normal((grid.nt + 1,) + grid.shape)
+    c = sine_coefficients(grid, values)
+    back = from_sine_coefficients(grid, c[3])
+    S = _dst_matrices(grid)
+
+    monkeypatch.setattr(fields.importlib.machinery, "ExtensionFileLoader", FailingLoader)
+    binding = fields._load_pocketfft()
+    assert binding is sys.modules["scipy.fft._pocketfft.pypocketfft"]
+    monkeypatch.setattr(fields, "_pocketfft", binding)
+    assert np.array_equal(sine_coefficients(grid, values), c)
+    assert np.array_equal(from_sine_coefficients(grid, c[3]), back)
+    assert all(np.array_equal(a, b) for a, b in zip(_dst_matrices(grid), S))
+
+
 def test_sine_transform_2d_eigenvalues():
     grid = wc.SpaceTimeGrid((1.0, 2.0), (21, 31), T=1.0, nt=80)
     mu = eigenvalues(grid)

@@ -284,6 +284,27 @@ def test_diagnostic_constants_zero_and_unit_cases():
     assert out["beta_star_s"] == pytest.approx(math.sqrt(1 / 6))
 
 
+def test_diagnostic_constants_zero_seminorm_with_overflowed_d():
+    # linear g with |b| = 30: d(y) = exp(900) overflows to inf, and the zero
+    # seminorm makes c(y) and c_M exactly 0 (0 * inf would read nan), so the
+    # surrogate step is 1
+    g = wc.builtin("linear", b=30.0)
+    out = wc.diagnostic_constants(2.0, 30.0, g, C=1.0, M=1.0, domain_measure=1.0)
+    assert out["d_of_y"] == math.inf and out["d_M"] == math.inf
+    assert out["c_of_y"] == 0.0 and out["c_M"] == 0.0 and out["e_k"] == 0.0
+    assert wc.analytic_lambda(2.0, out["c_of_y"], g.s) == 1.0
+
+
+def test_diagnostic_constants_overflowing_power_reads_inf():
+    # kappa = 25: d(y) = exp(625) is finite, but d^2 leaves float range,
+    # which raised OverflowError out of the first outer step
+    g = wc.builtin("lipschitz_sat", kappa=25.0)
+    out = wc.diagnostic_constants(2.0, 25.0, g, C=1.0, M=1.0, domain_measure=1.0)
+    assert math.isfinite(out["d_of_y"])
+    assert out["c_of_y"] == math.inf and out["e_k"] == math.inf
+    assert wc.analytic_lambda(2.0, out["c_of_y"], g.s) == 0.0
+
+
 def test_ls_solve_zero_g_converges_immediately(small_problem):
     g = wc.builtin("zero")
     res = wc.ls_solve(small_problem, g)

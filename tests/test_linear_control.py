@@ -710,15 +710,28 @@ def test_smoke_2d_band_factor_is_lower_triangular(configs_dir):
     assert not np.triu(F, 1).any() and np.all(np.diag(F) > 0)
 
 
-def test_band_factor_needs_no_scipy_linalg():
-    # the inverse is numpy's: importing scipy.linalg would cost every run
-    # about 6 MB of resident memory
-    code = ("import sys, wavecontrol as wc\n"
-            "from wavecontrol.linear_control import _free_wave_preconditioner\n"
+def test_solve_imports_no_scipy_fft_linalg_or_numpy_ma():
+    # the sine transform is pocketfft's binding loaded on its own, the band
+    # factor's inverse is numpy's and the band's complement is a boolean mask
+    # (np.setdiff1d imports numpy.ma): each listed module would cost every
+    # run set-up time and resident memory, scipy.fft with scipy.special and
+    # numpy.f2py about 21 MB, scipy.linalg about 6 MB
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from wavecontrol import cli\n"
+            "import wavecontrol as wc\n"
+            "from wavecontrol.linear_control import _free_wave_band\n"
             "grid = wc.SpaceTimeGrid((1.0, 1.0), (14, 14), T=2.5, nt=52)\n"
             "region = wc.sides_region(grid, ['right', 'top'], 0.3)\n"
-            "assert _free_wave_preconditioner(grid, region, 1e-3) is not None\n"
-            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n")
+            "assert 0 < len(_free_wave_band(grid)) < 144, 'the band is not partial'\n"
+            "X, Y = grid.meshgrid()\n"
+            "init = wc.StatePair(grid, np.sin(np.pi * X) * np.sin(np.pi * Y), 0 * X)\n"
+            "problem = wc.TargetProblem(grid, region, init, wc.StatePair.zeros(grid))\n"
+            "res = wc.ls_solve(problem, wc.builtin('lipschitz_sat', kappa=1.0))\n"
+            "assert res.status == 'converged', res.status\n"
+            "loaded = [m for m in ('scipy.fft', 'scipy.special', 'scipy.linalg',\n"
+            "                      'numpy.ma', 'numpy.f2py') if m in sys.modules]\n"
+            "assert not loaded, f'imported {loaded}'\n")
     src = str(Path(wc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -1,18 +1,21 @@
-/* Leapfrog step loops of wavecontrol.solver._march, levels 2..nt.
+/* Compiled loops of wavecontrol: the leapfrog steps of solver._march,
+ * levels 2..nt, and the two pointwise loops of the line search's E(lam)
+ * (least_squares.line_search).
  *
- * Each node's update is evaluated in the order that solver._march_1d and
- * solver._march_2d write it, one IEEE operation per step; built with
+ * Every loop evaluates its expression in the order that the numpy code it
+ * replaces writes it, one IEEE operation per step; built with
  * -ffp-contract=off and without -ffast-math, so no multiply-add is fused
- * and no sum is reassociated, and the trajectory equals the numpy march
- * bit for bit.  y is the C-contiguous trajectory, (nt+1) levels of n nodes
+ * and no sum is reassociated, and each loop writes the numpy code's bits.
+ *
+ * March: y is the C-contiguous trajectory, (nt+1) levels of n nodes
  * (2D: n = nx*ny, C order) with level 0 and 1 already written and zeros on
  * the boundary.  a and s are the potential and the source (NULL when
  * absent), unscaled: level n starts at a + n*a_stride (the stride may be
  * negative, for a field in reversed time) and holds its n nodes
  * contiguously, in the order of y's, so both are read at y's node index.
- * Both loops return the first level that holds a nonfinite value, 0 when
- * there is none; the march stops at the check that finds it, as the numpy
- * march does.
+ * march_1d and march_2d return the first level that holds a nonfinite
+ * value, 0 when there is none; the march stops at the check that finds
+ * it, as the numpy march does.
  */
 #include <math.h>
 #include <stddef.h>
@@ -115,6 +118,53 @@ ptrdiff_t march_2d(double *y, ptrdiff_t nt, ptrdiff_t nx, ptrdiff_t ny,
         ptrdiff_t bad = check(y, n_level, n + 1, nt);
         if (bad)
             return bad;
+    }
+    return 0;
+}
+
+
+/* Line search.  A field is read as the march reads a, through the address
+ * of its level 0 and its level stride; E(lam) reads the interior nodes of
+ * levels 1..nt-1, and in each level `rows` runs of `cols` nodes, the first
+ * at node `first` and the next `row_stride` nodes on (1D: one run, nodes
+ * 1..nx-2; 2D: rows 1..nx-2, columns 1..ny-2).  The buffers work, val and
+ * the g terms hold those nodes contiguously, in that order.  Overflow
+ * reads inf, as IEEE arithmetic gives it, and raises nothing.  Both loops
+ * return 0. */
+
+/* work = y - Y lam, the point of the segment that g is evaluated at */
+ptrdiff_t segment_point(double *restrict work, ptrdiff_t nt, ptrdiff_t first,
+                        ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
+                        double lam, const double *restrict y, ptrdiff_t y_stride,
+                        const double *restrict Y, ptrdiff_t Y_stride)
+{
+    for (ptrdiff_t n = 1; n < nt; n++) {
+        const double *yn = y + n * y_stride + first, *Yn = Y + n * Y_stride + first;
+        for (ptrdiff_t i = 0; i < rows; i++, work += cols)
+            for (ptrdiff_t j = 0; j < cols; j++)
+                work[j] = yn[i * row_stride + j] - Yn[i * row_stride + j] * lam;
+    }
+    return 0;
+}
+
+/* val = ((1 - lam) r + ((g(work) - g(y)) + lam g'(y) Y))^2, with gw = g(work),
+ * gy = g(y) and gpY = g'(y) Y */
+ptrdiff_t segment_value(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
+                        ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
+                        double lam, const double *restrict r, ptrdiff_t r_stride,
+                        const double *restrict gw, const double *restrict gy,
+                        const double *restrict gpY)
+{
+    double keep = 1.0 - lam;
+    ptrdiff_t k = 0;
+    for (ptrdiff_t n = 1; n < nt; n++) {
+        const double *rn = r + n * r_stride + first;
+        for (ptrdiff_t i = 0; i < rows; i++, k += cols)
+            for (ptrdiff_t j = 0; j < cols; j++) {
+                double v = rn[i * row_stride + j] * keep
+                           + ((gw[k + j] - gy[k + j]) + gpY[k + j] * lam);
+                val[k + j] = v * v;
+            }
     }
     return 0;
 }

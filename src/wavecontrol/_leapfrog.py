@@ -1,13 +1,17 @@
-"""The compiled leapfrog kernel (`_leapfrog.c`), built on first use.
+"""The compiled kernel (`_leapfrog.c`), built on first use.
 
-The first march of a process loads ``leapfrog-<key>.so`` from a per-user
-cache, ``$XDG_CACHE_HOME/wavecontrol`` or ``~/.cache/wavecontrol``, where
-the key is the SHA-256 of the C source and the compiler flags.  On a miss
-it compiles the source there with ``cc`` into a temporary file and renames
-it into place, so a concurrent process never loads a half-written library.
-When there is no compiler, the cache cannot be written or the library does
-not load, `LOADER.load()` returns None and the solver marches with numpy;
-neither the build nor the load is tried again in the same process.
+One library holds the leapfrog march's step loops and the two pointwise
+loops of the line search's E(lambda), all under one contract: each loop
+writes the bits of the numpy code it replaces, with nothing fused or
+reassociated.  The first march or line search of a process loads
+``leapfrog-<key>.so`` from a per-user cache, ``$XDG_CACHE_HOME/wavecontrol``
+or ``~/.cache/wavecontrol``, where the key is the SHA-256 of the C source
+and the compiler flags.  On a miss it compiles the source there with
+``cc`` into a temporary file and renames it into place, so a concurrent
+process never loads a half-written library.  When there is no compiler,
+the cache cannot be written or the library does not load, `LOADER.load()`
+returns None and the solver marches, and the line search evaluates E, with
+numpy; neither the build nor the load is tried again in the same process.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ SIGNATURES = {
     "march_1d": (_ptr, _int, _int, _double, _double, _double, _ptr, _int, _ptr, _int),
     "march_2d": (_ptr, _int, _int, _int, _double, _double, _double, _double,
                  _ptr, _int, _ptr, _int),
+    "segment_point": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int, _ptr, _int),
+    "segment_value": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int,
+                      _ptr, _ptr, _ptr),
 }
 
 
@@ -103,7 +110,7 @@ class KernelLoader:
         self._lib = None
 
     def load(self):
-        """The loaded library, or None when the numpy march must serve."""
+        """The loaded library, or None when the numpy code must serve."""
         if not self._loaded:
             with self._lock:
                 if not self._loaded:

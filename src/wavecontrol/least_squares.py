@@ -28,7 +28,9 @@ terminal defect of the pair, and it stops once that defect is within
 Along the segment E is evaluated without further PDE solves: the
 updated residual is (1 - lambda) r + l(lambda) with
 l = g(y - lambda Y1) - g(y) + lambda g'(y) Y1, a pointwise identity of
-the shared stencils.
+the shared stencils.  Where the compiled kernel loads, its two pointwise
+loops (`_leapfrog.c`) form y - lambda Y1 and the squared residual around
+g, with the bits of the numpy passes that serve without it.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _leapfrog
 from .errors import BlowupError, ConfigError, InsufficientRecords, whole_number
 from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, v_norm
 from .grids import ControlRegion, SpaceTimeGrid
 from .linear_control import (ControlSolution, LinearControlProblem,
                              _free_wave_preconditioner, solve_null_control)
 from .nonlinearity import Nonlinearity, beta_star
-from .solver import residual_field
+from .solver import _level_args, residual_field
 
 
 @dataclass(frozen=True)
@@ -195,14 +198,39 @@ class LineSearchResult:
     status: str           # ok | stagnated | converged (already at a zero of E)
 
 
-def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
-                g: Nonlinearity, m: float) -> LineSearchResult:
-    """argmin over [0, m] of E along -(Y1, F1): a uniform scan of SCAN_POINTS
-    values, then golden-section refinement to a bracket of REFINE_REL_WIDTH * m.
+def _interior_runs(grid: SpaceTimeGrid):
+    """Where the interior nodes of a level lie, as the line-search loops of
+    `_leapfrog.c` read them: (first node, runs, run stride, nodes per run)."""
+    if grid.dim == 1:
+        (nx,) = grid.shape
+        return 1, 1, nx, nx - 2
+    nx, ny = grid.shape
+    return ny + 1, nx - 2, ny, ny - 2
 
-    Every evaluation combines cached fields pointwise (no PDE solve).
-    Returns the best evaluated point, so E never increases at the
-    accepted step; a minimizer at 0 signals stagnation.
+
+def _loop_buffer(values, shape) -> np.ndarray:
+    """values as a C-contiguous float64 array (copied only when it is not
+    one) for the line-search loops; ValueError unless it has shape."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if v.shape != shape:
+        raise ValueError(f"line-search terms must have shape {shape}, not {v.shape}")
+    return v
+
+
+def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
+                    g: Nonlinearity):
+    """lam -> E along (y, f) - lam (Y1, F1), from the residual r of (y, f).
+
+    The residual there is (1 - lam) r + ((g(y - lam Y1) - g(y)) + lam g'(y) Y1),
+    in this order, on the interior nodes of levels 1..nt-1; E is 1/2 cell
+    times np.sum of its square, so E(0) is exactly 1/2 cell sum r^2.  Two
+    buffers are allocated once.  When the compiled kernel loads, its two
+    loops form the point y - lam Y1 and the squared residual, reading the
+    fields through their level strides; else eight numpy passes do.  g runs
+    in numpy on both paths, and both write the same bits.  An E whose
+    square or sum overflows reads inf, without a warning.  The fields are
+    checked here, before any evaluation: a kernel field of the wrong dtype
+    or shape raises ValueError.
     """
     grid = y.grid
     sl = (slice(1, -1),) * (grid.dim + 1)
@@ -215,19 +243,54 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     work = np.empty(y_mid.shape)
     val = np.empty(y_mid.shape)
 
-    def E_at(lam: float) -> float:
-        # (1 - lam) r + ((g(y - lam Y) - g(y)) + lam g'(y) Y), in this order,
-        # in two buffers; g's result is read, never written, so a g that
-        # returns its argument is safe
-        np.multiply(Y_mid, lam, out=work)
-        np.subtract(y_mid, work, out=work)
-        np.subtract(g.g(work), gy, out=val)
-        np.multiply(gpyY, lam, out=work)
-        np.add(val, work, out=val)
-        np.multiply(r_mid, 1.0 - lam, out=work)
-        np.add(work, val, out=val)
-        np.square(val, out=val)
-        return 0.5 * cell * float(np.sum(val))
+    lib = _leapfrog.LOADER.load()
+    if lib is None:
+        def E_at(lam: float) -> float:
+            # g's result is read, never written, so a g that returns its
+            # argument is safe
+            np.multiply(Y_mid, lam, out=work)
+            np.subtract(y_mid, work, out=work)
+            np.subtract(g.g(work), gy, out=val)
+            np.multiply(gpyY, lam, out=work)
+            np.add(val, work, out=val)
+            np.multiply(r_mid, 1.0 - lam, out=work)
+            np.add(work, val, out=val)
+            with np.errstate(over="ignore"):
+                np.square(val, out=val)
+                return 0.5 * cell * float(np.sum(val))
+        return E_at
+
+    shape = work.shape
+    gy, gpyY = _loop_buffer(gy, shape), _loop_buffer(gpyY, shape)
+    at = (grid.nt, *_interior_runs(grid))
+    point_args = (*_level_args(grid, y.values), *_level_args(grid, Y1.values))
+    r_args = _level_args(grid, r.values)
+    work_at, val_at, gy_at, gpyY_at = (a.ctypes.data for a in (work, val, gy, gpyY))
+    # the loops read these arrays by address: E_at's default argument
+    # keeps them alive as long as E_at is
+    held = (y.values, Y1.values, r.values, work, val, gy, gpyY)
+
+    def E_at(lam: float, held=held) -> float:
+        lib.segment_point(work_at, *at, lam, *point_args)
+        gw = _loop_buffer(g.g(work), shape)
+        lib.segment_value(val_at, *at, lam, *r_args, gw.ctypes.data, gy_at, gpyY_at)
+        with np.errstate(over="ignore"):
+            return 0.5 * cell * float(np.sum(val))
+    return E_at
+
+
+def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
+                g: Nonlinearity, m: float) -> LineSearchResult:
+    """argmin over [0, m] of E along -(Y1, F1): a uniform scan of SCAN_POINTS
+    values, then golden-section refinement to a bracket of REFINE_REL_WIDTH * m.
+
+    Every evaluation combines cached fields pointwise (no PDE solve), in the
+    compiled kernel's two loops when it loads (`_segment_energy`).  Returns
+    the best evaluated point, so E never increases at the accepted step; a
+    minimizer at 0 signals stagnation.  An E that overflows reads inf and is
+    never the minimum while E(0) is finite.
+    """
+    E_at = _segment_energy(y, r, Y1, g)
 
     lams = np.linspace(0.0, m, SCAN_POINTS)
     vals = [E_at(la) for la in lams]

@@ -118,8 +118,9 @@ def _march_compiled(lib, grid, y, A, S):
 
 
 def _level_args(grid, values):
-    """(address of level 0, level stride in elements) of a potential or
-    source array for the kernel, (None, 0) without one.
+    """(address of level 0, level stride in elements) of a field array that
+    the kernel reads (the march's potential or source, the line search's
+    y, Y1 and r), (None, 0) without one.
 
     Checks that the kernel reads it as it reads y: float64, of y's shape,
     each level C-contiguous, levels a whole number of elements apart.  The
@@ -129,9 +130,9 @@ def _level_args(grid, values):
         return None, 0
     shape = (grid.nt + 1,) + grid.shape
     if values.dtype != np.float64 or values.shape != shape:
-        raise ValueError(f"march fields must be float64 of shape {shape}")
+        raise ValueError(f"kernel fields must be float64 of shape {shape}")
     if not values[0].flags.c_contiguous or values.strides[0] % values.itemsize:
-        raise ValueError("march fields must hold C-contiguous levels, "
+        raise ValueError("kernel fields must hold C-contiguous levels, "
                          "a whole number of elements apart")
     return values.ctypes.data, values.strides[0] // values.itemsize
 

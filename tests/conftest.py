@@ -14,8 +14,9 @@ from wavecontrol import _leapfrog
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = REPO_ROOT / "configs"
 
-# the compiled march is under test wherever a compiler is
+# the compiled kernel is under test wherever a compiler is
 MARCH_KERNELS = ("numpy", "compiled") if shutil.which("cc") else ("numpy",)
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -35,7 +36,8 @@ class _NoKernel:
 
 @contextlib.contextmanager
 def march_kernel(name):
-    """March on one kernel of MARCH_KERNELS inside the block."""
+    """March, and evaluate the line search's E, on one kernel of
+    MARCH_KERNELS inside the block."""
     with pytest.MonkeyPatch.context() as mp:
         if name == "numpy":
             mp.setattr(_leapfrog, "LOADER", _NoKernel())

@@ -1,7 +1,6 @@
 """The compiled leapfrog kernel's build, cache and fallback."""
 
 import os
-import shutil
 import subprocess
 import sys
 import threading
@@ -13,9 +12,7 @@ import wavecontrol as wc
 import wavecontrol.cli as cli
 from wavecontrol import _leapfrog, solver
 
-from conftest import CONFIGS, MARCH_KERNELS, march_kernel
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+from conftest import CONFIGS, MARCH_KERNELS, march_kernel, needs_cc
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from wavecontrol.errors import BlowupError, ConfigError, InsufficientRecords
 from wavecontrol.least_squares import IterateRecord, initialize
 from wavecontrol.nonlinearity import Nonlinearity
 
-from conftest import CONFIGS, load_json
+from conftest import CONFIGS, MARCH_KERNELS, load_json, march_kernel, needs_cc
 
 
 def small_linear_problem(**opts):
@@ -156,9 +156,14 @@ def segment_E(y, r, Y1, g):
     return E_at
 
 
-def random_segment(dim, scale, r_exp, seed):
+# g(r) = r hands back the array it was given
+IDENTITY = Nonlinearity("identity", lambda r: r, lambda r: np.ones_like(r),
+                        s=1.0, seminorm=0.0, alpha=1.0, beta=0.0)
+
+
+def random_segment(dim, scale, r_exp, seed, nodes=None):
     # random fields in place of a descent direction: no PDE solve
-    grid = wc.SpaceTimeGrid((1.0,) * dim, (9,) * dim, T=1.0, nt=12)
+    grid = wc.SpaceTimeGrid((1.0,) * dim, nodes or (9,) * dim, T=1.0, nt=12)
     rng = np.random.default_rng(seed)
     shape = (grid.nt + 1,) + grid.shape
     y, Y1 = (wc.SpaceTimeField(grid, scale * rng.standard_normal(shape)) for _ in range(2))
@@ -195,16 +200,125 @@ def test_line_search_leaves_its_inputs_unchanged(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_line_search_with_g_returning_its_argument(dim):
-    # g(r) = r hands back the array it was given: the evaluation buffer
-    # itself, which must not be overwritten before g's result is read
-    ident = Nonlinearity("identity", lambda r: r, lambda r: np.ones_like(r),
-                         s=1.0, seminorm=0.0, alpha=1.0, beta=0.0)
+    # IDENTITY hands back the evaluation buffer itself, which must not be
+    # overwritten before g's result is read
     y, r, Y1 = random_segment(dim, 1.0, -1, seed=5)
-    res = wc.line_search(y, r, Y1, ident, 2.0)
+    res = wc.line_search(y, r, Y1, IDENTITY, 2.0)
     assert res.status == "ok"
-    assert res.E_new == segment_E(y, r, Y1, ident)(res.lam)
+    assert res.E_new == segment_E(y, r, Y1, IDENTITY)(res.lam)
     same = wc.line_search(y, r, Y1, wc.builtin("linear", b=1.0), 2.0)
     assert (same.lam, same.E_new) == (res.lam, res.E_new)
+
+
+# not square in 2D, so the loops' runs and columns cannot be swapped unseen
+SEGMENT_NODES = {1: (11,), 2: (9, 6)}
+
+
+def evaluations(kernel, y, r, Y1, g):
+    """(lam, E) of every evaluation one line search makes on one kernel: the
+    SCAN_POINTS scan, then the golden-section points."""
+    seen = []
+    energy = least_squares._segment_energy
+
+    def recording(*args):
+        E_at = energy(*args)
+
+        def E(lam):
+            seen.append((float(lam), E_at(lam)))
+            return seen[-1][1]
+        return E
+
+    with march_kernel(kernel), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(least_squares, "_segment_energy", recording)
+        least_squares.line_search(y, r, Y1, g, 2.0)
+    return seen
+
+
+def half_cell_sum_r2(r):
+    grid = r.grid
+    r_mid = r.values[(slice(1, -1),) * (grid.dim + 1)]
+    return 0.5 * grid.dt * math.prod(grid.dx) * float(np.sum(np.square(r_mid)))
+
+
+@needs_cc
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", sorted(LINE_SEARCH_G) + ["identity"])
+def test_compiled_and_numpy_E_give_the_same_bits(dim, name):
+    g = IDENTITY if name == "identity" else LINE_SEARCH_G[name]
+    y, r, Y1 = random_segment(dim, 2.0, -1, seed=11, nodes=SEGMENT_NODES[dim])
+    compiled = evaluations("compiled", y, r, Y1, g)
+    assert len(compiled) > least_squares.SCAN_POINTS      # golden-section points too
+    assert [lam for lam, _ in compiled[:least_squares.SCAN_POINTS]] == list(
+        np.linspace(0.0, 2.0, least_squares.SCAN_POINTS))
+    assert compiled == evaluations("numpy", y, r, Y1, g)
+    # the stagnation test compares against E(0) = 1/2 |r|^2
+    assert compiled[0] == (0.0, half_cell_sum_r2(r))
+
+
+@pytest.mark.parametrize("kernel", MARCH_KERNELS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_E_reads_fields_in_reversed_time(kernel, dim):
+    # a time_reversed() view has a negative level stride
+    y, r, Y1 = random_segment(dim, 2.0, -1, seed=13, nodes=SEGMENT_NODES[dim])
+    g = LINE_SEARCH_G["cubic_sat"]
+    views = [f.time_reversed() for f in (y, r, Y1)]
+    assert all(v.values.strides[0] < 0 for v in views)
+    copies = [wc.SpaceTimeField(y.grid, v.values.copy()) for v in views]
+    got = evaluations(kernel, *views, g)
+    assert got == evaluations(kernel, *copies, g)
+    assert got[0] == (0.0, half_cell_sum_r2(copies[1]))
+
+
+@needs_cc
+@pytest.mark.parametrize("dim", [1, 2])
+def test_compiled_E_checks_the_fields_it_reads(dim):
+    y, r, Y1 = random_segment(dim, 1.0, -1, seed=3, nodes=SEGMENT_NODES[dim])
+    g = LINE_SEARCH_G["lipschitz_sat"]
+    grid = y.grid
+    unreadable = {"float32": lambda v: v.astype(np.float32),
+                  "reversed nodes": lambda v: v[..., ::-1]}
+    if dim == 2:
+        unreadable["fortran"] = np.asfortranarray
+    with march_kernel("compiled"):
+        for name, bad in unreadable.items():
+            for i in range(3):
+                fields = [y, r, Y1]
+                fields[i] = wc.SpaceTimeField._trusted(grid, bad(fields[i].values))
+                with pytest.raises(ValueError):
+                    least_squares._segment_energy(fields[0], fields[1], fields[2], g)
+        short = wc.SpaceTimeField._trusted(grid, r.values[:-1])
+        with pytest.raises(ValueError):
+            least_squares._segment_energy(y, short, Y1, g)
+        # g of the wrong shape: the loop would read past its result
+        flat = Nonlinearity("flat", lambda v: np.ravel(g.g(v))[:-1], g.dg,
+                            s=1.0, seminorm=None, alpha=None, beta=None)
+        with pytest.raises(ValueError):
+            least_squares._segment_energy(y, r, Y1, flat)(0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kernel", MARCH_KERNELS)
+@pytest.mark.parametrize("nodes, r0", [((4,), 1e154), ((3, 4), 7e153)], ids=["square", "sum"])
+def test_E_that_overflows_reads_inf_without_a_warning(kernel, nodes, r0):
+    # at each of the nodes, r = r0 and g(y - lam Y1) = -(lam Y1)^3 = -lam^3 r0 / 10
+    # with y = 0: the residual (1 - lam) r0 - lam^3 r0 / 10 vanishes near
+    # lam = 0.92; at lam = 2 its square overflows (r0 = 1e154), or with two
+    # nodes only the sum of the squares does (r0 = 7e153)
+    grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=12)
+    y = wc.SpaceTimeField.zeros(grid)
+    r, Y1 = (np.zeros((grid.nt + 1,) + grid.shape) for _ in range(2))
+    r[5, list(nodes)], Y1[5, list(nodes)] = r0, (r0 / 10) ** (1 / 3)
+    r, Y1 = wc.SpaceTimeField(grid, r), wc.SpaceTimeField(grid, Y1)
+    cube = Nonlinearity("cube", lambda v: v * v * v, lambda v: 3 * v * v,
+                        s=1.0, seminorm=None, alpha=None, beta=None)
+    with march_kernel(kernel):
+        E_at = least_squares._segment_energy(y, r, Y1, cube)
+        assert E_at(2.0) == math.inf
+        E0 = E_at(0.0)
+        assert E0 == half_cell_sum_r2(r) and math.isfinite(E0)
+        res = wc.line_search(y, r, Y1, cube, 2.0)
+    assert res.status == "ok" and 0.9 < res.lam < 0.95
+    assert math.isfinite(res.E_new) and res.E_new < 1e-3 * E0
 
 
 def test_line_search_on_synthetic_profile():

@@ -21,6 +21,39 @@ it, which was most of a run's set-up time and about 21 MB of its memory.
 Every norm, the max-over-time ones included, holds at any finite
 amplitude: a sum of squares (or p-th powers) that could have underflowed
 or overflowed is summed again at a power-of-two scale (`_root_sum_powers`).
+
+`linf_v`, the max over time levels n of S_n = sum mu_k cp_k^2 + sum cv_k^2
+(cp, cv the sine coefficients of y and dy/dt at level n), transforms only
+the levels that can hold the max.  It first brackets every S_n,
+lo_n <= S_n <= hi_n, in O(nodes) from the interior values alone, with zero
+Dirichlet values beyond them, as `sine_coefficients` reads them
+(`_level_bracket`):
+
+- the velocity part is cell * sum v^2 (Parseval);
+- per axis of spacing h, with lambda_k = (4 / h^2) sin^2 theta_k the
+  eigenvalues of the second difference, theta_k = k pi h / (2 L) in
+  (0, pi/2) and mu_k = lambda_k (theta_k / sin theta_k)^2, the H^1_0 part
+  lies between the discrete Dirichlet energy E_h = sum lambda_k c_k^2 =
+  cell * sum (first differences / h)^2 and E_h + (pi^2/4 - 1) (h^2/4)
+  sum lambda_k^2 c_k^2, that sum being cell * sum (second differences /
+  h^2)^2.  For 0 <= (theta / sin theta)^2 - 1 <= (pi^2/4 - 1) sin^2 theta
+  on (0, pi/2], with equality at pi/2: (theta^2 - sin^2 theta) / sin^4 theta
+  rises from 1/3 to pi^2/4 - 1 there.
+
+Only the levels with hi_n >= (1 - margin) max_m lo_m are transformed, and
+the max of their sums, each formed as on every level, is the max over all
+levels, bit for bit.  The margin is 4 (eps_S + eps_b), from a stated
+rounding bound: each axis of a sine transform may err by 2^-44 in the
+relative 2-norm, some 500 units of roundoff, against the O(u log n) of an
+FFT (Bluestein's for a prime length included) and about 3 units measured
+at the committed lengths.  A coefficient error of relative size e = d 2^-44
+(d axes) moves sum mu_k c_k^2 by at most (2 r e + r^2 e^2) of itself, r =
+sqrt(mu_max / mu_min), and eps_b = (nodes + 32) 2^-53 bounds the rounding
+of any per-level sum of squares and of the bracket itself, so eps_S =
+2 r e + r^2 e^2 + eps_b bounds the relative error of a computed S_n.
+Where the largest lo or hi is outside [2^-900, 2^900], or the max over
+the levels kept is, every level is transformed and the sum is rescaled
+where needed (`_root_sum_powers`).
 """
 
 from __future__ import annotations
@@ -363,20 +396,106 @@ def velocity_levels(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
     """Second-order time derivative of a field at every level (for logging)."""
     dt = grid.dt
     v = np.empty_like(values)
-    v[1:-1] = (values[2:] - values[:-2]) / (2 * dt)
+    mid = v[1:-1]                       # in place: no field-sized temporary
+    np.subtract(values[2:], values[:-2], out=mid)
+    mid /= 2 * dt
     v[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dt)
     v[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dt)
     return v
 
 
+# the relative 2-norm error allowed to one axis of a sine transform
+_TRANSFORM_ERROR = 2.0 ** -44
+# (pi^2/4 - 1)/4: with h^2 this weights the second differences' sum in hi
+_SECOND_DIFFERENCE_WEIGHT = (math.pi ** 2 / 4 - 1) / 4
+# values per block of levels the bracket works on: its three buffers take
+# 768 KB, inside a 2 MiB L2
+_BRACKET_BLOCK = 1 << 15
+
+
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    """Per leading index (time level), the sum of the squares of a."""
+    axes = "nxy"[:a.ndim]
+    return np.einsum(f"{axes},{axes}->n", a, a)
+
+
+def _level_bracket(grid: SpaceTimeGrid, values: np.ndarray, velocity: np.ndarray):
+    """(lo, hi) with lo_n <= S_n <= hi_n in exact arithmetic for every time
+    level n, S_n = |y_n|_{H^1_0}^2 + |v_n|_{L^2}^2 as `linf_v` sums it, from
+    the interior values of y and v (module docstring).  An overflow reads
+    inf, which `linf_v` takes as out of range.
+
+    The levels are taken in blocks of about _BRACKET_BLOCK values, copied
+    flat in C order into z with their boundary set to 0.  Along an axis of
+    stride st, d[k] = z[k + st] - z[k] is a first difference of y_n or 0,
+    and d[k - st] - d[k] at an interior node k is its second difference,
+    formed from the rounded first differences, so that its rounding error
+    is relative to them, not to y.  Every pass runs over contiguous memory
+    that stays in cache.
+    """
+    cell = math.prod(grid.dx)
+    levels = len(values)
+    block = max(1, _BRACKET_BLOCK // math.prod(grid.shape))
+    interior = (slice(None),) + (slice(1, -1),) * grid.dim
+    z_block = np.empty((min(block, levels),) + grid.shape)
+    d_block, s_block = np.empty(z_block.size), np.empty(z_block.size)
+    with np.errstate(over="ignore"):
+        lo = cell * _sum_squares(velocity[interior])
+        extra = np.zeros_like(lo)
+        for start in range(0, levels, block):
+            at = slice(start, min(start + block, levels))
+            z = z_block[:at.stop - start]
+            z[...] = values[at]
+            for axis in range(1, grid.dim + 1):
+                edges = np.moveaxis(z, axis, 0)     # a view: the writes land in z
+                edges[0] = edges[-1] = 0.0
+            flat, d, s = z.reshape(-1), d_block[:z.size], s_block[:z.size]
+            for axis, h in enumerate(grid.dx):
+                st = math.prod(grid.shape[axis + 1:])
+                np.subtract(flat[st:], flat[:-st], out=d[:-st])
+                d[-st:] = 0.0
+                lo[at] += (cell / h ** 2) * _sum_squares(d.reshape(len(z), -1))
+                np.subtract(d[:-st], d[st:], out=s[st:])
+                second = _sum_squares(s.reshape(z.shape)[interior])
+                extra[at] += (_SECOND_DIFFERENCE_WEIGHT * cell / h ** 2) * second
+        return lo, lo + extra
+
+
+def _bracket_floor(grid: SpaceTimeGrid) -> float:
+    """1 - margin: a level whose hi is below this times the largest lo
+    cannot hold the max of the computed per-level sums (module docstring)."""
+    mu = eigenvalues(grid)
+    r_e = math.sqrt(float(mu.max()) / float(mu.min())) * grid.dim * _TRANSFORM_ERROR
+    eps_b = (math.prod(grid.shape) + 32) * 2.0 ** -53
+    return 1.0 - 4.0 * ((2 * r_e + r_e * r_e + eps_b) + eps_b)
+
+
 def linf_v(f: SpaceTimeField) -> float:
-    """max over time of the V-norm of (y, dy/dt)."""
+    """max over time of the V-norm of (y, dy/dt).
+
+    Only the levels whose bracket [lo_n, hi_n] reaches (1 - margin) times
+    the largest lo are transformed (module docstring); their max is the
+    max of the per-level sums over all levels, with the same bits.  Where
+    a bracket or that max leaves [2^-900, 2^900], every level is
+    transformed and the sum rescaled where needed (`_root_sum_powers`).
+    """
     grid = f.grid
-    levels = grid.nt + 1
-    cp = sine_coefficients(grid, f.values).reshape(levels, -1)
-    cv = sine_coefficients(grid, velocity_levels(grid, f.values)).reshape(levels, -1)
+    vel = velocity_levels(grid, f.values)
     mu = eigenvalues(grid).ravel()
+
+    def coefficients(rows):
+        # (cp, cv) of the levels `rows`, one row per level
+        return tuple(c.reshape(len(c), -1)
+                     for c in (sine_coefficients(grid, a[rows]) for a in (f.values, vel)))
+
+    def max_level_sum(c):
+        return float(np.max(np.sum(mu * c[0] * c[0], axis=1) + np.sum(c[1] * c[1], axis=1)))
+
+    lo, hi = _level_bracket(grid, f.values, vel)
+    top = float(np.max(lo))
+    if 2.0 ** -900 <= top and float(np.max(hi)) <= 2.0 ** 900:
+        s = max_level_sum(coefficients(np.flatnonzero(hi >= top * _bracket_floor(grid))))
+        if 2.0 ** -900 <= s <= 2.0 ** 900:
+            return math.sqrt(s)
     # c holds (cp, cv), scaled by one power of two where the sum is out of range
-    return _root_sum_powers(
-        lambda c: float(np.max(np.sum(mu * c[0] * c[0], axis=1) + np.sum(c[1] * c[1], axis=1))),
-        (cp, cv))
+    return _root_sum_powers(max_level_sum, coefficients(slice(None)))

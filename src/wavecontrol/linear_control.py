@@ -320,13 +320,14 @@ def _dst_matrices(grid):
     return [dst1(np.eye(N), (-1,)) for N in grid.interior_shape]
 
 
-def _free_wave_block(grid, region, modes, a=0.0):
+def _free_wave_block(grid, region, modes, dst, a=0.0):
     """The block of G(a) on the position and velocity seeds of `modes`, in
-    closed form (module docstring), from T's columns and D's rows of those
-    modes only; every mode gives the whole G(a)."""
+    closed form (module docstring), from T's columns and the rows of those
+    modes of D, whose factors `dst` are the grid's `_dst_matrices`; every
+    mode gives the whole G(a)."""
     m = len(modes)
     index = np.unravel_index(modes, grid.interior_shape)
-    rows = [S[k] for S, k in zip(_dst_matrices(grid), index)]
+    rows = [S[k] for S, k in zip(dst, index)]
     D = reduce(lambda x, y: (x[:, :, None] * y[:, None, :]).reshape(m, -1), rows)
     chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
     M = (D * chi) @ D.T
@@ -338,13 +339,13 @@ def _free_wave_block(grid, region, modes, a=0.0):
     return G
 
 
-def _free_wave_diagonal(grid, region, modes, a=0.0):
+def _free_wave_diagonal(grid, region, modes, dst, a=0.0):
     """The diagonal of G(a) on the seeds of `modes`, sum_m w_m T_k(m)^2 M_kk,
     without D: M's diagonal is chi's interior under the squared orthonormal
-    DST-I matrix of each axis."""
+    DST-I matrix of each axis (`dst`, the grid's `_dst_matrices`)."""
     T, w = _free_wave_signals(grid, a, modes)
     mass = region.weights[(slice(1, -1),) * grid.dim]
-    for axis, S in enumerate(_dst_matrices(grid)):
+    for axis, S in enumerate(dst):
         mass = np.moveaxis(np.tensordot(S * S, mass, (1, axis)), 0, axis)
     return np.einsum("m,mk,mk->k", w[:, 0], T, T) * np.tile(mass.ravel()[modes], 2)
 
@@ -388,7 +389,8 @@ def _free_wave_preconditioner(grid, region, eps):
     modes, F = L^{-1} for the Cholesky factor L of P's block there, inverted
     in float64 in L's storage (`_invert_lower`) and rounded to float32 once,
     so F is exactly lower-triangular, and P's diagonal `diag` off them (inf
-    on the band)."""
+    on the band).  Each axis's DST-I matrix is built once; the diagonal is
+    not built where the band is every mode (every committed 1D grid)."""
     if eps == 0.0:
         return None
     n = math.prod(grid.interior_shape)
@@ -396,10 +398,13 @@ def _free_wave_preconditioner(grid, region, eps):
     keep = np.ones(n, bool)
     keep[modes] = False
     off = np.flatnonzero(keep)
+    dst = _dst_matrices(grid)
     diag = np.full(2 * n, np.inf)
-    diag[np.concatenate([off, n + off])] = _free_wave_diagonal(grid, region, off) + eps
+    if off.size:
+        diag[np.concatenate([off, n + off])] = _free_wave_diagonal(grid, region, off, dst) + eps
     band = np.concatenate([modes, n + modes])
-    P = _free_wave_block(grid, region, modes)
+    P = _free_wave_block(grid, region, modes, dst)
+    del dst
     P[np.diag_indices_from(P)] += eps
     L = np.linalg.cholesky(P)
     del P

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -221,16 +222,42 @@ def test_time_reversal(grid):
     assert np.array_equal(f.time_reversed().values, f.values[::-1])
 
 
-@pytest.mark.parametrize("lengths,nodes", [((1.0,), (37,)), ((1.0, 2.0), (13, 17))],
-                         ids=["1d", "2d"])
-def test_linf_v_matches_per_level_reference_bitwise(lengths, nodes):
+LINF_V_GRIDS = pytest.mark.parametrize(
+    "lengths,nodes,T,nt", [((1.0,), (37,), 1.0, 60), ((1.0, 2.0), (13, 17), 1.0, 60),
+                           ((1.0,), (200,), 1.0, 240)],
+    ids=["1d", "2d", "1d-200"])
+
+
+def _linf_v_fields(grid):
+    """Fields that probe `linf_v`'s bracket, by name."""
+    rng = np.random.default_rng(17)
+    shape = (grid.nt + 1,) + grid.shape
+    interior = (slice(None),) + (slice(1, -1),) * grid.dim
+    t = np.linspace(0.0, grid.T, grid.nt + 1).reshape((-1,) + (1,) * grid.dim)
+    bump = np.prod([np.sin(np.pi * x / L) for x, L in zip(grid.meshgrid(), grid.lengths)],
+                   axis=0)
+    noise = rng.standard_normal(shape)
+    # noise of 1e3 on the boundary nodes, which the sine coefficients ignore
+    boundary = 1e3 * noise
+    boundary[interior] = 1e-3 * noise[interior]
+    # the top mode of every axis, where the bracket is widest
+    checkerboard = reduce(np.multiply.outer, [(-1.0) ** np.arange(n) for n in grid.shape])
+    return {
+        "random": noise,
+        "boundary noise": boundary,
+        "top mode": (2.0 + np.cos(5.0 * t)) * checkerboard,
+        "every level equal": np.repeat(noise[:1], grid.nt + 1, axis=0),
+        "max at level 0": np.exp(-3.0 * t) * bump,
+        "max at level nt": np.exp(3.0 * t) * bump,
+    }
+
+
+def _level_sums_reference(grid, values):
+    """The per-level sums S_n = sum mu cp^2 + sum cv^2 of `linf_v`, each
+    level transformed on its own through `scipy.fft`."""
     from scipy import fft as sp_fft
 
-    from wavecontrol.fields import linf_v, velocity_levels
-
-    grid = wc.SpaceTimeGrid(lengths, nodes, T=1.0, nt=60)
-    rng = np.random.default_rng(17)
-    f = wc.SpaceTimeField(grid, rng.standard_normal((grid.nt + 1,) + grid.shape))
+    from wavecontrol.fields import velocity_levels
 
     def dst_level(level):
         interior = level[(slice(1, -1),) * grid.dim]
@@ -239,15 +266,110 @@ def test_linf_v_matches_per_level_reference_bitwise(lengths, nodes):
             return scale * sp_fft.dst(interior, type=1, norm="ortho")
         return scale * sp_fft.dstn(interior, type=1, norm="ortho")
 
-    vel = velocity_levels(grid, f.values)
-    batched = sine_coefficients(grid, f.values)
+    vel = velocity_levels(grid, values)
     mu = eigenvalues(grid)
-    best = 0.0
+    sums = []
     for n in range(grid.nt + 1):
-        cp, cv = dst_level(f.values[n]), dst_level(vel[n])
-        assert np.array_equal(batched[n], cp)
-        best = max(best, float(np.sum(mu * cp * cp) + np.sum(cv * cv)))
-    assert linf_v(f) == math.sqrt(best)
+        cp, cv = dst_level(values[n]), dst_level(vel[n])
+        sums.append(float(np.sum(mu * cp * cp) + np.sum(cv * cv)))
+    return np.array(sums)
+
+
+@LINF_V_GRIDS
+def test_linf_v_matches_per_level_reference_bitwise(lengths, nodes, T, nt):
+    # the bracket transforms only the levels that can hold the max, and the
+    # max over them is the max over every level, bit for bit
+    from scipy import fft as sp_fft
+
+    from wavecontrol.fields import linf_v
+
+    grid = wc.SpaceTimeGrid(lengths, nodes, T=T, nt=nt)
+    fields_by_name = _linf_v_fields(grid)
+    f = wc.SpaceTimeField(grid, fields_by_name["random"])
+    batched = sine_coefficients(grid, f.values)
+    for n in range(grid.nt + 1):
+        interior = f.values[n][(slice(1, -1),) * grid.dim]
+        level = sp_fft.dstn(interior, type=1, norm="ortho")
+        assert np.array_equal(batched[n], math.sqrt(math.prod(grid.dx)) * level)
+    for name, values in fields_by_name.items():
+        f = wc.SpaceTimeField(grid, values)
+        for g in (f, f.time_reversed()):
+            sums = _level_sums_reference(grid, g.values)
+            assert linf_v(g) == math.sqrt(float(np.max(sums))), name
+    ends = [int(np.argmax(_level_sums_reference(grid, fields_by_name[name])))
+            for name in ("max at level 0", "max at level nt")]
+    assert ends == [0, grid.nt]
+
+
+@LINF_V_GRIDS
+def test_level_bracket_holds_at_every_level(lengths, nodes, T, nt):
+    # lo_n <= S_n <= hi_n, to within the margin that allows for rounding
+    from wavecontrol.fields import velocity_levels
+
+    grid = wc.SpaceTimeGrid(lengths, nodes, T=T, nt=nt)
+    margin = 1.0 - fields._bracket_floor(grid)
+    assert 0.0 < margin < 1e-8
+    for name, values in _linf_v_fields(grid).items():
+        sums = _level_sums_reference(grid, values)
+        lo, hi = fields._level_bracket(grid, values, velocity_levels(grid, values))
+        assert np.all(lo <= sums * (1.0 + margin)), name
+        assert np.all(sums <= hi * (1.0 + margin)), name
+
+
+def test_theta_inequality_of_the_bracket():
+    # (theta / sin theta)^2 - 1 <= (pi^2/4 - 1) sin^2 theta on (0, pi/2], with
+    # equality at pi/2: so mu_k <= lambda_k + (pi^2/4 - 1) (h^2/4) lambda_k^2
+    theta = np.linspace(0.0, math.pi / 2, 200_001)[1:]
+    lhs = (theta / np.sin(theta)) ** 2 - 1.0
+    rhs = (math.pi ** 2 / 4 - 1.0) * np.sin(theta) ** 2
+    assert np.all(lhs <= rhs)
+    assert lhs[-1] == rhs[-1] == math.pi ** 2 / 4 - 1.0
+    assert np.all(rhs[:-1] - lhs[:-1] > 0.0)
+    # on a grid's modes: lambda_k <= mu_k <= that bound, k = 1..N-2, per axis
+    for n in (5, 37, 200):
+        grid = wc.SpaceTimeGrid((2.0,), (n,), T=1.0, nt=2 * n)
+        (h,) = grid.dx
+        lam = (4.0 / h ** 2) * np.sin(np.arange(1, n - 1) * math.pi / (2 * (n - 1))) ** 2
+        mu = eigenvalues(grid)
+        assert np.all(lam <= mu * (1 + 1e-15))
+        assert np.all(mu <= (lam + (math.pi ** 2 / 4 - 1) * h ** 2 / 4 * lam ** 2) * (1 + 1e-15))
+
+
+@pytest.mark.parametrize("n", [38, 98, 198])
+def test_sine_transform_error_is_inside_the_bracket_bound(n):
+    # linf_v's margin allows each axis of a transform a relative 2-norm error
+    # of 2^-44; pocketfft's, against an extended-precision matrix product,
+    # is a few units of roundoff, also at 198 (an FFT of 2 * 199 points)
+    k = np.arange(1, n + 1)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    S = np.sqrt(np.longdouble(2) / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1)) * pi / (n + 1))
+    x = np.random.default_rng(n).standard_normal((8, n)) / k ** np.arange(8)[:, None]
+    exact = x.astype(np.longdouble) @ S
+    error = np.sum((fields.dst1(x, (-1,)) - exact) ** 2, axis=1) / np.sum(exact ** 2, axis=1)
+    assert math.sqrt(float(np.max(error))) <= fields._TRANSFORM_ERROR / 16
+
+
+def test_linf_v_transforms_few_levels_of_a_driven_field(desk_problem, monkeypatch):
+    # the first descent direction Y1 of the canonical Lipschitz run is smooth:
+    # its max over time is at a few of its 601 levels, and only those are
+    # transformed (every level was, twice, before the bracket)
+    from wavecontrol.least_squares import initialize
+
+    g = wc.builtin("lipschitz_sat", kappa=5.0)
+    start = initialize(desk_problem)
+    Y1 = wc.descent_direction(desk_problem, g, start.trajectory, start.control)[0]
+    rows = []
+    transform = fields.sine_coefficients
+
+    def counted(grid, values):
+        rows.append(len(values))
+        return transform(grid, values)
+
+    monkeypatch.setattr(fields, "sine_coefficients", counted)
+    value = wc.linf_v(Y1)
+    assert len(rows) == 2 and rows[0] == rows[1] <= 0.02 * (Y1.grid.nt + 1)
+    monkeypatch.undo()
+    assert value == math.sqrt(float(np.max(_level_sums_reference(Y1.grid, Y1.values))))
 
 
 @pytest.mark.parametrize("spec,key", [

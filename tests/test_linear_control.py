@@ -14,8 +14,9 @@ from scipy import fft as sp_fft
 import wavecontrol as wc
 from wavecontrol import cli
 from wavecontrol.errors import BlowupError, ConfigError
-from wavecontrol.linear_control import (FLOOR_THETA, _cg, _constraint_rows, _free_response,
-                                        _free_wave_band, _free_wave_block, _free_wave_diagonal,
+from wavecontrol.linear_control import (FLOOR_THETA, _cg, _constraint_rows, _dst_matrices,
+                                        _free_response, _free_wave_band, _free_wave_block,
+                                        _free_wave_diagonal,
                                         _free_wave_preconditioner, _free_wave_signals,
                                         _GramianOperator, _gramian_rho, _invert_lower,
                                         dual_to_rho, rho_from_seed, seed_from_rho)
@@ -587,8 +588,8 @@ def test_free_wave_gramian_matches_operator(dim, a, smooth):
         grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
         region = wc.sides_region(grid, ["right", "top"], 0.3, smoothing=smooth)
     assert region.is_sharp != smooth
-    n = math.prod(grid.interior_shape)
-    G = _free_wave_block(grid, region, np.arange(n), a)
+    n, dst = math.prod(grid.interior_shape), _dst_matrices(grid)
+    G = _free_wave_block(grid, region, np.arange(n), dst, a)
     op = _GramianOperator(grid, region, wc.SpaceTimeField.constant(grid, a) if a else None)
     columns = np.array([_gramian_rho(op, e) for e in np.eye(len(G))]).T
     assert np.max(np.abs(columns - G)) <= 1e-12 * np.max(np.abs(columns))
@@ -597,7 +598,7 @@ def test_free_wave_gramian_matches_operator(dim, a, smooth):
         assert np.linalg.norm(G @ rho - G_rho) <= 1e-12 * np.linalg.norm(G_rho)
     # the diagonal the preconditioner divides by off its band, without G
     diag = np.diag(G)
-    assert (np.max(np.abs(_free_wave_diagonal(grid, region, np.arange(n), a) - diag))
+    assert (np.max(np.abs(_free_wave_diagonal(grid, region, np.arange(n), dst, a) - diag))
             <= 1e-12 * np.max(diag))
 
 
@@ -633,7 +634,7 @@ def test_free_wave_block_of_every_mode_is_the_closed_form(configs_dir, name):
     for grid, region in config_grids(configs_dir, name):
         assert band_is_every_mode(grid)
         modes = np.arange(math.prod(grid.interior_shape))
-        block = _free_wave_block(grid, region, modes)
+        block = _free_wave_block(grid, region, modes, _dst_matrices(grid))
         assert np.array_equal(block, closed_form_gramian(grid, region))
 
 
@@ -649,7 +650,7 @@ def test_free_wave_band_block_matches_the_gramian(a, smooth):
     assert 0 < len(modes) < n
     seeds = np.concatenate([modes, n + modes])
     G = closed_form_gramian(grid, region, a)
-    block = _free_wave_block(grid, region, modes, a)
+    block = _free_wave_block(grid, region, modes, _dst_matrices(grid), a)
     assert np.max(np.abs(block - G[np.ix_(seeds, seeds)])) <= 1e-12 * np.max(np.abs(G))
 
 
@@ -683,9 +684,43 @@ def test_free_wave_band_factor_builds(nx, log_eps):
     assert 0 < len(band) < len(diag)
     assert F.dtype == np.float32 and F.shape == (len(band),) * 2
     assert np.all(np.isinf(diag[band])) and np.all(np.isfinite(np.delete(diag, band)))
-    P = _free_wave_block(grid, region, _free_wave_band(grid)) + eps * np.eye(len(band))
+    P = _free_wave_block(grid, region, _free_wave_band(grid), _dst_matrices(grid))
+    P += eps * np.eye(len(band))
     F = F.astype(np.float64)
     assert np.linalg.norm(F @ P @ F.T - np.eye(len(band)), 2) <= 1e-3
+
+
+@pytest.mark.parametrize("name", ["lipschitz_default", "smoke_2d"])
+def test_free_wave_preconditioner_builds_each_dst_matrix_once(configs_dir, name, monkeypatch):
+    # the band block and the diagonal off it share one DST-I matrix per axis,
+    # and no diagonal is built where the band is every mode (every 1D grid):
+    # F and diag keep the bits of the pieces built on their own
+    from wavecontrol import linear_control
+
+    ((grid, region),) = config_grids(configs_dir, name)
+    eps = min(grid.dx) ** 2
+    n = math.prod(grid.interior_shape)
+    modes = _free_wave_band(grid)
+    off = np.flatnonzero(~np.isin(np.arange(n), modes))
+    diag = np.full(2 * n, np.inf)
+    if off.size:
+        diag[np.concatenate([off, n + off])] = _free_wave_diagonal(grid, region, off,
+                                                                   _dst_matrices(grid)) + eps
+    P = _free_wave_block(grid, region, modes, _dst_matrices(grid))
+    P[np.diag_indices_from(P)] += eps
+    F = _invert_lower(np.linalg.cholesky(P)).astype(np.float32)
+
+    calls = {"_dst_matrices": 0, "_free_wave_diagonal": 0}
+    for attr in calls:
+        def counted(*args, _inner=getattr(linear_control, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(linear_control, attr, counted)
+    band, F_built, diag_built = _free_wave_preconditioner(grid, region, eps)
+    assert calls == {"_dst_matrices": 1, "_free_wave_diagonal": int(off.size > 0)}
+    assert (off.size > 0) == (grid.dim == 2)
+    assert np.array_equal(band, np.concatenate([modes, n + modes]))
+    assert np.array_equal(F_built, F) and np.array_equal(diag_built, diag)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200, 966])

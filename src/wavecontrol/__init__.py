@@ -6,7 +6,7 @@ minimal-norm linear-control kernel (conjugate gradient on the adjoint
 Gramian), baseline linearization methods, and a batch CLI.
 """
 
-from .baselines import contraction_ratio, newton_classic_solve, picard_solve, variant_solve
+from .baselines import newton_classic_solve, picard_solve, variant_solve
 from .errors import BlowupError, ConfigError, InsufficientRecords
 from .fields import (SpaceTimeField, StatePair, h_norm, l2_qt, linf_l1, linf_lp,
                      linf_v, norms, v_norm)
@@ -14,12 +14,10 @@ from .grids import (ControlRegion, GeometryReport, SpaceTimeGrid,
                     check_geometric_condition, interval_region, rectangle_region,
                     sides_region)
 from .least_squares import (IterateRecord, LSConfig, LSResult, OrderEstimate,
-                            TargetProblem, analytic_lambda, compute_E, descent_direction,
-                            diagnostic_constants, estimate_order, line_search, ls_solve,
-                            smallest_sufficient_C)
+                            TargetProblem, compute_E, descent_direction, estimate_order,
+                            line_search, ls_solve)
 from .linear_control import (ControlSolution, LinearControlProblem, dense_oracle_control,
-                             gramian_apply, hum_pairing, perturbation_gap,
-                             solve_null_control)
+                             gramian_apply, hum_pairing, solve_null_control)
 from .nonlinearity import (GrowthCheck, Nonlinearity, beta_star, builtin,
                            check_growth_H2, holder_seminorm_sample)
 from .profiles import build_state, sample_profile

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
-from .fields import SpaceTimeField, h10_norm, linf_l1, linf_lp
+from .fields import SpaceTimeField, linf_l1
 from .least_squares import (LSConfig, LSResult, TargetProblem, iterate, newton_step,
                             record_inner)
 from .nonlinearity import Nonlinearity
@@ -68,21 +66,3 @@ def variant_solve(problem: TargetProblem, g: Nonlinearity,
     """Frozen-derivative iteration; every iterate is a controlled pair."""
     return iterate(problem, g, config,
                    partial(_fixed_point_step, linearize=_variant_linearization), "variant")
-
-
-def contraction_ratio(problem: TargetProblem, g: Nonlinearity,
-                      xi1: SpaceTimeField, xi2: SpaceTimeField) -> float:
-    """Empirical Lipschitz quotient of the fixed-point map between two fields:
-
-        |K(xi2) - K(xi1)|_{Linf(H^1_0)} / |xi2 - xi1|_{Linf(L^{d+1})}.
-    """
-    grid = problem.grid
-    diff = xi2.values - xi1.values
-    if float(np.max(np.abs(diff))) == 0.0:
-        raise ValueError("xi1 and xi2 must differ")
-    sols = [problem.solve(*_picard_linearization(grid, g, xi), problem.initial, problem.target)
-            for xi in (xi1, xi2)]
-    gap_vals = sols[1].trajectory.values - sols[0].trajectory.values
-    num = max(h10_norm(grid, gap_vals[n]) for n in range(grid.nt + 1))
-    den = linf_lp(SpaceTimeField(grid, diff), float(grid.dim + 1))
-    return float(num / den)

@@ -28,7 +28,7 @@ from .baselines import newton_classic_solve, picard_solve, variant_solve
 from .errors import ConfigError, InsufficientRecords, whole_number
 from .grids import (SpaceTimeGrid, check_geometric_condition, interval_region,
                     rectangle_region, sides_region)
-from .least_squares import DIAGNOSTIC_C, LSConfig, TargetProblem, estimate_order, ls_solve
+from .least_squares import LSConfig, TargetProblem, estimate_order, ls_solve
 from .nonlinearity import beta_star, builtin, check_growth_H2, holder_seminorm_sample
 from .profiles import build_state
 
@@ -36,9 +36,8 @@ SCHEMA_VERSION = 1
 
 ITERATES_COLUMNS = [
     "method", "scenario", "config_hash", "k", "E", "sqrt_E", "lambda",
-    "lambda_tilde", "F1_qT_norm", "Y1_LinfV", "y_LinfL1", "gprime_LinfLd",
-    "inner_defect", "inner_cg_iters", "inner_converged", "init_defect_V",
-    "term_defect_V", "step_delta",
+    "F1_qT_norm", "Y1_LinfV", "y_LinfL1", "gprime_LinfLd", "inner_defect",
+    "inner_cg_iters", "inner_converged", "term_defect_V", "step_delta",
 ]
 
 COMPARISON_COLUMNS = ["method", "scenario", "config_hash", "iterations",
@@ -300,11 +299,10 @@ def iterate_rows(result, scenario_name, chash):
         rows.append({
             "method": result.method, "scenario": scenario_name, "config_hash": chash,
             "k": rec.k, "E": rec.E, "sqrt_E": rec.sqrt_E, "lambda": rec.lam,
-            "lambda_tilde": rec.lam_tilde, "F1_qT_norm": rec.F1_qT,
-            "Y1_LinfV": rec.Y1_linf_V, "y_LinfL1": rec.y_linf_L1,
-            "gprime_LinfLd": rec.gprime_linf_ld, "inner_defect": rec.inner_defect,
-            "inner_cg_iters": rec.inner_cg_iters, "inner_converged": rec.inner_converged,
-            "init_defect_V": rec.init_defect_V, "term_defect_V": rec.term_defect_V,
+            "F1_qT_norm": rec.F1_qT, "Y1_LinfV": rec.Y1_linf_V,
+            "y_LinfL1": rec.y_linf_L1, "gprime_LinfLd": rec.gprime_linf_ld,
+            "inner_defect": rec.inner_defect, "inner_cg_iters": rec.inner_cg_iters,
+            "inner_converged": rec.inner_converged, "term_defect_V": rec.term_defect_V,
             "step_delta": rec.step_delta,
         })
     return rows
@@ -524,6 +522,9 @@ def cmd_sweep(cfg, args) -> int:
               f"{row['method']}: {row['status']} sqrt2E={row['sqrt2E_final']:.3e} "
               f"defect={row['term_defect_V']:.3e}")
     return 0 if all(r["status"] == "converged" for r in rows) else 2
+
+
+DIAGNOSTIC_C = 1.0                    # the paper's unknown C, for the beta* line only
 
 
 def cmd_check(cfg, args) -> int:

@@ -16,8 +16,7 @@ and (y_0, f_0) the controlled pair of the linear (g = 0) problem.  The
 iteration stops once sqrt(2E) <= TOL sqrt(2E_0) or E <= E_FLOOR; only its
 step cap is configured (`LSConfig`).  Its loop, `iterate`, is the outer
 iteration of every method: the least-squares and Newton steps are
-`newton_step`, and `baselines` passes the fixed-point steps.  The decay
-estimate's constant C is unknown, so its diagnostics use DIAGNOSTIC_C.
+`newton_step`, and `baselines` passes the fixed-point steps.
 The directional derivative satisfies E'(y,f).(Y1,F1) = 2 E(y,f) exactly
 at the discrete level because (Y1, F1) satisfies the linearized equation
 stencil-exactly, so -(Y1, F1) is always a descent direction; forcing
@@ -47,7 +46,7 @@ from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, 
 from .grids import ControlRegion, SpaceTimeGrid
 from .linear_control import (ControlSolution, LinearControlProblem,
                              _free_wave_preconditioner, solve_null_control)
-from .nonlinearity import Nonlinearity, beta_star
+from .nonlinearity import Nonlinearity
 from .solver import _level_args, residual_field
 
 
@@ -98,7 +97,6 @@ REFINE_REL_WIDTH = 1e-3               # golden-section bracket width, relative t
 LINE_SEARCH_BOUND = 2.0               # m: lambda_k minimizes E over [0, m]
 TOL = 1e-8                            # stop when sqrt(2E) <= TOL * sqrt(2E_0) ...
 E_FLOOR = 1e-20                       # ... or E <= E_FLOOR, for every method
-DIAGNOSTIC_C = 1.0                    # the paper's unknown C, for diagnostics only
 
 
 @dataclass
@@ -125,7 +123,6 @@ class IterateRecord:
     E: float
     sqrt_E: float
     lam: float = math.nan
-    lam_tilde: float = math.nan
     F1_qT: float = math.nan
     Y1_linf_V: float = math.nan
     y_linf_L1: float = math.nan
@@ -133,7 +130,6 @@ class IterateRecord:
     inner_defect: float = math.nan
     inner_cg_iters: int = 0
     inner_converged: bool = True
-    init_defect_V: float = 0.0
     term_defect_V: float = 0.0
     step_delta: float = math.nan      # fixed-point |y_{k+1} - y_k|_{Linf(L1)}, nan for Newton
     inner_residuals: list = field(default_factory=list)   # CG history, verbose export
@@ -323,69 +319,6 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     return LineSearchResult(best_lam, best_E, "ok")
 
 
-def analytic_lambda(E: float, c_of_y: float, s: float) -> float:
-    """Closed-form surrogate step: 1 in the superlinear regime, else the
-    damped value 1 / ((1+s)^(1/s) c^(1/s) sqrt(E)); logged, never applied."""
-    if s == 0:
-        return 1.0
-    if c_of_y <= 0:
-        return 1.0
-    t = (1.0 + s) ** (1.0 / s) * c_of_y ** (1.0 / s) * math.sqrt(E)
-    return 1.0 if t < 1.0 else 1.0 / t
-
-
-def _exp_c_square(c: float, x: float) -> float:
-    # exp(c x^2): the observability constants grow doubly exponentially;
-    # report inf instead of crashing when x^2 or the exp leaves float range
-    try:
-        return math.exp(c * x ** 2)
-    except OverflowError:
-        return math.inf
-
-
-def _decay_constant(C: float, s: float, seminorm: float, d: float) -> float:
-    # C / ((1+s) sqrt 2) [g']_s d^(1+s): exactly 0 for a zero seminorm, where
-    # d may be inf (0 * inf reads nan), and inf where d^(1+s) leaves float range
-    if seminorm == 0:
-        return 0.0
-    try:
-        return C / ((1 + s) * math.sqrt(2.0)) * seminorm * d ** (1 + s)
-    except OverflowError:
-        return math.inf
-
-
-def diagnostic_constants(E: float, gprime_linf_ld: float, g: Nonlinearity,
-                         C: float, M: float, domain_measure: float) -> dict:
-    """Constants of the decay estimate, evaluated for a user-chosen C.
-
-    d(y) = C exp(C |g'(y)|^2_{Linf(Ld)}),
-    c(y) = C / ((1+s) sqrt 2) [g']_s d(y)^(1+s),
-    e = c(y) E^(s/2); c_M, d_M use the declared growth pair and the
-    running bound M on |y|_{Linf(L1)}.  Purely diagnostic.
-    """
-    if C <= 0:
-        raise ConfigError("diagnostic constant C must be positive")
-    s = g.s
-    out = {"d_of_y": C * _exp_c_square(C, gprime_linf_ld),
-           "beta_star_s": beta_star(s, C) if s > 0 else 0.0}
-    if g.seminorm is not None:
-        c_of_y = _decay_constant(C, s, g.seminorm, out["d_of_y"])
-        out["c_of_y"] = c_of_y
-        out["e_k"] = c_of_y * E ** (s / 2.0) if c_of_y > 0 else 0.0
-    else:
-        out["c_of_y"] = None
-        out["e_k"] = None
-    if g.alpha is not None and g.beta is not None and g.seminorm is not None:
-        C3 = 2.0 * C * max(1.0, _exp_c_square(2.0 * C, g.alpha) * domain_measure)
-        d_M = C3 * (1.0 + M / domain_measure) ** (2.0 * C * g.beta ** 2)
-        out["d_M"] = d_M
-        out["c_M"] = _decay_constant(C, s, g.seminorm, d_M)
-    else:
-        out["d_M"] = None
-        out["c_M"] = None
-    return out
-
-
 def initialize(problem: TargetProblem):
     """Starting pair: the controlled solution of the linear (g = 0) problem,
     potential 0 and source 0.
@@ -460,10 +393,6 @@ def iterate(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None, st
         rec.y_linf_L1 = linf_l1(y)
         M_run = max(M_run, rec.y_linf_L1)
         rec.gprime_linf_ld = linf_lp(gp, float(grid.dim))
-        if g.seminorm is not None and g.s > 0:
-            diag = diagnostic_constants(E, rec.gprime_linf_ld, g, DIAGNOSTIC_C,
-                                        M_run, grid.domain_measure)
-            rec.lam_tilde = analytic_lambda(E, diag["c_of_y"], g.s)
         rec.term_defect_V = v_norm(terminal - problem.target)
 
         moved = records[k - 1].step_delta if k else math.nan
@@ -503,7 +432,6 @@ def ls_solve(problem: TargetProblem, g: Nonlinearity,
 
 
 ORDER_WINDOW = 4                      # pairs in the convergence-order fit
-C_CANDIDATES = np.logspace(-3, 3, 121)  # log grid of `smallest_sufficient_C`
 
 
 @dataclass
@@ -533,33 +461,3 @@ def estimate_order(records) -> OrderEstimate:
     slope, intercept = np.polyfit(xs, ys, 1)
     residual = math.sqrt(float(np.mean((ys - (slope * xs + intercept)) ** 2)))
     return OrderEstimate(order=float(slope), fit_residual=residual)
-
-
-def smallest_sufficient_C(records, g: Nonlinearity) -> float | None:
-    """Smallest C of C_CANDIDATES making the one-step decay bound
-
-        sqrt(E_{k+1}) <= (|1 - lam_k| + lam_k^(1+s) c(y_k) E_k^(s/2)) sqrt(E_k)
-
-    hold on every recorded update; None when no candidate suffices or
-    the seminorm is unknown."""
-    if g.seminorm is None or g.s <= 0:
-        return None
-    s = g.s
-    pairs = []
-    for prev, nxt in zip(records[:-1], records[1:]):
-        if math.isfinite(prev.lam) and prev.E > 0:
-            pairs.append((prev.E, nxt.E, prev.lam, prev.gprime_linf_ld))
-    if not pairs:
-        return None
-    for C in C_CANDIDATES:
-        ok = True
-        for E_k, E_next, lam, gnorm in pairs:
-            d_of_y = C * math.exp(C * gnorm ** 2)
-            c_of_y = C / ((1 + s) * math.sqrt(2.0)) * g.seminorm * d_of_y ** (1 + s)
-            bound = (abs(1 - lam) + lam ** (1 + s) * c_of_y * E_k ** (s / 2.0)) * math.sqrt(E_k)
-            if math.sqrt(E_next) > bound * (1 + 1e-12):
-                ok = False
-                break
-        if ok:
-            return float(C)
-    return None

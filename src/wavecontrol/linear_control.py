@@ -116,15 +116,14 @@ control dof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigError, whole_number
 from .fields import (SpaceTimeField, StatePair, _embed, dst1, eigenvalues,
-                     from_sine_coefficients, h10_norm, l2_qt, linf_lp, sine_coefficients,
-                     v_norm)
+                     from_sine_coefficients, l2_qt, sine_coefficients, v_norm)
 from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
 from .solver import _march, _terminal_velocity, solve_forward, terminal_state
 
@@ -602,42 +601,3 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
     op.u[mask] = ut / sqrt_w
     return _controlled_solution(problem, op, free, free_term,
                                 cg_iterations=0, converged=True, residual_history=[])
-
-
-# ---------------------------------------------------------------------------
-# sensitivity of the controlled solution to the potential
-# ---------------------------------------------------------------------------
-
-def perturbation_gap(grid: SpaceTimeGrid, region: ControlRegion,
-                     A: SpaceTimeField | None, a: SpaceTimeField,
-                     B: SpaceTimeField | None, initial: StatePair,
-                     C: float = 1.0, **solver_opts) -> dict:
-    """Gap between null-controlled solutions for potentials A and A + a.
-
-    Returns the measured L^inf(0,T; H^1_0) gap together with the
-    monitoring bound C |a| (|B| + |data|_V) exp-factors evaluated with a
-    user-supplied constant C (the continuous constant is unknown, so
-    the bound is reported, not asserted).
-    """
-    A_pert_vals = a.values + (A.values if A is not None else 0.0)
-    A_pert = SpaceTimeField(grid, A_pert_vals)
-    base = LinearControlProblem(grid, region, potential=A, source=B, initial=initial,
-                                **solver_opts)
-    # both solves share the grid, region and eps, so one P serves both
-    precond = _free_wave_preconditioner(grid, region, base.effective_eps)
-    sol_base = solve_null_control(base, precond=precond)
-    sol_pert = solve_null_control(replace(base, potential=A_pert), precond=precond)
-    diff = sol_base.trajectory.values - sol_pert.trajectory.values
-    gap = max(h10_norm(grid, diff[n]) for n in range(grid.nt + 1))
-
-    a_norm = linf_lp(a, float(grid.dim + 1))
-    b_norm = l2_qt(B) if B is not None else 0.0
-    data_norm = v_norm(initial)
-    # |A| in L^inf(0, T; L^d), the norm entering the observability constant
-    d = float(grid.dim)
-    A_norm = linf_lp(A, d) if A is not None else 0.0
-    bound = (C * a_norm * (b_norm + data_norm)
-             * math.exp(C * linf_lp(A_pert, d) ** 2)
-             * math.exp(C * A_norm ** 2))
-    return {"gap_norm": float(gap), "bound_rhs": float(bound),
-            "base": sol_base, "perturbed": sol_pert}

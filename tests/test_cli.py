@@ -179,7 +179,10 @@ def test_run_writes_outputs_and_exit_zero(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "--config", path, "--out", out]) == 0
     rows = (out / "iterates.csv").read_text().splitlines()
-    assert rows[0] == ",".join(cli.ITERATES_COLUMNS)
+    # the literal header: a change to the iterates.csv schema is deliberate
+    assert rows[0] == ("method,scenario,config_hash,k,E,sqrt_E,lambda,F1_qT_norm,"
+                       "Y1_LinfV,y_LinfL1,gprime_LinfLd,inner_defect,inner_cg_iters,"
+                       "inner_converged,term_defect_V,step_delta")
     assert len(rows) > 2
     chash = cli.config_hash(cfg)
     assert all(chash in row for row in rows[1:])
@@ -324,6 +327,7 @@ def test_check_reports_hypotheses(capsys):
     assert run_cli(["check", "--config", CONFIGS / "geometry_pass.json"]) == 0
     out = capsys.readouterr().out
     assert "geometry: holds" in out and "2.2" in out
+    assert "beta*(s)=0.408248 for C=1.0" in out
 
     assert run_cli(["check", "--config", CONFIGS / "geometry_fail.json"]) == 0
     out = capsys.readouterr().out

@@ -945,53 +945,3 @@ def test_oracle_size_cap_and_sharpness():
     smooth = wc.interval_region(grid, 0.6, 1.0, smoothing=True)
     with pytest.raises(ConfigError, match="sharp"):
         wc.dense_oracle_control(wc.LinearControlProblem(grid, smooth))
-
-
-# ---------------------------------------------------------------------------
-# perturbation gap
-# ---------------------------------------------------------------------------
-
-def test_perturbation_gap_zero_for_zero_perturbation(grid, region):
-    (x,) = grid.meshgrid()
-    init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
-    zero = wc.SpaceTimeField.zeros(grid)
-    out = wc.perturbation_gap(grid, region, None, zero, None, init,
-                              cg_max_iter=150)
-    assert out["gap_norm"] == 0.0
-
-
-def test_perturbation_gap_builds_one_preconditioner(grid, region, monkeypatch):
-    # both solves of one call share a grid, region and eps, so one P; with
-    # eps = 0 the builder returns none
-    build = wc.linear_control._free_wave_preconditioner
-    builds = []
-
-    def counted(*args):
-        precond = build(*args)
-        if precond is not None:
-            builds.append(args)
-        return precond
-
-    monkeypatch.setattr("wavecontrol.linear_control._free_wave_preconditioner", counted)
-    (x,) = grid.meshgrid()
-    init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
-    a = wc.SpaceTimeField.constant(grid, 0.05)
-    wc.perturbation_gap(grid, region, None, a, None, init, cg_max_iter=150)
-    assert len(builds) == 1 and builds[0][2] == min(grid.dx) ** 2
-    wc.perturbation_gap(grid, region, None, a, None, init, eps_reg=0.0, cg_max_iter=150)
-    assert len(builds) == 1
-
-
-def test_perturbation_gap_scales_linearly(grid, region):
-    (x,) = grid.meshgrid()
-    init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
-    a1 = wc.SpaceTimeField.constant(grid, 0.05)
-    a2 = wc.SpaceTimeField.constant(grid, 0.10)
-    opts = dict(cg_tol=1e-10, cg_max_iter=400)
-    g1 = wc.perturbation_gap(grid, region, None, a1, None, init, **opts)
-    g2 = wc.perturbation_gap(grid, region, None, a2, None, init, **opts)
-    ratio = g2["gap_norm"] / g1["gap_norm"]
-    assert 1.5 <= ratio <= 2.5
-    assert g1["bound_rhs"] > 0.0
-    # regression pin from the first correct run of this configuration
-    assert g2["gap_norm"] == pytest.approx(0.03394270914975554, rel=1e-4)

@@ -81,10 +81,6 @@ class SpaceTimeGrid:
     def time_levels(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
 
-    @property
-    def domain_measure(self) -> float:
-        return math.prod(self.lengths)
-
 
 @dataclass(frozen=True)
 class ControlRegion:

@@ -30,6 +30,59 @@ l = g(y - lambda Y1) - g(y) + lambda g'(y) Y1, a pointwise identity of
 the shared stencils.  Where the compiled kernel loads, its two pointwise
 loops (`_leapfrog.c`) form y - lambda Y1 and the squared residual around
 g, with the bits of the numpy passes that serve without it.
+
+The scan evaluates E only at the points that can hold its minimum
+(`_ruled_out`).  Norms here are sum norms over the interior nodes, with
+no cell weight.  With K = [g']_s / (1 + s), Taylor's formula and the
+Holder modulus of g' give |l(lambda)| <= K |lambda Y1|^(1+s) at every
+node, hence the paper's descent estimate for the exact residual e:
+
+    | |e(lambda)| - |1 - lambda| |r| | <= T = K lambda^(1+s) | |Y1|^(1+s) |.
+
+The computed residual differs from e by rounding.  The model: each IEEE
+operation errs by at most u = 2^-53 relative, or 2^-1074 absolute on
+underflow; numpy's g and g' satisfy |g^(x) - g(x)| <= tau |g(x)| and
+|g'^(x) - g'(x)| <= tau (|g'(x)| + [g']_s |x|^s), tau = 2^-44
+(`Nonlinearity`, `nonlinearity.EVAL_TOLERANCE`).  Then at each node the
+computed residual is within
+
+    4 tau (|1 - lambda| |r| + |g^(y)| + lambda |q| + K |lambda Y1|^(1+s)
+           + lambda [g']_s y_max^s |Y1|) + 3u G (|y| + lambda |Y1|)
+
+of e, plus 2^-1040 (1 + lambda + G) for underflow.  Here q is the
+computed g'(y) Y1, y_max = max |y|, Y_max = max |Y1|, and
+G = 1.01 max |g'^(y)| + 2 [g']_s (y_max + 2 lambda Y_max)^s bounds |g'|
+between w = y - lambda Y1 and its rounded value w^.  The terms:
+
+- (1 - lambda) r: two roundings.
+- g(w^) - g(w): at most G |w^ - w| <= G 2.1u (|y| + lambda |Y1|).
+- numpy's error on g(w^) and g(y), with
+  |g(w)| <= |g(y)| + lambda |g'(y) Y1| + K |lambda Y1|^(1+s).
+- numpy's error on g'(y), times lambda |Y1|.
+- the rounding of the four sums and products, each u times magnitudes
+  listed above: u = tau / 512, so 4 tau covers every coefficient.
+
+Summed over the nodes (Minkowski), this bound becomes the allowance nu of
+`_ruled_out`, with norms in place of magnitudes; 2^-1000 covers the
+underflow term for up to 2^30 nodes.  A sum of squares formed in any
+order errs by at most (nodes + 2) u relative, so every norm and the root
+of E's sum err by at most eps = tau + (nodes + 2) u.  With
+a = |1 - lambda| |r| and b = T + nu + 4 eps (a + T + nu), the computed
+root of E's sum lies in [lo, hi] = [a - b, a + b].
+
+A scan point is ruled out when lo > (1 + delta) min hi, delta = 2^-20,
+and 1/2 cell lo^2 >= 2^-990.  The point k that attains min hi is never
+ruled out.  A ruled-out sum exceeds k's by a factor (1 + delta)^2, which
+the 1/2 cell scaling cannot close: two normal numbers more than 1 + 4u
+apart stay apart after one rounding, and the floor keeps the ruled-out
+E normal.  So a ruled-out E lies strictly above the minimum: it reads
+inf, `np.argmin` returns the index a full scan would, and the
+golden-section bracket, which depends only on that index, is the same.
+E(0) keeps its bits when ruled out: it is 1/2 cell sum r^2, formed
+without g.  Every point is evaluated when g has no seminorm, above 2^30
+nodes (eps above 2^-23), when a norm is nonfinite (a nonfinite y or Y1
+among them), or when the largest hi exceeds 2^400 (so that no node's
+terms, squares or sums overflow).
 """
 
 from __future__ import annotations
@@ -46,7 +99,7 @@ from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, 
 from .grids import ControlRegion, SpaceTimeGrid
 from .linear_control import (ControlSolution, LinearControlProblem,
                              _free_wave_preconditioner, solve_null_control)
-from .nonlinearity import Nonlinearity
+from .nonlinearity import EVAL_TOLERANCE, Nonlinearity
 from .solver import _level_args, residual_field
 
 
@@ -97,6 +150,11 @@ REFINE_REL_WIDTH = 1e-3               # golden-section bracket width, relative t
 LINE_SEARCH_BOUND = 2.0               # m: lambda_k minimizes E over [0, m]
 TOL = 1e-8                            # stop when sqrt(2E) <= TOL * sqrt(2E_0) ...
 E_FLOOR = 1e-20                       # ... or E <= E_FLOOR, for every method
+
+# the scan's bracket (module docstring)
+_UNIT_ROUNDOFF = 2.0 ** -53           # u
+_SKIP_MARGIN = 2.0 ** -20             # delta
+_BRACKET_NODES = 2 ** 30              # above this many interior nodes, a full scan
 
 
 @dataclass
@@ -213,20 +271,72 @@ def _loop_buffer(values, shape) -> np.ndarray:
     return v
 
 
+def _norm(a: np.ndarray) -> float:
+    """Root of the sum of the squares of a, by a two-operand einsum (no
+    temporary); inf where the sum overflows."""
+    axes = "ijk"[:a.ndim]
+    return math.sqrt(float(np.einsum(f"{axes},{axes}->", a, a)))
+
+
+def _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, s, work):
+    """The sum norms the scan's bracket reads, in the order `_ruled_out`
+    unpacks them; work, a buffer of the interior's shape, is overwritten."""
+    shape = work.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_max = max(float(np.max(y_mid)), -float(np.min(y_mid)))
+        np.abs(Y_mid, out=work)
+        Y_max = float(np.max(work))
+        if s == 1.0:
+            np.square(work, out=work)
+        else:
+            np.power(work, 1.0 + s, out=work)
+        return (work.size, _norm(r_mid), _norm(work), _norm(np.broadcast_to(gy, shape)),
+                _norm(np.broadcast_to(gpyY, shape)), dg_max, _norm(y_mid), _norm(Y_mid),
+                y_max, Y_max)
+
+
+def _ruled_out(lams: np.ndarray, norms, g: Nonlinearity, cell: float) -> np.ndarray:
+    """True at each scan point lams whose E cannot be the minimum of the
+    scan (module docstring), from the norms of `_bracket_norms`; False at
+    every point where the bracket does not hold."""
+    nodes, n_r, n_Ys, n_gy, n_q, dg_max, n_y, n_Y, y_max, Y_max = norms
+    none = np.zeros(len(lams), dtype=bool)
+    if nodes > _BRACKET_NODES or not all(map(math.isfinite, norms[1:])):
+        return none
+    u, tau, s, h = _UNIT_ROUNDOFF, EVAL_TOLERANCE, g.s, g.seminorm
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = h / (1 + s) * lams ** (1 + s) * n_Ys
+        G = 1.01 * dg_max + 2 * h * (y_max + 2 * lams * Y_max) ** s
+        a = np.abs(1 - lams) * n_r
+        nu = (4 * tau * (a + n_gy + lams * n_q + T + lams * h * y_max ** s * n_Y)
+              + 3 * u * G * (n_y + lams * n_Y) + 2.0 ** -1000 * (1 + lams + G))
+        eps = tau + (nodes + 2) * u
+        b = T + nu + 4 * eps * (a + T + nu)
+        lo, hi = a - b, a + b
+        if not np.max(hi) <= 2.0 ** 400:
+            return none
+        return (lo > (1 + _SKIP_MARGIN) * np.min(hi)) & (0.5 * cell * lo * lo >= 2.0 ** -990)
+
+
 def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
                     g: Nonlinearity):
-    """lam -> E along (y, f) - lam (Y1, F1), from the residual r of (y, f).
+    """(E_at, scan) along (y, f) - lam (Y1, F1), from the residual r of (y, f).
 
-    The residual there is (1 - lam) r + ((g(y - lam Y1) - g(y)) + lam g'(y) Y1),
-    in this order, on the interior nodes of levels 1..nt-1; E is 1/2 cell
-    times np.sum of its square, so E(0) is exactly 1/2 cell sum r^2.  Two
-    buffers are allocated once.  When the compiled kernel loads, its two
-    loops form the point y - lam Y1 and the squared residual, reading the
-    fields through their level strides; else eight numpy passes do.  g runs
-    in numpy on both paths, and both write the same bits.  An E whose
-    square or sum overflows reads inf, without a warning.  The fields are
-    checked here, before any evaluation: a kernel field of the wrong dtype
-    or shape raises ValueError.
+    E_at(lam) is E at lam.  The residual there is (1 - lam) r +
+    ((g(y - lam Y1) - g(y)) + lam g'(y) Y1), in this order, on the interior
+    nodes of levels 1..nt-1; E is 1/2 cell times np.sum of its square, so
+    E(0) is exactly 1/2 cell sum r^2.  Two buffers are allocated once, and
+    g'(y) Y1 is formed in g'(y)'s result where that is an array of its own.
+    When the compiled kernel loads, its two loops form the point y - lam Y1
+    and the squared residual, reading the fields through their level
+    strides; else eight numpy passes do.  g runs in numpy on both paths,
+    and both write the same bits.  An E whose square or sum overflows reads
+    inf, without a warning.  The fields are checked here, before any
+    evaluation: a kernel field of the wrong dtype or shape raises ValueError.
+
+    scan(m) is (lams, vals): the SCAN_POINTS points of [0, m] and E_at at
+    each, except that a point `_ruled_out` rules out reads inf, or at
+    lam = 0 the same 1/2 cell sum r^2, formed without g.
     """
     grid = y.grid
     sl = (slice(1, -1),) * (grid.dim + 1)
@@ -234,7 +344,11 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     Y_mid = Y1.values[sl]
     r_mid = r.values[sl]
     gy = g.g(y_mid)
-    gpyY = g.dg(y_mid) * Y_mid
+    dgy = g.dg(y_mid)
+    dg_max = None if g.seminorm is None else max(float(np.max(dgy)), -float(np.min(dgy)))
+    own = (isinstance(dgy, np.ndarray) and dgy.flags.owndata and dgy.flags.writeable
+           and dgy.dtype == np.float64 and dgy.shape == Y_mid.shape)
+    gpyY = np.multiply(dgy, Y_mid, out=dgy if own else None)
     cell = grid.dt * math.prod(grid.dx)
     work = np.empty(y_mid.shape)
     val = np.empty(y_mid.shape)
@@ -254,25 +368,38 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
             with np.errstate(over="ignore"):
                 np.square(val, out=val)
                 return 0.5 * cell * float(np.sum(val))
-        return E_at
+    else:
+        shape = work.shape
+        gy, gpyY = _loop_buffer(gy, shape), _loop_buffer(gpyY, shape)
+        at = (grid.nt, *_interior_runs(grid))
+        point_args = (*_level_args(grid, y.values), *_level_args(grid, Y1.values))
+        r_args = _level_args(grid, r.values)
+        work_at, val_at, gy_at, gpyY_at = (a.ctypes.data for a in (work, val, gy, gpyY))
+        # the loops read these arrays by address: E_at's default argument
+        # keeps them alive as long as E_at is
+        held = (y.values, Y1.values, r.values, work, val, gy, gpyY)
 
-    shape = work.shape
-    gy, gpyY = _loop_buffer(gy, shape), _loop_buffer(gpyY, shape)
-    at = (grid.nt, *_interior_runs(grid))
-    point_args = (*_level_args(grid, y.values), *_level_args(grid, Y1.values))
-    r_args = _level_args(grid, r.values)
-    work_at, val_at, gy_at, gpyY_at = (a.ctypes.data for a in (work, val, gy, gpyY))
-    # the loops read these arrays by address: E_at's default argument
-    # keeps them alive as long as E_at is
-    held = (y.values, Y1.values, r.values, work, val, gy, gpyY)
+        def E_at(lam: float, held=held) -> float:
+            lib.segment_point(work_at, *at, lam, *point_args)
+            gw = _loop_buffer(g.g(work), shape)
+            lib.segment_value(val_at, *at, lam, *r_args, gw.ctypes.data, gy_at, gpyY_at)
+            with np.errstate(over="ignore"):
+                return 0.5 * cell * float(np.sum(val))
 
-    def E_at(lam: float, held=held) -> float:
-        lib.segment_point(work_at, *at, lam, *point_args)
-        gw = _loop_buffer(g.g(work), shape)
-        lib.segment_value(val_at, *at, lam, *r_args, gw.ctypes.data, gy_at, gpyY_at)
-        with np.errstate(over="ignore"):
-            return 0.5 * cell * float(np.sum(val))
-    return E_at
+    def scan(m: float):
+        lams = np.linspace(0.0, m, SCAN_POINTS)
+        out = np.zeros(SCAN_POINTS, dtype=bool)
+        if g.seminorm is not None:
+            norms = _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, g.s, work)
+            out = _ruled_out(lams, norms, g, cell)
+        vals = [math.inf if skip else E_at(lam) for lam, skip in zip(lams, out)]
+        if out[0]:
+            # the bits E_at(0) writes: val is (r * 1.0 + 0.0)^2 there
+            with np.errstate(over="ignore"):
+                np.square(r_mid, out=work)
+                vals[0] = 0.5 * cell * float(np.sum(work))
+        return lams, vals
+    return E_at, scan
 
 
 def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
@@ -281,15 +408,16 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     values, then golden-section refinement to a bracket of REFINE_REL_WIDTH * m.
 
     Every evaluation combines cached fields pointwise (no PDE solve), in the
-    compiled kernel's two loops when it loads (`_segment_energy`).  Returns
-    the best evaluated point, so E never increases at the accepted step; a
-    minimizer at 0 signals stagnation.  An E that overflows reads inf and is
-    never the minimum while E(0) is finite.
+    compiled kernel's two loops when it loads (`_segment_energy`).  The scan
+    evaluates only the points the descent estimate cannot rule out, with the
+    bits of a full scan (module docstring).  Returns the best evaluated
+    point, so E never increases at the accepted step; a minimizer at 0
+    signals stagnation.  An E that overflows reads inf and is never the
+    minimum while E(0) is finite.
     """
-    E_at = _segment_energy(y, r, Y1, g)
+    E_at, scan = _segment_energy(y, r, Y1, g)
 
-    lams = np.linspace(0.0, m, SCAN_POINTS)
-    vals = [E_at(la) for la in lams]
+    lams, vals = scan(m)
     if vals[0] == 0.0:
         return LineSearchResult(0.0, 0.0, "converged")
     i = int(np.argmin(vals))

@@ -15,9 +15,24 @@ import numpy as np
 
 from .errors import ConfigError
 
+# relative accuracy assumed of a Nonlinearity's numpy g and g' (its docstring)
+EVAL_TOLERANCE = 2.0 ** -44
+
 
 @dataclass(frozen=True)
 class Nonlinearity:
+    """g and g' as numpy functions, with the Holder and growth data.
+
+    The line search rules scan points out with the paper's descent
+    estimate (`least_squares`), which holds only if seminorm is an upper
+    bound of [g']_s; None keeps the full scan.  It also assumes that the
+    computed g^ and g'^ satisfy |g^(x) - g(x)| <= tau |g(x)| and
+    |g'^(x) - g'(x)| <= tau (|g'(x)| + [g']_s |x|^s) for every x, with
+    tau = EVAL_TOLERANCE, some 500 units of roundoff.  The line search
+    reads g's result and never writes it; where dg returns an array of its
+    own, it may overwrite it.
+    """
+
     name: str
     g: callable                 # vectorized r -> g(r)
     dg: callable                # vectorized r -> g'(r)

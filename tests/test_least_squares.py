@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -210,28 +211,122 @@ def test_line_search_with_g_returning_its_argument(dim):
     assert (same.lam, same.E_new) == (res.lam, res.E_new)
 
 
+def newton_segment(dim, seed):
+    """A segment late in a Newton solve: a small residual r, and a
+    direction Y1 of r's size that nearly cancels it at lam = 1."""
+    y, r, _ = random_segment(dim, 1.0, -6, seed)
+    noise = np.random.default_rng(seed + 1).standard_normal(r.values.shape)
+    return y, r, wc.SpaceTimeField(y.grid, r.values * (1.0 + 1e-3 * noise))
+
+
+def keep_every_point(lams, *args):
+    return np.zeros(len(lams), dtype=bool)
+
+
+def scan_against_full(y, r, Y1, g, m=2.0):
+    """(scan points line_search evaluates, its (lam, E_new, status), and
+    those of a search with every scan point evaluated)."""
+    calls = []
+    counted = dataclasses.replace(g, g=lambda v: calls.append(1) or g.g(v))
+    got = wc.line_search(y, r, Y1, counted, m)
+    ruling = len(calls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(least_squares, "_ruled_out", keep_every_point)
+        full = wc.line_search(y, r, Y1, counted, m)
+    # both make the same golden-section evaluations, so g's calls differ
+    # by the scan points ruled out
+    scanned = least_squares.SCAN_POINTS - (len(calls) - 2 * ruling)
+    return scanned, (got.lam, got.E_new, got.status), (full.lam, full.E_new, full.status)
+
+
+@pytest.mark.parametrize("kernel", MARCH_KERNELS)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", sorted(LINE_SEARCH_G))
+def test_ruled_out_scan_points_leave_the_search_unchanged(kernel, dim, name):
+    # the same (lam, E_new, status) as a full scan, on segments far from
+    # and close to a zero of E
+    segments = [(random_segment(dim, scale, r_exp, seed), False)
+                for scale, r_exp, seed in ((0.5, 0, 1), (2.0, -1, 2), (3.0, -6, 3), (1.0, -12, 4))]
+    segments += [(newton_segment(dim, seed), True) for seed in (5, 6)]
+    g = LINE_SEARCH_G[name]
+    for segment, newton in segments:
+        with march_kernel(kernel):
+            scanned, got, full = scan_against_full(*segment, g)
+        assert got == full
+        if g.seminorm is None:
+            assert scanned == least_squares.SCAN_POINTS
+        elif newton:
+            assert scanned < least_squares.SCAN_POINTS
+
+
+@pytest.mark.parametrize("kernel", MARCH_KERNELS)
+@pytest.mark.parametrize("m", [2.0, 32 / 16.5])
+def test_scan_points_within_rounding_of_the_minimum_are_kept(kernel, m):
+    # linear g: E(lam) = (1 - lam)^2 E(0) but for rounding, so the bracket
+    # is as narrow as the allowance lets it be.  With r at 1e-16 of y, the
+    # rounding of g's terms makes E noise near lam = 1, and its argmin
+    # falls on any of the scan points 13..18; without its allowance the
+    # rule rules that argmin out.  With m = 32 / 16.5, lam = 1 lies midway
+    # between two scan points
+    g = LINE_SEARCH_G["linear"]
+    for seed in range(12):
+        for r_exp in (0, -8, -16):
+            y, r, Y1 = random_segment(1, 1.0, r_exp, seed)
+            with march_kernel(kernel):
+                _, got, full = scan_against_full(y, r, Y1, g, m)
+            assert got == full
+
+
+@pytest.mark.parametrize("case", ["nonfinite norm", "hi above 2^400", "nodes above the cap"])
+def test_full_scan_where_the_bracket_does_not_hold(case):
+    y, r, Y1 = newton_segment(1, seed=5)
+    g = LINE_SEARCH_G["lipschitz_sat"]
+    assert scan_against_full(y, r, Y1, g)[0] < least_squares.SCAN_POINTS
+    with pytest.MonkeyPatch.context() as mp:
+        if case == "nonfinite norm":
+            values = Y1.values.copy()
+            values[4, 5] = 1e200              # its square overflows
+            Y1 = wc.SpaceTimeField(y.grid, values)
+        elif case == "hi above 2^400":
+            values = r.values.copy()
+            values[4, 5] = 2.0 ** 450
+            r = wc.SpaceTimeField(y.grid, values)
+        else:
+            mp.setattr(least_squares, "_BRACKET_NODES", r.values[1:-1, 1:-1].size - 1)
+        scanned, got, full = scan_against_full(y, r, Y1, g)
+    assert scanned == least_squares.SCAN_POINTS and got == full
+
+
 # not square in 2D, so the loops' runs and columns cannot be swapped unseen
 SEGMENT_NODES = {1: (11,), 2: (9, 6)}
 
 
-def evaluations(kernel, y, r, Y1, g):
-    """(lam, E) of every evaluation one line search makes on one kernel: the
-    SCAN_POINTS scan, then the golden-section points."""
-    seen = []
+def search_points(y, r, Y1, g, m=2.0):
+    """Every lam a full scan evaluates E at in one line search: the
+    SCAN_POINTS scan, then the golden-section points, which depend only on
+    the scan's argmin."""
+    golden = []
     energy = least_squares._segment_energy
 
     def recording(*args):
-        E_at = energy(*args)
+        E_at, scan = energy(*args)
 
         def E(lam):
-            seen.append((float(lam), E_at(lam)))
-            return seen[-1][1]
-        return E
+            golden.append(float(lam))
+            return E_at(lam)
+        return E, scan
 
-    with march_kernel(kernel), pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(least_squares, "_segment_energy", recording)
-        least_squares.line_search(y, r, Y1, g, 2.0)
-    return seen
+        least_squares.line_search(y, r, Y1, g, m)
+    return [float(lam) for lam in np.linspace(0.0, m, least_squares.SCAN_POINTS)] + golden
+
+
+def evaluations(kernel, y, r, Y1, g, lams):
+    """(lam, E) at each of lams, from `_segment_energy` on one kernel."""
+    with march_kernel(kernel):
+        E_at, _ = least_squares._segment_energy(y, r, Y1, g)
+        return [(lam, E_at(lam)) for lam in lams]
 
 
 def half_cell_sum_r2(r):
@@ -246,11 +341,10 @@ def half_cell_sum_r2(r):
 def test_compiled_and_numpy_E_give_the_same_bits(dim, name):
     g = IDENTITY if name == "identity" else LINE_SEARCH_G[name]
     y, r, Y1 = random_segment(dim, 2.0, -1, seed=11, nodes=SEGMENT_NODES[dim])
-    compiled = evaluations("compiled", y, r, Y1, g)
-    assert len(compiled) > least_squares.SCAN_POINTS      # golden-section points too
-    assert [lam for lam, _ in compiled[:least_squares.SCAN_POINTS]] == list(
-        np.linspace(0.0, 2.0, least_squares.SCAN_POINTS))
-    assert compiled == evaluations("numpy", y, r, Y1, g)
+    lams = search_points(y, r, Y1, g)
+    assert len(lams) > least_squares.SCAN_POINTS      # golden-section points too
+    compiled = evaluations("compiled", y, r, Y1, g, lams)
+    assert compiled == evaluations("numpy", y, r, Y1, g, lams)
     # the stagnation test compares against E(0) = 1/2 |r|^2
     assert compiled[0] == (0.0, half_cell_sum_r2(r))
 
@@ -264,8 +358,9 @@ def test_E_reads_fields_in_reversed_time(kernel, dim):
     views = [f.time_reversed() for f in (y, r, Y1)]
     assert all(v.values.strides[0] < 0 for v in views)
     copies = [wc.SpaceTimeField(y.grid, v.values.copy()) for v in views]
-    got = evaluations(kernel, *views, g)
-    assert got == evaluations(kernel, *copies, g)
+    lams = search_points(*copies, g)
+    got = evaluations(kernel, *views, g, lams)
+    assert got == evaluations(kernel, *copies, g, lams)
     assert got[0] == (0.0, half_cell_sum_r2(copies[1]))
 
 
@@ -293,7 +388,7 @@ def test_compiled_E_checks_the_fields_it_reads(dim):
         flat = Nonlinearity("flat", lambda v: np.ravel(g.g(v))[:-1], g.dg,
                             s=1.0, seminorm=None, alpha=None, beta=None)
         with pytest.raises(ValueError):
-            least_squares._segment_energy(y, r, Y1, flat)(0.5)
+            least_squares._segment_energy(y, r, Y1, flat)[0](0.5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -312,7 +407,7 @@ def test_E_that_overflows_reads_inf_without_a_warning(kernel, nodes, r0):
     cube = Nonlinearity("cube", lambda v: v * v * v, lambda v: 3 * v * v,
                         s=1.0, seminorm=None, alpha=None, beta=None)
     with march_kernel(kernel):
-        E_at = least_squares._segment_energy(y, r, Y1, cube)
+        E_at, _ = least_squares._segment_energy(y, r, Y1, cube)
         assert E_at(2.0) == math.inf
         E0 = E_at(0.0)
         assert E0 == half_cell_sum_r2(r) and math.isfinite(E0)

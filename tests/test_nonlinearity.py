@@ -5,7 +5,7 @@ import pytest
 
 import wavecontrol as wc
 from wavecontrol.errors import ConfigError
-from wavecontrol.nonlinearity import Nonlinearity
+from wavecontrol.nonlinearity import EVAL_TOLERANCE, Nonlinearity
 
 TANH_SEMINORM = 4 / (3 * math.sqrt(3))
 
@@ -204,3 +204,87 @@ def test_declared_seminorm_not_exceeded_by_sampler():
         g = wc.builtin(name, **params)
         lb = wc.holder_seminorm_sample(g, g.s, R=8.0, n_samples=4000)
         assert lb <= g.seminorm + 1e-9
+
+
+# the builtins that declare [g']_s, on which the line search rules scan
+# points out; cubic_sat at two radii
+SEMINORM_BUILTINS = [("zero", {}), ("linear", {"b": -0.7}), ("lipschitz_sat", {"kappa": 5.0}),
+                     ("cubic_sat", {"R": 5.0}), ("cubic_sat", {"R": 50.0})]
+SEMINORM_IDS = ["zero", "linear", "lipschitz_sat", "cubic_sat_R5", "cubic_sat_R50"]
+
+
+def longdouble_g(name, params):
+    """g and g' of a builtin from its formula, in np.longdouble, with the
+    exact constants (3/5, 6/5, 13/10) where the builtin rounds them."""
+    L = np.longdouble
+    if name == "zero":
+        return (lambda x: 0 * x), (lambda x: 0 * x)
+    if name == "linear":
+        b = L(params["b"])
+        return (lambda x: b * x), (lambda x: b + 0 * x)
+    if name == "lipschitz_sat":
+        k = L(params["kappa"])
+        return (lambda x: k * np.tanh(x)), (lambda x: k / np.cosh(x) ** 2)
+    R = L(params["R"])
+
+    def t_of(x):
+        return np.clip((np.abs(x) - R) / (R / 5), 0, 1)
+
+    def g(x):
+        t = t_of(x)
+        blend = R ** 3 + 3 * R ** 3 / 5 * (t - t ** 3 + t ** 4 / 2)
+        out = np.where(np.abs(x) <= R, x ** 3, np.sign(x) * blend)
+        return np.where(np.abs(x) >= 6 * R / 5, np.sign(x) * 13 * R ** 3 / 10, out)
+
+    def dg(x):
+        t = t_of(x)
+        out = np.where(np.abs(x) <= R, 3 * x * x, 3 * R * R * (1 - t * t * (3 - 2 * t)))
+        return np.where(np.abs(x) >= 6 * R / 5, 0 * x, out)
+    return g, dg
+
+
+@pytest.mark.parametrize("name,params", SEMINORM_BUILTINS, ids=SEMINORM_IDS)
+def test_numpy_g_within_the_assumed_tolerance(name, params):
+    # the line search's rounding allowance assumes |g^ - g| <= tau |g| and
+    # |g'^ - g'| <= tau (|g'| + [g']_s |x|^s) for numpy's g^ and g'^
+    g = wc.builtin(name, **params)
+    g_ld, dg_ld = longdouble_g(name, params)
+    tau = EVAL_TOLERANCE
+    rng = np.random.default_rng(3)
+    n = 20000
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 3, n)
+    if "R" in params:      # dense across the blend zone R..1.2R and its edges
+        R = params["R"]
+        x = np.concatenate([x, rng.choice([-1.0, 1.0], n) * rng.uniform(0.99 * R, 1.21 * R, n)])
+    xl = x.astype(np.longdouble)
+    ref, dref = g_ld(xl), dg_ld(xl)
+    assert np.all(np.abs(g.g(x) - ref) <= tau * np.abs(ref))
+    bound = tau * (np.abs(dref) + g.seminorm * np.abs(xl) ** g.s)
+    assert np.all(np.abs(g.dg(x) - dref) <= bound)
+
+
+@pytest.mark.parametrize("name,params", SEMINORM_BUILTINS, ids=SEMINORM_IDS)
+def test_taylor_remainder_within_the_declared_seminorm(name, params):
+    # |g(y - h) - g(y) + h g'(y)| <= [g']_s / (1 + s) |h|^(1+s), h = lam Y,
+    # the bound the line search rules scan points out with; the seminorm
+    # test above only bounds [g']_s from below
+    g = wc.builtin(name, **params)
+    R = params.get("R", 2.0)
+    rng = np.random.default_rng(11)
+    n = 200000
+    y = rng.uniform(-1.5 * R, 1.5 * R, n)          # across cubic_sat's blend zone
+    Y = rng.choice([-1.0, 1.0], n) * R * 10.0 ** rng.uniform(-4, 0, n)
+    w = y - rng.uniform(0.0, 2.0, n) * Y
+    L = np.longdouble
+    h = y.astype(L) - w.astype(L)                  # the step to the rounded point
+    gw, gy, dgy = (v.astype(L) for v in (g.g(w), g.g(y), g.dg(y)))
+    remainder = np.abs(gw - gy + h * dgy)
+    bound = g.seminorm / (1 + g.s) * np.abs(h) ** (1 + g.s)
+    # numpy's error on the three values (the tolerance tested above)
+    rounding = EVAL_TOLERANCE * (np.abs(gw) + np.abs(gy) + np.abs(h) * (
+        np.abs(dgy) + g.seminorm * np.abs(y) ** g.s)) * 1.01
+    assert np.all(remainder <= bound + rounding)
+    if g.seminorm > 0:
+        # the bound is tight: a seminorm declared a few percent too small fails
+        clear = bound > 1e6 * rounding
+        assert np.max(remainder[clear] / bound[clear]) > 0.95

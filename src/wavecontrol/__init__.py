@@ -9,7 +9,7 @@ Gramian), baseline linearization methods, and a batch CLI.
 from .baselines import newton_classic_solve, picard_solve, variant_solve
 from .errors import BlowupError, ConfigError, InsufficientRecords
 from .fields import (SpaceTimeField, StatePair, h_norm, l2_qt, linf_l1, linf_lp,
-                     linf_v, norms, v_norm)
+                     linf_v, v_norm)
 from .grids import (ControlRegion, GeometryReport, SpaceTimeGrid,
                     check_geometric_condition, interval_region, rectangle_region,
                     sides_region)

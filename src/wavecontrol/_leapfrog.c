@@ -13,42 +13,10 @@
  * absent), unscaled: level n starts at a + n*a_stride (the stride may be
  * negative, for a field in reversed time) and holds its n nodes
  * contiguously, in the order of y's, so both are read at y's node index.
- * march_1d and march_2d return the first level that holds a nonfinite
- * value, 0 when there is none; the march stops at the check that finds
- * it, as the numpy march does.
+ * march_1d and march_2d only step: they write every level through nt, and
+ * solver._march looks for a nonfinite level once they return.
  */
-#include <math.h>
 #include <stddef.h>
-
-#define CHECK_STRIDE 32   /* solver._CHECK_STRIDE */
-
-static int finite_level(const double *v, ptrdiff_t n)
-{
-    for (ptrdiff_t k = 0; k < n; k++)
-        if (!isfinite(v[k]))
-            return 0;
-    return 1;
-}
-
-/* First nonfinite level in [lo, hi]; the caller knows level hi is one. */
-static ptrdiff_t first_bad(const double *y, ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi)
-{
-    for (ptrdiff_t level = lo; level < hi; level++)
-        if (!finite_level(y + level * n, n))
-            return level;
-    return hi;
-}
-
-/* Checks level m (just written) where the numpy march checks it: every
- * CHECK_STRIDE levels and at nt. */
-static ptrdiff_t check(const double *y, ptrdiff_t n, ptrdiff_t m, ptrdiff_t nt)
-{
-    if ((m % CHECK_STRIDE == 0 || m == nt) && !finite_level(y + m * n, n)) {
-        ptrdiff_t lo = m + 1 - CHECK_STRIDE;
-        return first_bad(y, n, lo > 1 ? lo : 1, m);
-    }
-    return 0;
-}
 
 /* ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S */
 static void step_1d(double *restrict out, const double *restrict cur,
@@ -66,19 +34,14 @@ static void step_1d(double *restrict out, const double *restrict cur,
     }
 }
 
-ptrdiff_t march_1d(double *y, ptrdiff_t nt, ptrdiff_t nx, double c, double k0,
-                   double dt2, const double *a, ptrdiff_t a_stride,
-                   const double *s, ptrdiff_t s_stride)
+void march_1d(double *y, ptrdiff_t nt, ptrdiff_t nx, double c, double k0,
+              double dt2, const double *a, ptrdiff_t a_stride,
+              const double *s, ptrdiff_t s_stride)
 {
-    for (ptrdiff_t n = 1; n < nt; n++) {
+    for (ptrdiff_t n = 1; n < nt; n++)
         step_1d(y + (n + 1) * nx, y + n * nx, y + (n - 1) * nx,
                 a ? a + n * a_stride : NULL, s ? s + n * s_stride : NULL, nx, c, k0,
                 dt2);
-        ptrdiff_t bad = check(y, nx, n + 1, nt);
-        if (bad)
-            return bad;
-    }
-    return 0;
 }
 
 /* ((((k0 y - y_prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) y) + dt2 S on
@@ -105,21 +68,16 @@ static void step_2d(double *restrict out, const double *restrict cur,
     }
 }
 
-ptrdiff_t march_2d(double *y, ptrdiff_t nt, ptrdiff_t nx, ptrdiff_t ny,
-                   double cx, double cy, double k0, double dt2,
-                   const double *a, ptrdiff_t a_stride,
-                   const double *s, ptrdiff_t s_stride)
+void march_2d(double *y, ptrdiff_t nt, ptrdiff_t nx, ptrdiff_t ny,
+              double cx, double cy, double k0, double dt2,
+              const double *a, ptrdiff_t a_stride,
+              const double *s, ptrdiff_t s_stride)
 {
     ptrdiff_t n_level = nx * ny;
-    for (ptrdiff_t n = 1; n < nt; n++) {
+    for (ptrdiff_t n = 1; n < nt; n++)
         step_2d(y + (n + 1) * n_level, y + n * n_level, y + (n - 1) * n_level,
                 a ? a + n * a_stride : NULL, s ? s + n * s_stride : NULL,
                 nx, ny, cx, cy, k0, dt2);
-        ptrdiff_t bad = check(y, n_level, n + 1, nt);
-        if (bad)
-            return bad;
-    }
-    return 0;
 }
 
 
@@ -129,14 +87,13 @@ ptrdiff_t march_2d(double *y, ptrdiff_t nt, ptrdiff_t nx, ptrdiff_t ny,
  * at node `first` and the next `row_stride` nodes on (1D: one run, nodes
  * 1..nx-2; 2D: rows 1..nx-2, columns 1..ny-2).  The buffers work, val and
  * the g terms hold those nodes contiguously, in that order.  Overflow
- * reads inf, as IEEE arithmetic gives it, and raises nothing.  Both loops
- * return 0. */
+ * reads inf, as IEEE arithmetic gives it, and raises nothing. */
 
 /* work = y - Y lam, the point of the segment that g is evaluated at */
-ptrdiff_t segment_point(double *restrict work, ptrdiff_t nt, ptrdiff_t first,
-                        ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
-                        double lam, const double *restrict y, ptrdiff_t y_stride,
-                        const double *restrict Y, ptrdiff_t Y_stride)
+void segment_point(double *restrict work, ptrdiff_t nt, ptrdiff_t first,
+                   ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
+                   double lam, const double *restrict y, ptrdiff_t y_stride,
+                   const double *restrict Y, ptrdiff_t Y_stride)
 {
     for (ptrdiff_t n = 1; n < nt; n++) {
         const double *yn = y + n * y_stride + first, *Yn = Y + n * Y_stride + first;
@@ -144,16 +101,15 @@ ptrdiff_t segment_point(double *restrict work, ptrdiff_t nt, ptrdiff_t first,
             for (ptrdiff_t j = 0; j < cols; j++)
                 work[j] = yn[i * row_stride + j] - Yn[i * row_stride + j] * lam;
     }
-    return 0;
 }
 
 /* val = ((1 - lam) r + ((g(work) - g(y)) + lam g'(y) Y))^2, with gw = g(work),
  * gy = g(y) and gpY = g'(y) Y */
-ptrdiff_t segment_value(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
-                        ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
-                        double lam, const double *restrict r, ptrdiff_t r_stride,
-                        const double *restrict gw, const double *restrict gy,
-                        const double *restrict gpY)
+void segment_value(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
+                   ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
+                   double lam, const double *restrict r, ptrdiff_t r_stride,
+                   const double *restrict gw, const double *restrict gy,
+                   const double *restrict gpY)
 {
     double keep = 1.0 - lam;
     ptrdiff_t k = 0;
@@ -166,5 +122,4 @@ ptrdiff_t segment_value(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
                 val[k + j] = v * v;
             }
     }
-    return 0;
 }

@@ -3,9 +3,11 @@
 One library holds the leapfrog march's step loops and the two pointwise
 loops of the line search's E(lambda), all under one contract: each loop
 writes the bits of the numpy code it replaces, with nothing fused or
-reassociated.  The first march or line search of a process loads
-``leapfrog-<key>.so`` from a per-user cache, ``$XDG_CACHE_HOME/wavecontrol``
-or ``~/.cache/wavecontrol``, where the key is the SHA-256 of the C source
+reassociated.  Every entry point returns nothing: the march loops only
+step, and `solver._march` checks the trajectory they wrote for a blow-up.
+The first march or line search of a process loads ``leapfrog-<key>.so``
+from a per-user cache, ``$XDG_CACHE_HOME/wavecontrol`` or
+``~/.cache/wavecontrol``, where the key is the SHA-256 of the C source
 and the compiler flags.  On a miss it compiles the source there with
 ``cc`` into a temporary file and renames it into place, so a concurrent
 process never loads a half-written library.  When there is no compiler,
@@ -95,7 +97,7 @@ def _load():
         lib = ctypes.CDLL(str(target))
         for name, argtypes in SIGNATURES.items():
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, _int
+            fn.argtypes, fn.restype = argtypes, None
     except (OSError, AttributeError, RuntimeError):  # RuntimeError: no home directory
         return None
     return lib

@@ -380,7 +380,10 @@ def geometry_summary(cfg, grid, region):
 def _out_dir(cfg, args) -> Path:
     out = args.out or os.environ.get("WAVECONTROL_OUT") or cfg.get("output_dir", "out")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc.strerror or exc}") from None
     return path
 
 
@@ -574,15 +577,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        return args.fn(cfg, args)
+        return args.fn(load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -202,24 +202,6 @@ class SpaceTimeField:
         """Read-only reversed view; shares memory with this field."""
         return SpaceTimeField._trusted(self.grid, self.values[::-1])
 
-    def to_binary(self, path):
-        """Flat float64 dump, time level outer, node index (C order) inner."""
-        np.ascontiguousarray(self.values).tofile(path)
-
-    @classmethod
-    def from_binary(cls, grid: SpaceTimeGrid, path) -> "SpaceTimeField":
-        v = np.fromfile(path, dtype=np.float64)
-        return cls(grid, v.reshape((grid.nt + 1,) + grid.shape))
-
-    def to_csv(self, path):
-        """One row per time level, nodes flattened in C order."""
-        flat = self.values.reshape(self.grid.nt + 1, -1)
-        with open(path, "w") as fh:
-            fh.write("# rows: time levels 0..nt; columns: nodes, C order, shape="
-                     + "x".join(str(n) for n in self.grid.shape) + "\n")
-            for row in flat:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
 
 @dataclass
 class StatePair:
@@ -374,22 +356,6 @@ def h_norm(state: StatePair) -> float:
     """Norm of L^2 x H^-1."""
     return _pair_norm(space_l2(state.grid, state.position),
                       hminus1_norm(state.grid, state.velocity))
-
-
-def norms(obj, region=None, p: float | None = None) -> dict:
-    """Norm summary for a field or a state pair."""
-    if isinstance(obj, StatePair):
-        return {"V_norm": v_norm(obj), "H_norm": h_norm(obj)}
-    if isinstance(obj, SpaceTimeField):
-        if p is None:
-            p = obj.grid.dim + 1
-        return {
-            "L2_QT": l2_qt(obj),
-            "L2_qT": l2_qt(obj, region) if region is not None else None,
-            "Linf_L1": linf_l1(obj),
-            "Linf_Lp": linf_lp(obj, p),
-        }
-    raise TypeError(f"no norms defined for {type(obj)!r}")
 
 
 def velocity_levels(grid: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:

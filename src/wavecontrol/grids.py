@@ -64,10 +64,6 @@ class SpaceTimeGrid:
         return self.T / self.nt
 
     @property
-    def n_time_levels(self) -> int:
-        return self.nt + 1
-
-    @property
     def interior_shape(self) -> tuple:
         return tuple(n - 2 for n in self.shape)
 

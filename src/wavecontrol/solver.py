@@ -86,35 +86,37 @@ def _march(grid, y, position, velocity, A, S):
 
     Levels 2..nt are stepped by the compiled kernel (`_leapfrog.c`) when it
     loads, else by `_march_1d`/`_march_2d`; both write the same bits.
+    Neither looks for a blow-up: a nonfinite node stays nonfinite through
+    y[nt] (each step multiplies it by the centre weight k0, and any finite
+    k0 times inf or nan is inf or nan), so the one check of y[nt] here
+    finds every march that holds a nonfinite level.
     """
     dt = grid.dt
-    y[0] = position
-    y[(1,) + (slice(1, -1),) * grid.dim] = (
-        _interior(grid, position) + dt * _interior(grid, velocity)
-        + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0))
-    if not np.all(np.isfinite(y[1])):
-        raise BlowupError(1)
     lib = _leapfrog.LOADER.load()
-    if lib is None:
-        (_march_1d if grid.dim == 1 else _march_2d)(grid, y, A, S)
-    else:
-        level = _march_compiled(lib, grid, y, A, S)
-        if level:
-            raise BlowupError(level)
-    # no rescan: the march raised on any nonfinite level, since a nonfinite
-    # node stays nonfinite through y[nt], which is always checked
+    y[0] = position
+    # overflow is reported as BlowupError, not raised by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        y[(1,) + (slice(1, -1),) * grid.dim] = (
+            _interior(grid, position) + dt * _interior(grid, velocity)
+            + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0))
+        if lib is None:
+            (_march_1d if grid.dim == 1 else _march_2d)(grid, y, A, S)
+        else:
+            _march_compiled(lib, grid, y, A, S)
+    if not np.isfinite(y[-1]).all():
+        finite = np.isfinite(y[1:].reshape(grid.nt, -1)).all(axis=1)
+        raise BlowupError(1 + int(np.argmin(finite)))
 
 
 def _march_compiled(lib, grid, y, A, S):
-    """Levels 2..nt of y by the compiled kernel; returns the first
-    nonfinite level, 0 when there is none."""
+    """Levels 2..nt of y by the compiled kernel."""
     if y.dtype != np.float64 or not y.flags.c_contiguous or y.shape != (grid.nt + 1,) + grid.shape:
         raise ValueError(f"march buffer must be C-contiguous float64 of shape "
                          f"{(grid.nt + 1,) + grid.shape}")
     dt2, cs, k0 = _coefficients(grid)
     march = lib.march_1d if grid.dim == 1 else lib.march_2d
-    return march(y.ctypes.data, grid.nt, *grid.shape, *cs, k0, dt2,
-                 *_level_args(grid, A), *_level_args(grid, S))
+    march(y.ctypes.data, grid.nt, *grid.shape, *cs, k0, dt2,
+          *_level_args(grid, A), *_level_args(grid, S))
 
 
 def _level_args(grid, values):
@@ -158,17 +160,6 @@ def _level_rows(values, lo, hi):
     return list(values.reshape(len(values), -1)[:, lo:hi])
 
 
-_CHECK_STRIDE = 32
-
-
-def _blowup_scan(y, lo, hi):
-    """Locate the first nonfinite level in (lo, hi]."""
-    for n in range(lo, hi + 1):
-        if not np.all(np.isfinite(y[n])):
-            raise BlowupError(n)
-    raise BlowupError(hi)
-
-
 def _march_1d(grid, y, A, S):
     # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S,
     # evaluated left to right; that order is part of the output contract
@@ -182,27 +173,21 @@ def _march_1d(grid, y, A, S):
     cy = np.empty(nx)
     cy_r, cy_l = cy[2:], cy[:-2]
     tmp = np.empty(nx - 2)
-    # overflow is detected and reported, not raised by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nt):
-            out = inner[n + 1]
-            core = inner[n]
-            mul(rows[n], c, out=cy)
-            mul(core, k0, out=out)
-            add(out, cy_r, out=out)
-            add(out, cy_l, out=out)
-            sub(out, inner[n - 1], out=out)
-            if a is not None:
-                mul(a[n], dt2, out=tmp)
-                mul(tmp, core, out=tmp)
-                sub(out, tmp, out=out)
-            if s is not None:
-                mul(s[n], dt2, out=tmp)
-                add(out, tmp, out=out)
-            if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(out)):
-                _blowup_scan(y, n + 2 - _CHECK_STRIDE, n + 1)
-    if not np.all(np.isfinite(y[nt])):
-        _blowup_scan(y, max(1, nt + 1 - _CHECK_STRIDE), nt)
+    for n in range(1, nt):
+        out = inner[n + 1]
+        core = inner[n]
+        mul(rows[n], c, out=cy)
+        mul(core, k0, out=out)
+        add(out, cy_r, out=out)
+        add(out, cy_l, out=out)
+        sub(out, inner[n - 1], out=out)
+        if a is not None:
+            mul(a[n], dt2, out=tmp)
+            mul(tmp, core, out=tmp)
+            sub(out, tmp, out=out)
+        if s is not None:
+            mul(s[n], dt2, out=tmp)
+            add(out, tmp, out=out)
 
 
 def _march_2d(grid, y, A, S):
@@ -223,30 +208,25 @@ def _march_2d(grid, y, A, S):
     core, xp, xm, yp, ym = (_level_rows(y, lo + d, hi + d) for d in (0, ny, -ny, 1, -1))
     a, s = _level_rows(A, lo, hi), _level_rows(S, lo, hi)
     tmp = np.empty(hi - lo)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nt):
-            out = core[n + 1]
-            cur = core[n]
-            mul(cur, k0, out=out)
-            sub(out, core[n - 1], out=out)
-            add(xp[n], xm[n], out=tmp)
-            mul(tmp, cx, out=tmp)
+    for n in range(1, nt):
+        out = core[n + 1]
+        cur = core[n]
+        mul(cur, k0, out=out)
+        sub(out, core[n - 1], out=out)
+        add(xp[n], xm[n], out=tmp)
+        mul(tmp, cx, out=tmp)
+        add(out, tmp, out=out)
+        add(yp[n], ym[n], out=tmp)
+        mul(tmp, cy, out=tmp)
+        add(out, tmp, out=out)
+        if a is not None:
+            mul(a[n], dt2, out=tmp)
+            mul(tmp, cur, out=tmp)
+            sub(out, tmp, out=out)
+        if s is not None:
+            mul(s[n], dt2, out=tmp)
             add(out, tmp, out=out)
-            add(yp[n], ym[n], out=tmp)
-            mul(tmp, cy, out=tmp)
-            add(out, tmp, out=out)
-            if a is not None:
-                mul(a[n], dt2, out=tmp)
-                mul(tmp, cur, out=tmp)
-                sub(out, tmp, out=out)
-            if s is not None:
-                mul(s[n], dt2, out=tmp)
-                add(out, tmp, out=out)
-            edges[n + 1].fill(0.0)
-            if (n + 1) % _CHECK_STRIDE == 0 and not np.all(np.isfinite(out)):
-                _blowup_scan(y, n + 2 - _CHECK_STRIDE, n + 1)
-    if not np.all(np.isfinite(y[nt])):
-        _blowup_scan(y, max(1, nt + 1 - _CHECK_STRIDE), nt)
+        edges[n + 1].fill(0.0)
 
 
 def solve_backward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,

@@ -416,6 +416,21 @@ def test_run_rejects_x0_inside_the_domain_before_solving(tmp_path, capsys):
     assert not (out / "iterates.csv").exists()
 
 
+@pytest.mark.parametrize("command,config", [("run", "geometry_pass"), ("compare", "geometry_pass"),
+                                            ("sweep", "resolution_sweep")])
+def test_out_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command, config):
+    def solve(*args, **kwargs):
+        raise AssertionError("a method was solved")
+
+    monkeypatch.setattr(cli, "_run_methods", solve)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert run_cli([command, "--config", CONFIGS / f"{config}.json", "--out", out]) == 1
+    assert f"config error: output directory {out}: " in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_config_hash_ignores_output_dir(tmp_path):
     _, cfg = small_linear_config(tmp_path)
     h1 = cli.config_hash(cfg)

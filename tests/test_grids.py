@@ -12,7 +12,6 @@ def test_grid_derived_quantities():
     assert grid.dim == 1
     assert grid.dx == (1.0 / 200,)
     assert grid.dt == 2.5 / 600
-    assert grid.n_time_levels == 601
 
 
 def test_grid_rejects_cfl_violation():

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import wavecontrol as wc
 from wavecontrol.errors import BlowupError, ConfigError
-from wavecontrol.solver import _CHECK_STRIDE, laplacian_interior
+from wavecontrol.solver import laplacian_interior
 
 from conftest import MARCH_KERNELS, march_kernel
 
@@ -191,8 +192,9 @@ def test_residual_of_constant_interior_equals_g_of_c():
     assert np.allclose(r.values[mid], float(g.g(c)), atol=1e-12)
 
 
-def blowup_case(dim, nt, T):
-    # constant negative potential -1e7: unstable, overflows within ~100 steps
+def blowup_case(dim, nt, T, potential=-1e7, amplitude=1.0):
+    # constant negative potential: at -1e7 unstable, overflowing within
+    # ~100 steps; at -1e200 the second step overflows, at -1e308 the first
     if dim == 1:
         grid = wc.SpaceTimeGrid((1.0,), (41,), T=T, nt=nt)
         (X,) = grid.meshgrid()
@@ -201,43 +203,58 @@ def blowup_case(dim, nt, T):
         grid = wc.SpaceTimeGrid((1.0, 1.0), (21, 21), T=T, nt=nt)
         X, Y = grid.meshgrid()
         pos = np.sin(np.pi * X) * np.sin(np.pi * Y)
-    init = wc.StatePair(grid, pos, np.zeros(grid.shape))
-    return grid, wc.SpaceTimeField.constant(grid, -1e7), init
+    init = wc.StatePair(grid, amplitude * pos, np.zeros(grid.shape))
+    return grid, wc.SpaceTimeField.constant(grid, potential), init
 
 
-@pytest.mark.parametrize("dim,nt,T,expected", [
-    # the in-loop check at level 128 or the final check at level nt finds it
-    pytest.param(1, 160, 2.0, 97, id="1d-in-loop"),
-    pytest.param(1, 110, 1.375, 97, id="1d-final"),
-    pytest.param(2, 140, 7.0 / 6.0, 109, id="2d-in-loop"),
-    pytest.param(2, 120, 1.0, 109, id="2d-final"),
-    # just below a check level: the in-loop check at level 96 finds it
-    pytest.param(1, 160, 2.16, 95, id="1d-below-check"),
-    pytest.param(2, 140, 1.9, 95, id="2d-below-check"),
+@pytest.mark.parametrize("dim,nt,T,potential,amplitude,expected", [
+    pytest.param(1, 160, 2.0, -1e7, 1.0, 97, id="1d-level97-of-160"),
+    pytest.param(1, 110, 1.375, -1e7, 1.0, 97, id="1d-level97-of-110"),
+    pytest.param(2, 140, 7.0 / 6.0, -1e7, 1.0, 109, id="2d-level109-of-140"),
+    pytest.param(2, 120, 1.0, -1e7, 1.0, 109, id="2d-level109-of-120"),
+    pytest.param(1, 160, 2.16, -1e7, 1.0, 95, id="1d-level95-of-160"),
+    pytest.param(2, 140, 1.9, -1e7, 1.0, 95, id="2d-level95-of-140"),
+    # the last level is the first bad one
+    pytest.param(1, 97, 97 * 0.0125, -1e7, 1.0, 97, id="1d-level97-of-97"),
+    pytest.param(2, 109, 109 / 120, -1e7, 1.0, 109, id="2d-level109-of-109"),
+    # the first step overflows, or the first step of the stepping kernels
+    pytest.param(1, 40, 0.5, -1e308, 3.0, 1, id="1d-level1"),
+    pytest.param(2, 40, 1.0, -1e308, 3.0, 1, id="2d-level1"),
+    pytest.param(1, 40, 0.5, -1e200, 3.0, 2, id="1d-level2"),
+    pytest.param(2, 40, 1.0, -1e200, 3.0, 2, id="2d-level2"),
 ])
-def test_blowup_reports_first_bad_level(dim, nt, T, expected):
+def test_blowup_reports_first_bad_level(dim, nt, T, potential, amplitude, expected):
+    case = dict(potential=potential, amplitude=amplitude)
     for kernel in MARCH_KERNELS:
         with march_kernel(kernel):
-            assert first_bad_level(dim, nt, T) == expected, kernel
+            assert first_bad_level(dim, nt, T, case) == expected, kernel
 
 
-def first_bad_level(dim, nt, T):
-    grid, A, init = blowup_case(dim, nt, T)
-    with pytest.raises(BlowupError) as err:
-        wc.solve_forward(grid, A, None, init)
+def first_bad_level(dim, nt, T, case):
+    grid, A, init = blowup_case(dim, nt, T, **case)
+    # an overflow is reported as BlowupError, never as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BlowupError) as err:
+            wc.solve_forward(grid, A, None, init)
     level = err.value.time_level
-    assert level % _CHECK_STRIDE != 0
     assert str(level) in str(err.value)
-    # truncated re-runs with the same dt: levels up to level-1 are finite
-    # and level itself is the first bad one
+    # the plain per-step expressions reach their first nonfinite value there
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = reference_forward(grid, A, None, init)
+    assert [bool(np.isfinite(v).all()) for v in y].index(False) == level
+    # truncated re-runs with the same dt (a grid takes at least 2 steps):
+    # levels up to level-1 are finite and level itself is the first bad one
     dt = grid.dt
-    trunc, A_trunc, init_trunc = blowup_case(dim, level - 1, dt * (level - 1))
-    assert trunc.dt == pytest.approx(dt, rel=1e-15)
-    assert np.all(np.isfinite(wc.solve_forward(trunc, A_trunc, None, init_trunc).values))
-    stop, A_stop, init_stop = blowup_case(dim, level, dt * level)
-    with pytest.raises(BlowupError) as err_stop:
-        wc.solve_forward(stop, A_stop, None, init_stop)
-    assert err_stop.value.time_level == level
+    if level > 2:
+        trunc, A_trunc, init_trunc = blowup_case(dim, level - 1, dt * (level - 1), **case)
+        assert trunc.dt == pytest.approx(dt, rel=1e-15)
+        assert np.all(np.isfinite(wc.solve_forward(trunc, A_trunc, None, init_trunc).values))
+    if level > 1:
+        stop, A_stop, init_stop = blowup_case(dim, level, dt * level, **case)
+        with pytest.raises(BlowupError) as err_stop:
+            wc.solve_forward(stop, A_stop, None, init_stop)
+        assert err_stop.value.time_level == level
     return level
 
 

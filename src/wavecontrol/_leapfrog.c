@@ -13,43 +13,48 @@
  * absent), unscaled: level n starts at a + n*a_stride (the stride may be
  * negative, for a field in reversed time) and holds its n nodes
  * contiguously, in the order of y's, so both are read at y's node index.
- * march_1d and march_2d only step: they write every level through nt, and
- * solver._march looks for a nonfinite level once they return.
+ * w is a spatial weight of the source, n contiguous nodes read at the same
+ * index (NULL for none): the step adds (s w) dt2, the two products of a
+ * source s w formed beforehand, so the Gramian's forward march reads
+ * chi phi from the backward trajectory in place.  march_1d and march_2d
+ * only step: they write every level through nt, and solver._march looks
+ * for a nonfinite level once they return.
  */
 #include <stddef.h>
 
-/* ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S */
+/* ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 (S W) */
 static void step_1d(double *restrict out, const double *restrict cur,
                     const double *restrict prev, const double *restrict a,
-                    const double *restrict s, ptrdiff_t nx, double c, double k0,
-                    double dt2)
+                    const double *restrict s, const double *restrict w,
+                    ptrdiff_t nx, double c, double k0, double dt2)
 {
     for (ptrdiff_t i = 1; i < nx - 1; i++) {
         double v = k0 * cur[i] + c * cur[i + 1] + c * cur[i - 1] - prev[i];
         if (a)
             v = v - a[i] * dt2 * cur[i];
         if (s)
-            v = v + s[i] * dt2;
+            v = v + (w ? s[i] * w[i] : s[i]) * dt2;
         out[i] = v;
     }
 }
 
 void march_1d(double *y, ptrdiff_t nt, ptrdiff_t nx, double c, double k0,
               double dt2, const double *a, ptrdiff_t a_stride,
-              const double *s, ptrdiff_t s_stride)
+              const double *s, ptrdiff_t s_stride, const double *w)
 {
     for (ptrdiff_t n = 1; n < nt; n++)
         step_1d(y + (n + 1) * nx, y + n * nx, y + (n - 1) * nx,
-                a ? a + n * a_stride : NULL, s ? s + n * s_stride : NULL, nx, c, k0,
-                dt2);
+                a ? a + n * a_stride : NULL, s ? s + n * s_stride : NULL, w, nx, c,
+                k0, dt2);
 }
 
-/* ((((k0 y - y_prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) y) + dt2 S on
- * the interior of one level. */
-static void step_2d(double *restrict out, const double *restrict cur,
-                    const double *restrict prev, const double *restrict a,
-                    const double *restrict s, ptrdiff_t nx, ptrdiff_t ny,
-                    double cx, double cy, double k0, double dt2)
+/* ((((k0 y - y_prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) y) + dt2 (S W)
+ * on the interior of one level. */
+static inline void step_2d(double *restrict out, const double *restrict cur,
+                           const double *restrict prev, const double *restrict a,
+                           const double *restrict s, const double *restrict w,
+                           ptrdiff_t nx, ptrdiff_t ny, double cx, double cy,
+                           double k0, double dt2)
 {
     for (ptrdiff_t i = 1; i < nx - 1; i++) {
         ptrdiff_t row = i * ny;
@@ -62,7 +67,7 @@ static void step_2d(double *restrict out, const double *restrict cur,
             if (a)
                 v = v - a[k] * dt2 * cur[k];
             if (s)
-                v = v + s[k] * dt2;
+                v = v + (w ? s[k] * w[k] : s[k]) * dt2;
             out[k] = v;
         }
     }
@@ -71,13 +76,20 @@ static void step_2d(double *restrict out, const double *restrict cur,
 void march_2d(double *y, ptrdiff_t nt, ptrdiff_t nx, ptrdiff_t ny,
               double cx, double cy, double k0, double dt2,
               const double *a, ptrdiff_t a_stride,
-              const double *s, ptrdiff_t s_stride)
+              const double *s, ptrdiff_t s_stride, const double *w)
 {
     ptrdiff_t n_level = nx * ny;
-    for (ptrdiff_t n = 1; n < nt; n++)
-        step_2d(y + (n + 1) * n_level, y + n * n_level, y + (n - 1) * n_level,
-                a ? a + n * a_stride : NULL, s ? s + n * s_stride : NULL,
-                nx, ny, cx, cy, k0, dt2);
+    for (ptrdiff_t n = 1; n < nt; n++) {
+        double *out = y + (n + 1) * n_level, *cur = y + n * n_level, *prev = y + (n - 1) * n_level;
+        const double *an = a ? a + n * a_stride : NULL, *sn = s ? s + n * s_stride : NULL;
+        /* w is tested here and a NULL one passed as a constant, so the inner
+         * loop of each inlined step tests only a and s: GCC 12 unswitches and
+         * vectorizes that loop, and left it scalar when it also tested w */
+        if (w)
+            step_2d(out, cur, prev, an, sn, w, nx, ny, cx, cy, k0, dt2);
+        else
+            step_2d(out, cur, prev, an, sn, NULL, nx, ny, cx, cy, k0, dt2);
+    }
 }
 
 

@@ -35,9 +35,9 @@ BUILD_TIMEOUT_S = 120.0
 
 _ptr, _int, _double = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
 SIGNATURES = {
-    "march_1d": (_ptr, _int, _int, _double, _double, _double, _ptr, _int, _ptr, _int),
+    "march_1d": (_ptr, _int, _int, _double, _double, _double, _ptr, _int, _ptr, _int, _ptr),
     "march_2d": (_ptr, _int, _int, _int, _double, _double, _double, _double,
-                 _ptr, _int, _ptr, _int),
+                 _ptr, _int, _ptr, _int, _ptr),
     "segment_point": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int, _ptr, _int),
     "segment_value": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int,
                       _ptr, _ptr, _ptr),

@@ -94,9 +94,12 @@ class ControlRegion:
     weights: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        # C-contiguous float64: the compiled march reads them by address
+        w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.shape != self.grid.shape:
             raise ConfigError("region weights must match the spatial grid shape")
+        if not np.isfinite(w).all():
+            raise ConfigError(f"{self.kind} region {self.params} has nonfinite weights")
         if w.min() < 0 or w.max() > 1:
             raise ConfigError("region weights must lie in [0, 1]")
         interior = w[tuple(slice(1, -1) for _ in range(self.grid.dim))]

@@ -66,8 +66,8 @@ P is applied in two levels.  It is exact on a band of modes
 (`_free_wave_band`): those within b of the top index of some axis,
 where the leapfrog's group velocity vanishes and the scheme observes
 worst (Zuazua, SIAM Review 47, 2005), for the largest b whose block
-has (2 n_band)^2 <= 3 (nt+1) nodes entries, no more than the three
-trajectories an operator holds.  Off the band CG divides by P's
+has (2 n_band)^2 <= 3 (nt+1) nodes entries, the size of three
+trajectories.  Off the band CG divides by P's
 diagonal, sum_m w_m T_k(m)^2 M_kk + eps (`_free_wave_diagonal`), which
 needs neither D nor M: M_kk is chi's interior under the squared
 orthonormal DST-I matrix of each axis.  The band block
@@ -88,20 +88,22 @@ one.  On smoke_2d the band holds 483 of its 1444 modes (max(kx, ky) >=
 alone took 231.
 
 A `_GramianOperator` on (grid, region, potential) is the one place that
-turns an adjoint seed into a control (`adjoint_control`: u = chi phi)
-and a control into the state it drives from rest (`from_rest`).  It
-owns every full-size field these write: the backward trajectory, the
-control u and the forward trajectory.  The march reads the potential and
-u where they are, the potential in reversed time for the backward half.
-So a Gramian apply (`_gramian_rho`: both halves in turn) allocates no
+solves the adjoint phi backward from a seed (`adjoint`) and drives the
+state from rest with the control u = chi phi (`from_rest`).  It owns the
+two full-size fields these write: the backward and the forward
+trajectory.  The forward march reads u from the backward trajectory in
+place, phi in reversed time as its source and chi as the source's
+weight, with the bits of a march over u formed beforehand, so no apply
+forms u; the backward march reads the potential in reversed time.  So a
+Gramian apply (`_gramian_rho`: both halves in turn) allocates no
 full-size array.  Fresh arrays of about 1 MB and more can go back to
 the kernel when freed, and repeated applies that allocate them take
 about 900 page faults each at nx = 200, nt = 600.  Its marches
 run the same stepping kernels as `solve_forward` and give the same bits,
 but do not call it.  `solve_null_control` hands one operator to CG and
-then reconstructs the controlled solution in it: the backward
-trajectory is freed once the control is formed, and the free solution
-is summed into the forward trajectory in place.
+then reconstructs the controlled solution in it: u is formed once
+(`control`), the backward trajectory is freed, the forward march reads
+u, and the free solution is summed into the forward trajectory in place.
 
 The dense oracle (`dense_oracle_control`) assembles the constraint
 matrix that maps control dofs to terminal coordinates by rows, not
@@ -182,12 +184,15 @@ def _sqrt_mu(grid):
 
 
 def seed_from_rho(grid: SpaceTimeGrid, rho: np.ndarray) -> StatePair:
+    """The seed of the coordinates rho, unchecked: it vanishes on the boundary
+    by construction, and a nonfinite rho gives a seed whose march raises
+    BlowupError."""
     n = math.prod(grid.interior_shape)
     shape = grid.interior_shape
     p_hat = rho[:n].reshape(shape)
     q_hat = _sqrt_mu(grid) * rho[n:].reshape(shape)
-    return StatePair(grid, from_sine_coefficients(grid, p_hat),
-                     from_sine_coefficients(grid, q_hat))
+    return StatePair._trusted(grid, from_sine_coefficients(grid, p_hat),
+                              from_sine_coefficients(grid, q_hat))
 
 
 def rho_from_seed(grid: SpaceTimeGrid, seed: StatePair) -> np.ndarray:
@@ -221,13 +226,15 @@ def hum_pairing(terminal: StatePair, seed: StatePair) -> float:
 # ---------------------------------------------------------------------------
 
 class _GramianOperator:
-    """Adjoint seeds to controls and controls to states on one (grid, region,
-    potential), in fields built once.
+    """Adjoint seeds to states on one (grid, region, potential), in fields
+    built once.
 
-    Owns the backward trajectory (in reversed time, as the time-reversed
-    forward march writes it), the control u and the forward trajectory z.
-    The marches read the potential and u in place, the backward one the
-    potential in reversed time.  Neither half allocates a full-size array.
+    Owns the backward trajectory phi (in reversed time, as the time-reversed
+    forward march writes it) and the forward trajectory z.  The forward
+    march reads its control u = chi phi from phi in place, phi[::-1] as the
+    source and chi as its weight, so no apply forms u.  The marches read the
+    potential in place, the backward one in reversed time.  Neither half
+    allocates a full-size array.
     """
 
     def __init__(self, grid, region, potential):
@@ -238,23 +245,28 @@ class _GramianOperator:
         # the backward march is the forward one with the potential reversed
         self.back_A = A[::-1] if A is not None else None
         self.back = np.zeros(levels)
-        self.u = np.zeros(levels)
         self.z = np.zeros(levels)
         self.rest = np.zeros(grid.shape)
 
-    def adjoint_control(self, seed: StatePair):
-        """Write into u the control chi * phi, phi the adjoint solved
-        backward from `seed` (data of phi at t=T)."""
+    def adjoint(self, seed: StatePair):
+        """Write into back the adjoint phi solved backward from `seed` (data
+        of phi at t=T), then zero its level 0, phi at t=T: the control's
+        final level carries no quadrature weight."""
         _march(self.grid, self.back, seed.position, -seed.velocity, self.back_A, None)
-        np.multiply(self.back[::-1], self.weights, out=self.u)
-        self.u[-1] = 0.0          # final level carries no quadrature weight
+        self.back[0] = 0.0
 
-    def from_rest(self) -> StatePair:
-        """Write into z the state driven from rest by the control u; returns
-        its scheme-exact terminal state."""
+    def control(self) -> np.ndarray:
+        """The control chi * phi of the last `adjoint`, in a new array."""
+        return np.multiply(self.back[::-1], self.weights)
+
+    def from_rest(self, u=None) -> StatePair:
+        """Write into z the state driven from rest by the control u, or by
+        chi * phi read from back where u is None; returns its scheme-exact
+        terminal state."""
         grid = self.grid
-        _march(grid, self.z, self.rest, self.rest, self.A, self.u)
-        velocity = _embed(grid, _terminal_velocity(grid, self.z, self.A, self.u))
+        S, w = (self.back[::-1], self.weights) if u is None else (u, None)
+        _march(grid, self.z, self.rest, self.rest, self.A, S, w)
+        velocity = _embed(grid, _terminal_velocity(grid, self.z, self.A, S, w))
         return StatePair._trusted(grid, self.z[-1].copy(), velocity)
 
 
@@ -269,13 +281,13 @@ def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     """
     check_same_grid(grid, region=region, potential=potential, seed=seed)
     op = _GramianOperator(grid, region, potential)
-    op.adjoint_control(seed)
+    op.adjoint(seed)
     return op.from_rest()
 
 
 def _gramian_rho(op, rho):
     """G rho: one Gramian apply in seed coordinates, in op's fields."""
-    op.adjoint_control(seed_from_rho(op.grid, rho))
+    op.adjoint(seed_from_rho(op.grid, rho))
     terminal = op.from_rest()
     return dual_to_rho(op.grid, terminal.velocity, -terminal.position)
 
@@ -352,7 +364,7 @@ def _free_wave_diagonal(grid, region, modes, dst, a=0.0):
 def _free_wave_band(grid):
     """The modes (C order) on which P is exact: those within b of the top
     index of some axis, for the largest b whose block, (2 modes)^2 entries,
-    is no larger than the three trajectories an operator holds."""
+    is no larger than three trajectories of the grid."""
     top_gap = reduce(np.minimum.outer,
                      [np.arange(N - 1, -1, -1) for N in grid.interior_shape]).ravel()
     budget = 3 * (grid.nt + 1) * math.prod(grid.shape)
@@ -490,15 +502,15 @@ def _free_response(problem):
     return free, free_term, dual_to_rho(grid, gap.velocity, -gap.position)
 
 
-def _controlled_solution(problem, op, free, free_term, **solver_info) -> ControlSolution:
-    """The control in op.u and its state: the response from rest, written into
-    op.z once the backward trajectory is freed, plus the free solution."""
+def _controlled_solution(problem, op, u, free, free_term, **solver_info) -> ControlSolution:
+    """The control u and its state: the response from rest, written into op.z
+    once the backward trajectory is freed, plus the free solution."""
     del op.back                 # the forward march reads only u
-    w_term = op.from_rest()
+    w_term = op.from_rest(u)
     if free is not None:
         op.z += free.values
     terminal = free_term + w_term
-    control = SpaceTimeField._trusted(problem.grid, op.u)
+    control = SpaceTimeField._trusted(problem.grid, u)
     return ControlSolution(
         control=control,
         trajectory=SpaceTimeField(problem.grid, op.z),
@@ -533,10 +545,10 @@ def solve_null_control(problem: LinearControlProblem, floor: bool = False,
     op = _GramianOperator(grid, problem.region, problem.potential)
     rho, iters, converged, history = _cg(op, c, problem.cg_tol, problem.cg_max_iter, eps,
                                          FLOOR_THETA * eps if floor else 0.0, precond)
-    op.adjoint_control(seed_from_rho(grid, rho))
-    return _controlled_solution(problem, op, free, free_term, cg_iterations=iters,
-                                converged=bool(converged), residual_history=history,
-                                seed_coords=rho)
+    op.adjoint(seed_from_rho(grid, rho))
+    return _controlled_solution(problem, op, op.control(), free, free_term,
+                                cg_iterations=iters, converged=bool(converged),
+                                residual_history=history, seed_coords=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +573,8 @@ def _constraint_rows(op):
     eye = np.eye(2 * math.prod(grid.interior_shape))
     Ct = np.empty((len(eye), sqrt_w.size))
     for row, e in zip(Ct, eye):
-        op.adjoint_control(seed_from_rho(grid, e))
-        row[:] = op.u[mask]
+        op.adjoint(seed_from_rho(grid, e))
+        row[:] = op.control()[mask]
     return Ct * sqrt_w, sqrt_w, mask
 
 
@@ -597,7 +609,7 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
         rho = np.linalg.solve(G, c)
         ut = Ct.T @ rho
 
-    op.u.fill(0.0)
-    op.u[mask] = ut / sqrt_w
-    return _controlled_solution(problem, op, free, free_term,
+    u = np.zeros(mask.shape)
+    u[mask] = ut / sqrt_w
+    return _controlled_solution(problem, op, u, free, free_term,
                                 cg_iterations=0, converged=True, residual_history=[])

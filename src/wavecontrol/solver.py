@@ -49,20 +49,23 @@ def _interior(grid, a):
     return a[(Ellipsis,) + (slice(1, -1),) * grid.dim]
 
 
-def _accel(grid, level, A, S, n):
-    """Lap_h y - A y + S at one time level, interior nodes."""
+def _accel(grid, level, A, S, n, w=None):
+    """Lap_h y - A y + S w at one time level, interior nodes (w None: S)."""
     acc = laplacian_interior(grid, level)
     if A is not None:
         acc = acc - _interior(grid, A[n]) * _interior(grid, level)
     if S is not None:
-        acc = acc + _interior(grid, S[n])
+        src = _interior(grid, S[n])
+        if w is not None:
+            src = src * _interior(grid, w)
+        acc = acc + src
     return acc
 
 
-def _terminal_velocity(grid, y, A, S):
+def _terminal_velocity(grid, y, A, S, w=None):
     """Scheme-exact velocity at t=T of the trajectory y, interior nodes."""
     return ((_interior(grid, y[-1]) - _interior(grid, y[-2])) / grid.dt
-            + 0.5 * grid.dt * _accel(grid, y[-1], A, S, grid.nt))
+            + 0.5 * grid.dt * _accel(grid, y[-1], A, S, grid.nt, w))
 
 
 def solve_forward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
@@ -76,13 +79,17 @@ def solve_forward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     return SpaceTimeField._trusted(grid, y)
 
 
-def _march(grid, y, position, velocity, A, S):
+def _march(grid, y, position, velocity, A, S, w=None):
     """Fill the trajectory buffer y from the data (position, velocity) at t=0.
 
     No step writes the boundary nodes of levels 1..nt, so y must hold zeros
     there.  A and S are the potential and source arrays (or None), shaped
     as y; a field in reversed time, such as the backward march's `A[::-1]`,
-    is read as it is.  Raises BlowupError at the first nonfinite level.
+    is read as it is.  w, a spatial array or None, weights the source: the
+    march is driven by S w, formed node by node as it steps, with the bits
+    of a march over the product field, so the Gramian's forward march reads
+    chi phi from the backward trajectory without forming it.  Raises
+    BlowupError at the first nonfinite level.
 
     Levels 2..nt are stepped by the compiled kernel (`_leapfrog.c`) when it
     loads, else by `_march_1d`/`_march_2d`; both write the same bits.
@@ -98,17 +105,17 @@ def _march(grid, y, position, velocity, A, S):
     with np.errstate(over="ignore", invalid="ignore"):
         y[(1,) + (slice(1, -1),) * grid.dim] = (
             _interior(grid, position) + dt * _interior(grid, velocity)
-            + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0))
+            + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0, w))
         if lib is None:
-            (_march_1d if grid.dim == 1 else _march_2d)(grid, y, A, S)
+            (_march_1d if grid.dim == 1 else _march_2d)(grid, y, A, S, w)
         else:
-            _march_compiled(lib, grid, y, A, S)
+            _march_compiled(lib, grid, y, A, S, w)
     if not np.isfinite(y[-1]).all():
         finite = np.isfinite(y[1:].reshape(grid.nt, -1)).all(axis=1)
         raise BlowupError(1 + int(np.argmin(finite)))
 
 
-def _march_compiled(lib, grid, y, A, S):
+def _march_compiled(lib, grid, y, A, S, w):
     """Levels 2..nt of y by the compiled kernel."""
     if y.dtype != np.float64 or not y.flags.c_contiguous or y.shape != (grid.nt + 1,) + grid.shape:
         raise ValueError(f"march buffer must be C-contiguous float64 of shape "
@@ -116,7 +123,7 @@ def _march_compiled(lib, grid, y, A, S):
     dt2, cs, k0 = _coefficients(grid)
     march = lib.march_1d if grid.dim == 1 else lib.march_2d
     march(y.ctypes.data, grid.nt, *grid.shape, *cs, k0, dt2,
-          *_level_args(grid, A), *_level_args(grid, S))
+          *_level_args(grid, A), *_level_args(grid, S), _weight_arg(grid, w))
 
 
 def _level_args(grid, values):
@@ -137,6 +144,17 @@ def _level_args(grid, values):
         raise ValueError("kernel fields must hold C-contiguous levels, "
                          "a whole number of elements apart")
     return values.ctypes.data, values.strides[0] // values.itemsize
+
+
+def _weight_arg(grid, w):
+    """The address of a spatial weight that the kernel reads (None without
+    one), checked to be float64 of the grid's shape and C-contiguous, so the
+    kernel reads it at y's node index."""
+    if w is None:
+        return None
+    if w.dtype != np.float64 or w.shape != grid.shape or not w.flags.c_contiguous:
+        raise ValueError(f"kernel weights must be C-contiguous float64 of shape {grid.shape}")
+    return w.ctypes.data
 
 
 def _coefficients(grid):
@@ -160,16 +178,17 @@ def _level_rows(values, lo, hi):
     return list(values.reshape(len(values), -1)[:, lo:hi])
 
 
-def _march_1d(grid, y, A, S):
-    # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 S,
+def _march_1d(grid, y, A, S, w):
+    # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 (S w),
     # evaluated left to right; that order is part of the output contract
     # (byte-identical results), so only the buffers may change, not the sums.
-    # dt2 A[n] and dt2 S[n] are formed per step in one row-sized buffer.
+    # dt2 A[n] and dt2 (S[n] w) are formed per step in one row-sized buffer.
     dt2, (c,), k0 = _coefficients(grid)
     nt, nx = grid.nt, grid.shape[0]
     mul, add, sub = np.multiply, np.add, np.subtract
     rows = list(y)
     inner, a, s = (_level_rows(v, 1, nx - 1) for v in (y, A, S))
+    w = w[1:-1] if w is not None else None
     cy = np.empty(nx)
     cy_r, cy_l = cy[2:], cy[:-2]
     tmp = np.empty(nx - 2)
@@ -186,19 +205,23 @@ def _march_1d(grid, y, A, S):
             mul(tmp, core, out=tmp)
             sub(out, tmp, out=out)
         if s is not None:
-            mul(s[n], dt2, out=tmp)
+            src = s[n]
+            if w is not None:
+                src = mul(src, w, out=tmp)
+            mul(src, dt2, out=tmp)
             add(out, tmp, out=out)
 
 
-def _march_2d(grid, y, A, S):
-    # Per node: ((((k0 core - prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) core) + dt2 S,
-    # in this order.  Each level is marched as one contiguous flat range
+def _march_2d(grid, y, A, S, w):
+    # Per node: ((((k0 core - prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) core)
+    # + dt2 (S w), in this order.  Each level is marched as one contiguous flat range
     # [lo, hi) of node indices i*ny + j, from the first interior node to the
     # last; x-neighbours sit at offsets +-ny and y-neighbours at +-1.  The
     # range also holds the j = 0 and j = ny-1 edge nodes of the inner rows:
     # the step writes junk there (their stencils wrap to the adjacent row),
-    # which is reset to zero before anything reads it.  dt2 A[n] and dt2 S[n]
-    # are formed per step in one range-sized buffer, so no field is added.
+    # which is reset to zero before anything reads it.  dt2 A[n] and
+    # dt2 (S[n] w) are formed per step in one range-sized buffer, so no field
+    # is added.
     dt2, (cx, cy), k0 = _coefficients(grid)
     nt = grid.nt
     nx, ny = grid.shape
@@ -207,6 +230,7 @@ def _march_2d(grid, y, A, S):
     edges = list(y[:, 1:-1, ::ny - 1])
     core, xp, xm, yp, ym = (_level_rows(y, lo + d, hi + d) for d in (0, ny, -ny, 1, -1))
     a, s = _level_rows(A, lo, hi), _level_rows(S, lo, hi)
+    w = w.reshape(-1)[lo:hi] if w is not None else None
     tmp = np.empty(hi - lo)
     for n in range(1, nt):
         out = core[n + 1]
@@ -224,7 +248,10 @@ def _march_2d(grid, y, A, S):
             mul(tmp, cur, out=tmp)
             sub(out, tmp, out=out)
         if s is not None:
-            mul(s[n], dt2, out=tmp)
+            src = s[n]
+            if w is not None:
+                src = mul(src, w, out=tmp)
+            mul(src, dt2, out=tmp)
             add(out, tmp, out=out)
         edges[n + 1].fill(0.0)
 

@@ -68,6 +68,25 @@ def test_region_smoothing_stays_in_unit_interval():
     assert not region.is_sharp or np.all(np.isin(region.weights, (0.0, 1.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_region_rejects_nonfinite_weights(bad):
+    # a NaN compares False with both bounds, so only a finiteness check
+    # stops it before a solve
+    grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
+    w = wc.interval_region(grid, 0.5, 1.0).weights.copy()
+    w[2] = bad
+    with pytest.raises(ConfigError, match=r"box region .*bounds.* nonfinite weights"):
+        wc.ControlRegion(grid, "box", {"bounds": ((0.5, 1.0),)}, w)
+
+
+def test_region_stores_c_contiguous_float64_weights():
+    grid = wc.SpaceTimeGrid((1.0, 1.0), (7, 9), T=1.0, nt=30)
+    w = np.asfortranarray(wc.sides_region(grid, ["left"], 0.4).weights.astype(np.float32))
+    region = wc.ControlRegion(grid, "sides", {"sides": ("left",), "eps": 0.4}, w)
+    assert region.weights.dtype == np.float64 and region.weights.flags.c_contiguous
+    assert np.array_equal(region.weights, w)
+
+
 def test_region_requires_nonempty_interior():
     grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
     with pytest.raises(ConfigError, match="interior"):

@@ -144,6 +144,64 @@ def test_compiled_march_checks_the_fields_it_reads():
         assert np.array_equal(y[::-1], expected)
 
 
+def weighted_case(dim):
+    """A raw march case with a smoothed region and a random source.  The
+    region's edge weights (0.6 in 1D, 0.3 and 0.8 in 2D) are no powers of
+    two, so S (w dt2) rounds differently from (S w) dt2."""
+    grid, A, init = march_case((41,), 90) if dim == 1 else march_case((9, 11), 40)
+    region = (wc.interval_region(grid, 0.31, 0.79, smoothing=True) if dim == 1
+              else wc.sides_region(grid, ["right", "top"], 0.33, smoothing=True))
+    assert not region.is_sharp
+    S = np.random.default_rng(dim + 10).standard_normal(A.shape)
+    return grid, A, init, region.weights, S
+
+
+@pytest.mark.parametrize("reversed_source", [False, True], ids=["S", "S[::-1]"])
+@pytest.mark.parametrize("with_A", [False, True], ids=["A=0", "A"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weighted_source_march_is_the_march_over_the_product(dim, with_A, reversed_source):
+    # a march driven by S weighted by w writes the bits, signs of zero
+    # included, of the march over the field S w formed beforehand; from
+    # rest, as the Gramian's forward march starts, so that no larger state
+    # absorbs a rounding difference of the source term
+    grid, A, _, w, S = weighted_case(dim)
+    A = A if with_A else None
+    S = S[::-1] if reversed_source else S
+    product = S * w
+    rest = np.zeros(grid.shape)
+    results = []
+    for kernel in MARCH_KERNELS:
+        with march_kernel(kernel):
+            y = np.zeros((grid.nt + 1,) + grid.shape)
+            solver._march(grid, y, rest, rest, A, S, w)
+            expected = np.zeros_like(y)
+            solver._march(grid, expected, rest, rest, A, product)
+        assert y.tobytes() == expected.tobytes(), kernel
+        velocity = solver._terminal_velocity(grid, y, A, S, w)
+        assert velocity.tobytes() == solver._terminal_velocity(grid, y, A, product).tobytes()
+        results.append(y.tobytes())
+    assert len(set(results)) == 1
+
+
+@needs_cc
+def test_compiled_march_checks_the_weight_it_reads():
+    assert _leapfrog.LOADER.load() is not None
+    grid1, _, init1, w1, S1 = weighted_case(1)
+    grid2, _, init2, w2, S2 = weighted_case(2)
+    unreadable = {
+        "float32": (grid1, init1, S1, w1.astype(np.float32)),
+        "shape": (grid1, init1, S1, w1[:-1].copy()),
+        "reversed nodes": (grid1, init1, S1, w1[::-1]),
+        "fortran 2d": (grid2, init2, S2, np.asfortranarray(w2)),
+        "transposed 2d": (grid2, init2, S2, w2.T.copy()),
+    }
+    for name, (grid, init, S, w) in unreadable.items():
+        y = np.zeros((grid.nt + 1,) + grid.shape)
+        with pytest.raises(ValueError):
+            solver._march(grid, y, init.position, init.velocity, None, S, w)
+        assert not y[2:].any(), name        # the kernel did not run
+
+
 @needs_cc
 def test_threads_on_a_cold_cache_build_once(cold_cache, compiler_runs):
     # more threads than cores, switching often, all marching at once

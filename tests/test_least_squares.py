@@ -629,6 +629,29 @@ def test_loop_failed_step_is_inner_failure(small_problem, error):
     assert res.status == "inner_failure" and len(res.records) == 1
 
 
+def test_nonfinite_seed_coordinates_end_the_run_inner_failure(small_problem, monkeypatch):
+    # the seed of a nonfinite rho is not checked; its adjoint march raises
+    # BlowupError, which ends the run inner_failure
+    from wavecontrol import linear_control
+
+    raised = []
+
+    def nonfinite_cg(op, c, *args):
+        return np.full_like(c, math.nan), 1, False, [1.0, math.nan]
+
+    def step(problem, g, rec, y, f, terminal, r, gp):
+        monkeypatch.setattr(linear_control, "_cg", nonfinite_cg)
+        try:
+            return least_squares.newton_step(problem, g, rec, y, f, terminal, r, gp)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    res = least_squares.iterate(small_problem, LINEAR, None, step, "nonfinite")
+    assert res.status == "inner_failure" and len(res.records) == 1
+    assert [type(exc) for exc in raised] == [BlowupError]
+
+
 def test_loop_status_of_the_step_ends_the_run(small_problem):
     res = least_squares.iterate(small_problem, LINEAR, None,
                                 stub_step(lambda *state: "stagnated"), "stub")

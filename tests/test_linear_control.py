@@ -221,6 +221,60 @@ def test_repeated_applies_allocate_no_field(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_operator_holds_two_fields_and_forms_no_control(dim, monkeypatch):
+    # the forward march reads chi phi from the backward trajectory: the
+    # operator holds that trajectory and the forward one, and a CG solve
+    # forms no control and allocates no field
+    if dim == 1:
+        grid = wc.SpaceTimeGrid((1.0,), (200,), T=2.5, nt=600)
+        region = wc.interval_region(grid, 0.55, 1.0, smoothing=True)
+    else:
+        grid = wc.SpaceTimeGrid((1.0, 1.0), (40, 40), T=3.5, nt=210)
+        region = wc.sides_region(grid, ["right", "top"], 0.15, smoothing=True)
+    field_bytes = 8 * (grid.nt + 1) * math.prod(grid.shape)
+    A = wc.SpaceTimeField.constant(grid, 0.5)
+    tracemalloc.start()
+    try:
+        op = _GramianOperator(grid, region, A)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 2 * field_bytes <= held < 2.5 * field_bytes, held / field_bytes
+
+    def no_control(self):
+        raise AssertionError("a Gramian apply formed the control")
+
+    monkeypatch.setattr(_GramianOperator, "control", no_control)
+    c = np.random.default_rng(1).standard_normal(2 * math.prod(grid.interior_shape))
+    for kernel in MARCH_KERNELS:
+        with march_kernel(kernel):
+            _gramian_rho(op, c)
+            tracemalloc.start()
+            try:
+                iters = _cg(op, c, 1e-12, 5, 1e-3)[1]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert iters == 5
+        assert peak < 0.5 * field_bytes, (kernel, peak / field_bytes)
+
+
+def test_nonfinite_seed_coordinates_blow_the_march_up():
+    # seed_from_rho does not check its seed; the adjoint march of a
+    # nonfinite one raises BlowupError at its first level
+    grid, region, A = symmetry_case(1, 12, 1.3, 0.4, 0.2)
+    rho = np.zeros(2 * math.prod(grid.interior_shape))
+    op = _GramianOperator(grid, region, A)
+    for k, bad in ((0, math.nan), (len(rho) - 1, math.inf)):
+        rho[:] = 0.0
+        rho[k] = bad
+        for kernel in MARCH_KERNELS:
+            with march_kernel(kernel), pytest.raises(BlowupError) as err:
+                _gramian_rho(op, rho)
+            assert err.value.time_level == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_operator_blowup_level_matches_solve_forward(dim):
     # an unstable potential blows the backward march up: the operator reports
     # the level of the one-shot march, and the nonfinite values it leaves in

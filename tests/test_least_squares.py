@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecontrol as wc
-from wavecontrol import cli, least_squares
+from wavecontrol import cli, least_squares, linear_control
 from wavecontrol.errors import BlowupError, ConfigError, InsufficientRecords
 from wavecontrol.least_squares import IterateRecord, initialize
 from wavecontrol.nonlinearity import Nonlinearity
@@ -632,8 +632,6 @@ def test_loop_failed_step_is_inner_failure(small_problem, error):
 def test_nonfinite_seed_coordinates_end_the_run_inner_failure(small_problem, monkeypatch):
     # the seed of a nonfinite rho is not checked; its adjoint march raises
     # BlowupError, which ends the run inner_failure
-    from wavecontrol import linear_control
-
     raised = []
 
     def nonfinite_cg(op, c, *args):

@@ -34,24 +34,22 @@ def newton_classic_solve(problem: TargetProblem, g: Nonlinearity,
 
 def _fixed_point_step(problem, g, rec, y, f, terminal, r, gp, *, linearize):
     """The next iterate: the controlled pair of the frozen linear problem
-    that linearize(grid, g, y) gives, an exact (not floor-stopped) solve."""
-    sol = problem.solve(*linearize(problem.grid, g, y), problem.initial, problem.target)
+    that linearize(grid, g, y, gp) gives, gp = g'(y), an exact (not
+    floor-stopped) solve."""
+    sol = problem.solve(*linearize(problem.grid, g, y, gp), problem.initial, problem.target)
     record_inner(rec, sol)
     rec.step_delta = linf_l1(SpaceTimeField(problem.grid, sol.trajectory.values - y.values))
     return sol.trajectory, sol.control, sol.terminal
 
 
-def _picard_linearization(grid, g, y):
+def _picard_linearization(grid, g, y, gp):
     potential = SpaceTimeField(grid, g.hat_g(y.values))
     source = None if g.g0 == 0.0 else SpaceTimeField.constant(grid, -g.g0)
     return potential, source
 
 
-def _variant_linearization(grid, g, y):
-    gp = g.dg(y.values)
-    potential = SpaceTimeField(grid, gp)
-    source = SpaceTimeField(grid, gp * y.values - g.g(y.values))
-    return potential, source
+def _variant_linearization(grid, g, y, gp):
+    return gp, SpaceTimeField(grid, gp.values * y.values - g.g(y.values))
 
 
 def picard_solve(problem: TargetProblem, g: Nonlinearity,

@@ -449,23 +449,29 @@ def cmd_run(cfg, args) -> int:
     return 0 if all(r.status == "converged" for r, _ in results.values()) else 2
 
 
+def _result_rows(results, scenario, chash):
+    """One report row per method of `_run_methods`' results, in their order."""
+    rows = []
+    for m, (result, _wall) in results.items():
+        order, _fit = _order_or_none(result)
+        last = result.records[-1]
+        rows.append({
+            "method": m, "scenario": scenario, "config_hash": chash,
+            "status": result.status, "iterations": len(result.records) - 1,
+            "sqrt2E_final": math.sqrt(2 * last.E),
+            "term_defect_V": last.term_defect_V,
+            "order": math.nan if order is None else order,
+        })
+    return rows
+
+
 def cmd_compare(cfg, args) -> int:
     out = _out_dir(cfg, args)
     chash = config_hash(cfg)
     name = cfg["scenario"]["name"]
     methods = list(METHOD_RUNNERS)
     results = _run_methods(build_problem(cfg), methods, args.verbose)
-    rows = []
-    for m in methods:
-        result, wall = results[m]
-        order, _ = _order_or_none(result)
-        rows.append({
-            "method": m, "scenario": name, "config_hash": chash,
-            "iterations": len(result.records) - 1,
-            "sqrt2E_final": math.sqrt(2 * result.records[-1].E),
-            "status": result.status,
-            "order": math.nan if order is None else order,
-        })
+    rows = _result_rows(results, name, chash)
     _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows)
     for row in rows:
         print(f"{row['method']:<16s} {row['status']:>12s} it={row['iterations']:<4d} "
@@ -493,20 +499,8 @@ def _sweep_point(base_cfg, dotted, value, methods):
     validate_config(cfg)
     chash = config_hash(cfg)
     results = _run_methods(build_problem(cfg), methods)
-    rows = []
-    for m in methods:
-        result, _ = results[m]
-        order, _fit = _order_or_none(result)
-        last = result.records[-1]
-        rows.append({
-            "param_value": value, "method": m,
-            "scenario": cfg["scenario"]["name"], "config_hash": chash,
-            "status": result.status, "iterations": len(result.records) - 1,
-            "sqrt2E_final": math.sqrt(2 * last.E),
-            "term_defect_V": last.term_defect_V,
-            "order": math.nan if order is None else order,
-        })
-    return rows
+    return [dict(row, param_value=value)
+            for row in _result_rows(results, cfg["scenario"]["name"], chash)]
 
 
 def cmd_sweep(cfg, args) -> int:

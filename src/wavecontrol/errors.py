@@ -21,10 +21,10 @@ class InsufficientRecords(ValueError):
     """Not enough usable iterates for a convergence-order fit."""
 
 
-def whole_number(name, value, least=0) -> int:
+def whole_number(name, value) -> int:
     """value as an int when it is a whole number (an int or an integral
-    float, not a bool) of at least `least`; ConfigError otherwise."""
+    float, not a bool) of at least 0; ConfigError otherwise."""
     if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
-            or value != int(value) or value < least):
-        raise ConfigError(f"{name}: must be a whole number >= {least}")
+            or value != int(value) or value < 0):
+        raise ConfigError(f"{name}: must be a whole number >= 0")
     return int(value)

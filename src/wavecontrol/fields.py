@@ -255,9 +255,8 @@ class StatePair:
     def scaled(self, a: float) -> "StatePair":
         return StatePair(self.grid, a * self.position, a * self.velocity)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return float(np.max(np.abs(self.position))) <= tol and \
-            float(np.max(np.abs(self.velocity))) <= tol
+    def is_zero(self) -> bool:
+        return not (np.any(self.position) or np.any(self.velocity))
 
 
 def _boundary_max(a, dim):

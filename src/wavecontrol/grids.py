@@ -94,8 +94,9 @@ class ControlRegion:
     weights: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        # C-contiguous float64: the compiled march reads them by address
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        # a private C-contiguous float64 copy: the compiled march reads it
+        # by address, and freezing it leaves the caller's array writeable
+        w = np.array(self.weights, dtype=np.float64, order="C")
         if w.shape != self.grid.shape:
             raise ConfigError("region weights must match the spatial grid shape")
         if not np.isfinite(w).all():

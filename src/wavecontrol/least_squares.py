@@ -78,11 +78,12 @@ apart stay apart after one rounding, and the floor keeps the ruled-out
 E normal.  So a ruled-out E lies strictly above the minimum: it reads
 inf, `np.argmin` returns the index a full scan would, and the
 golden-section bracket, which depends only on that index, is the same.
-E(0) keeps its bits when ruled out: it is 1/2 cell sum r^2, formed
-without g.  Every point is evaluated when g has no seminorm, above 2^30
-nodes (eps above 2^-23), when a norm is nonfinite (a nonfinite y or Y1
-among them), or when the largest hi exceeds 2^400 (so that no node's
-terms, squares or sums overflow).
+A ruled-out lam = 0 reads inf too: the argmin is then above 0 and the
+golden-section points lie strictly inside its bracket, so the search
+never reports lam = 0 and never reads E(0).  Every point is evaluated
+when g has no seminorm, above 2^30 nodes (eps above 2^-23), when a norm
+is nonfinite (a nonfinite y or Y1 among them), or when the largest hi
+exceeds 2^400 (so that no node's terms, squares or sums overflow).
 """
 
 from __future__ import annotations
@@ -199,7 +200,6 @@ class LSResult:
     y: SpaceTimeField
     f: SpaceTimeField
     status: str                        # converged | stagnated | cap_reached | diverged | inner_failure
-    E0: float
     M_run: float
     method: str = "least_squares"
 
@@ -319,14 +319,15 @@ def _ruled_out(lams: np.ndarray, norms, g: Nonlinearity, cell: float) -> np.ndar
 
 
 def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
-                    g: Nonlinearity):
-    """(E_at, scan) along (y, f) - lam (Y1, F1), from the residual r of (y, f).
+                    g: Nonlinearity, gp: SpaceTimeField):
+    """(E_at, scan) along (y, f) - lam (Y1, F1), from the residual r of (y, f)
+    and the potential gp = g'(y) that (Y1, F1) was solved with.
 
     E_at(lam) is E at lam.  The residual there is (1 - lam) r +
     ((g(y - lam Y1) - g(y)) + lam g'(y) Y1), in this order, on the interior
     nodes of levels 1..nt-1; E is 1/2 cell times np.sum of its square, so
-    E(0) is exactly 1/2 cell sum r^2.  Two buffers are allocated once, and
-    g'(y) Y1 is formed in g'(y)'s result where that is an array of its own.
+    E(0) is exactly 1/2 cell sum r^2.  g'(y) is read from gp's interior;
+    g'(y) Y1 and two work buffers are allocated once.
     When the compiled kernel loads, its two loops form the point y - lam Y1
     and the squared residual, reading the fields through their level
     strides; else eight numpy passes do.  g runs in numpy on both paths,
@@ -335,8 +336,7 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     evaluation: a kernel field of the wrong dtype or shape raises ValueError.
 
     scan(m) is (lams, vals): the SCAN_POINTS points of [0, m] and E_at at
-    each, except that a point `_ruled_out` rules out reads inf, or at
-    lam = 0 the same 1/2 cell sum r^2, formed without g.
+    each, except that a point `_ruled_out` rules out reads inf.
     """
     grid = y.grid
     sl = (slice(1, -1),) * (grid.dim + 1)
@@ -344,14 +344,12 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     Y_mid = Y1.values[sl]
     r_mid = r.values[sl]
     gy = g.g(y_mid)
-    dgy = g.dg(y_mid)
-    dg_max = None if g.seminorm is None else max(float(np.max(dgy)), -float(np.min(dgy)))
-    own = (isinstance(dgy, np.ndarray) and dgy.flags.owndata and dgy.flags.writeable
-           and dgy.dtype == np.float64 and dgy.shape == Y_mid.shape)
-    gpyY = np.multiply(dgy, Y_mid, out=dgy if own else None)
+    gp_mid = gp.values[sl]
+    dg_max = None if g.seminorm is None else max(float(np.max(gp_mid)), -float(np.min(gp_mid)))
     cell = grid.dt * math.prod(grid.dx)
     work = np.empty(y_mid.shape)
     val = np.empty(y_mid.shape)
+    gpyY = np.multiply(gp_mid, Y_mid)
 
     lib = _leapfrog.LOADER.load()
     if lib is None:
@@ -393,29 +391,26 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
             norms = _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, g.s, work)
             out = _ruled_out(lams, norms, g, cell)
         vals = [math.inf if skip else E_at(lam) for lam, skip in zip(lams, out)]
-        if out[0]:
-            # the bits E_at(0) writes: val is (r * 1.0 + 0.0)^2 there
-            with np.errstate(over="ignore"):
-                np.square(r_mid, out=work)
-                vals[0] = 0.5 * cell * float(np.sum(work))
         return lams, vals
     return E_at, scan
 
 
 def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
-                g: Nonlinearity, m: float) -> LineSearchResult:
+                g: Nonlinearity, gp: SpaceTimeField, m: float) -> LineSearchResult:
     """argmin over [0, m] of E along -(Y1, F1): a uniform scan of SCAN_POINTS
     values, then golden-section refinement to a bracket of REFINE_REL_WIDTH * m.
 
-    Every evaluation combines cached fields pointwise (no PDE solve), in the
-    compiled kernel's two loops when it loads (`_segment_energy`).  The scan
-    evaluates only the points the descent estimate cannot rule out, with the
-    bits of a full scan (module docstring).  Returns the best evaluated
+    gp = g'(y) is the potential (Y1, F1) was solved with; it is read, never
+    written, and g' is not evaluated again.  Every evaluation combines
+    cached fields pointwise (no PDE solve), in the compiled kernel's two
+    loops when it loads (`_segment_energy`).  The scan evaluates only the
+    points the descent estimate cannot rule out, with the bits of a full
+    scan (module docstring).  Returns the best evaluated
     point, so E never increases at the accepted step; a minimizer at 0
     signals stagnation.  An E that overflows reads inf and is never the
     minimum while E(0) is finite.
     """
-    E_at, scan = _segment_energy(y, r, Y1, g)
+    E_at, scan = _segment_energy(y, r, Y1, g, gp)
 
     lams, vals = scan(m)
     if vals[0] == 0.0:
@@ -474,7 +469,7 @@ def newton_step(problem: TargetProblem, g: Nonlinearity, rec: IterateRecord, y, 
     Y1 = inner.trajectory
     rec.F1_qT, rec.Y1_linf_V = inner.control_norm, linf_v(Y1)
     if force_lambda is None:
-        ls = line_search(y, r, Y1, g, LINE_SEARCH_BOUND)
+        ls = line_search(y, r, Y1, g, gp, LINE_SEARCH_BOUND)
         rec.lam = ls.lam
         if ls.status == "stagnated":
             return "stagnated"
@@ -511,7 +506,7 @@ def iterate(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None, st
         records.append(rec)
         try:
             r = residual_field(y, f, g, problem.region)
-            gp = SpaceTimeField(grid, g.dg(y.values))     # also the Newton potential
+            gp = SpaceTimeField(grid, g.dg(y.values))     # the one g'(y_k) of row k
         except ConfigError:
             status = "inner_failure"
             break
@@ -542,8 +537,7 @@ def iterate(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None, st
                 continue
             status = nxt
         break
-    return LSResult(records=records, y=y, f=f, status=status,
-                    E0=float(E0 if E0 is not None else math.nan), M_run=M_run, method=method)
+    return LSResult(records=records, y=y, f=f, status=status, M_run=M_run, method=method)
 
 
 def ls_solve(problem: TargetProblem, g: Nonlinearity,

@@ -28,9 +28,8 @@ class Nonlinearity:
     bound of [g']_s; None keeps the full scan.  It also assumes that the
     computed g^ and g'^ satisfy |g^(x) - g(x)| <= tau |g(x)| and
     |g'^(x) - g'(x)| <= tau (|g'(x)| + [g']_s |x|^s) for every x, with
-    tau = EVAL_TOLERANCE, some 500 units of roundoff.  The line search
-    reads g's result and never writes it; where dg returns an array of its
-    own, it may overwrite it.
+    tau = EVAL_TOLERANCE, some 500 units of roundoff.  The package reads
+    the results of g and dg and never writes them.
     """
 
     name: str

@@ -131,7 +131,7 @@ def test_fixed_point_stagnates_at_a_spurious_fixed_point(small_problem):
     # a map that ignores y_k (the g = 0 problem at every step) lands on the
     # same pair twice: its second step moves y by 0 while E stays far above
     # the stop, and the next row reads stagnated
-    step = partial(baselines._fixed_point_step, linearize=lambda grid, g, y: (None, None))
+    step = partial(baselines._fixed_point_step, linearize=lambda grid, g, y, gp: (None, None))
     res = least_squares.iterate(small_problem, wc.builtin("linear", b=0.4), None, step,
                                 "frozen")
     assert res.status == "stagnated" and len(res.records) == 3

@@ -257,7 +257,7 @@ def test_compare_all_methods_on_linear(tmp_path):
 @pytest.mark.parametrize("status, has_order", [("converged", True), ("cap_reached", False)])
 def test_summary_order_only_for_converged_runs(status, has_order):
     records = [IterateRecord(k=k, E=0.5 ** k, sqrt_E=0.5 ** (k / 2)) for k in range(5)]
-    result = LSResult(records=records, y=None, f=None, status=status, E0=1.0, M_run=0.0)
+    result = LSResult(records=records, y=None, f=None, status=status, M_run=0.0)
     summary = cli.method_summary(result, wall_time=0.0)
     assert (summary["order"] is not None) == has_order
     assert (summary["order_fit_residual"] is not None) == has_order
@@ -270,8 +270,7 @@ def test_summary_lists_unconverged_inner_solves():
     # column gives them; validate_summary takes only a list of step indices
     records = [IterateRecord(k=k, E=0.5 ** k, sqrt_E=0.5 ** (k / 2),
                              inner_converged=k not in (1, 3)) for k in range(5)]
-    result = LSResult(records=records, y=None, f=None, status="cap_reached", E0=1.0,
-                      M_run=0.0)
+    result = LSResult(records=records, y=None, f=None, status="cap_reached", M_run=0.0)
     entry = cli.method_summary(result, wall_time=0.0)
     assert entry["inner_unconverged"] == [1, 3]
     summary = {"schema": "wavecontrol-summary-v1", "config_hash": "0", "scenario": "s",

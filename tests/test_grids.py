@@ -87,6 +87,18 @@ def test_region_stores_c_contiguous_float64_weights():
     assert np.array_equal(region.weights, w)
 
 
+def test_region_keeps_a_copy_of_the_callers_weights():
+    # already C-contiguous float64: the region must still not freeze or
+    # share the array its caller holds
+    grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
+    w = np.zeros(11)
+    w[5:9] = 1.0
+    region = wc.ControlRegion(grid, "box", {"bounds": ((0.5, 0.8),)}, w)
+    assert w.flags.writeable and region.weights is not w
+    w[5:9] = 0.0
+    assert np.all(region.weights[5:9] == 1.0)
+
+
 def test_region_requires_nonempty_interior():
     grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
     with pytest.raises(ConfigError, match="interior"):

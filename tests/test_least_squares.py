@@ -121,7 +121,7 @@ def test_line_search_segment_matches_fresh_E(small_problem):
     sol = initialize(small_problem)
     y, f = sol.trajectory, sol.control
     Y1, F1, inner, r = wc.descent_direction(small_problem, g, y, f)
-    res = wc.line_search(y, r, Y1, g, m=2.0)
+    res = wc.line_search(y, r, Y1, g, potential(y, g), m=2.0)
     assert res.status == "ok"
     y2 = wc.SpaceTimeField(y.grid, y.values - res.lam * Y1.values)
     f2 = wc.SpaceTimeField(y.grid, f.values - res.lam * F1.values)
@@ -132,7 +132,7 @@ def test_line_search_segment_matches_fresh_E(small_problem):
 def test_line_search_converged_at_zero_residual(small_problem):
     grid = small_problem.grid
     zero = wc.SpaceTimeField.zeros(grid)
-    res = wc.line_search(zero, zero, zero, wc.builtin("zero"), m=2.0)
+    res = wc.line_search(zero, zero, zero, wc.builtin("zero"), zero, m=2.0)
     assert res.status == "converged" and res.lam == 0.0 and res.E_new == 0.0
 
 
@@ -141,6 +141,11 @@ LINE_SEARCH_G = {"lipschitz_sat": wc.builtin("lipschitz_sat", kappa=5.0),
                  "loglimit": wc.builtin("loglimit", a=0.2, b=0.5, c=1.0),
                  "linear": wc.builtin("linear", b=0.3),
                  "zero": wc.builtin("zero")}
+
+
+def potential(y, g):
+    """g'(y) as the field a Newton step solves with and the line search reads."""
+    return wc.SpaceTimeField(y.grid, g.dg(y.values))
 
 
 def segment_E(y, r, Y1, g):
@@ -181,7 +186,7 @@ def test_line_search_never_raises_E(dim, name, m, scale, r_exp, seed):
     # stagnate, so both outcomes are drawn
     y, r, Y1 = random_segment(dim, scale, r_exp, seed)
     g = LINE_SEARCH_G[name]
-    res = wc.line_search(y, r, Y1, g, m)
+    res = wc.line_search(y, r, Y1, g, potential(y, g), m)
     E_at = segment_E(y, r, Y1, g)
 
     assert 0.0 <= res.lam <= m
@@ -193,9 +198,11 @@ def test_line_search_never_raises_E(dim, name, m, scale, r_exp, seed):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_line_search_leaves_its_inputs_unchanged(dim):
     y, r, Y1 = random_segment(dim, 8.0, 0, seed=3)
-    before = [f.values.copy() for f in (y, r, Y1)]
-    wc.line_search(y, r, Y1, LINE_SEARCH_G["cubic_sat"], 2.0)
-    for field, old in zip((y, r, Y1), before):
+    g = LINE_SEARCH_G["cubic_sat"]
+    gp = potential(y, g)
+    before = [f.values.copy() for f in (y, r, Y1, gp)]
+    wc.line_search(y, r, Y1, g, gp, 2.0)
+    for field, old in zip((y, r, Y1, gp), before):
         assert np.array_equal(field.values, old)
 
 
@@ -204,10 +211,11 @@ def test_line_search_with_g_returning_its_argument(dim):
     # IDENTITY hands back the evaluation buffer itself, which must not be
     # overwritten before g's result is read
     y, r, Y1 = random_segment(dim, 1.0, -1, seed=5)
-    res = wc.line_search(y, r, Y1, IDENTITY, 2.0)
+    res = wc.line_search(y, r, Y1, IDENTITY, potential(y, IDENTITY), 2.0)
     assert res.status == "ok"
     assert res.E_new == segment_E(y, r, Y1, IDENTITY)(res.lam)
-    same = wc.line_search(y, r, Y1, wc.builtin("linear", b=1.0), 2.0)
+    linear = wc.builtin("linear", b=1.0)
+    same = wc.line_search(y, r, Y1, linear, potential(y, linear), 2.0)
     assert (same.lam, same.E_new) == (res.lam, res.E_new)
 
 
@@ -228,11 +236,12 @@ def scan_against_full(y, r, Y1, g, m=2.0):
     those of a search with every scan point evaluated)."""
     calls = []
     counted = dataclasses.replace(g, g=lambda v: calls.append(1) or g.g(v))
-    got = wc.line_search(y, r, Y1, counted, m)
+    gp = potential(y, g)
+    got = wc.line_search(y, r, Y1, counted, gp, m)
     ruling = len(calls)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(least_squares, "_ruled_out", keep_every_point)
-        full = wc.line_search(y, r, Y1, counted, m)
+        full = wc.line_search(y, r, Y1, counted, gp, m)
     # both make the same golden-section evaluations, so g's calls differ
     # by the scan points ruled out
     scanned = least_squares.SCAN_POINTS - (len(calls) - 2 * ruling)
@@ -318,14 +327,14 @@ def search_points(y, r, Y1, g, m=2.0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(least_squares, "_segment_energy", recording)
-        least_squares.line_search(y, r, Y1, g, m)
+        least_squares.line_search(y, r, Y1, g, potential(y, g), m)
     return [float(lam) for lam in np.linspace(0.0, m, least_squares.SCAN_POINTS)] + golden
 
 
 def evaluations(kernel, y, r, Y1, g, lams):
     """(lam, E) at each of lams, from `_segment_energy` on one kernel."""
     with march_kernel(kernel):
-        E_at, _ = least_squares._segment_energy(y, r, Y1, g)
+        E_at, _ = least_squares._segment_energy(y, r, Y1, g, potential(y, g))
         return [(lam, E_at(lam)) for lam in lams]
 
 
@@ -370,6 +379,7 @@ def test_compiled_E_checks_the_fields_it_reads(dim):
     y, r, Y1 = random_segment(dim, 1.0, -1, seed=3, nodes=SEGMENT_NODES[dim])
     g = LINE_SEARCH_G["lipschitz_sat"]
     grid = y.grid
+    gp = potential(y, g)
     unreadable = {"float32": lambda v: v.astype(np.float32),
                   "reversed nodes": lambda v: v[..., ::-1]}
     if dim == 2:
@@ -380,15 +390,15 @@ def test_compiled_E_checks_the_fields_it_reads(dim):
                 fields = [y, r, Y1]
                 fields[i] = wc.SpaceTimeField._trusted(grid, bad(fields[i].values))
                 with pytest.raises(ValueError):
-                    least_squares._segment_energy(fields[0], fields[1], fields[2], g)
+                    least_squares._segment_energy(*fields, g, gp)
         short = wc.SpaceTimeField._trusted(grid, r.values[:-1])
         with pytest.raises(ValueError):
-            least_squares._segment_energy(y, short, Y1, g)
+            least_squares._segment_energy(y, short, Y1, g, gp)
         # g of the wrong shape: the loop would read past its result
         flat = Nonlinearity("flat", lambda v: np.ravel(g.g(v))[:-1], g.dg,
                             s=1.0, seminorm=None, alpha=None, beta=None)
         with pytest.raises(ValueError):
-            least_squares._segment_energy(y, r, Y1, flat)[0](0.5)
+            least_squares._segment_energy(y, r, Y1, flat, gp)[0](0.5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -407,11 +417,11 @@ def test_E_that_overflows_reads_inf_without_a_warning(kernel, nodes, r0):
     cube = Nonlinearity("cube", lambda v: v * v * v, lambda v: 3 * v * v,
                         s=1.0, seminorm=None, alpha=None, beta=None)
     with march_kernel(kernel):
-        E_at, _ = least_squares._segment_energy(y, r, Y1, cube)
+        E_at, _ = least_squares._segment_energy(y, r, Y1, cube, potential(y, cube))
         assert E_at(2.0) == math.inf
         E0 = E_at(0.0)
         assert E0 == half_cell_sum_r2(r) and math.isfinite(E0)
-        res = wc.line_search(y, r, Y1, cube, 2.0)
+        res = wc.line_search(y, r, Y1, cube, potential(y, cube), 2.0)
     assert res.status == "ok" and 0.9 < res.lam < 0.95
     assert math.isfinite(res.E_new) and res.E_new < 1e-3 * E0
 
@@ -662,6 +672,18 @@ def test_loop_cap_reached_at_max_outer(small_problem):
                                 stub_step(lambda rec, *state: state), "stub")
     assert res.status == "cap_reached" and res.method == "stub"
     assert [rec.inner_cg_iters for rec in res.records] == [1, 1, 0]
+
+
+@pytest.mark.parametrize("solve", [wc.ls_solve, wc.variant_solve], ids=["ls", "variant"])
+def test_g_prime_is_evaluated_once_per_row(small_problem, solve):
+    # the loop's g'(y_k) is the Newton potential, and the line search and
+    # the variant step read it: no step evaluates g' again
+    calls = []
+    base = wc.builtin("lipschitz_sat", kappa=2.0)
+    g = dataclasses.replace(base, dg=lambda v: calls.append(1) or base.dg(v))
+    res = solve(small_problem, g)
+    assert res.status == "converged" and len(res.records) >= 3
+    assert len(calls) == len(res.records)
 
 
 @pytest.mark.parametrize("method", sorted(cli.METHOD_RUNNERS))

@@ -153,7 +153,7 @@ def validate_config(cfg: dict):
     sc = cfg["scenario"]
     _expect_keys(sc, "scenario", required=("name", "dimension", "lengths", "nodes",
                                            "T", "nt", "region"),
-                 optional=("x0", "smoothing"))
+                 optional=("x0",))
     # written unquoted into every CSV row and as a string into summary.json
     if not isinstance(sc["name"], str) or any(c in sc["name"] for c in ',"\r\n'):
         _fail("scenario.name", "must be a string without commas, quotes or line breaks")
@@ -167,8 +167,6 @@ def validate_config(cfg: dict):
         _numbers(items, f"scenario.{key}", items, positive=True, integer=key == "nodes")
     _number(sc, "scenario", "T", positive=True)
     _number(sc, "scenario", "nt", positive=True, integer=True)
-    if not isinstance(sc.get("smoothing", False), bool):
-        _fail("scenario.smoothing", "must be true or false")
     if _vector(sc, "scenario", "x0") not in (None, dim):
         _fail("scenario.x0", f"must be a number or a list of {dim} numbers")
     region = sc["region"]
@@ -250,15 +248,12 @@ def build_grid(cfg: dict) -> SpaceTimeGrid:
 
 
 def build_region(cfg: dict, grid: SpaceTimeGrid):
-    sc = cfg["scenario"]
-    region = sc["region"]
-    smoothing = bool(sc.get("smoothing", False))
+    region = cfg["scenario"]["region"]
     if region["type"] == "interval":
-        return interval_region(grid, region["a"], region["b"], smoothing)
+        return interval_region(grid, region["a"], region["b"])
     if region["type"] == "rectangle":
-        return rectangle_region(grid, region["x0"], region["x1"],
-                                region["y0"], region["y1"], smoothing)
-    return sides_region(grid, region["sides"], region["eps"], smoothing)
+        return rectangle_region(grid, region["x0"], region["x1"], region["y0"], region["y1"])
+    return sides_region(grid, region["sides"], region["eps"])
 
 
 def build_problem(cfg: dict):

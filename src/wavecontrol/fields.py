@@ -311,10 +311,9 @@ def space_l2(grid: SpaceTimeGrid, values: np.ndarray) -> float:
     return _root_sum_powers(lambda v: float(np.sum(w * v * v)), values)
 
 
-def l2_qt(f: SpaceTimeField, region=None) -> float:
-    """L^2 norm over omega x (0, T); full Q_T when region is None."""
-    chi = region.weights if region is not None else 1.0
-    w = _space_weights(f.grid) * chi
+def l2_qt(f: SpaceTimeField) -> float:
+    """L^2 norm over Q_T = Omega x (0, T)."""
+    w = _space_weights(f.grid)
     tw = _time_weights(f.grid)
     axes = tuple(range(1, f.values.ndim))
     return _root_sum_powers(lambda v: float(np.sum(tw * np.sum(w * v * v, axis=axes))),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -80,7 +81,9 @@ class SpaceTimeGrid:
 
 @dataclass(frozen=True)
 class ControlRegion:
-    """Control support omega with per-node indicator weights in [0, 1].
+    """Control support omega and its indicator chi_omega at the nodes: the
+    weights are 0 or 1, and `interval_region`, `rectangle_region` and
+    `sides_region` form them from one indicator per axis.
 
     `kind` and `params` keep the geometric description so the geometric
     control condition can be checked against declared geometry rather
@@ -99,19 +102,13 @@ class ControlRegion:
         w = np.array(self.weights, dtype=np.float64, order="C")
         if w.shape != self.grid.shape:
             raise ConfigError("region weights must match the spatial grid shape")
-        if not np.isfinite(w).all():
-            raise ConfigError(f"{self.kind} region {self.params} has nonfinite weights")
-        if w.min() < 0 or w.max() > 1:
-            raise ConfigError("region weights must lie in [0, 1]")
+        if not np.all((w == 0.0) | (w == 1.0)):     # NaN and inf fail too
+            raise ConfigError(f"{self.kind} region {self.params} has weights other than 0 and 1")
         interior = w[tuple(slice(1, -1) for _ in range(self.grid.dim))]
         if not np.any(interior == 1.0):
             raise ConfigError("region has empty interior: no interior node with weight 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def is_sharp(self) -> bool:
-        return bool(np.all((self.weights == 0.0) | (self.weights == 1.0)))
 
 
 def check_same_grid(grid: SpaceTimeGrid, **parts) -> None:
@@ -122,46 +119,42 @@ def check_same_grid(grid: SpaceTimeGrid, **parts) -> None:
             raise ConfigError(f"{name} is defined on a different grid")
 
 
-def _smooth_ramp(dist_inside, cell):
-    # one-cell linear ramp: 0 at the region edge, 1 one cell inside
-    return np.clip(dist_inside / cell, 0.0, 1.0)
-
-
-def _box_region(grid: SpaceTimeGrid, bounds, smoothing: bool) -> ControlRegion:
+def _box_region(grid: SpaceTimeGrid, bounds) -> ControlRegion:
     """The open box of the per-axis bounds ((lo, hi), ...)."""
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    w = np.ones(grid.shape)
-    for X, h, (lo, hi) in zip(grid.meshgrid(), grid.dx, bounds):
-        if smoothing:
-            w = np.minimum(w, np.minimum(_smooth_ramp(X - lo, h), _smooth_ramp(hi - X, h)))
-        else:
-            w = w * ((X > lo) & (X < hi))
-    return ControlRegion(grid, "box", {"bounds": bounds}, w)
+    axes = [grid.axis_nodes(a) for a in range(grid.dim)]
+    inside = [(x > lo) & (x < hi) for x, (lo, hi) in zip(axes, bounds)]
+    return ControlRegion(grid, "box", {"bounds": bounds}, reduce(np.logical_and.outer, inside))
 
 
-def interval_region(grid: SpaceTimeGrid, a: float, b: float, smoothing: bool = False) -> ControlRegion:
+def interval_region(grid: SpaceTimeGrid, a: float, b: float) -> ControlRegion:
     """omega = (a, b) on a 1D grid."""
     if grid.dim != 1:
         raise ConfigError("interval_region requires a 1D grid")
     L = grid.lengths[0]
     if not (0.0 <= a < b <= L):
         raise ConfigError(f"interval ({a}, {b}) is not a subinterval of (0, {L})")
-    return _box_region(grid, ((a, b),), smoothing)
+    return _box_region(grid, ((a, b),))
 
 
-def rectangle_region(grid: SpaceTimeGrid, x0: float, x1: float, y0: float, y1: float,
-                     smoothing: bool = False) -> ControlRegion:
+def rectangle_region(grid: SpaceTimeGrid, x0: float, x1: float, y0: float,
+                     y1: float) -> ControlRegion:
     """Axis-aligned sub-rectangle (x0, x1) x (y0, y1) on a 2D grid."""
     if grid.dim != 2:
         raise ConfigError("rectangle_region requires a 2D grid")
     Lx, Ly = grid.lengths
     if not (0.0 <= x0 < x1 <= Lx and 0.0 <= y0 < y1 <= Ly):
         raise ConfigError("sub-rectangle must be contained in the domain")
-    return _box_region(grid, ((x0, x1), (y0, y1)), smoothing)
+    return _box_region(grid, ((x0, x1), (y0, y1)))
 
 
-def sides_region(grid: SpaceTimeGrid, sides, eps: float, smoothing: bool = False) -> ControlRegion:
-    """eps-neighborhood of selected rectangle sides, intersected with Omega."""
+def sides_region(grid: SpaceTimeGrid, sides, eps: float) -> ControlRegion:
+    """The nodes within distance eps (strictly) of a selected rectangle side.
+
+    Each axis has the indicator of its nodes near a selected side at one of
+    its ends (all 0 when neither end is selected); a node is in omega when
+    it is near on either axis: 1 - (1 - chi_x)(1 - chi_y).
+    """
     if grid.dim != 2:
         raise ConfigError("sides_region requires a 2D grid")
     sides = tuple(sides)
@@ -172,17 +165,13 @@ def sides_region(grid: SpaceTimeGrid, sides, eps: float, smoothing: bool = False
         raise ConfigError("sides_region needs at least one side")
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    coords = grid.meshgrid()
-    dist = np.full(grid.shape, np.inf)
+    near = [np.zeros(n, dtype=bool) for n in grid.shape]
     for s in sides:
         axis, high = divmod(SIDES_2D.index(s), 2)
-        X = coords[axis]
-        dist = np.minimum(dist, grid.lengths[axis] - X if high else X)
-    if smoothing:
-        w = _smooth_ramp(eps - dist, min(grid.dx))
-    else:
-        w = (dist < eps).astype(float)
-    return ControlRegion(grid, "sides", {"sides": sides, "eps": float(eps)}, w)
+        x = grid.axis_nodes(axis)
+        near[axis] |= (grid.lengths[axis] - x if high else x) < eps
+    return ControlRegion(grid, "sides", {"sides": sides, "eps": float(eps)},
+                         np.logical_or.outer(*near))
 
 
 @dataclass(frozen=True)

@@ -236,13 +236,15 @@ def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField
                       f: SpaceTimeField):
     """Null-controlled solution of the linearized residual equation.
 
-    Returns (Y1, F1, inner_report, residual); the pair satisfies
+    Returns (Y1, F1, inner_report, residual, gp); the pair satisfies
     Y1_tt - Lap Y1 + g'(y) Y1 = F1 chi + residual(y, f) with zero data,
-    so E'(y, f).(Y1, F1) = 2 E(y, f).
+    so E'(y, f).(Y1, F1) = 2 E(y, f), and gp = g'(y) is the potential it
+    was solved with, the one `line_search` reads.
     """
     r = residual_field(y, f, g, problem.region)
-    inner = _newton_pair(problem, SpaceTimeField(problem.grid, g.dg(y.values)), r)
-    return inner.trajectory, inner.control, inner, r
+    gp = SpaceTimeField(problem.grid, g.dg(y.values))
+    inner = _newton_pair(problem, gp, r)
+    return inner.trajectory, inner.control, inner, r, gp
 
 
 @dataclass

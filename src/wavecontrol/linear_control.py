@@ -596,8 +596,6 @@ def dense_oracle_control(problem: LinearControlProblem) -> ControlSolution:
     grid, region = problem.grid, problem.region
     if math.prod(grid.shape) * (grid.nt + 1) > 5 * 10**4:
         raise ConfigError("grid too large for the dense oracle (cap 5e4 unknowns)")
-    if not region.is_sharp:
-        raise ConfigError("dense oracle requires a sharp (0/1) control region")
     eps = problem.effective_eps
     op = _GramianOperator(grid, region, problem.potential)
     Ct, sqrt_w, mask = _constraint_rows(op)

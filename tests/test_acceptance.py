@@ -111,9 +111,9 @@ def lipschitz_iterates(desk_problem):
     captured = []
     for _ in range(3):
         E = wc.compute_E(y, f, g, problem.region)
-        Y1, F1, inner, r = wc.descent_direction(problem, g, y, f)
+        Y1, F1, inner, r, gp = wc.descent_direction(problem, g, y, f)
         captured.append((y, f, E, Y1, F1))
-        ls = wc.line_search(y, r, Y1, g, wc.SpaceTimeField(y.grid, g.dg(y.values)), m=2.0)
+        ls = wc.line_search(y, r, Y1, g, gp, m=2.0)
         y = wc.SpaceTimeField(y.grid, y.values - ls.lam * Y1.values)
         f = wc.SpaceTimeField(y.grid, f.values - ls.lam * F1.values)
     return problem, g, captured

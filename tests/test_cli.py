@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wavecontrol.cli as cli
+from wavecontrol.grids import rectangle_region
 from wavecontrol.least_squares import IterateRecord, LSResult
 
 from conftest import CONFIGS, load_json
@@ -172,6 +174,21 @@ def test_empty_2d_x0_is_a_config_error(tmp_path, capsys, command):
 def test_committed_config_loads_and_builds(path):
     cli.build_problem(cli.load_config(path))
     assert run_cli(["check", "--config", path]) == 0
+
+
+def test_rectangle_region_config(tmp_path):
+    # no committed config declares a rectangle: smoke_2d's grid with its
+    # sides swapped for the strip (0.85, 1) x (0, 1)
+    cfg = load_json(CONFIGS / "smoke_2d.json")
+    cfg["scenario"]["region"] = {"type": "rectangle", "x0": 0.85, "x1": 1.0, "y0": 0.0, "y1": 1.0}
+    path = tmp_path / "rectangle.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["check", "--config", path]) == 0
+    grid = cli.build_grid(cfg)
+    weights = cli.build_region(cfg, grid).weights
+    assert np.array_equal(weights, rectangle_region(grid, 0.85, 1.0, 0.0, 1.0).weights)
+    x, y = grid.axis_nodes(0), grid.axis_nodes(1)
+    assert np.array_equal(weights, np.outer((x > 0.85) & (x < 1.0), (y > 0.0) & (y < 1.0)))
 
 
 def test_run_writes_outputs_and_exit_zero(tmp_path):
@@ -381,11 +398,14 @@ def test_check_of_saturated_nonlinearity_is_warning_free(capsys):
     ("fixed_point.tol", 1e-8),
     ("fixed_point.step_tol", 1e-10),
     ("fixed_point.e_floor", 1e-20),
+    ("scenario.smoothing", True),
+    ("scenario.smoothing", False),
 ])
 def test_removed_settings_are_unknown_keys(tmp_path, capsys, key, value):
-    # the line search, the stop on E, the diagnostic C, the start and the CFL
-    # margin are fixed; a config that still sets one, even to its constant,
-    # is refused by check and run alike, not silently run with the constant
+    # the line search, the stop on E, the diagnostic C, the start, the CFL
+    # margin and the indicator region are fixed; a config that still sets
+    # one, even to its constant, is refused by check and run alike, not
+    # silently run with the constant
     cfg = load_json(CONFIGS / "lipschitz_default.json")
     section, leaf = key.split(".")
     cfg.setdefault(section, {})[leaf] = value

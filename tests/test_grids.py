@@ -58,24 +58,27 @@ def test_interval_region_indicator():
     x = grid.axis_nodes(0)
     assert np.all(region.weights[(x > 0.8) & (x < 1.0)] == 1.0)
     assert np.all(region.weights[(x <= 0.8) | (x >= 1.0)] == 0.0)
-    assert region.is_sharp
-
-
-def test_region_smoothing_stays_in_unit_interval():
-    grid = wc.SpaceTimeGrid((1.0,), (101,), T=1.0, nt=200)
-    region = wc.interval_region(grid, 0.3, 0.7, smoothing=True)
-    assert region.weights.min() >= 0.0 and region.weights.max() <= 1.0
-    assert not region.is_sharp or np.all(np.isin(region.weights, (0.0, 1.0)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_region_rejects_nonfinite_weights(bad):
-    # a NaN compares False with both bounds, so only a finiteness check
-    # stops it before a solve
+    # a NaN compares False with both 0 and 1, so the indicator check stops
+    # it before a solve
     grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
     w = wc.interval_region(grid, 0.5, 1.0).weights.copy()
     w[2] = bad
-    with pytest.raises(ConfigError, match=r"box region .*bounds.* nonfinite weights"):
+    with pytest.raises(ConfigError, match=r"box region .*bounds.* weights other than 0 and 1"):
+        wc.ControlRegion(grid, "box", {"bounds": ((0.5, 1.0),)}, w)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1e-300, -1e-300, 1.0 + 2.0 ** -52],
+                         ids=["half", "1e-300", "-1e-300", "1+ulp"])
+def test_region_weights_are_an_indicator(bad):
+    # chi_omega is 0 or 1 at every node: a weight a hair off either is refused
+    grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
+    w = wc.interval_region(grid, 0.5, 1.0).weights.copy()
+    w[3] = bad
+    with pytest.raises(ConfigError, match=r"box region .*bounds.* weights other than 0 and 1"):
         wc.ControlRegion(grid, "box", {"bounds": ((0.5, 1.0),)}, w)
 
 

@@ -145,15 +145,13 @@ def test_compiled_march_checks_the_fields_it_reads():
 
 
 def weighted_case(dim):
-    """A raw march case with a smoothed region and a random source.  The
-    region's edge weights (0.6 in 1D, 0.3 and 0.8 in 2D) are no powers of
-    two, so S (w dt2) rounds differently from (S w) dt2."""
+    """A raw march case with a random source S and random weights w in
+    [0, 1).  The weights are no powers of two, so S (w dt2) rounds
+    differently from (S w) dt2."""
     grid, A, init = march_case((41,), 90) if dim == 1 else march_case((9, 11), 40)
-    region = (wc.interval_region(grid, 0.31, 0.79, smoothing=True) if dim == 1
-              else wc.sides_region(grid, ["right", "top"], 0.33, smoothing=True))
-    assert not region.is_sharp
-    S = np.random.default_rng(dim + 10).standard_normal(A.shape)
-    return grid, A, init, region.weights, S
+    rng = np.random.default_rng(dim + 10)
+    S = rng.standard_normal(A.shape)
+    return grid, A, init, rng.uniform(0, 1, grid.shape), S
 
 
 @pytest.mark.parametrize("reversed_source", [False, True], ids=["S", "S[::-1]"])

@@ -81,7 +81,7 @@ def test_compute_E_against_independent_double_sum(small_problem):
 def test_descent_direction_on_controlled_pair_is_zero(small_problem):
     g = wc.builtin("zero")
     sol = initialize(small_problem)
-    Y1, F1, inner, r = wc.descent_direction(small_problem, g, sol.trajectory, sol.control)
+    Y1, F1, inner, r, _ = wc.descent_direction(small_problem, g, sol.trajectory, sol.control)
     assert wc.l2_qt(Y1) <= 1e-8
     assert wc.l2_qt(F1) <= 1e-8
 
@@ -91,7 +91,7 @@ def test_descent_identity_finite_difference(small_problem):
     sol = initialize(small_problem)
     y, f = sol.trajectory, sol.control
     E = wc.compute_E(y, f, g, small_problem.region)
-    Y1, F1, inner, r = wc.descent_direction(small_problem, g, y, f)
+    Y1, F1, inner, r, _ = wc.descent_direction(small_problem, g, y, f)
     lam = 1e-4
     y2 = wc.SpaceTimeField(y.grid, y.values - lam * Y1.values)
     f2 = wc.SpaceTimeField(y.grid, f.values - lam * F1.values)
@@ -105,7 +105,7 @@ def test_linear_g_profile_is_exact_quadratic(small_problem):
     sol = initialize(small_problem)
     y, f = sol.trajectory, sol.control
     E = wc.compute_E(y, f, g, small_problem.region)
-    Y1, F1, inner, r = wc.descent_direction(small_problem, g, y, f)
+    Y1, F1, inner, r, _ = wc.descent_direction(small_problem, g, y, f)
     for lam in (0.37, 1.0):
         y2 = wc.SpaceTimeField(y.grid, y.values - lam * Y1.values)
         f2 = wc.SpaceTimeField(y.grid, f.values - lam * F1.values)
@@ -120,8 +120,8 @@ def test_line_search_segment_matches_fresh_E(small_problem):
     g = wc.builtin("lipschitz_sat", kappa=1.0)
     sol = initialize(small_problem)
     y, f = sol.trajectory, sol.control
-    Y1, F1, inner, r = wc.descent_direction(small_problem, g, y, f)
-    res = wc.line_search(y, r, Y1, g, potential(y, g), m=2.0)
+    Y1, F1, inner, r, gp = wc.descent_direction(small_problem, g, y, f)
+    res = wc.line_search(y, r, Y1, g, gp, m=2.0)
     assert res.status == "ok"
     y2 = wc.SpaceTimeField(y.grid, y.values - res.lam * Y1.values)
     f2 = wc.SpaceTimeField(y.grid, f.values - res.lam * F1.values)

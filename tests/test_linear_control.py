@@ -117,17 +117,12 @@ def from_seed(grid, A, region, seed):
     return control, z, wc.terminal_state(grid, z, A, control)
 
 
-@pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smoothed"])
 @pytest.mark.parametrize("with_A", [False, True], ids=["A=0", "A"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_operator_apply_matches_one_shot_apply(dim, with_A, smooth):
+def test_operator_apply_matches_one_shot_apply(dim, with_A):
     # consecutive applies reuse the operator's fields; each must equal the
     # apply built from the public solves bit for bit, so nothing carries over
     grid, region, A = symmetry_case(dim, 12, 1.3, 0.4, 0.2)
-    if smooth:
-        region = (wc.interval_region(grid, 0.55, 1.0, smoothing=True) if dim == 1
-                  else wc.sides_region(grid, ["right", "top"], 0.3, smoothing=True))
-        assert not region.is_sharp
     A = A if with_A else None
     op = _GramianOperator(grid, region, A)
     for seed in (3, 4, 5):
@@ -142,8 +137,8 @@ def test_operator_apply_matches_one_shot_apply(dim, with_A, smooth):
 
 
 def reconstruction_case(dim, with_data):
-    """A small sharp-region problem, with or without potential, source and
-    initial data."""
+    """A small problem, with or without potential, source and initial
+    data."""
     grid, region, A = symmetry_case(dim, 7 if dim == 2 else 12, 1.3, 0.4, 0.2)
     if not with_data:
         return wc.LinearControlProblem(grid, region)
@@ -227,10 +222,10 @@ def test_operator_holds_two_fields_and_forms_no_control(dim, monkeypatch):
     # forms no control and allocates no field
     if dim == 1:
         grid = wc.SpaceTimeGrid((1.0,), (200,), T=2.5, nt=600)
-        region = wc.interval_region(grid, 0.55, 1.0, smoothing=True)
+        region = wc.interval_region(grid, 0.55, 1.0)
     else:
         grid = wc.SpaceTimeGrid((1.0, 1.0), (40, 40), T=3.5, nt=210)
-        region = wc.sides_region(grid, ["right", "top"], 0.15, smoothing=True)
+        region = wc.sides_region(grid, ["right", "top"], 0.15)
     field_bytes = 8 * (grid.nt + 1) * math.prod(grid.shape)
     A = wc.SpaceTimeField.constant(grid, 0.5)
     tracemalloc.start()
@@ -503,7 +498,7 @@ def potential_problem(prob, scale):
 def diagonal_problem(scale):
     """A 2D floor problem whose P is exact only on a partial band of modes
     (80 of 144) and divides by its diagonal off it: the first eigenmode
-    steered to rest from a sharp `sides` region, under the potential
+    steered to rest from a `sides` region, under the potential
     scale * (sin(3x) cos(t) + 1/2)."""
     grid = wc.SpaceTimeGrid((1.0, 1.0), (14, 14), T=2.5, nt=52)
     X, Y = grid.meshgrid()
@@ -629,19 +624,17 @@ def test_solve_is_scale_invariant(make, floor, rel):
 # the closed-form free-wave Gramian and the preconditioned floor solve
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smoothed"])
 @pytest.mark.parametrize("a", [0.0, 3.7], ids=["a=0", "a=3.7"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_free_wave_gramian_matches_operator(dim, a, smooth):
+def test_free_wave_gramian_matches_operator(dim, a):
     # G(a) in closed form against the marched operator, column by column and
     # on random vectors, for an interval (1D) or sides (2D) region
     if dim == 1:
         grid = wc.SpaceTimeGrid((1.0,), (40,), T=2.5, nt=120)
-        region = wc.interval_region(grid, 0.55, 1.0, smoothing=smooth)
+        region = wc.interval_region(grid, 0.55, 1.0)
     else:
         grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
-        region = wc.sides_region(grid, ["right", "top"], 0.3, smoothing=smooth)
-    assert region.is_sharp != smooth
+        region = wc.sides_region(grid, ["right", "top"], 0.3)
     n, dst = math.prod(grid.interior_shape), _dst_matrices(grid)
     G = _free_wave_block(grid, region, np.arange(n), dst, a)
     op = _GramianOperator(grid, region, wc.SpaceTimeField.constant(grid, a) if a else None)
@@ -692,13 +685,12 @@ def test_free_wave_block_of_every_mode_is_the_closed_form(configs_dir, name):
         assert np.array_equal(block, closed_form_gramian(grid, region))
 
 
-@pytest.mark.parametrize("smooth", [False, True], ids=["sharp", "smoothed"])
 @pytest.mark.parametrize("a", [0.0, 3.7], ids=["a=0", "a=3.7"])
-def test_free_wave_band_block_matches_the_gramian(a, smooth):
+def test_free_wave_band_block_matches_the_gramian(a):
     # the 2D band block, formed from T's band columns and D's band rows
     # only, against the same entries of the whole closed form
     grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
-    region = wc.sides_region(grid, ["right", "top"], 0.3, smoothing=smooth)
+    region = wc.sides_region(grid, ["right", "top"], 0.3)
     n = math.prod(grid.interior_shape)
     modes = _free_wave_band(grid)
     assert 0 < len(modes) < n
@@ -990,12 +982,8 @@ def test_oracle_optimality_against_feasible_perturbations():
         assert np.allclose(Ct @ pert, Ct @ ut, atol=1e-9 * np.linalg.norm(c))
 
 
-def test_oracle_size_cap_and_sharpness():
+def test_oracle_size_cap():
     big = wc.SpaceTimeGrid((1.0,), (200,), T=2.5, nt=600)
     with pytest.raises(ConfigError, match="cap"):
         wc.dense_oracle_control(wc.LinearControlProblem(
             big, wc.interval_region(big, 0.8, 1.0)))
-    grid = wc.SpaceTimeGrid((1.0,), (20,), T=2.5, nt=60)
-    smooth = wc.interval_region(grid, 0.6, 1.0, smoothing=True)
-    with pytest.raises(ConfigError, match="sharp"):
-        wc.dense_oracle_control(wc.LinearControlProblem(grid, smooth))

@@ -13,9 +13,8 @@ from .fields import (SpaceTimeField, StatePair, h_norm, l2_qt, linf_l1, linf_lp,
 from .grids import (ControlRegion, GeometryReport, SpaceTimeGrid,
                     check_geometric_condition, interval_region, rectangle_region,
                     sides_region)
-from .least_squares import (IterateRecord, LSConfig, LSResult, OrderEstimate,
-                            TargetProblem, compute_E, descent_direction, estimate_order,
-                            line_search, ls_solve)
+from .least_squares import (IterateRecord, LSConfig, LSResult, OrderEstimate, compute_E,
+                            descent_direction, estimate_order, line_search, ls_solve)
 from .linear_control import (ControlSolution, LinearControlProblem, dense_oracle_control,
                              gramian_apply, hum_pairing, solve_null_control)
 from .nonlinearity import (GrowthCheck, Nonlinearity, beta_star, builtin,

@@ -20,12 +20,12 @@ from __future__ import annotations
 from functools import partial
 
 from .fields import SpaceTimeField, linf_l1
-from .least_squares import (LSConfig, LSResult, TargetProblem, iterate, newton_step,
-                            record_inner)
+from .least_squares import LSConfig, LSResult, iterate, newton_step, record_inner, solve_linear
+from .linear_control import LinearControlProblem
 from .nonlinearity import Nonlinearity
 
 
-def newton_classic_solve(problem: TargetProblem, g: Nonlinearity,
+def newton_classic_solve(problem: LinearControlProblem, g: Nonlinearity,
                          config: LSConfig | None = None) -> LSResult:
     """Newton iteration: the least-squares step with its length pinned to 1."""
     return iterate(problem, g, config, partial(newton_step, force_lambda=1.0),
@@ -36,7 +36,8 @@ def _fixed_point_step(problem, g, rec, y, f, terminal, r, gp, *, linearize):
     """The next iterate: the controlled pair of the frozen linear problem
     that linearize(grid, g, y, gp) gives, gp = g'(y), an exact (not
     floor-stopped) solve."""
-    sol = problem.solve(*linearize(problem.grid, g, y, gp), problem.initial, problem.target)
+    sol = solve_linear(problem, *linearize(problem.grid, g, y, gp), problem.initial,
+                       problem.target)
     record_inner(rec, sol)
     rec.step_delta = linf_l1(SpaceTimeField(problem.grid, sol.trajectory.values - y.values))
     return sol.trajectory, sol.control, sol.terminal
@@ -52,14 +53,14 @@ def _variant_linearization(grid, g, y, gp):
     return gp, SpaceTimeField(grid, gp.values * y.values - g.g(y.values))
 
 
-def picard_solve(problem: TargetProblem, g: Nonlinearity,
+def picard_solve(problem: LinearControlProblem, g: Nonlinearity,
                  config: LSConfig | None = None) -> LSResult:
     """Fixed-point iteration on the secant-linearized equation."""
     return iterate(problem, g, config,
                    partial(_fixed_point_step, linearize=_picard_linearization), "picard")
 
 
-def variant_solve(problem: TargetProblem, g: Nonlinearity,
+def variant_solve(problem: LinearControlProblem, g: Nonlinearity,
                   config: LSConfig | None = None) -> LSResult:
     """Frozen-derivative iteration; every iterate is a controlled pair."""
     return iterate(problem, g, config,

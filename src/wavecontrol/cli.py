@@ -28,7 +28,8 @@ from .baselines import newton_classic_solve, picard_solve, variant_solve
 from .errors import ConfigError, InsufficientRecords, whole_number
 from .grids import (SpaceTimeGrid, check_geometric_condition, interval_region,
                     rectangle_region, sides_region)
-from .least_squares import LSConfig, TargetProblem, estimate_order, ls_solve
+from .least_squares import LSConfig, estimate_order, ls_solve
+from .linear_control import LinearControlProblem
 from .nonlinearity import beta_star, builtin, check_growth_H2, holder_seminorm_sample
 from .profiles import build_state
 
@@ -57,6 +58,7 @@ SUMMARY_METHOD_SCHEMA = {
     "order": (float, type(None)), "order_fit_residual": (float, type(None)),
     "term_defect_V": (float, type(None)), "M_run": float, "wall_time_s": float,
     "inner_unconverged": list,          # outer steps k, ints
+    "start_cg_iters": int,
 }
 
 METHOD_RUNNERS = {
@@ -261,7 +263,8 @@ def build_problem(cfg: dict):
     region = build_region(cfg, grid)
     initial = build_state(grid, cfg["data"]["initial"])
     target = build_state(grid, cfg["data"]["target"])
-    problem = TargetProblem(grid, region, initial, target, **cfg.get("inner", {}))
+    problem = LinearControlProblem(grid, region, initial=initial, target=target,
+                                   **cfg.get("inner", {}))
     nl = cfg["nonlinearity"]
     g = builtin(nl["name"], **nl.get("params", {}))
     ls_cfg = LSConfig(**cfg.get("least_squares", {}))
@@ -334,6 +337,8 @@ def method_summary(result, wall_time):
         "wall_time_s": float(wall_time),
         # the steps whose inner CG stopped short of its tolerance and floor
         "inner_unconverged": [rec.k for rec in result.records if not rec.inner_converged],
+        # the CG iterations of the start solve, which no iterates.csv row holds
+        "start_cg_iters": int(result.start_cg_iters),
     }
 
 

@@ -89,8 +89,7 @@ exceeds 2^400 (so that no node's terms, squares or sums overflow).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,50 +97,19 @@ from . import _leapfrog
 from .errors import BlowupError, ConfigError, InsufficientRecords, whole_number
 from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, v_norm
 from .grids import ControlRegion, SpaceTimeGrid
-from .linear_control import (ControlSolution, LinearControlProblem,
-                             _free_wave_preconditioner, solve_null_control)
+from .linear_control import ControlSolution, LinearControlProblem, solve_null_control
 from .nonlinearity import EVAL_TOLERANCE, Nonlinearity
 from .solver import _level_args, residual_field
 
 
-@dataclass(frozen=True)
-class TargetProblem:
-    """Steering problem: drive `initial` to `target` on grid with support region.
-
-    Frozen, so the one preconditioner its inner solves share never goes stale.
-    """
-
-    grid: SpaceTimeGrid
-    region: ControlRegion
-    initial: StatePair
-    target: StatePair
-    eps_reg: float | None = None            # inner Tikhonov parameter, None -> min(dx)^2
-    cg_tol: float = 1e-8
-    cg_max_iter: int = 500
-
-    def __post_init__(self):
-        # the inner settings are checked now, not at the first solve
-        self._inner(None, None, self.initial, self.target)
-
-    def _inner(self, potential, source, initial, target) -> LinearControlProblem:
-        return LinearControlProblem(
-            self.grid, self.region, potential=potential, source=source,
-            initial=initial, target=target, eps_reg=self.eps_reg,
-            cg_tol=self.cg_tol, cg_max_iter=self.cg_max_iter)
-
-    @cached_property
-    def _precond(self):
-        """P = G(0) + eps I of `linear_control` (None with eps = 0), built at
-        the first solve: `check` builds problems it never solves."""
-        eps = self._inner(None, None, self.initial, self.target).effective_eps
-        return _free_wave_preconditioner(self.grid, self.region, eps)
-
-    def solve(self, potential, source, initial, target, floor=False) -> ControlSolution:
-        """The null-controlled solution of the linear problem with this
-        potential, source and data, preconditioned with the shared P and,
-        with floor, stopped at the Tikhonov floor (`solve_null_control`)."""
-        problem = self._inner(potential, source, initial, target)
-        return solve_null_control(problem, floor, self._precond)
+def solve_linear(problem: LinearControlProblem, potential, source, initial, target,
+                 floor=False) -> ControlSolution:
+    """The null-controlled solution of problem's linear problem with this
+    potential, source and data, preconditioned with problem's P and, with
+    floor, stopped at the Tikhonov floor (`solve_null_control`)."""
+    inner = replace(problem, potential=potential, source=source, initial=initial,
+                    target=target)
+    return solve_null_control(inner, floor, problem.precond)
 
 
 DIVERGENCE_THRESHOLD = 1e6            # on |y|_{Linf(L1)}, shared by all methods
@@ -201,6 +169,7 @@ class LSResult:
     f: SpaceTimeField
     status: str                        # converged | stagnated | cap_reached | diverged | inner_failure
     M_run: float
+    start_cg_iters: int = 0            # CG iterations of the start solve (`initialize`)
     method: str = "least_squares"
 
 
@@ -219,7 +188,7 @@ def compute_E(y: SpaceTimeField, f: SpaceTimeField | None, g: Nonlinearity,
     return _energy(residual_field(y, f, g, region))
 
 
-def _newton_pair(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField):
+def _newton_pair(problem: LinearControlProblem, gp: SpaceTimeField, r: SpaceTimeField):
     """Null-controlled pair of the linearized equation with potential gp = g'(y)
     and source r, CG stopped at the Tikhonov floor.
 
@@ -227,12 +196,12 @@ def _newton_pair(problem: TargetProblem, gp: SpaceTimeField, r: SpaceTimeField):
     CG has run, so the floor stop moves only its terminal defect, by at
     most a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) (see `linear_control`).
     """
-    grid = problem.grid
+    rest = StatePair.zeros(problem.grid)
     A = None if np.all(gp.values == 0.0) else gp
-    return problem.solve(A, r, StatePair.zeros(grid), StatePair.zeros(grid), floor=True)
+    return solve_linear(problem, A, r, rest, rest, floor=True)
 
 
-def descent_direction(problem: TargetProblem, g: Nonlinearity, y: SpaceTimeField,
+def descent_direction(problem: LinearControlProblem, g: Nonlinearity, y: SpaceTimeField,
                       f: SpaceTimeField):
     """Null-controlled solution of the linearized residual equation.
 
@@ -444,7 +413,7 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     return LineSearchResult(best_lam, best_E, "ok")
 
 
-def initialize(problem: TargetProblem):
+def initialize(problem: LinearControlProblem):
     """Starting pair: the controlled solution of the linear (g = 0) problem,
     potential 0 and source 0.
 
@@ -453,7 +422,7 @@ def initialize(problem: TargetProblem):
     this solve's operator where P's band is every mode (every committed
     1D config), so the solve then takes one CG iteration.
     """
-    return problem.solve(None, None, problem.initial, problem.target, floor=True)
+    return solve_linear(problem, None, None, problem.initial, problem.target, floor=True)
 
 
 def record_inner(rec: IterateRecord, sol: ControlSolution):
@@ -462,7 +431,7 @@ def record_inner(rec: IterateRecord, sol: ControlSolution):
     rec.inner_converged, rec.inner_residuals = sol.converged, sol.residual_history
 
 
-def newton_step(problem: TargetProblem, g: Nonlinearity, rec: IterateRecord, y, f,
+def newton_step(problem: LinearControlProblem, g: Nonlinearity, rec: IterateRecord, y, f,
                 terminal, r, gp, force_lambda: float | None = None):
     """The paper's step: (y, f) - lambda (Y1, F1) with (Y1, F1) the floor-stopped
     pair of `descent_direction` and lambda the line search's (or force_lambda)."""
@@ -483,7 +452,7 @@ def newton_step(problem: TargetProblem, g: Nonlinearity, rec: IterateRecord, y, 
             terminal - inner.terminal.scaled(lam))
 
 
-def iterate(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None, step,
+def iterate(problem: LinearControlProblem, g: Nonlinearity, config: LSConfig | None, step,
             method: str) -> LSResult:
     """The outer iteration of every method, from the g = 0 controlled pair.
 
@@ -495,7 +464,12 @@ def iterate(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None, st
     (y, f) and gp = g'(y), records its inner solve on row k and returns the
     next (y, f, terminal), or a status that ends the run.  A nonfinite field
     (ConfigError) or a blown-up march (BlowupError) ends it inner_failure.
+    Every step solves with its own potential and source, so a problem that
+    carries either raises ConfigError before the first solve.
     """
+    if problem.potential is not None or problem.source is not None:
+        raise ConfigError("the outer iteration sets each solve's potential and source: "
+                          "the problem must carry neither")
     config = config or LSConfig()
     grid = problem.grid
     start = initialize(problem)
@@ -539,10 +513,11 @@ def iterate(problem: TargetProblem, g: Nonlinearity, config: LSConfig | None, st
                 continue
             status = nxt
         break
-    return LSResult(records=records, y=y, f=f, status=status, M_run=M_run, method=method)
+    return LSResult(records=records, y=y, f=f, status=status, M_run=M_run,
+                    start_cg_iters=start.cg_iterations, method=method)
 
 
-def ls_solve(problem: TargetProblem, g: Nonlinearity,
+def ls_solve(problem: LinearControlProblem, g: Nonlinearity,
              config: LSConfig | None = None) -> LSResult:
     """The damped least-squares iteration: `iterate` with `newton_step`.
 

@@ -45,10 +45,11 @@ need the exact solve.
 How CG stops and what it is preconditioned with are separate choices.
 Every solve with eps > 0, floor-stopped or exact, is preconditioned
 with P = G(0) + eps I, the regularized Gramian without potential; with
-eps = 0 CG runs plain.  P depends only on the grid, region and eps, so
-solves that share them share one P (every solve of one
-`least_squares.TargetProblem` does).  For a constant potential a every
-sine mode of the box grid evolves on its own under the leapfrog scheme,
+eps = 0 CG runs plain.  P depends only on the grid, region and eps, so a
+`LinearControlProblem` caches its P (`precond`), and every solve of one
+outer iteration reads its problem's P (`least_squares.solve_linear`).
+For a constant potential a every sine mode of the box grid evolves on
+its own under the leapfrog scheme,
 T_k(m+1) = (2 - dt^2 (mu_h,k + a)) T_k(m) - T_k(m-1) with mu_h,k the
 eigenvalues of -Lap_h, so the Gramian has the closed form
 
@@ -119,7 +120,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -132,8 +133,11 @@ from .solver import _march, _terminal_velocity, solve_forward, terminal_state
 FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearControlProblem:
+    """Steer `initial` to `target` with controls on region; frozen, so the
+    preconditioner it caches (`precond`) never goes stale."""
+
     grid: SpaceTimeGrid
     region: ControlRegion
     potential: SpaceTimeField | None = None
@@ -147,19 +151,25 @@ class LinearControlProblem:
     def __post_init__(self):
         check_same_grid(self.grid, region=self.region, potential=self.potential,
                         source=self.source, initial=self.initial, target=self.target)
-        if self.initial is None:
-            self.initial = StatePair.zeros(self.grid)
-        if self.target is None:
-            self.target = StatePair.zeros(self.grid)
+        for name in ("initial", "target"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, StatePair.zeros(self.grid))
         if self.eps_reg is not None and not 0 <= self.eps_reg < math.inf:
             raise ConfigError("eps_reg must be nonnegative and finite")
         if not 0 < self.cg_tol < math.inf:
             raise ConfigError("cg_tol must be positive and finite")
-        self.cg_max_iter = whole_number("cg_max_iter", self.cg_max_iter)
+        object.__setattr__(self, "cg_max_iter", whole_number("cg_max_iter", self.cg_max_iter))
 
     @property
     def effective_eps(self) -> float:
         return min(self.grid.dx) ** 2 if self.eps_reg is None else float(self.eps_reg)
+
+    @cached_property
+    def precond(self):
+        """P = G(0) + eps I (`_free_wave_preconditioner`; None with eps = 0),
+        built at the first solve that reads it: `check` builds problems it
+        never solves."""
+        return _free_wave_preconditioner(self.grid, self.region, self.effective_eps)
 
 
 @dataclass
@@ -530,7 +540,7 @@ def solve_null_control(problem: LinearControlProblem, floor: bool = False,
     terminal gap through the Gramian equation (G + eps I) rho = c, by CG
     stopped at cg_tol.  CG is preconditioned with P = G(0) + eps I:
     `precond`, as `_free_wave_preconditioner` builds it for this grid,
-    region and eps, or one built here when None (none with eps = 0).  With
+    region and eps, or the problem's P when None (none with eps = 0).  With
     floor and eps > 0 CG also stops once its residual is below
     FLOOR_THETA times the Tikhonov term, which keeps the terminal defect
     within a factor (1 + FLOOR_THETA) / (1 - FLOOR_THETA) of the exact
@@ -539,8 +549,9 @@ def solve_null_control(problem: LinearControlProblem, floor: bool = False,
     """
     grid, eps = problem.grid, problem.effective_eps
     if precond is None:
-        # built before the solve's fields, so its scratch is freed first
-        precond = _free_wave_preconditioner(grid, problem.region, eps)
+        # read (built at the first solve) before the solve's fields, so
+        # its scratch is freed first
+        precond = problem.precond
     free, free_term, c = _free_response(problem)
     op = _GramianOperator(grid, problem.region, problem.potential)
     rho, iters, converged, history = _cg(op, c, problem.cg_tol, problem.cg_max_iter, eps,

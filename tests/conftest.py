@@ -56,7 +56,7 @@ def make_problem(nx=80, nt=240, T=2.5, omega=(0.8, 1.0), amplitude=2.0, **kwargs
     region = wc.interval_region(grid, *omega)
     (X,) = grid.meshgrid()
     init = wc.StatePair(grid, amplitude * np.sin(np.pi * X), np.zeros(grid.shape))
-    return wc.TargetProblem(grid, region, init, wc.StatePair.zeros(grid), **kwargs)
+    return wc.LinearControlProblem(grid, region, initial=init, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -92,7 +92,7 @@ def test_criterion_04_linear_controllability():
     t0 = time.perf_counter()
     cfg = load_json(CONFIGS / "linear_sanity.json")
     problem, g, ls_cfg, fp_cfg = cli.build_problem(cfg)
-    sol = problem.solve(None, None, problem.initial, problem.target)
+    sol = wc.solve_null_control(problem)
     rel = sol.defect / wc.v_norm(problem.initial)
     elapsed = time.perf_counter() - t0
     geometry = wc.check_geometric_condition(problem.grid, problem.region, cfg["scenario"]["x0"])

@@ -96,8 +96,7 @@ def test_one_preconditioner_per_problem(monkeypatch):
             builds.append(args)
         return precond
 
-    for module in (least_squares, linear_control):
-        monkeypatch.setattr(module, "_free_wave_preconditioner", counted)
+    monkeypatch.setattr(linear_control, "_free_wave_preconditioner", counted)
     g = wc.builtin("lipschitz_sat", kappa=2.0)
     ls_cfg = fp_cfg = wc.LSConfig(max_outer=3)
     assert builds == []
@@ -111,7 +110,7 @@ def test_one_preconditioner_per_problem(monkeypatch):
         wc.descent_direction(problem, g, res.y, res.f)
     assert len(builds) == 1
     plain = make_problem(nx=40, nt=120, eps_reg=0.0)
-    plain.solve(None, None, plain.initial, plain.target)
+    wc.solve_null_control(plain)
     assert len(builds) == 1
 
 

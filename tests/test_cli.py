@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import wavecontrol.cli as cli
 from wavecontrol.grids import rectangle_region
-from wavecontrol.least_squares import IterateRecord, LSResult
+from wavecontrol.least_squares import IterateRecord, LSResult, initialize
 
 from conftest import CONFIGS, load_json
 
@@ -211,6 +211,26 @@ def test_run_writes_outputs_and_exit_zero(tmp_path):
     for m in cfg["methods"]:
         assert summary["methods"][m]["status"] == "converged"
         assert summary["methods"][m]["inner_unconverged"] == []
+
+
+def test_summary_reports_the_start_solve(tmp_path):
+    # no iterates.csv row holds the CG iterations of the start solve; with
+    # plain CG (eps_reg = 0) it takes more than the one of the preconditioned
+    path, cfg = small_linear_config(tmp_path, **{"inner.eps_reg": 0.0})
+    cfg["methods"] = sorted(cli.METHOD_RUNNERS)
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", path, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    cli.validate_summary(summary)
+    start = initialize(cli.build_problem(cfg)[0]).cg_iterations
+    assert start > 1
+    assert {m: e["start_cg_iters"] for m, e in summary["methods"].items()} == dict.fromkeys(
+        cfg["methods"], start)
+    for bad in (1.5, None, "1"):
+        summary["methods"]["picard"]["start_cg_iters"] = bad
+        with pytest.raises(ValueError, match="start_cg_iters has wrong type"):
+            cli.validate_summary(summary)
 
 
 def test_run_exit_two_on_cap(tmp_path):

@@ -19,6 +19,21 @@ def small_linear_problem(**opts):
     return wc.LinearControlProblem(grid, wc.interval_region(grid, 0.8, 1.0), **opts)
 
 
+@pytest.mark.parametrize("solve", [wc.ls_solve, wc.picard_solve])
+@pytest.mark.parametrize("part", ["potential", "source"])
+def test_outer_run_rejects_a_problem_with_potential_or_source(monkeypatch, solve, part):
+    # every solve of an outer run sets its own potential and source, so a
+    # problem's own would be dropped silently: rejected before any solve
+    solves = []
+    monkeypatch.setattr(least_squares, "solve_null_control",
+                        lambda *args: solves.append(args))
+    problem = small_linear_problem()
+    problem = dataclasses.replace(problem, **{part: wc.SpaceTimeField.zeros(problem.grid)})
+    with pytest.raises(ConfigError, match="must carry neither"):
+        solve(problem, wc.builtin("lipschitz_sat", kappa=1.0))
+    assert solves == []
+
+
 def config_with_fixed_point_cap(max_outer):
     cfg = load_json(CONFIGS / "newton_equiv.json")
     cfg["fixed_point"] = {"max_outer": max_outer}
@@ -561,7 +576,7 @@ def test_lipschitz_default_gramian_applies(monkeypatch, configs_dir):
     res = wc.ls_solve(problem, g, ls_cfg)
     assert res.status == "converged"
     assert [rec.inner_cg_iters for rec in res.records] == [6, 6, 6, 0]
-    assert len(applies) == 19
+    assert res.start_cg_iters == 1 and len(applies) == 19
 
 
 def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
@@ -582,7 +597,7 @@ def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
     res = wc.ls_solve(problem, g, ls_cfg)
     assert res.status == "converged"
     assert [rec.inner_cg_iters for rec in res.records] == [23, 23, 0]
-    assert len(applies) == 63
+    assert res.start_cg_iters == 17 and len(applies) == 63
 
 
 def test_reached_tolerance_is_never_met_by_a_nonfinite_E():

@@ -423,6 +423,48 @@ def test_default_eps_is_h_squared(grid, region):
         wc.LinearControlProblem(grid, region, eps_reg=-1.0)
 
 
+def counted_preconditioner_builds(monkeypatch):
+    """The list that every later `_free_wave_preconditioner` call appends
+    its arguments to."""
+    builds = []
+    build = wc.linear_control._free_wave_preconditioner
+    monkeypatch.setattr(wc.linear_control, "_free_wave_preconditioner",
+                        lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
+def test_problem_builds_its_preconditioner_at_the_first_read(grid, region, monkeypatch):
+    # `check` builds problems it never solves: a problem builds P only when
+    # it is first read, then keeps it
+    builds = counted_preconditioner_builds(monkeypatch)
+    prob = wc.LinearControlProblem(grid, region)
+    assert builds == [] and "precond" not in vars(prob)
+    P = prob.precond
+    assert prob.precond is P and len(builds) == 1
+    assert builds[0][2] == prob.effective_eps
+
+
+def test_solves_of_one_problem_share_one_preconditioner(grid, region, monkeypatch):
+    # P depends only on the grid, region and eps: a second solve reads the
+    # first one's P and gives the same bits
+    builds = counted_preconditioner_builds(monkeypatch)
+    (x,) = grid.meshgrid()
+    init = wc.StatePair(grid, np.sin(np.pi * x), np.zeros(grid.shape))
+    prob = wc.LinearControlProblem(grid, region, initial=init)
+    first, again = wc.solve_null_control(prob), wc.solve_null_control(prob)
+    assert len(builds) == 1
+    assert np.array_equal(first.control.values, again.control.values)
+
+
+@pytest.mark.parametrize("name, value", [("eps_reg", 0.0), ("potential", None),
+                                         ("initial", None), ("cg_max_iter", 3)])
+def test_problem_is_frozen(grid, region, name, value):
+    # a changed field would leave the cached P or the checked parts stale
+    prob = wc.LinearControlProblem(grid, region)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(prob, name, value)
+
+
 @pytest.mark.parametrize("part", ["region", "potential", "source", "initial", "target"])
 @pytest.mark.parametrize("lengths,nodes", [((1.0,), (30,)), ((2.0,), (60,))],
                          ids=["other-shape", "other-length"])
@@ -807,7 +849,7 @@ def test_solve_imports_no_scipy_fft_linalg_or_numpy_ma():
             "assert 0 < len(_free_wave_band(grid)) < 144, 'the band is not partial'\n"
             "X, Y = grid.meshgrid()\n"
             "init = wc.StatePair(grid, np.sin(np.pi * X) * np.sin(np.pi * Y), 0 * X)\n"
-            "problem = wc.TargetProblem(grid, region, init, wc.StatePair.zeros(grid))\n"
+            "problem = wc.LinearControlProblem(grid, region, initial=init)\n"
             "res = wc.ls_solve(problem, wc.builtin('lipschitz_sat', kappa=1.0))\n"
             "assert res.status == 'converged', res.status\n"
             "loaded = [m for m in ('scipy.fft', 'scipy.special', 'scipy.linalg',\n"

@@ -1,10 +1,11 @@
 """The compiled kernel (`_leapfrog.c`), built on first use.
 
-One library holds the leapfrog march's step loops and the two pointwise
+One library holds the leapfrog march's step loops and the three pointwise
 loops of the line search's E(lambda), all under one contract: each loop
 writes the bits of the numpy code it replaces, with nothing fused or
-reassociated.  Every entry point returns nothing: the march loops only
-step, and `solver._march` checks the trajectory they wrote for a blow-up.
+reassociated.  Only `segment_cubic` returns a value, its count of nodes
+outside the cube's radius: the march loops only step, and `solver._march`
+checks the trajectory they wrote for a blow-up.
 The first march or line search of a process loads ``leapfrog-<key>.so``
 from a per-user cache, ``$XDG_CACHE_HOME/wavecontrol`` or
 ``~/.cache/wavecontrol``, where the key is the SHA-256 of the C source
@@ -41,7 +42,10 @@ SIGNATURES = {
     "segment_point": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int, _ptr, _int),
     "segment_value": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int,
                       _ptr, _ptr, _ptr),
+    "segment_cubic": (_ptr, _int, _int, _int, _int, _int, _double, _double, _ptr, _int,
+                      _ptr, _int, _ptr, _int, _ptr, _ptr),
 }
+RESTYPES = {"segment_cubic": _int}      # every other loop returns nothing
 
 
 def cache_dir() -> Path:
@@ -97,7 +101,7 @@ def _load():
         lib = ctypes.CDLL(str(target))
         for name, argtypes in SIGNATURES.items():
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, None
+            fn.argtypes, fn.restype = argtypes, RESTYPES.get(name)
     except (OSError, AttributeError, RuntimeError):  # RuntimeError: no home directory
         return None
     return lib

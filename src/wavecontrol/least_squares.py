@@ -27,9 +27,10 @@ terminal defect of the pair, and it stops once that defect is within
 Along the segment E is evaluated without further PDE solves: the
 updated residual is (1 - lambda) r + l(lambda) with
 l = g(y - lambda Y1) - g(y) + lambda g'(y) Y1, a pointwise identity of
-the shared stencils.  Where the compiled kernel loads, its two pointwise
+the shared stencils.  Where the compiled kernel loads, its three pointwise
 loops (`_leapfrog.c`) form y - lambda Y1 and the squared residual around
-g, with the bits of the numpy passes that serve without it.
+g, or both in one pass where g is the cube (`Nonlinearity.cube_radius`),
+with the bits of the numpy passes that serve without it.
 
 The scan evaluates E only at the points that can hold its minimum
 (`_ruled_out`).  Norms here are sum norms over the interior nodes, with
@@ -302,9 +303,12 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     When the compiled kernel loads, its two loops form the point y - lam Y1
     and the squared residual, reading the fields through their level
     strides; else eight numpy passes do.  g runs in numpy on both paths,
-    and both write the same bits.  An E whose square or sum overflows reads
-    inf, without a warning.  The fields are checked here, before any
-    evaluation: a kernel field of the wrong dtype or shape raises ValueError.
+    and both write the same bits.  When g has a cube_radius R, one loop
+    forms the squared residual with g(w) = (w w) w, and only a lam with a
+    node outside |w| <= R (or a NaN w) takes the two loops around g.  An E
+    whose square or sum overflows reads inf, without a warning.  The fields
+    are checked here, before any evaluation: a kernel field of the wrong
+    dtype or shape raises ValueError.
 
     scan(m) is (lams, vals): the SCAN_POINTS points of [0, m] and E_at at
     each, except that a point `_ruled_out` rules out reads inf.
@@ -344,14 +348,17 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
         point_args = (*_level_args(grid, y.values), *_level_args(grid, Y1.values))
         r_args = _level_args(grid, r.values)
         work_at, val_at, gy_at, gpyY_at = (a.ctypes.data for a in (work, val, gy, gpyY))
+        R = g.cube_radius
         # the loops read these arrays by address: E_at's default argument
         # keeps them alive as long as E_at is
         held = (y.values, Y1.values, r.values, work, val, gy, gpyY)
 
         def E_at(lam: float, held=held) -> float:
-            lib.segment_point(work_at, *at, lam, *point_args)
-            gw = _loop_buffer(g.g(work), shape)
-            lib.segment_value(val_at, *at, lam, *r_args, gw.ctypes.data, gy_at, gpyY_at)
+            if R is None or lib.segment_cubic(val_at, *at, lam, R, *point_args, *r_args,
+                                              gy_at, gpyY_at):
+                lib.segment_point(work_at, *at, lam, *point_args)
+                gw = _loop_buffer(g.g(work), shape)
+                lib.segment_value(val_at, *at, lam, *r_args, gw.ctypes.data, gy_at, gpyY_at)
             with np.errstate(over="ignore"):
                 return 0.5 * cell * float(np.sum(val))
 
@@ -373,7 +380,7 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
 
     gp = g'(y) is the potential (Y1, F1) was solved with; it is read, never
     written, and g' is not evaluated again.  Every evaluation combines
-    cached fields pointwise (no PDE solve), in the compiled kernel's two
+    cached fields pointwise (no PDE solve), in the compiled kernel's
     loops when it loads (`_segment_energy`).  The scan evaluates only the
     points the descent estimate cannot rule out, with the bits of a full
     scan (module docstring).  Returns the best evaluated

@@ -30,6 +30,13 @@ class Nonlinearity:
     |g'^(x) - g'(x)| <= tau (|g'(x)| + [g']_s |x|^s) for every x, with
     tau = EVAL_TOLERANCE, some 500 units of roundoff.  The package reads
     the results of g and dg and never writes them.
+
+    cube_radius, when set, states that g(r) is exactly (r * r) * r in
+    float64 wherever |r| <= cube_radius, so the compiled line search
+    forms g itself and calls g only at a step with a node outside
+    (`least_squares._segment_energy`).  Like seminorm it describes a
+    builtin (`cubic_sat` sets it to R); a g built around it, as
+    `dataclasses.replace(nl, g=...)` does, must keep that meaning.
     """
 
     name: str
@@ -40,6 +47,7 @@ class Nonlinearity:
     alpha: float | None         # growth bound intercept, None when unknown
     beta: float | None          # growth bound log coefficient
     g0: float = 0.0             # cached g(0)
+    cube_radius: float | None = None  # g = r^3 exactly on |r| <= cube_radius
 
     def hat_g(self, r):
         """Secant quotient (g(r) - g(0)) / r, with g'(0) at the origin.
@@ -76,19 +84,30 @@ def builtin(name: str, **params) -> Nonlinearity:
     lipschitz_sat   g = kappa tanh(r)
     loglimit        g = a + b r + c r ln^(1/2)(1 + |r|)
     cubic_sat       g = r^3, smoothly truncated outside |r| <= R
+
+    Every parameter must be a finite number, and R positive.
     """
+    def param(key, default):
+        try:
+            v = float(params.pop(key, default))
+        except (TypeError, ValueError):
+            raise ConfigError(f"nonlinearity {name!r}: {key} must be a number") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"nonlinearity {name!r}: {key} must be finite, not {v}")
+        return v
+
     if name == "zero":
         nl = Nonlinearity("zero",
                           lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                           lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                           s=1.0, seminorm=0.0, alpha=0.0, beta=0.0)
     elif name == "linear":
-        b = float(params.pop("b", 1.0))
+        b = param("b", 1.0)
         nl = Nonlinearity("linear", lambda r: b * np.asarray(r, dtype=float),
                           lambda r: np.full_like(np.asarray(r, dtype=float), b),
                           s=1.0, seminorm=0.0, alpha=abs(b), beta=0.0)
     elif name == "lipschitz_sat":
-        kappa = float(params.pop("kappa", 1.0))
+        kappa = param("kappa", 1.0)
         # sup |g''| = kappa * max 2|t|(1-t^2) over t = tanh in [-1,1] = 4k/(3 sqrt 3)
         nl = Nonlinearity("lipschitz_sat",
                           lambda r: kappa * np.tanh(r),
@@ -96,9 +115,9 @@ def builtin(name: str, **params) -> Nonlinearity:
                           s=1.0, seminorm=4 * abs(kappa) / (3 * math.sqrt(3)),
                           alpha=abs(kappa), beta=0.0)
     elif name == "loglimit":
-        a = float(params.pop("a", 0.0))
-        b = float(params.pop("b", 0.0))
-        c = float(params.pop("c", 1.0))
+        a = param("a", 0.0)
+        b = param("b", 0.0)
+        c = param("c", 1.0)
         nl = Nonlinearity("loglimit", _loglimit_g(a, b, c), _loglimit_dg(b, c),
                           # g' has a sqrt(|r|) cusp at 0: Holder exponent 1/2,
                           # no closed-form seminorm
@@ -106,12 +125,13 @@ def builtin(name: str, **params) -> Nonlinearity:
                           # |g'| <= |b| + |c| (ln^(1/2)(1+|r|) + 0.32), margin 0.5
                           alpha=abs(b) + 0.5 * abs(c), beta=abs(c), g0=a)
     elif name == "cubic_sat":
-        R = float(params.pop("R", 50.0))
+        R = param("R", 50.0)
         if R <= 0:
             raise ConfigError("cubic_sat radius R must be positive")
         nl = Nonlinearity("cubic_sat", _cubic_sat_g(R), _cubic_sat_dg(R),
                           # blend slope peak 3R^2 * (3/2) / (0.2R) = 22.5 R
-                          s=1.0, seminorm=22.5 * R, alpha=3 * R * R, beta=0.0)
+                          s=1.0, seminorm=22.5 * R, alpha=3 * R * R, beta=0.0,
+                          cube_radius=R)
     else:
         raise ConfigError(f"unknown nonlinearity {name!r}")
     if params:

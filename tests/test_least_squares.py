@@ -249,17 +249,18 @@ def keep_every_point(lams, *args):
 def scan_against_full(y, r, Y1, g, m=2.0):
     """(scan points line_search evaluates, its (lam, E_new, status), and
     those of a search with every scan point evaluated)."""
-    calls = []
-    counted = dataclasses.replace(g, g=lambda v: calls.append(1) or g.g(v))
+    # the scan evaluates E at every point that `_ruled_out` keeps, and at
+    # every point when g has no seminorm, so the rule is not called
+    ruled = [np.zeros(least_squares.SCAN_POINTS, dtype=bool)]
+    rule = least_squares._ruled_out
     gp = potential(y, g)
-    got = wc.line_search(y, r, Y1, counted, gp, m)
-    ruling = len(calls)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(least_squares, "_ruled_out",
+                   lambda *args: ruled.append(rule(*args)) or ruled[-1])
+        got = wc.line_search(y, r, Y1, g, gp, m)
         mp.setattr(least_squares, "_ruled_out", keep_every_point)
-        full = wc.line_search(y, r, Y1, counted, gp, m)
-    # both make the same golden-section evaluations, so g's calls differ
-    # by the scan points ruled out
-    scanned = least_squares.SCAN_POINTS - (len(calls) - 2 * ruling)
+        full = wc.line_search(y, r, Y1, g, gp, m)
+    scanned = least_squares.SCAN_POINTS - int(np.sum(ruled[-1]))
     return scanned, (got.lam, got.E_new, got.status), (full.lam, full.E_new, full.status)
 
 
@@ -359,6 +360,19 @@ def half_cell_sum_r2(r):
     return 0.5 * grid.dt * math.prod(grid.dx) * float(np.sum(np.square(r_mid)))
 
 
+def bits(evaluated):
+    """(lam, E) pairs with E as its exact hex form, so that NaN compares."""
+    return [(lam, float(E).hex()) for lam, E in evaluated]
+
+
+def compiled_paths(g):
+    """The compiled E_at's paths for g: for cubic_sat the fused loop, and
+    the two loops around numpy's g that serve every other g."""
+    if g.cube_radius is None:
+        return [g]
+    return [g, dataclasses.replace(g, cube_radius=None)]
+
+
 @needs_cc
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("name", sorted(LINE_SEARCH_G) + ["identity"])
@@ -367,10 +381,76 @@ def test_compiled_and_numpy_E_give_the_same_bits(dim, name):
     y, r, Y1 = random_segment(dim, 2.0, -1, seed=11, nodes=SEGMENT_NODES[dim])
     lams = search_points(y, r, Y1, g)
     assert len(lams) > least_squares.SCAN_POINTS      # golden-section points too
-    compiled = evaluations("compiled", y, r, Y1, g, lams)
-    assert compiled == evaluations("numpy", y, r, Y1, g, lams)
+    numpy = evaluations("numpy", y, r, Y1, g, lams)
+    for h in compiled_paths(g):
+        assert evaluations("compiled", y, r, Y1, h, lams) == numpy
     # the stagnation test compares against E(0) = 1/2 |r|^2
-    assert compiled[0] == (0.0, half_cell_sum_r2(r))
+    assert numpy[0] == (0.0, half_cell_sum_r2(r))
+
+
+def cubic_segment(dim, case):
+    """A cubic_sat segment (R = 5) within the radius on [0, 2] but for case:
+    one node leaving it for lam above 0.1, an inf or a NaN node, or Y1 read
+    in reversed time."""
+    y, r, Y1 = random_segment(dim, 0.5, -1, seed=17, nodes=SEGMENT_NODES[dim])
+    y_values, Y_values = y.values.copy(), Y1.values.copy()
+    node = (5,) + (3,) * dim
+    if case == "outside":
+        y_values[node], Y_values[node] = 4.9, -1.0
+    elif case == "inf y":
+        y_values[node] = math.inf
+    elif case == "nan Y1":
+        Y_values[node] = math.nan
+    # the line search reads its fields unchecked, a nonfinite y or Y1 among them
+    y, Y1 = (wc.SpaceTimeField._trusted(y.grid, v) for v in (y_values, Y_values))
+    if case == "reversed Y1":
+        Y1 = Y1.time_reversed()
+        assert Y1.values.strides[0] < 0
+    return y, r, Y1
+
+
+@needs_cc
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("case", ["inside", "outside", "inf y", "nan Y1", "reversed Y1"])
+def test_fused_cubic_E_gives_the_bits_of_the_two_loops_and_numpy(dim, case):
+    g = LINE_SEARCH_G["cubic_sat"]
+    y, r, Y1 = cubic_segment(dim, case)
+    lams = search_points(y, r, Y1, g)
+    assert lams[0] == 0.0 and lams[least_squares.SCAN_POINTS - 1] == 2.0
+    assert len(lams) > least_squares.SCAN_POINTS      # golden-section points too
+    fused, two_loops = compiled_paths(g)
+    numpy = bits(evaluations("numpy", y, r, Y1, g, lams))
+    assert bits(evaluations("compiled", y, r, Y1, fused, lams)) == numpy
+    assert bits(evaluations("compiled", y, r, Y1, two_loops, lams)) == numpy
+    # g(y) once, then g only at the points with a node outside the radius
+    calls = []
+    evaluations("compiled", y, r, Y1,
+                dataclasses.replace(g, g=lambda v: calls.append(1) or g.g(v)), lams)
+    outside = {"inside": 0, "reversed Y1": 0, "inf y": len(lams), "nan Y1": len(lams),
+               "outside": sum(lam > 0.1 for lam in lams)}[case]
+    assert len(calls) == 1 + outside
+    if case == "outside":
+        assert 0 < outside < len(lams)
+    if case == "inf y":
+        # g saturates at the inf node, so E is finite; (w w) w would read inf
+        assert all(math.isfinite(float.fromhex(E)) for _, E in numpy)
+
+
+@needs_cc
+@pytest.mark.parametrize("dim", [1, 2])
+def test_wrapped_cubic_g_keeps_the_fused_path(dim):
+    # a traced g is a dataclasses.replace copy: it keeps cube_radius, and
+    # the line search calls it once, for g(y)
+    g = LINE_SEARCH_G["cubic_sat"]
+    y, r, Y1 = cubic_segment(dim, "inside")
+    calls = []
+    wrapped = dataclasses.replace(g, g=lambda v: calls.append(1) or g.g(v))
+    with march_kernel("compiled"):
+        got = wc.line_search(y, r, Y1, wrapped, potential(y, g), 2.0)
+        want = wc.line_search(y, r, Y1, g, potential(y, g), 2.0)
+    assert len(calls) == 1
+    assert (got.lam, got.E_new, got.status) == (want.lam, want.E_new, want.status)
+    assert got.E_new == segment_E(y, r, Y1, g)(got.lam)
 
 
 @pytest.mark.parametrize("kernel", MARCH_KERNELS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,39 @@ def test_unknown_name_and_bad_params():
         wc.builtin("nope")
     with pytest.raises(ConfigError):
         wc.builtin("linear", q=2.0)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("linear", {"b": math.nan}),
+    ("lipschitz_sat", {"kappa": math.nan}),
+    ("lipschitz_sat", {"kappa": math.inf}),
+    ("loglimit", {"a": -math.inf}),
+    ("loglimit", {"c": math.nan}),
+    ("cubic_sat", {"R": math.nan}),
+    ("cubic_sat", {"R": math.inf}),
+    ("cubic_sat", {"R": 0.0}),
+    ("cubic_sat", {"R": "wide"}),
+])
+def test_nonfinite_or_out_of_range_parameters_are_config_errors(name, params):
+    # the config schema rejects these; a library call must too (a NaN
+    # kappa passed the g/g' check, since every comparison with NaN is false)
+    with pytest.raises(ConfigError):
+        wc.builtin(name, **params)
+
+
+@pytest.mark.parametrize("R", [50.0, 1.0, 3.7])
+def test_cubic_sat_is_the_cube_within_its_cube_radius(R):
+    # the compiled line search forms (w w) w itself wherever |w| <= cube_radius
+    g = wc.builtin("cubic_sat", R=R)
+    assert g.cube_radius == R
+    r = np.concatenate([np.linspace(-R, R, 2001), [R, -R, np.nextafter(R, 0.0), 0.0, -0.0],
+                        np.random.default_rng(2).uniform(-R, R, 5000)])
+    assert np.abs(r).max() == R
+    assert np.array_equal(g.g(r), (r * r) * r)
+    # a field of the dataclass, so a g wrapped through replace keeps it
+    assert dataclasses.replace(g, g=lambda v: g.g(v)).cube_radius == R
+    assert all(wc.builtin(name, **params).cube_radius is None for name, params in
+               [("zero", {}), ("linear", {}), ("lipschitz_sat", {}), ("loglimit", {})])
 
 
 def test_lipschitz_sat_derivative_and_seminorm():

@@ -138,19 +138,15 @@ void segment_value(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
 
 /* val as segment_value writes it, with gw = (w w) w formed here from
  * w = y - Y lam: numpy's r * r * r, the g of cubic_sat wherever |w| <= R.
- * Returns the number of nodes where that does not hold (|w| > R, or w NaN);
- * val is then not E's, and the caller forms it again around numpy's g. */
-ptrdiff_t segment_cubic(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
-                        ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
-                        double lam, double R, const double *restrict y, ptrdiff_t y_stride,
-                        const double *restrict Y, ptrdiff_t Y_stride,
-                        const double *restrict r, ptrdiff_t r_stride,
-                        const double *restrict gy, const double *restrict gpY)
+ * The caller calls it only where every node's |w| is within R. */
+void segment_cubic(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
+                   ptrdiff_t rows, ptrdiff_t row_stride, ptrdiff_t cols,
+                   double lam, const double *restrict y, ptrdiff_t y_stride,
+                   const double *restrict Y, ptrdiff_t Y_stride,
+                   const double *restrict r, ptrdiff_t r_stride,
+                   const double *restrict gy, const double *restrict gpY)
 {
     double keep = 1.0 - lam;
-    /* an exact count below 2^53 nodes: GCC 12 leaves the loop scalar when
-     * it counts in an integer */
-    double outside = 0.0;
     ptrdiff_t k = 0;
     for (ptrdiff_t n = 1; n < nt; n++) {
         const double *yn = y + n * y_stride + first, *Yn = Y + n * Y_stride + first,
@@ -162,8 +158,6 @@ ptrdiff_t segment_cubic(double *restrict val, ptrdiff_t nt, ptrdiff_t first,
                 double gw = w * w * w;
                 double v = rn[at] * keep + ((gw - gy[k + j]) + gpY[k + j] * lam);
                 val[k + j] = v * v;
-                outside += !((w <= R) & (w >= -R));
             }
     }
-    return (ptrdiff_t)outside;
 }

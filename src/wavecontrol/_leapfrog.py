@@ -3,9 +3,8 @@
 One library holds the leapfrog march's step loops and the three pointwise
 loops of the line search's E(lambda), all under one contract: each loop
 writes the bits of the numpy code it replaces, with nothing fused or
-reassociated.  Only `segment_cubic` returns a value, its count of nodes
-outside the cube's radius: the march loops only step, and `solver._march`
-checks the trajectory they wrote for a blow-up.
+reassociated.  Every entry point returns nothing: the march loops only
+step, and `solver._march` checks the trajectory they wrote for a blow-up.
 The first march or line search of a process loads ``leapfrog-<key>.so``
 from a per-user cache, ``$XDG_CACHE_HOME/wavecontrol`` or
 ``~/.cache/wavecontrol``, where the key is the SHA-256 of the C source
@@ -42,10 +41,9 @@ SIGNATURES = {
     "segment_point": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int, _ptr, _int),
     "segment_value": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int,
                       _ptr, _ptr, _ptr),
-    "segment_cubic": (_ptr, _int, _int, _int, _int, _int, _double, _double, _ptr, _int,
+    "segment_cubic": (_ptr, _int, _int, _int, _int, _int, _double, _ptr, _int,
                       _ptr, _int, _ptr, _int, _ptr, _ptr),
 }
-RESTYPES = {"segment_cubic": _int}      # every other loop returns nothing
 
 
 def cache_dir() -> Path:
@@ -101,7 +99,7 @@ def _load():
         lib = ctypes.CDLL(str(target))
         for name, argtypes in SIGNATURES.items():
             fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, RESTYPES.get(name)
+            fn.argtypes, fn.restype = argtypes, None
     except (OSError, AttributeError, RuntimeError):  # RuntimeError: no home directory
         return None
     return lib

@@ -250,14 +250,18 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(float(np.einsum(f"{axes},{axes}->", a, a)))
 
 
-def _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, s, work):
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| without a temporary; NaN where a holds a NaN."""
+    return max(float(np.max(a)), -float(np.min(a)))
+
+
+def _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, s, y_max, Y_max, work):
     """The sum norms the scan's bracket reads, in the order `_ruled_out`
-    unpacks them; work, a buffer of the interior's shape, is overwritten."""
+    unpacks them, with y_max = max |y| and Y_max = max |Y1| formed by the
+    caller; work, a buffer of the interior's shape, is overwritten."""
     shape = work.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        y_max = max(float(np.max(y_mid)), -float(np.min(y_mid)))
         np.abs(Y_mid, out=work)
-        Y_max = float(np.max(work))
         if s == 1.0:
             np.square(work, out=work)
         else:
@@ -292,8 +296,8 @@ def _ruled_out(lams: np.ndarray, norms, g: Nonlinearity, cell: float) -> np.ndar
 
 def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
                     g: Nonlinearity, gp: SpaceTimeField):
-    """(E_at, scan) along (y, f) - lam (Y1, F1), from the residual r of (y, f)
-    and the potential gp = g'(y) that (Y1, F1) was solved with.
+    """(E_at, ruled_out) along (y, f) - lam (Y1, F1), from the residual r of
+    (y, f) and the potential gp = g'(y) that (Y1, F1) was solved with.
 
     E_at(lam) is E at lam.  The residual there is (1 - lam) r +
     ((g(y - lam Y1) - g(y)) + lam g'(y) Y1), in this order, on the interior
@@ -304,14 +308,20 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     and the squared residual, reading the fields through their level
     strides; else eight numpy passes do.  g runs in numpy on both paths,
     and both write the same bits.  When g has a cube_radius R, one loop
-    forms the squared residual with g(w) = (w w) w, and only a lam with a
-    node outside |w| <= R (or a NaN w) takes the two loops around g.  An E
+    forms the squared residual with g(w) = (w w) w instead, at every lam
+    with max |y| + |lam| max |Y1| <= R: formed in float64, that bound holds
+    every node's computed |w|, since it takes the loop's two roundings in
+    the same order and rounding is monotone.  A nonfinite y or Y1 fails it.
+    g itself is called only at the other lams, so a g whose function is not
+    the cube within R reads other values at these ones, without an error:
+    a copy `dataclasses.replace(g, g=h)` keeps cube_radius, and h must
+    keep its meaning.  An E
     whose square or sum overflows reads inf, without a warning.  The fields
     are checked here, before any evaluation: a kernel field of the wrong
     dtype or shape raises ValueError.
 
-    scan(m) is (lams, vals): the SCAN_POINTS points of [0, m] and E_at at
-    each, except that a point `_ruled_out` rules out reads inf.
+    ruled_out(lams) is `_ruled_out` at the scan points lams, from this
+    segment's norms: all False when g has no seminorm.
     """
     grid = y.grid
     sl = (slice(1, -1),) * (grid.dim + 1)
@@ -320,7 +330,9 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     r_mid = r.values[sl]
     gy = g.g(y_mid)
     gp_mid = gp.values[sl]
-    dg_max = None if g.seminorm is None else max(float(np.max(gp_mid)), -float(np.min(gp_mid)))
+    R = g.cube_radius
+    if g.seminorm is not None or R is not None:
+        y_max, Y_max = _max_abs(y_mid), _max_abs(Y_mid)
     cell = grid.dt * math.prod(grid.dx)
     work = np.empty(y_mid.shape)
     val = np.empty(y_mid.shape)
@@ -348,29 +360,27 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
         point_args = (*_level_args(grid, y.values), *_level_args(grid, Y1.values))
         r_args = _level_args(grid, r.values)
         work_at, val_at, gy_at, gpyY_at = (a.ctypes.data for a in (work, val, gy, gpyY))
-        R = g.cube_radius
         # the loops read these arrays by address: E_at's default argument
         # keeps them alive as long as E_at is
         held = (y.values, Y1.values, r.values, work, val, gy, gpyY)
 
         def E_at(lam: float, held=held) -> float:
-            if R is None or lib.segment_cubic(val_at, *at, lam, R, *point_args, *r_args,
-                                              gy_at, gpyY_at):
+            if R is not None and y_max + abs(lam) * Y_max <= R:
+                lib.segment_cubic(val_at, *at, lam, *point_args, *r_args, gy_at, gpyY_at)
+            else:
                 lib.segment_point(work_at, *at, lam, *point_args)
                 gw = _loop_buffer(g.g(work), shape)
                 lib.segment_value(val_at, *at, lam, *r_args, gw.ctypes.data, gy_at, gpyY_at)
             with np.errstate(over="ignore"):
                 return 0.5 * cell * float(np.sum(val))
 
-    def scan(m: float):
-        lams = np.linspace(0.0, m, SCAN_POINTS)
-        out = np.zeros(SCAN_POINTS, dtype=bool)
-        if g.seminorm is not None:
-            norms = _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, g.s, work)
-            out = _ruled_out(lams, norms, g, cell)
-        vals = [math.inf if skip else E_at(lam) for lam, skip in zip(lams, out)]
-        return lams, vals
-    return E_at, scan
+    def ruled_out(lams: np.ndarray) -> np.ndarray:
+        if g.seminorm is None:
+            return np.zeros(len(lams), dtype=bool)
+        dg_max = _max_abs(gp_mid)
+        norms = _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, g.s, y_max, Y_max, work)
+        return _ruled_out(lams, norms, g, cell)
+    return E_at, ruled_out
 
 
 def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
@@ -381,16 +391,18 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     gp = g'(y) is the potential (Y1, F1) was solved with; it is read, never
     written, and g' is not evaluated again.  Every evaluation combines
     cached fields pointwise (no PDE solve), in the compiled kernel's
-    loops when it loads (`_segment_energy`).  The scan evaluates only the
-    points the descent estimate cannot rule out, with the bits of a full
-    scan (module docstring).  Returns the best evaluated
+    loops when it loads (`_segment_energy`; a g with a cube_radius must be
+    the cube within it).  The scan evaluates only the points the descent
+    estimate cannot rule out, reading inf at the others, with the bits of
+    a full scan (module docstring).  Returns the best evaluated
     point, so E never increases at the accepted step; a minimizer at 0
     signals stagnation.  An E that overflows reads inf and is never the
     minimum while E(0) is finite.
     """
-    E_at, scan = _segment_energy(y, r, Y1, g, gp)
+    E_at, ruled_out = _segment_energy(y, r, Y1, g, gp)
 
-    lams, vals = scan(m)
+    lams = np.linspace(0.0, m, SCAN_POINTS)
+    vals = [math.inf if skip else E_at(lam) for lam, skip in zip(lams, ruled_out(lams))]
     if vals[0] == 0.0:
         return LineSearchResult(0.0, 0.0, "converged")
     i = int(np.argmin(vals))

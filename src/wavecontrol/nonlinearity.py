@@ -33,10 +33,14 @@ class Nonlinearity:
 
     cube_radius, when set, states that g(r) is exactly (r * r) * r in
     float64 wherever |r| <= cube_radius, so the compiled line search
-    forms g itself and calls g only at a step with a node outside
-    (`least_squares._segment_energy`).  Like seminorm it describes a
-    builtin (`cubic_sat` sets it to R); a g built around it, as
-    `dataclasses.replace(nl, g=...)` does, must keep that meaning.
+    forms g itself where the segment stays within it and calls g only
+    elsewhere (`least_squares._segment_energy`).  Like seminorm it
+    describes a builtin: `cubic_sat` sets it to R, and any other name
+    with a cube_radius, or one that is not a finite positive number,
+    raises ConfigError.  A copy `dataclasses.replace(nl, g=h)` keeps it,
+    so h must be the cube within it too: nothing checks that, and a
+    different h would read other values on the compiled path than
+    without the compiler.
     """
 
     name: str
@@ -48,6 +52,13 @@ class Nonlinearity:
     beta: float | None          # growth bound log coefficient
     g0: float = 0.0             # cached g(0)
     cube_radius: float | None = None  # g = r^3 exactly on |r| <= cube_radius
+
+    def __post_init__(self):
+        R = self.cube_radius
+        if R is not None and not (self.name == "cubic_sat" and isinstance(R, float)
+                                  and 0 < R < math.inf):
+            raise ConfigError(f"nonlinearity {self.name!r}: cube_radius {R!r} is only "
+                              "cubic_sat's radius, a finite positive number")
 
     def hat_g(self, r):
         """Secant quotient (g(r) - g(0)) / r, with g'(0) at the origin.

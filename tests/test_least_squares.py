@@ -246,22 +246,34 @@ def keep_every_point(lams, *args):
     return np.zeros(len(lams), dtype=bool)
 
 
+def evaluated_points(y, r, Y1, g, m=2.0):
+    """(every lam at which line_search evaluates E, in order, and its
+    (lam, E_new, status)), counted where `_segment_energy` hands E_at out,
+    so on every path of E_at."""
+    lams = []
+    energy = least_squares._segment_energy
+
+    def recording(*args):
+        E_at, ruled_out = energy(*args)
+        return (lambda lam: lams.append(float(lam)) or E_at(lam)), ruled_out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(least_squares, "_segment_energy", recording)
+        res = least_squares.line_search(y, r, Y1, g, potential(y, g), m)
+    return lams, (res.lam, res.E_new, res.status)
+
+
 def scan_against_full(y, r, Y1, g, m=2.0):
     """(scan points line_search evaluates, its (lam, E_new, status), and
     those of a search with every scan point evaluated)."""
-    # the scan evaluates E at every point that `_ruled_out` keeps, and at
-    # every point when g has no seminorm, so the rule is not called
-    ruled = [np.zeros(least_squares.SCAN_POINTS, dtype=bool)]
-    rule = least_squares._ruled_out
-    gp = potential(y, g)
+    got_lams, got = evaluated_points(y, r, Y1, g, m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(least_squares, "_ruled_out",
-                   lambda *args: ruled.append(rule(*args)) or ruled[-1])
-        got = wc.line_search(y, r, Y1, g, gp, m)
         mp.setattr(least_squares, "_ruled_out", keep_every_point)
-        full = wc.line_search(y, r, Y1, g, gp, m)
-    scanned = least_squares.SCAN_POINTS - int(np.sum(ruled[-1]))
-    return scanned, (got.lam, got.E_new, got.status), (full.lam, full.E_new, full.status)
+        full_lams, full = evaluated_points(y, r, Y1, g, m)
+    # both make the same golden-section evaluations, so their counts differ
+    # by the scan points ruled out
+    scanned = least_squares.SCAN_POINTS - (len(full_lams) - len(got_lams))
+    return scanned, got, full
 
 
 @pytest.mark.parametrize("kernel", MARCH_KERNELS)
@@ -330,21 +342,12 @@ def search_points(y, r, Y1, g, m=2.0):
     """Every lam a full scan evaluates E at in one line search: the
     SCAN_POINTS scan, then the golden-section points, which depend only on
     the scan's argmin."""
-    golden = []
-    energy = least_squares._segment_energy
-
-    def recording(*args):
-        E_at, scan = energy(*args)
-
-        def E(lam):
-            golden.append(float(lam))
-            return E_at(lam)
-        return E, scan
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(least_squares, "_segment_energy", recording)
-        least_squares.line_search(y, r, Y1, g, potential(y, g), m)
-    return [float(lam) for lam in np.linspace(0.0, m, least_squares.SCAN_POINTS)] + golden
+        mp.setattr(least_squares, "_ruled_out", keep_every_point)
+        lams, _ = evaluated_points(y, r, Y1, g, m)
+    scan = [float(lam) for lam in np.linspace(0.0, m, least_squares.SCAN_POINTS)]
+    assert lams[:least_squares.SCAN_POINTS] == scan
+    return lams
 
 
 def evaluations(kernel, y, r, Y1, g, lams):
@@ -389,14 +392,18 @@ def test_compiled_and_numpy_E_give_the_same_bits(dim, name):
 
 
 def cubic_segment(dim, case):
-    """A cubic_sat segment (R = 5) within the radius on [0, 2] but for case:
-    one node leaving it for lam above 0.1, an inf or a NaN node, or Y1 read
-    in reversed time."""
-    y, r, Y1 = random_segment(dim, 0.5, -1, seed=17, nodes=SEGMENT_NODES[dim])
+    """A cubic_sat segment (R = 5) with max |y| + 2 max |Y1| below R but for
+    case: a node with y = 4.9 and Y1 = -1, a node that reaches |w| = R at
+    lam = 2 with max |y| + 2 max |Y1| = R, an inf or a NaN node, or Y1
+    read in reversed time."""
+    y, r, Y1 = random_segment(dim, 0.4, -1, seed=17, nodes=SEGMENT_NODES[dim])
     y_values, Y_values = y.values.copy(), Y1.values.copy()
     node = (5,) + (3,) * dim
     if case == "outside":
         y_values[node], Y_values[node] = 4.9, -1.0
+    elif case == "edge":
+        np.clip(Y_values, -0.5, 0.5, out=Y_values)
+        y_values[node], Y_values[node] = 4.0, -0.5
     elif case == "inf y":
         y_values[node] = math.inf
     elif case == "nan Y1":
@@ -409,9 +416,18 @@ def cubic_segment(dim, case):
     return y, r, Y1
 
 
+def outside_radius(y, Y1, R, lams):
+    """The lams where the fused loop's bound, max |y| + |lam| max |Y1| <= R,
+    fails (a nonfinite y or Y1 fails it at every lam)."""
+    sl = (slice(1, -1),) * (y.grid.dim + 1)
+    y_max, Y_max = (max(float(np.max(v[sl])), -float(np.min(v[sl]))) for v in (y.values, Y1.values))
+    return [lam for lam in lams if not y_max + abs(lam) * Y_max <= R]
+
+
 @needs_cc
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("case", ["inside", "outside", "inf y", "nan Y1", "reversed Y1"])
+@pytest.mark.parametrize("case", ["inside", "outside", "edge", "inf y", "nan Y1",
+                                  "reversed Y1"])
 def test_fused_cubic_E_gives_the_bits_of_the_two_loops_and_numpy(dim, case):
     g = LINE_SEARCH_G["cubic_sat"]
     y, r, Y1 = cubic_segment(dim, case)
@@ -422,15 +438,22 @@ def test_fused_cubic_E_gives_the_bits_of_the_two_loops_and_numpy(dim, case):
     numpy = bits(evaluations("numpy", y, r, Y1, g, lams))
     assert bits(evaluations("compiled", y, r, Y1, fused, lams)) == numpy
     assert bits(evaluations("compiled", y, r, Y1, two_loops, lams)) == numpy
-    # g(y) once, then g only at the points with a node outside the radius
+    # g(y) once, then g only at the points where the bound fails
     calls = []
     evaluations("compiled", y, r, Y1,
                 dataclasses.replace(g, g=lambda v: calls.append(1) or g.g(v)), lams)
-    outside = {"inside": 0, "reversed Y1": 0, "inf y": len(lams), "nan Y1": len(lams),
-               "outside": sum(lam > 0.1 for lam in lams)}[case]
-    assert len(calls) == 1 + outside
-    if case == "outside":
-        assert 0 < outside < len(lams)
+    outside = outside_radius(y, Y1, g.cube_radius, lams)
+    assert len(calls) == 1 + len(outside)
+    if case in ("inside", "edge", "reversed Y1"):
+        assert outside == []
+    elif case == "outside":
+        assert 0 < len(outside) < len(lams) and min(outside) > 0.0
+    else:
+        assert outside == lams
+    if case == "edge":
+        # the node's w = 4 - (-0.5) 2 is R itself: the cube, on both sides
+        node = (5,) + (3,) * dim
+        assert y.values[node] - Y1.values[node] * 2.0 == g.cube_radius
     if case == "inf y":
         # g saturates at the inf node, so E is finite; (w w) w would read inf
         assert all(math.isfinite(float.fromhex(E)) for _, E in numpy)

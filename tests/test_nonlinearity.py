@@ -70,6 +70,18 @@ def test_cubic_sat_is_the_cube_within_its_cube_radius(R):
                [("zero", {}), ("linear", {}), ("lipschitz_sat", {}), ("loglimit", {})])
 
 
+@pytest.mark.parametrize("name,R", [("cube", 5.0), ("lipschitz_sat", 5.0),
+                                    ("cubic_sat", 0.0), ("cubic_sat", math.inf),
+                                    ("cubic_sat", math.nan), ("cubic_sat", "5")])
+def test_cube_radius_is_only_cubic_sats_finite_radius(name, R):
+    # the compiled line search trusts cube_radius without calling g, so a
+    # copy renamed, or given a radius that cannot bound |w|, is refused
+    g = wc.builtin("cubic_sat", R=5.0)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(g, name=name, cube_radius=R)
+    assert dataclasses.replace(g, name="renamed", cube_radius=None).cube_radius is None
+
+
 def test_lipschitz_sat_derivative_and_seminorm():
     g = wc.builtin("lipschitz_sat", kappa=1.0)
     assert float(g.dg(0.0)) == pytest.approx(1.0, abs=1e-15)

@@ -1,11 +1,13 @@
-/* Compiled loops of wavecontrol: the leapfrog steps of solver._march,
- * levels 2..nt, and the three pointwise loops of the line search's E(lam)
- * (least_squares.line_search).
+/* The C loops of wavecontrol, each beside its numpy twin in _leapfrog.py:
+ * march_1d and march_2d step levels 2..nt of the leapfrog march (twins
+ * _march_1d and _march_2d), and segment_point, segment_value and
+ * segment_cubic form the line search's E(lam) (twins: Segment's point,
+ * value and cube).  _leapfrog.py checks each array before a loop reads it.
  *
- * Every loop evaluates its expression in the order that the numpy code it
- * replaces writes it, one IEEE operation per step; built with
- * -ffp-contract=off and without -ffast-math, so no multiply-add is fused
- * and no sum is reassociated, and each loop writes the numpy code's bits.
+ * Every loop evaluates its expression in the order that its twin writes
+ * it, one IEEE operation per step; built with -ffp-contract=off and
+ * without -ffast-math, so no multiply-add is fused and no sum is
+ * reassociated, and each loop writes its twin's bits.
  *
  * March: y is the C-contiguous trajectory, (nt+1) levels of n nodes
  * (2D: n = nx*ny, C order) with level 0 and 1 already written and zeros on
@@ -16,9 +18,9 @@
  * w is a spatial weight of the source, n contiguous nodes read at the same
  * index (NULL for none): the step adds (s w) dt2, the two products of a
  * source s w formed beforehand, so the Gramian's forward march reads
- * chi phi from the backward trajectory in place.  march_1d and march_2d
- * only step: they write every level through nt, and solver._march looks
- * for a nonfinite level once they return.
+ * chi phi from the backward trajectory in place.  Both only step: they
+ * write every level through nt, and solver._march looks for a nonfinite
+ * level once they return.
  */
 #include <stddef.h>
 

@@ -47,6 +47,9 @@ class SpaceTimeGrid:
             raise ConfigError("time horizon T must be positive and finite")
         if self.nt < 2:
             raise ConfigError("need at least 2 time steps")
+        for name, h in (("dt", self.dt), ("min(dx)", min(self.dx))):
+            if not np.finfo(float).tiny <= h * h < math.inf:    # the stencils divide by it
+                raise ConfigError(f"{name}^2 = {h * h:.3g} is not a normal float64 number")
         dt_max = CFL_FACTOR * min(self.dx) / math.sqrt(self.dim)
         if self.dt > dt_max * (1 + 1e-12):
             raise ConfigError(f"CFL violated: dt={self.dt:.3e} exceeds "

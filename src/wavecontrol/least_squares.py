@@ -27,10 +27,10 @@ terminal defect of the pair, and it stops once that defect is within
 Along the segment E is evaluated without further PDE solves: the
 updated residual is (1 - lambda) r + l(lambda) with
 l = g(y - lambda Y1) - g(y) + lambda g'(y) Y1, a pointwise identity of
-the shared stencils.  Where the compiled kernel loads, its three pointwise
-loops (`_leapfrog.c`) form y - lambda Y1 and the squared residual around
-g, or both in one pass where g is the cube (`Nonlinearity.cube_radius`),
-with the bits of the numpy passes that serve without it.
+the shared stencils.  `_leapfrog.Segment` forms y - lambda Y1 and the
+squared residual around g, or both in one pass where g is the cube
+(`Nonlinearity.cube_radius`), in C where the kernel loads and in numpy,
+with the same bits, where it does not.
 
 The scan evaluates E only at the points that can hold its minimum
 (`_ruled_out`).  Norms here are sum norms over the interior nodes, with
@@ -100,7 +100,7 @@ from .fields import SpaceTimeField, StatePair, l2_qt, linf_l1, linf_lp, linf_v, 
 from .grids import ControlRegion, SpaceTimeGrid
 from .linear_control import ControlSolution, LinearControlProblem, solve_null_control
 from .nonlinearity import EVAL_TOLERANCE, Nonlinearity
-from .solver import _level_args, residual_field
+from .solver import residual_field
 
 
 def solve_linear(problem: LinearControlProblem, potential, source, initial, target,
@@ -224,25 +224,6 @@ class LineSearchResult:
     status: str           # ok | stagnated | converged (already at a zero of E)
 
 
-def _interior_runs(grid: SpaceTimeGrid):
-    """Where the interior nodes of a level lie, as the line-search loops of
-    `_leapfrog.c` read them: (first node, runs, run stride, nodes per run)."""
-    if grid.dim == 1:
-        (nx,) = grid.shape
-        return 1, 1, nx, nx - 2
-    nx, ny = grid.shape
-    return ny + 1, nx - 2, ny, ny - 2
-
-
-def _loop_buffer(values, shape) -> np.ndarray:
-    """values as a C-contiguous float64 array (copied only when it is not
-    one) for the line-search loops; ValueError unless it has shape."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.shape != shape:
-        raise ValueError(f"line-search terms must have shape {shape}, not {v.shape}")
-    return v
-
-
 def _norm(a: np.ndarray) -> float:
     """Root of the sum of the squares of a, by a two-operand einsum (no
     temporary); inf where the sum overflows."""
@@ -301,24 +282,14 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
 
     E_at(lam) is E at lam.  The residual there is (1 - lam) r +
     ((g(y - lam Y1) - g(y)) + lam g'(y) Y1), in this order, on the interior
-    nodes of levels 1..nt-1; E is 1/2 cell times np.sum of its square, so
-    E(0) is exactly 1/2 cell sum r^2.  g'(y) is read from gp's interior;
-    g'(y) Y1 and two work buffers are allocated once.
-    When the compiled kernel loads, its two loops form the point y - lam Y1
-    and the squared residual, reading the fields through their level
-    strides; else eight numpy passes do.  g runs in numpy on both paths,
-    and both write the same bits.  When g has a cube_radius R, one loop
-    forms the squared residual with g(w) = (w w) w instead, at every lam
-    with max |y| + |lam| max |Y1| <= R: formed in float64, that bound holds
-    every node's computed |w|, since it takes the loop's two roundings in
-    the same order and rounding is monotone.  A nonfinite y or Y1 fails it.
-    g itself is called only at the other lams, so a g whose function is not
-    the cube within R reads other values at these ones, without an error:
-    a copy `dataclasses.replace(g, g=h)` keeps cube_radius, and h must
-    keep its meaning.  An E
-    whose square or sum overflows reads inf, without a warning.  The fields
-    are checked here, before any evaluation: a kernel field of the wrong
-    dtype or shape raises ValueError.
+    nodes of levels 1..nt-1, formed by `_leapfrog.Segment` with g'(y) read
+    from gp; E is 1/2 cell times np.sum of its square, so E(0) is exactly
+    1/2 cell sum r^2, and reads inf, without a warning, where the sum
+    overflows.  When g has a cube_radius R, the segment forms g(w) =
+    (w w) w itself at every lam with max |y| + |lam| max |Y1| <= R: formed
+    in float64, that bound holds every node's computed |w|, since it takes
+    the point's two roundings in the same order and rounding is monotone.
+    A nonfinite y or Y1 fails it.  g is called at the other lams only.
 
     ruled_out(lams) is `_ruled_out` at the scan points lams, from this
     segment's norms: all False when g has no seminorm.
@@ -328,57 +299,26 @@ def _segment_energy(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
     y_mid = y.values[sl]
     Y_mid = Y1.values[sl]
     r_mid = r.values[sl]
-    gy = g.g(y_mid)
-    gp_mid = gp.values[sl]
+    segment = _leapfrog.Segment(grid, y.values, Y1.values, r.values, g.g(y_mid), gp.values)
     R = g.cube_radius
     if g.seminorm is not None or R is not None:
         y_max, Y_max = _max_abs(y_mid), _max_abs(Y_mid)
     cell = grid.dt * math.prod(grid.dx)
-    work = np.empty(y_mid.shape)
-    val = np.empty(y_mid.shape)
-    gpyY = np.multiply(gp_mid, Y_mid)
 
-    lib = _leapfrog.LOADER.load()
-    if lib is None:
-        def E_at(lam: float) -> float:
-            # g's result is read, never written, so a g that returns its
-            # argument is safe
-            np.multiply(Y_mid, lam, out=work)
-            np.subtract(y_mid, work, out=work)
-            np.subtract(g.g(work), gy, out=val)
-            np.multiply(gpyY, lam, out=work)
-            np.add(val, work, out=val)
-            np.multiply(r_mid, 1.0 - lam, out=work)
-            np.add(work, val, out=val)
-            with np.errstate(over="ignore"):
-                np.square(val, out=val)
-                return 0.5 * cell * float(np.sum(val))
-    else:
-        shape = work.shape
-        gy, gpyY = _loop_buffer(gy, shape), _loop_buffer(gpyY, shape)
-        at = (grid.nt, *_interior_runs(grid))
-        point_args = (*_level_args(grid, y.values), *_level_args(grid, Y1.values))
-        r_args = _level_args(grid, r.values)
-        work_at, val_at, gy_at, gpyY_at = (a.ctypes.data for a in (work, val, gy, gpyY))
-        # the loops read these arrays by address: E_at's default argument
-        # keeps them alive as long as E_at is
-        held = (y.values, Y1.values, r.values, work, val, gy, gpyY)
-
-        def E_at(lam: float, held=held) -> float:
-            if R is not None and y_max + abs(lam) * Y_max <= R:
-                lib.segment_cubic(val_at, *at, lam, *point_args, *r_args, gy_at, gpyY_at)
-            else:
-                lib.segment_point(work_at, *at, lam, *point_args)
-                gw = _loop_buffer(g.g(work), shape)
-                lib.segment_value(val_at, *at, lam, *r_args, gw.ctypes.data, gy_at, gpyY_at)
-            with np.errstate(over="ignore"):
-                return 0.5 * cell * float(np.sum(val))
+    def E_at(lam: float) -> float:
+        if R is not None and y_max + abs(lam) * Y_max <= R:
+            val = segment.cube(lam)
+        else:
+            val = segment.value(lam, g.g(segment.point(lam)))
+        with np.errstate(over="ignore"):
+            return 0.5 * cell * float(np.sum(val))
 
     def ruled_out(lams: np.ndarray) -> np.ndarray:
         if g.seminorm is None:
             return np.zeros(len(lams), dtype=bool)
-        dg_max = _max_abs(gp_mid)
-        norms = _bracket_norms(y_mid, Y_mid, r_mid, gy, gpyY, dg_max, g.s, y_max, Y_max, work)
+        dg_max = _max_abs(gp.values[sl])
+        norms = _bracket_norms(y_mid, Y_mid, r_mid, segment.gy, segment.gpY, dg_max, g.s,
+                               y_max, Y_max, segment.work)
         return _ruled_out(lams, norms, g, cell)
     return E_at, ruled_out
 
@@ -390,12 +330,11 @@ def line_search(y: SpaceTimeField, r: SpaceTimeField, Y1: SpaceTimeField,
 
     gp = g'(y) is the potential (Y1, F1) was solved with; it is read, never
     written, and g' is not evaluated again.  Every evaluation combines
-    cached fields pointwise (no PDE solve), in the compiled kernel's
-    loops when it loads (`_segment_energy`; a g with a cube_radius must be
-    the cube within it).  The scan evaluates only the points the descent
-    estimate cannot rule out, reading inf at the others, with the bits of
-    a full scan (module docstring).  Returns the best evaluated
-    point, so E never increases at the accepted step; a minimizer at 0
+    cached fields pointwise (no PDE solve; `_segment_energy`: a g with a
+    cube_radius must be the cube within it).  The scan evaluates only the
+    points the descent estimate cannot rule out, reading inf at the others,
+    with the bits of a full scan (module docstring).  Returns the best
+    evaluated point, so E never increases at the accepted step; a minimizer at 0
     signals stagnation.  An E that overflows reads inf and is never the
     minimum while E(0) is finite.
     """
@@ -439,9 +378,13 @@ def initialize(problem: LinearControlProblem):
     CG stops at the Tikhonov floor, as in every Newton step.  Its
     preconditioner, the problem's P = G(0) + eps I of `linear_control`, is
     this solve's operator where P's band is every mode (every committed
-    1D config), so the solve then takes one CG iteration.
+    1D config), so the solve then takes one CG iteration.  Data that the
+    scheme cannot march raise ConfigError, naming the blown-up level.
     """
-    return solve_linear(problem, None, None, problem.initial, problem.target, floor=True)
+    try:
+        return solve_linear(problem, None, None, problem.initial, problem.target, floor=True)
+    except BlowupError as exc:
+        raise ConfigError(f"the start solve (g = 0) blew up: {exc}") from None
 
 
 def record_inner(rec: IterateRecord, sol: ControlSolution):

@@ -32,15 +32,12 @@ class Nonlinearity:
     the results of g and dg and never writes them.
 
     cube_radius, when set, states that g(r) is exactly (r * r) * r in
-    float64 wherever |r| <= cube_radius, so the compiled line search
-    forms g itself where the segment stays within it and calls g only
-    elsewhere (`least_squares._segment_energy`).  Like seminorm it
-    describes a builtin: `cubic_sat` sets it to R, and any other name
-    with a cube_radius, or one that is not a finite positive number,
-    raises ConfigError.  A copy `dataclasses.replace(nl, g=h)` keeps it,
-    so h must be the cube within it too: nothing checks that, and a
-    different h would read other values on the compiled path than
-    without the compiler.
+    float64 wherever |r| <= cube_radius, so the line search forms g
+    itself where the segment stays within it and calls g only elsewhere
+    (`least_squares._segment_energy`).  Like seminorm it describes a
+    builtin: `cubic_sat` sets it to R, and any other name with a
+    cube_radius, or one that is not a finite positive number, raises
+    ConfigError.  A copy `dataclasses.replace(nl, g=h)` keeps it.
     """
 
     name: str

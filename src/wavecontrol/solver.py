@@ -91,169 +91,22 @@ def _march(grid, y, position, velocity, A, S, w=None):
     chi phi from the backward trajectory without forming it.  Raises
     BlowupError at the first nonfinite level.
 
-    Levels 2..nt are stepped by the compiled kernel (`_leapfrog.c`) when it
-    loads, else by `_march_1d`/`_march_2d`; both write the same bits.
-    Neither looks for a blow-up: a nonfinite node stays nonfinite through
-    y[nt] (each step multiplies it by the centre weight k0, and any finite
-    k0 times inf or nan is inf or nan), so the one check of y[nt] here
-    finds every march that holds a nonfinite level.
+    `_leapfrog.march` steps levels 2..nt without looking for a blow-up: a
+    nonfinite node stays nonfinite through y[nt] (each step multiplies it
+    by the centre weight k0, and any finite k0 times inf or nan is inf or
+    nan), so the one check of y[nt] here finds every nonfinite level.
     """
     dt = grid.dt
-    lib = _leapfrog.LOADER.load()
     y[0] = position
     # overflow is reported as BlowupError, not raised by numpy
     with np.errstate(over="ignore", invalid="ignore"):
         y[(1,) + (slice(1, -1),) * grid.dim] = (
             _interior(grid, position) + dt * _interior(grid, velocity)
             + 0.5 * dt * dt * _accel(grid, y[0], A, S, 0, w))
-        if lib is None:
-            (_march_1d if grid.dim == 1 else _march_2d)(grid, y, A, S, w)
-        else:
-            _march_compiled(lib, grid, y, A, S, w)
+        _leapfrog.march(grid, y, A, S, w)
     if not np.isfinite(y[-1]).all():
         finite = np.isfinite(y[1:].reshape(grid.nt, -1)).all(axis=1)
         raise BlowupError(1 + int(np.argmin(finite)))
-
-
-def _march_compiled(lib, grid, y, A, S, w):
-    """Levels 2..nt of y by the compiled kernel."""
-    if y.dtype != np.float64 or not y.flags.c_contiguous or y.shape != (grid.nt + 1,) + grid.shape:
-        raise ValueError(f"march buffer must be C-contiguous float64 of shape "
-                         f"{(grid.nt + 1,) + grid.shape}")
-    dt2, cs, k0 = _coefficients(grid)
-    march = lib.march_1d if grid.dim == 1 else lib.march_2d
-    march(y.ctypes.data, grid.nt, *grid.shape, *cs, k0, dt2,
-          *_level_args(grid, A), *_level_args(grid, S), _weight_arg(grid, w))
-
-
-def _level_args(grid, values):
-    """(address of level 0, level stride in elements) of a field array that
-    the kernel reads (the march's potential or source, the line search's
-    y, Y1 and r), (None, 0) without one.
-
-    Checks that the kernel reads it as it reads y: float64, of y's shape,
-    each level C-contiguous, levels a whole number of elements apart.  The
-    stride may be negative (a field in reversed time).
-    """
-    if values is None:
-        return None, 0
-    shape = (grid.nt + 1,) + grid.shape
-    if values.dtype != np.float64 or values.shape != shape:
-        raise ValueError(f"kernel fields must be float64 of shape {shape}")
-    if not values[0].flags.c_contiguous or values.strides[0] % values.itemsize:
-        raise ValueError("kernel fields must hold C-contiguous levels, "
-                         "a whole number of elements apart")
-    return values.ctypes.data, values.strides[0] // values.itemsize
-
-
-def _weight_arg(grid, w):
-    """The address of a spatial weight that the kernel reads (None without
-    one), checked to be float64 of the grid's shape and C-contiguous, so the
-    kernel reads it at y's node index."""
-    if w is None:
-        return None
-    if w.dtype != np.float64 or w.shape != grid.shape or not w.flags.c_contiguous:
-        raise ValueError(f"kernel weights must be C-contiguous float64 of shape {grid.shape}")
-    return w.ctypes.data
-
-
-def _coefficients(grid):
-    """dt^2, the per-axis dt^2/dx^2 and the centre weight 2 - 2 sum of them,
-    shared by both marches so that they round alike."""
-    dt2 = grid.dt * grid.dt
-    cs = tuple(dt2 / h ** 2 for h in grid.dx)
-    k0 = 2.0
-    for c in cs:
-        k0 = k0 - 2.0 * c
-    return dt2, cs, k0
-
-
-def _level_rows(values, lo, hi):
-    """Per-level views of the flat node range [lo, hi) of an array shaped
-    as the trajectory (None for None), built once per march so that its
-    loop creates none.  They write through to y, whose levels are
-    C-contiguous."""
-    if values is None:
-        return None
-    return list(values.reshape(len(values), -1)[:, lo:hi])
-
-
-def _march_1d(grid, y, A, S, w):
-    # Per node the update is ((((k0 y + c yR) + c yL) - y_prev) - (dt2 A) y) + dt2 (S w),
-    # evaluated left to right; that order is part of the output contract
-    # (byte-identical results), so only the buffers may change, not the sums.
-    # dt2 A[n] and dt2 (S[n] w) are formed per step in one row-sized buffer.
-    dt2, (c,), k0 = _coefficients(grid)
-    nt, nx = grid.nt, grid.shape[0]
-    mul, add, sub = np.multiply, np.add, np.subtract
-    rows = list(y)
-    inner, a, s = (_level_rows(v, 1, nx - 1) for v in (y, A, S))
-    w = w[1:-1] if w is not None else None
-    cy = np.empty(nx)
-    cy_r, cy_l = cy[2:], cy[:-2]
-    tmp = np.empty(nx - 2)
-    for n in range(1, nt):
-        out = inner[n + 1]
-        core = inner[n]
-        mul(rows[n], c, out=cy)
-        mul(core, k0, out=out)
-        add(out, cy_r, out=out)
-        add(out, cy_l, out=out)
-        sub(out, inner[n - 1], out=out)
-        if a is not None:
-            mul(a[n], dt2, out=tmp)
-            mul(tmp, core, out=tmp)
-            sub(out, tmp, out=out)
-        if s is not None:
-            src = s[n]
-            if w is not None:
-                src = mul(src, w, out=tmp)
-            mul(src, dt2, out=tmp)
-            add(out, tmp, out=out)
-
-
-def _march_2d(grid, y, A, S, w):
-    # Per node: ((((k0 core - prev) + cx (xp + xm)) + cy (yp + ym)) - (dt2 A) core)
-    # + dt2 (S w), in this order.  Each level is marched as one contiguous flat range
-    # [lo, hi) of node indices i*ny + j, from the first interior node to the
-    # last; x-neighbours sit at offsets +-ny and y-neighbours at +-1.  The
-    # range also holds the j = 0 and j = ny-1 edge nodes of the inner rows:
-    # the step writes junk there (their stencils wrap to the adjacent row),
-    # which is reset to zero before anything reads it.  dt2 A[n] and
-    # dt2 (S[n] w) are formed per step in one range-sized buffer, so no field
-    # is added.
-    dt2, (cx, cy), k0 = _coefficients(grid)
-    nt = grid.nt
-    nx, ny = grid.shape
-    lo, hi = ny + 1, (nx - 1) * ny - 1
-    mul, add, sub = np.multiply, np.add, np.subtract
-    edges = list(y[:, 1:-1, ::ny - 1])
-    core, xp, xm, yp, ym = (_level_rows(y, lo + d, hi + d) for d in (0, ny, -ny, 1, -1))
-    a, s = _level_rows(A, lo, hi), _level_rows(S, lo, hi)
-    w = w.reshape(-1)[lo:hi] if w is not None else None
-    tmp = np.empty(hi - lo)
-    for n in range(1, nt):
-        out = core[n + 1]
-        cur = core[n]
-        mul(cur, k0, out=out)
-        sub(out, core[n - 1], out=out)
-        add(xp[n], xm[n], out=tmp)
-        mul(tmp, cx, out=tmp)
-        add(out, tmp, out=out)
-        add(yp[n], ym[n], out=tmp)
-        mul(tmp, cy, out=tmp)
-        add(out, tmp, out=out)
-        if a is not None:
-            mul(a[n], dt2, out=tmp)
-            mul(tmp, cur, out=tmp)
-            sub(out, tmp, out=out)
-        if s is not None:
-            src = s[n]
-            if w is not None:
-                src = mul(src, w, out=tmp)
-            mul(src, dt2, out=tmp)
-            add(out, tmp, out=out)
-        edges[n + 1].fill(0.0)
 
 
 def solve_backward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,

@@ -259,6 +259,29 @@ def test_overflowed_residual_ends_every_method_diverged(tmp_path):
         assert entry["E_final"] is None and entry["sqrt2E_final"] is None
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_data_that_the_start_solve_cannot_march_is_a_config_error(tmp_path, capsys, command):
+    # amplitude 1e308 overflows the g = 0 start solve's march at level 1,
+    # before any method steps
+    cfg = load_json(CONFIGS / "lipschitz_default.json")
+    cfg["data"]["initial"]["position"]["amplitude"] = 1e308
+    cfg["sweep"] = {"path": "nonlinearity.params.kappa", "values": [5.0]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == ("config error: the start solve (g = 0) blew up: "
+                                       "nonfinite values at time level 1\n")
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_time_step_whose_square_underflows_is_a_config_error(tmp_path, capsys, command):
+    # dt = 1e-300 / 180 passes every other check, but dt^2 is 0 and the
+    # residual stencil would divide 0 by 0
+    path, _ = small_linear_config(tmp_path, **{"scenario.T": 1e-300})
+    assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
+    assert "config error: dt^2 = 0 is not a normal float64 number" in capsys.readouterr().err
+
+
 def test_run_determinism_byte_identical(tmp_path):
     path, _ = small_linear_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -37,8 +37,11 @@ def test_grid_rejects_bad_shapes_and_params():
     ((1.0,), (50.7,), 1.0, 100, "nodes"),          # else silently 50 nodes
     ((1.0, 1.0), (50, 40.5), 1.0, 100, "nodes"),
     ((1.0,), (50,), 1.0, True, "nt"),
+    ((1.0,), (50,), 1e-300, 100, r"dt\^2 = 0 "),  # else the residual stencil divides 0 by 0
+    ((1.0,), (50,), 1e-155, 100, r"dt\^2 = 1e-314 is not a normal"),
+    ((1e300,), (50,), 1.0, 100, r"min\(dx\)\^2 = inf"),
 ], ids=["T=nan", "T=inf", "length=nan", "length=inf", "nt=100.5", "nodes=50.7",
-        "2d_nodes=40.5", "nt=True"])
+        "2d_nodes=40.5", "nt=True", "dt^2=0", "dt^2 subnormal", "dx^2=inf"])
 def test_grid_rejects_nonfinite_and_fractional_input(lengths, nodes, T, nt, words):
     with pytest.raises(ConfigError, match=words):
         wc.SpaceTimeGrid(lengths, nodes, T=T, nt=nt)

@@ -61,7 +61,7 @@ def test_compiled_kernel_is_in_use_when_cc_is_on_path(monkeypatch):
     def numpy_march(*args):
         raise AssertionError("the numpy march ran")
 
-    monkeypatch.setattr(solver, "_march_1d", numpy_march)
+    monkeypatch.setattr(_leapfrog, "_march_1d", numpy_march)
     grid, A, init = problem_1d()
     wc.solve_forward(grid, A, None, init)
 

@@ -459,16 +459,16 @@ def test_fused_cubic_E_gives_the_bits_of_the_two_loops_and_numpy(dim, case):
         assert all(math.isfinite(float.fromhex(E)) for _, E in numpy)
 
 
-@needs_cc
+@pytest.mark.parametrize("kernel", MARCH_KERNELS)
 @pytest.mark.parametrize("dim", [1, 2])
-def test_wrapped_cubic_g_keeps_the_fused_path(dim):
+def test_wrapped_cubic_g_keeps_the_fused_path(kernel, dim):
     # a traced g is a dataclasses.replace copy: it keeps cube_radius, and
-    # the line search calls it once, for g(y)
+    # the line search calls it once, for g(y), on either kernel
     g = LINE_SEARCH_G["cubic_sat"]
     y, r, Y1 = cubic_segment(dim, "inside")
     calls = []
     wrapped = dataclasses.replace(g, g=lambda v: calls.append(1) or g.g(v))
-    with march_kernel("compiled"):
+    with march_kernel(kernel):
         got = wc.line_search(y, r, Y1, wrapped, potential(y, g), 2.0)
         want = wc.line_search(y, r, Y1, g, potential(y, g), 2.0)
     assert len(calls) == 1

@@ -57,7 +57,7 @@ def test_nonfinite_or_out_of_range_parameters_are_config_errors(name, params):
 
 @pytest.mark.parametrize("R", [50.0, 1.0, 3.7])
 def test_cubic_sat_is_the_cube_within_its_cube_radius(R):
-    # the compiled line search forms (w w) w itself wherever |w| <= cube_radius
+    # the line search forms (w w) w itself wherever |w| <= cube_radius
     g = wc.builtin("cubic_sat", R=R)
     assert g.cube_radius == R
     r = np.concatenate([np.linspace(-R, R, 2001), [R, -R, np.nextafter(R, 0.0), 0.0, -0.0],
@@ -74,7 +74,7 @@ def test_cubic_sat_is_the_cube_within_its_cube_radius(R):
                                     ("cubic_sat", 0.0), ("cubic_sat", math.inf),
                                     ("cubic_sat", math.nan), ("cubic_sat", "5")])
 def test_cube_radius_is_only_cubic_sats_finite_radius(name, R):
-    # the compiled line search trusts cube_radius without calling g, so a
+    # the line search trusts cube_radius without calling g, so a
     # copy renamed, or given a radius that cannot bound |w|, is refused
     g = wc.builtin("cubic_sat", R=5.0)
     with pytest.raises(ConfigError):

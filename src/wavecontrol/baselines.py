@@ -45,7 +45,8 @@ def _fixed_point_step(problem, g, rec, y, f, terminal, r, gp, *, linearize):
 
 def _picard_linearization(grid, g, y, gp):
     potential = SpaceTimeField(grid, g.hat_g(y.values))
-    source = None if g.g0 == 0.0 else SpaceTimeField.constant(grid, -g.g0)
+    g0 = float(g.g(0.0))
+    source = None if g0 == 0.0 else SpaceTimeField.constant(grid, -g0)
     return potential, source
 
 

@@ -342,22 +342,27 @@ def method_summary(result, wall_time):
     }
 
 
+def _has_type(value, typ) -> bool:
+    """isinstance(value, typ), where an int is also a float and a bool is
+    neither: no schema key holds a bool."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, typ) or (typ is float and isinstance(value, int))
+
+
 def validate_summary(summary: dict):
     """Check summary.json against the published schema; raises on mismatch."""
     for key, typ in SUMMARY_SCHEMA.items():
         if key not in summary:
             raise ValueError(f"summary missing key {key!r}")
-        if not isinstance(summary[key], typ):
+        if not _has_type(summary[key], typ):
             raise ValueError(f"summary key {key!r} has wrong type")
     for name, entry in summary["methods"].items():
         for key, typ in SUMMARY_METHOD_SCHEMA.items():
             if key not in entry:
                 raise ValueError(f"summary.methods.{name} missing {key!r}")
             value = entry[key]
-            if isinstance(typ, tuple):
-                ok = isinstance(value, typ)
-            else:
-                ok = isinstance(value, typ) or (typ is float and isinstance(value, int))
+            ok = _has_type(value, typ)
             if ok and typ is list:
                 ok = all(type(k) is int and k >= 0 for k in value)
             if not ok:

@@ -229,20 +229,8 @@ class StatePair:
         self.velocity = vel
 
     @classmethod
-    def _trusted(cls, grid: SpaceTimeGrid, position: np.ndarray,
-                 velocity: np.ndarray) -> "StatePair":
-        """Wrap finite grid-shaped arrays that vanish on the boundary, without checks."""
-        position.setflags(write=False)
-        velocity.setflags(write=False)
-        s = cls.__new__(cls)
-        s.grid = grid
-        s.position = position
-        s.velocity = velocity
-        return s
-
-    @classmethod
     def zeros(cls, grid: SpaceTimeGrid) -> "StatePair":
-        return cls._trusted(grid, np.zeros(grid.shape), np.zeros(grid.shape))
+        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
 
     def __add__(self, other: "StatePair") -> "StatePair":
         return StatePair(self.grid, self.position + other.position,

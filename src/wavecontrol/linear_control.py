@@ -48,12 +48,11 @@ with P = G(0) + eps I, the regularized Gramian without potential; with
 eps = 0 CG runs plain.  P depends only on the grid, region and eps, so a
 `LinearControlProblem` caches its P (`precond`), and every solve of one
 outer iteration reads its problem's P (`least_squares.solve_linear`).
-For a constant potential a every sine mode of the box grid evolves on
-its own under the leapfrog scheme,
-T_k(m+1) = (2 - dt^2 (mu_h,k + a)) T_k(m) - T_k(m-1) with mu_h,k the
-eigenvalues of -Lap_h, so the Gramian has the closed form
+Without potential every sine mode of the box grid evolves on its own
+under the leapfrog scheme, T_k(m+1) = (2 - dt^2 mu_h,k) T_k(m) - T_k(m-1)
+with mu_h,k the eigenvalues of -Lap_h, so the Gramian has the closed form
 
-    G(a) = (T W T^T) o [[M, M], [M, M]]
+    G(0) = (T W T^T) o [[M, M], [M, M]]
 
 (`_free_wave_block` of every mode, no march): the rows of T are the
 time signals, in backward time, of the unit seeds (a position seed
@@ -90,7 +89,8 @@ alone took 231.
 
 A `_GramianOperator` on (grid, region, potential) is the one place that
 solves the adjoint phi backward from a seed (`adjoint`) and drives the
-state from rest with the control u = chi phi (`from_rest`).  It owns the
+state from rest with the control u = chi phi (`from_rest`), both on
+(position, velocity) arrays, so an apply builds no `StatePair`.  It owns the
 two full-size fields these write: the backward and the forward
 trajectory.  The forward march reads u from the backward trajectory in
 place, phi in reversed time as its source and chi as the source's
@@ -193,16 +193,18 @@ def _sqrt_mu(grid):
     return np.sqrt(eigenvalues(grid))
 
 
+def _seed(grid, rho):
+    """The (position, velocity) arrays of the seed of the coordinates rho,
+    unchecked: they vanish on the boundary by construction, and a nonfinite
+    rho gives a seed whose march raises BlowupError."""
+    p_hat, q_hat = rho.reshape((2,) + grid.interior_shape)
+    return (from_sine_coefficients(grid, p_hat),
+            from_sine_coefficients(grid, _sqrt_mu(grid) * q_hat))
+
+
 def seed_from_rho(grid: SpaceTimeGrid, rho: np.ndarray) -> StatePair:
-    """The seed of the coordinates rho, unchecked: it vanishes on the boundary
-    by construction, and a nonfinite rho gives a seed whose march raises
-    BlowupError."""
-    n = math.prod(grid.interior_shape)
-    shape = grid.interior_shape
-    p_hat = rho[:n].reshape(shape)
-    q_hat = _sqrt_mu(grid) * rho[n:].reshape(shape)
-    return StatePair._trusted(grid, from_sine_coefficients(grid, p_hat),
-                              from_sine_coefficients(grid, q_hat))
+    """The seed of the coordinates rho."""
+    return StatePair(grid, *_seed(grid, rho))
 
 
 def rho_from_seed(grid: SpaceTimeGrid, seed: StatePair) -> np.ndarray:
@@ -237,7 +239,7 @@ def hum_pairing(terminal: StatePair, seed: StatePair) -> float:
 
 class _GramianOperator:
     """Adjoint seeds to states on one (grid, region, potential), in fields
-    built once.
+    built once; seeds and states are (position, velocity) arrays.
 
     Owns the backward trajectory phi (in reversed time, as the time-reversed
     forward march writes it) and the forward trajectory z.  The forward
@@ -258,26 +260,25 @@ class _GramianOperator:
         self.z = np.zeros(levels)
         self.rest = np.zeros(grid.shape)
 
-    def adjoint(self, seed: StatePair):
-        """Write into back the adjoint phi solved backward from `seed` (data
-        of phi at t=T), then zero its level 0, phi at t=T: the control's
-        final level carries no quadrature weight."""
-        _march(self.grid, self.back, seed.position, -seed.velocity, self.back_A, None)
+    def adjoint(self, position, velocity):
+        """Write into back the adjoint phi solved backward from the seed
+        (position, velocity) (data of phi at t=T), then zero its level 0, phi
+        at t=T: the control's final level carries no quadrature weight."""
+        _march(self.grid, self.back, position, -velocity, self.back_A, None)
         self.back[0] = 0.0
 
     def control(self) -> np.ndarray:
         """The control chi * phi of the last `adjoint`, in a new array."""
         return np.multiply(self.back[::-1], self.weights)
 
-    def from_rest(self, u=None) -> StatePair:
+    def from_rest(self, u=None):
         """Write into z the state driven from rest by the control u, or by
         chi * phi read from back where u is None; returns its scheme-exact
-        terminal state."""
+        terminal (position, velocity), the position a view of z."""
         grid = self.grid
         S, w = (self.back[::-1], self.weights) if u is None else (u, None)
         _march(grid, self.z, self.rest, self.rest, self.A, S, w)
-        velocity = _embed(grid, _terminal_velocity(grid, self.z, self.A, S, w))
-        return StatePair._trusted(grid, self.z[-1].copy(), velocity)
+        return self.z[-1], _embed(grid, _terminal_velocity(grid, self.z, self.A, S, w))
 
 
 def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
@@ -291,15 +292,15 @@ def gramian_apply(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     """
     check_same_grid(grid, region=region, potential=potential, seed=seed)
     op = _GramianOperator(grid, region, potential)
-    op.adjoint(seed)
-    return op.from_rest()
+    op.adjoint(seed.position, seed.velocity)
+    return StatePair(grid, *op.from_rest())
 
 
 def _gramian_rho(op, rho):
     """G rho: one Gramian apply in seed coordinates, in op's fields."""
-    op.adjoint(seed_from_rho(op.grid, rho))
-    terminal = op.from_rest()
-    return dual_to_rho(op.grid, terminal.velocity, -terminal.position)
+    op.adjoint(*_seed(op.grid, rho))
+    position, velocity = op.from_rest()
+    return dual_to_rho(op.grid, velocity, -position)
 
 
 def _discrete_eigenvalues(grid):
@@ -309,8 +310,8 @@ def _discrete_eigenvalues(grid):
     return reduce(np.add.outer, per_axis).ravel()
 
 
-def _free_wave_signals(grid, a, modes):
-    """T and W of the closed form G(a) (module docstring) on the seeds of
+def _free_wave_signals(grid, modes):
+    """T and W of the closed form G(0) (module docstring) on the seeds of
     `modes`, sine-mode indices in C order; W as a column.
 
     T is stored transposed: its row m holds, for every unit seed (position
@@ -324,9 +325,9 @@ def _free_wave_signals(grid, a, modes):
     T = np.empty((grid.nt + 1, 2 * n))
     T[0, :n] = 1.0
     T[0, n:] = 0.0
-    T[1, :n] = 1.0 - 0.5 * dt * dt * (mu_h + a)
+    T[1, :n] = 1.0 - 0.5 * dt * dt * mu_h
     T[1, n:] = -dt * _sqrt_mu(grid).ravel()[modes]
-    k = np.tile(2.0 - dt * dt * (mu_h + a), 2)
+    k = np.tile(2.0 - dt * dt * mu_h, 2)
     for m in range(1, grid.nt):
         np.multiply(k, T[m], out=T[m + 1])
         T[m + 1] -= T[m - 1]
@@ -341,11 +342,11 @@ def _dst_matrices(grid):
     return [dst1(np.eye(N), (-1,)) for N in grid.interior_shape]
 
 
-def _free_wave_block(grid, region, modes, dst, a=0.0):
-    """The block of G(a) on the position and velocity seeds of `modes`, in
+def _free_wave_block(grid, region, modes, dst):
+    """The block of G(0) on the position and velocity seeds of `modes`, in
     closed form (module docstring), from T's columns and the rows of those
     modes of D, whose factors `dst` are the grid's `_dst_matrices`; every
-    mode gives the whole G(a)."""
+    mode gives the whole G(0)."""
     m = len(modes)
     index = np.unravel_index(modes, grid.interior_shape)
     rows = [S[k] for S, k in zip(dst, index)]
@@ -353,18 +354,18 @@ def _free_wave_block(grid, region, modes, dst, a=0.0):
     chi = region.weights[(slice(1, -1),) * grid.dim].ravel()
     M = (D * chi) @ D.T
     del D                     # freed before G exists, which lowers the build's peak
-    T, w = _free_wave_signals(grid, a, modes)
+    T, w = _free_wave_signals(grid, modes)
     G = T.T @ (w * T)
     del T
     G.reshape(2, m, 2, m)[...] *= M[:, None, :]
     return G
 
 
-def _free_wave_diagonal(grid, region, modes, dst, a=0.0):
-    """The diagonal of G(a) on the seeds of `modes`, sum_m w_m T_k(m)^2 M_kk,
+def _free_wave_diagonal(grid, region, modes, dst):
+    """The diagonal of G(0) on the seeds of `modes`, sum_m w_m T_k(m)^2 M_kk,
     without D: M's diagonal is chi's interior under the squared orthonormal
     DST-I matrix of each axis (`dst`, the grid's `_dst_matrices`)."""
-    T, w = _free_wave_signals(grid, a, modes)
+    T, w = _free_wave_signals(grid, modes)
     mass = region.weights[(slice(1, -1),) * grid.dim]
     for axis, S in enumerate(dst):
         mass = np.moveaxis(np.tensordot(S * S, mass, (1, axis)), 0, axis)
@@ -516,7 +517,7 @@ def _controlled_solution(problem, op, u, free, free_term, **solver_info) -> Cont
     """The control u and its state: the response from rest, written into op.z
     once the backward trajectory is freed, plus the free solution."""
     del op.back                 # the forward march reads only u
-    w_term = op.from_rest(u)
+    w_term = StatePair(problem.grid, *op.from_rest(u))
     if free is not None:
         op.z += free.values
     terminal = free_term + w_term
@@ -556,7 +557,7 @@ def solve_null_control(problem: LinearControlProblem, floor: bool = False,
     op = _GramianOperator(grid, problem.region, problem.potential)
     rho, iters, converged, history = _cg(op, c, problem.cg_tol, problem.cg_max_iter, eps,
                                          FLOOR_THETA * eps if floor else 0.0, precond)
-    op.adjoint(seed_from_rho(grid, rho))
+    op.adjoint(*_seed(grid, rho))
     return _controlled_solution(problem, op, op.control(), free, free_term,
                                 cg_iterations=iters, converged=bool(converged),
                                 residual_history=history, seed_coords=rho)
@@ -584,7 +585,7 @@ def _constraint_rows(op):
     eye = np.eye(2 * math.prod(grid.interior_shape))
     Ct = np.empty((len(eye), sqrt_w.size))
     for row, e in zip(Ct, eye):
-        op.adjoint(seed_from_rho(grid, e))
+        op.adjoint(*_seed(grid, e))
         row[:] = op.control()[mask]
     return Ct * sqrt_w, sqrt_w, mask
 

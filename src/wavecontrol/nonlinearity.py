@@ -47,7 +47,6 @@ class Nonlinearity:
     seminorm: float | None      # [g']_s, None when unknown
     alpha: float | None         # growth bound intercept, None when unknown
     beta: float | None          # growth bound log coefficient
-    g0: float = 0.0             # cached g(0)
     cube_radius: float | None = None  # g = r^3 exactly on |r| <= cube_radius
 
     def __post_init__(self):
@@ -67,7 +66,7 @@ class Nonlinearity:
         r = np.asarray(r, dtype=float)
         big = np.abs(r) >= 1e-8
         safe = np.where(big, r, 1.0)
-        quotient = (self.g(safe) - self.g0) / safe
+        quotient = (self.g(safe) - self.g(0.0)) / safe
         return np.where(big, quotient, self.dg(0.0))
 
 
@@ -131,7 +130,7 @@ def builtin(name: str, **params) -> Nonlinearity:
                           # no closed-form seminorm
                           s=0.5, seminorm=None,
                           # |g'| <= |b| + |c| (ln^(1/2)(1+|r|) + 0.32), margin 0.5
-                          alpha=abs(b) + 0.5 * abs(c), beta=abs(c), g0=a)
+                          alpha=abs(b) + 0.5 * abs(c), beta=abs(c))
     elif name == "cubic_sat":
         R = param("R", 50.0)
         if R <= 0:

@@ -118,7 +118,7 @@ def solve_backward(grid: SpaceTimeGrid, potential: SpaceTimeField | None,
     """
     check_same_grid(grid, terminal=terminal)
     rev_potential = potential.time_reversed() if potential is not None else None
-    rev_init = StatePair._trusted(grid, terminal.position, -terminal.velocity)
+    rev_init = StatePair(grid, terminal.position, -terminal.velocity)
     return solve_forward(grid, rev_potential, None, rev_init).time_reversed()
 
 

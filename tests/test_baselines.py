@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -27,6 +28,19 @@ def test_picard_contracts_for_weak_nonlinearity(small_problem):
     deltas = [r.step_delta for r in res.records if math.isfinite(r.step_delta)]
     # measured contraction: consecutive increments shrink
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
+
+
+def test_picard_reads_g0_of_a_replaced_g():
+    # picard's potential (g(y) - g(0)) / y and source -g(0) take g(0) from g:
+    # h = g + 1/2, a copy of loglimit a = 1/2, is solved as loglimit a = 1
+    problem = make_problem(nx=60, nt=180)
+    g = wc.builtin("loglimit", a=0.5)
+    h = dataclasses.replace(g, g=lambda r: g.g(r) + 0.5)
+    config = wc.LSConfig(max_outer=12)
+    res = wc.picard_solve(problem, h, config)
+    ref = wc.picard_solve(problem, wc.builtin("loglimit", a=1.0), config)
+    assert res.status == ref.status == "converged"
+    assert len(res.records) == len(ref.records)
 
 
 def test_variant_zero_g_is_linear_initialization(small_problem):

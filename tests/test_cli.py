@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -227,10 +228,49 @@ def test_summary_reports_the_start_solve(tmp_path):
     assert start > 1
     assert {m: e["start_cg_iters"] for m, e in summary["methods"].items()} == dict.fromkeys(
         cfg["methods"], start)
-    for bad in (1.5, None, "1"):
+    for bad in (1.5, None, "1", True):
         summary["methods"]["picard"]["start_cg_iters"] = bad
         with pytest.raises(ValueError, match="start_cg_iters has wrong type"):
             cli.validate_summary(summary)
+    # a bool is neither an int nor a float of the schema
+    summary["methods"]["picard"]["start_cg_iters"] = start
+    for key in ("iterations", "M_run", "wall_time_s"):
+        entry = dict(summary["methods"]["variant"], **{key: True})
+        with pytest.raises(ValueError, match=f"{key} has wrong type"):
+            cli.validate_summary(dict(summary, methods={"variant": entry}))
+    with pytest.raises(ValueError, match="'seed' has wrong type"):
+        cli.validate_summary(dict(summary, seed=False))
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
+def test_verbose_run_writes_the_cg_history(tmp_path, capsys):
+    # --verbose prints one line per outer step and writes cg_history.csv, one
+    # row per CG residual of each inner solve, and changes no iterates.csv byte
+    path = CONFIGS / "lipschitz_default.json"
+    assert run_cli(["run", "--config", path, "--out", tmp_path / "quiet"]) == 0
+    capsys.readouterr()
+    assert run_cli(["run", "--config", path, "--out", tmp_path / "loud", "--verbose"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "[least_squares]" in line]
+    assert (tmp_path / "quiet" / "iterates.csv").read_bytes() == (
+        tmp_path / "loud" / "iterates.csv").read_bytes()
+    assert not (tmp_path / "quiet" / "cg_history.csv").exists()
+    _, steps = read_csv(tmp_path / "loud" / "iterates.csv")
+    header, rows = read_csv(tmp_path / "loud" / "cg_history.csv")
+    assert header == ["method", "k", "cg_iter", "rel_residual"]
+    iters = [int(step["inner_cg_iters"]) for step in steps]
+    assert iters == [6, 6, 6, 0] and len(rows) == 21 == 3 * (6 + 1)
+    assert [(int(r["k"]), int(r["cg_iter"])) for r in rows] == [
+        (k, i) for k, n in enumerate(iters) if n for i in range(n + 1)]
+    assert all(r["method"] == "least_squares" for r in rows)
+    assert [r["rel_residual"] for r in rows if r["cg_iter"] == "0"] == ["1.0"] * 3
+    assert [line.split()[1:5] for line in lines] == [
+        [f"k={k}", f"E={float(s['E']):.6e}", f"lam={float(s['lambda']):.4f}", f"cg={n}"]
+        for k, (s, n) in enumerate(zip(steps, iters))]
 
 
 def test_run_exit_two_on_cap(tmp_path):

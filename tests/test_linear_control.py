@@ -21,7 +21,7 @@ from wavecontrol.linear_control import (FLOOR_THETA, _cg, _constraint_rows, _dst
                                         _GramianOperator, _gramian_rho, _invert_lower,
                                         dual_to_rho, rho_from_seed, seed_from_rho)
 
-from conftest import MARCH_KERNELS, march_kernel
+from conftest import MARCH_KERNELS, make_problem, march_kernel
 
 
 @pytest.fixture()
@@ -254,8 +254,32 @@ def test_operator_holds_two_fields_and_forms_no_control(dim, monkeypatch):
         assert peak < 0.5 * field_bytes, (kernel, peak / field_bytes)
 
 
+def test_a_solve_builds_as_many_states_at_any_cg_length(monkeypatch):
+    # StatePair has one constructor, the checked one; a Gramian apply moves
+    # arrays and builds none, so plain CG (eps_reg = 0, hundreds of
+    # iterations) builds as many states per solve as P's few iterations
+    assert not hasattr(wc.StatePair, "_trusted")
+    grid = make_problem(nx=60, nt=180).grid
+    A = wc.SpaceTimeField.constant(grid, 2.0)
+    problems = [make_problem(nx=60, nt=180, potential=A, eps_reg=eps) for eps in (None, 0.0)]
+    built = []
+    check = wc.StatePair.__post_init__
+    monkeypatch.setattr(wc.StatePair, "__post_init__", lambda s: (built.append(s), check(s)))
+    _gramian_rho(_GramianOperator(grid, problems[0].region, A),
+                 np.ones(2 * math.prod(grid.interior_shape)))
+    assert built == []
+    counts = []
+    for problem in problems:
+        sol = wc.solve_null_control(problem)
+        counts.append((sol.cg_iterations, len(built)))
+        built.clear()
+    (few, with_p), (many, plain) = counts
+    assert few < 10 and many > 400
+    assert with_p == plain == 5
+
+
 def test_nonfinite_seed_coordinates_blow_the_march_up():
-    # seed_from_rho does not check its seed; the adjoint march of a
+    # a Gramian apply does not check its seed; the adjoint march of a
     # nonfinite one raises BlowupError at its first level
     grid, region, A = symmetry_case(1, 12, 1.3, 0.4, 0.2)
     rho = np.zeros(2 * math.prod(grid.interior_shape))
@@ -666,11 +690,12 @@ def test_solve_is_scale_invariant(make, floor, rel):
 # the closed-form free-wave Gramian and the preconditioned floor solve
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("a", [0.0, 3.7], ids=["a=0", "a=3.7"])
+@pytest.mark.parametrize("zero_field", [False, True], ids=["A=None", "a=0"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_free_wave_gramian_matches_operator(dim, a):
-    # G(a) in closed form against the marched operator, column by column and
-    # on random vectors, for an interval (1D) or sides (2D) region
+def test_free_wave_gramian_matches_operator(dim, zero_field):
+    # G(0) in closed form against the marched operator, with no potential or
+    # one that reads 0, column by column and on random vectors, for an
+    # interval (1D) or sides (2D) region
     if dim == 1:
         grid = wc.SpaceTimeGrid((1.0,), (40,), T=2.5, nt=120)
         region = wc.interval_region(grid, 0.55, 1.0)
@@ -678,8 +703,8 @@ def test_free_wave_gramian_matches_operator(dim, a):
         grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
         region = wc.sides_region(grid, ["right", "top"], 0.3)
     n, dst = math.prod(grid.interior_shape), _dst_matrices(grid)
-    G = _free_wave_block(grid, region, np.arange(n), dst, a)
-    op = _GramianOperator(grid, region, wc.SpaceTimeField.constant(grid, a) if a else None)
+    G = _free_wave_block(grid, region, np.arange(n), dst)
+    op = _GramianOperator(grid, region, wc.SpaceTimeField.zeros(grid) if zero_field else None)
     columns = np.array([_gramian_rho(op, e) for e in np.eye(len(G))]).T
     assert np.max(np.abs(columns - G)) <= 1e-12 * np.max(np.abs(columns))
     for rho in np.random.default_rng(7).standard_normal((3, len(G))):
@@ -687,15 +712,15 @@ def test_free_wave_gramian_matches_operator(dim, a):
         assert np.linalg.norm(G @ rho - G_rho) <= 1e-12 * np.linalg.norm(G_rho)
     # the diagonal the preconditioner divides by off its band, without G
     diag = np.diag(G)
-    assert (np.max(np.abs(_free_wave_diagonal(grid, region, np.arange(n), dst, a) - diag))
+    assert (np.max(np.abs(_free_wave_diagonal(grid, region, np.arange(n), dst) - diag))
             <= 1e-12 * np.max(diag))
 
 
-def closed_form_gramian(grid, region, a=0.0):
-    """The whole G(a) with D from `dstn` of the identity: the closed form
+def closed_form_gramian(grid, region):
+    """The whole G(0) with D from `dstn` of the identity: the closed form
     that `_free_wave_block` reproduces from per-axis DST-I matrices."""
     n = math.prod(grid.interior_shape)
-    T, w = _free_wave_signals(grid, a, np.arange(n))
+    T, w = _free_wave_signals(grid, np.arange(n))
     G = T.T @ (w * T)
     D = sp_fft.dstn(np.eye(n).reshape((n,) + grid.interior_shape), type=1, norm="ortho",
                     axes=tuple(range(-grid.dim, 0))).reshape(n, n)
@@ -727,8 +752,7 @@ def test_free_wave_block_of_every_mode_is_the_closed_form(configs_dir, name):
         assert np.array_equal(block, closed_form_gramian(grid, region))
 
 
-@pytest.mark.parametrize("a", [0.0, 3.7], ids=["a=0", "a=3.7"])
-def test_free_wave_band_block_matches_the_gramian(a):
+def test_free_wave_band_block_matches_the_gramian():
     # the 2D band block, formed from T's band columns and D's band rows
     # only, against the same entries of the whole closed form
     grid = wc.SpaceTimeGrid((1.0, 1.2), (9, 11), T=1.5, nt=40)
@@ -737,8 +761,8 @@ def test_free_wave_band_block_matches_the_gramian(a):
     modes = _free_wave_band(grid)
     assert 0 < len(modes) < n
     seeds = np.concatenate([modes, n + modes])
-    G = closed_form_gramian(grid, region, a)
-    block = _free_wave_block(grid, region, modes, _dst_matrices(grid), a)
+    G = closed_form_gramian(grid, region)
+    block = _free_wave_block(grid, region, modes, _dst_matrices(grid))
     assert np.max(np.abs(block - G[np.ix_(seeds, seeds)])) <= 1e-12 * np.max(np.abs(G))
 
 

@@ -194,6 +194,15 @@ def test_hat_g_linear_and_quadratic():
     assert float(quad.hat_g(2.0)) == pytest.approx(2.0, rel=1e-14)
 
 
+def test_hat_g_reads_g0_of_a_replaced_g():
+    # g(0) is read from g, so the copy dataclasses.replace(nl, g=h) that the
+    # class documents takes the secant quotient of h, not of the old g
+    g = wc.builtin("loglimit", a=0.5)
+    h = dataclasses.replace(g, g=lambda r: g.g(r) + 0.5)
+    r = np.array([-2.0, 0.5, 3.0])
+    assert np.array_equal(h.hat_g(r), (h.g(r) - 1.0) / r)
+
+
 def test_hat_g_continuity_at_switch():
     g = wc.builtin("lipschitz_sat", kappa=1.0)
     a, b = float(g.hat_g(1e-8)), float(g.hat_g(2e-8))

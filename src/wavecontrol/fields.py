@@ -157,7 +157,7 @@ def _time_weights(grid: SpaceTimeGrid) -> np.ndarray:
     return _trapezoid(grid.dt, grid.nt + 1)
 
 
-@dataclass
+@dataclass(eq=False)            # == is identity, as for every class holding arrays
 class SpaceTimeField:
     """Scalar field sampled on the full space-time grid, time level first."""
 
@@ -203,7 +203,7 @@ class SpaceTimeField:
         return SpaceTimeField._trusted(self.grid, self.values[::-1])
 
 
-@dataclass
+@dataclass(eq=False)
 class StatePair:
     """A (position, velocity) snapshot; position vanishes on the boundary."""
 

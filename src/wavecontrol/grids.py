@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError, whole_number
+from .errors import ConfigError, real_number, whole_number
 
 SIDES_2D = ("left", "right", "bottom", "top")   # low and high end of axis 0, then of axis 1
 
@@ -33,18 +33,20 @@ class SpaceTimeGrid:
     nt: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
+        object.__setattr__(self, "lengths", tuple(real_number("grid lengths", L)
+                                                  for L in self.lengths))
         object.__setattr__(self, "shape", tuple(whole_number("grid nodes", n)
                                                 for n in self.shape))
+        object.__setattr__(self, "T", real_number("grid T", self.T))
         object.__setattr__(self, "nt", whole_number("grid nt", self.nt))
         if len(self.lengths) not in (1, 2) or len(self.lengths) != len(self.shape):
             raise ConfigError("grid must be 1D or 2D with one node count per axis")
-        if not all(0 < L < math.inf for L in self.lengths):
-            raise ConfigError("domain lengths must be positive and finite")
+        if not all(L > 0 for L in self.lengths):
+            raise ConfigError("domain lengths must be positive")
         if any(n < 3 for n in self.shape):
             raise ConfigError("need at least 3 nodes per axis")
-        if not 0 < self.T < math.inf:
-            raise ConfigError("time horizon T must be positive and finite")
+        if not self.T > 0:
+            raise ConfigError("time horizon T must be positive")
         if self.nt < 2:
             raise ConfigError("need at least 2 time steps")
         for name, h in (("dt", self.dt), ("min(dx)", min(self.dx))):
@@ -82,7 +84,7 @@ class SpaceTimeGrid:
         return np.linspace(0.0, self.T, self.nt + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)      # == is identity: the weights are an array
 class ControlRegion:
     """Control support omega and its indicator chi_omega at the nodes: the
     weights are 0 or 1, and `interval_region`, `rectangle_region` and
@@ -96,8 +98,8 @@ class ControlRegion:
 
     grid: SpaceTimeGrid
     kind: str
-    params: dict = field(compare=False)
-    weights: np.ndarray = field(compare=False)
+    params: dict
+    weights: np.ndarray
 
     def __post_init__(self):
         # a private C-contiguous float64 copy: the compiled march reads it
@@ -123,8 +125,7 @@ def check_same_grid(grid: SpaceTimeGrid, **parts) -> None:
 
 
 def _box_region(grid: SpaceTimeGrid, bounds) -> ControlRegion:
-    """The open box of the per-axis bounds ((lo, hi), ...)."""
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    """The open box of the per-axis bounds ((lo, hi), ...), floats."""
     axes = [grid.axis_nodes(a) for a in range(grid.dim)]
     inside = [(x > lo) & (x < hi) for x, (lo, hi) in zip(axes, bounds)]
     return ControlRegion(grid, "box", {"bounds": bounds}, reduce(np.logical_and.outer, inside))
@@ -134,6 +135,7 @@ def interval_region(grid: SpaceTimeGrid, a: float, b: float) -> ControlRegion:
     """omega = (a, b) on a 1D grid."""
     if grid.dim != 1:
         raise ConfigError("interval_region requires a 1D grid")
+    a, b = real_number("region a", a), real_number("region b", b)
     L = grid.lengths[0]
     if not (0.0 <= a < b <= L):
         raise ConfigError(f"interval ({a}, {b}) is not a subinterval of (0, {L})")
@@ -145,6 +147,8 @@ def rectangle_region(grid: SpaceTimeGrid, x0: float, x1: float, y0: float,
     """Axis-aligned sub-rectangle (x0, x1) x (y0, y1) on a 2D grid."""
     if grid.dim != 2:
         raise ConfigError("rectangle_region requires a 2D grid")
+    x0, x1, y0, y1 = (real_number(f"region {name}", v) for name, v in
+                      (("x0", x0), ("x1", x1), ("y0", y0), ("y1", y1)))
     Lx, Ly = grid.lengths
     if not (0.0 <= x0 < x1 <= Lx and 0.0 <= y0 < y1 <= Ly):
         raise ConfigError("sub-rectangle must be contained in the domain")
@@ -166,6 +170,7 @@ def sides_region(grid: SpaceTimeGrid, sides, eps: float) -> ControlRegion:
             raise ConfigError(f"unknown side {s!r}; expected one of {SIDES_2D}")
     if not sides:
         raise ConfigError("sides_region needs at least one side")
+    eps = real_number("region eps", eps)
     if eps <= 0:
         raise ConfigError("eps must be positive")
     near = [np.zeros(n, dtype=bool) for n in grid.shape]
@@ -173,7 +178,7 @@ def sides_region(grid: SpaceTimeGrid, sides, eps: float) -> ControlRegion:
         axis, high = divmod(SIDES_2D.index(s), 2)
         x = grid.axis_nodes(axis)
         near[axis] |= (grid.lengths[axis] - x if high else x) < eps
-    return ControlRegion(grid, "sides", {"sides": sides, "eps": float(eps)},
+    return ControlRegion(grid, "sides", {"sides": sides, "eps": eps},
                          np.logical_or.outer(*near))
 
 
@@ -195,8 +200,11 @@ def check_geometric_condition(grid: SpaceTimeGrid, region: ControlRegion, x0,
     region covers a neighborhood of Gamma_0 inside Omega.  x0 must lie
     strictly outside the closed domain.
     """
-    T = grid.T if T is None else float(T)
-    x0 = tuple(float(v) for v in np.asarray(x0).reshape(grid.dim))
+    T = grid.T if T is None else real_number("T", T)
+    point = np.asarray(x0, dtype=object).ravel()
+    if point.size != grid.dim:
+        raise ConfigError(f"x0 must have {grid.dim} coordinate(s)")
+    x0 = tuple(real_number("x0", c) for c in point)
     if all(0.0 <= c <= L for c, L in zip(x0, grid.lengths)):
         raise ConfigError("x0 must lie strictly outside the closed domain")
     gamma0 = []

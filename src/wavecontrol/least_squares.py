@@ -163,7 +163,7 @@ class IterateRecord:
     inner_residuals: list = field(default_factory=list)   # CG history, verbose export
 
 
-@dataclass
+@dataclass(eq=False)
 class LSResult:
     records: list
     y: SpaceTimeField

@@ -124,7 +124,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import ConfigError, whole_number
+from .errors import ConfigError, real_number, whole_number
 from .fields import (SpaceTimeField, StatePair, _embed, dst1, eigenvalues,
                      from_sine_coefficients, l2_qt, sine_coefficients, v_norm)
 from .grids import ControlRegion, SpaceTimeGrid, check_same_grid
@@ -133,7 +133,7 @@ from .solver import _march, _terminal_velocity, solve_forward, terminal_state
 FLOOR_THETA = 0.01      # floor stop: |r_k| <= theta * eps |rho_k|
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearControlProblem:
     """Steer `initial` to `target` with controls on region; frozen, so the
     preconditioner it caches (`precond`) never goes stale."""
@@ -154,15 +154,18 @@ class LinearControlProblem:
         for name in ("initial", "target"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, StatePair.zeros(self.grid))
-        if self.eps_reg is not None and not 0 <= self.eps_reg < math.inf:
-            raise ConfigError("eps_reg must be nonnegative and finite")
-        if not 0 < self.cg_tol < math.inf:
-            raise ConfigError("cg_tol must be positive and finite")
+        if self.eps_reg is not None:
+            object.__setattr__(self, "eps_reg", real_number("eps_reg", self.eps_reg))
+            if self.eps_reg < 0:
+                raise ConfigError("eps_reg must be nonnegative")
+        object.__setattr__(self, "cg_tol", real_number("cg_tol", self.cg_tol))
+        if self.cg_tol <= 0:
+            raise ConfigError("cg_tol must be positive")
         object.__setattr__(self, "cg_max_iter", whole_number("cg_max_iter", self.cg_max_iter))
 
     @property
     def effective_eps(self) -> float:
-        return min(self.grid.dx) ** 2 if self.eps_reg is None else float(self.eps_reg)
+        return min(self.grid.dx) ** 2 if self.eps_reg is None else self.eps_reg
 
     @cached_property
     def precond(self):
@@ -172,7 +175,7 @@ class LinearControlProblem:
         return _free_wave_preconditioner(self.grid, self.region, self.effective_eps)
 
 
-@dataclass
+@dataclass(eq=False)
 class ControlSolution:
     control: SpaceTimeField
     trajectory: SpaceTimeField

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real_number
 
 # relative accuracy assumed of a Nonlinearity's numpy g and g' (its docstring)
 EVAL_TOLERANCE = 2.0 ** -44
@@ -95,13 +95,7 @@ def builtin(name: str, **params) -> Nonlinearity:
     Every parameter must be a finite number, and R positive.
     """
     def param(key, default):
-        try:
-            v = float(params.pop(key, default))
-        except (TypeError, ValueError):
-            raise ConfigError(f"nonlinearity {name!r}: {key} must be a number") from None
-        if not math.isfinite(v):
-            raise ConfigError(f"nonlinearity {name!r}: {key} must be finite, not {v}")
-        return v
+        return real_number(f"nonlinearity {name!r}: {key}", params.pop(key, default))
 
     if name == "zero":
         nl = Nonlinearity("zero",

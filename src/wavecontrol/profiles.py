@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, real_number
 from .fields import StatePair
 from .grids import SpaceTimeGrid
 
@@ -60,14 +60,8 @@ def _numbers(spec, key, default) -> np.ndarray:
     value = spec.pop(key, None)
     if value is None:
         value = default
-    try:
-        arr = np.atleast_1d(np.asarray(value))
-    except ValueError:          # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise ConfigError(f"profile key {key!r} must be a number or a list of "
-                          f"numbers, got {value!r}")
-    return arr.astype(float)
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return np.array([real_number(f"profile key {key!r}", v) for v in items], dtype=float)
 
 
 def _number(spec, key, default) -> float:
@@ -86,8 +80,12 @@ def _reject_extras(name, spec):
 def build_state(grid: SpaceTimeGrid, spec: dict) -> StatePair:
     """Build a StatePair from {"position": {...}, "velocity": {...}}."""
     spec = dict(spec)
-    pos = sample_profile(grid, spec.pop("position", {"profile": "zero"}))
-    vel = sample_profile(grid, spec.pop("velocity", {"profile": "zero"}))
+    parts = []
+    for part in ("position", "velocity"):
+        try:
+            parts.append(sample_profile(grid, spec.pop(part, {"profile": "zero"})))
+        except ConfigError as exc:
+            raise ConfigError(f"{part}: {exc}") from None
     if spec:
         raise ConfigError(f"unexpected keys in state description: {sorted(spec)}")
-    return StatePair(grid, pos, vel)
+    return StatePair(grid, *parts)

@@ -116,7 +116,8 @@ DELETE = object()
 @given(name=st.sampled_from(sorted(p.stem for p in CONFIGS.glob("*.json"))),
        pick=st.integers(0, 10 ** 6),
        value=st.sampled_from(["x", "", True, False, None, [], [1, "a"], {}, {"a": 1},
-                              -1, -2.5, 0, math.inf, -math.inf, math.nan, DELETE]))
+                              -1, -2.5, 0, math.inf, -math.inf, math.nan, 10 ** 400,
+                              DELETE]))
 def test_mutated_config_check_never_raises(tmp_path, name, pick, value):
     # one leaf of a committed config replaced or deleted: `check` accepts the
     # config or reports a config error, and never raises
@@ -133,6 +134,28 @@ def test_mutated_config_check_never_raises(tmp_path, name, pick, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert run_cli(["check", "--config", path]) in (0, 1)
+
+
+@pytest.mark.parametrize("key", [
+    "scenario.lengths", "scenario.nodes", "scenario.T", "scenario.nt", "scenario.x0",
+    "scenario.region.a", "scenario.region.b", "data.initial.position.amplitude",
+    "data.initial.position.k", "nonlinearity.params.b", "least_squares.max_outer",
+    "fixed_point.max_outer", "inner.eps_reg", "inner.cg_tol", "inner.cg_max_iter", "seed",
+])
+@pytest.mark.parametrize("command", ["check", "run", "compare", "sweep"])
+def test_401_digit_integer_is_a_config_error(tmp_path, capsys, command, key):
+    # JSON has no integer limit, and such an int has no float64 value; a
+    # sweep builds its base config, with every key it does not set, before
+    # it makes the output directory
+    big = 10 ** 400
+    value = [big] if key in ("scenario.lengths", "scenario.nodes") else big
+    sweep = {"path": "nonlinearity.params.b", "values": [0.3]}
+    path, _ = small_linear_config(tmp_path, **{key: value, "sweep": sweep})
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key.split(".")[-1] in err
+    assert not out.exists()
 
 
 FUZZ_G = {"zero": {}, "linear": {"b": 0.3}, "lipschitz_sat": {"kappa": 5.0},
@@ -420,6 +443,17 @@ def test_sweep_threads_flag_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "check"])
+def test_verbose_is_a_usage_error_where_nothing_reads_it(tmp_path, capsys, command):
+    # only run and compare print per-step detail; elsewhere the flag is refused
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", CONFIGS / "resolution_sweep.json", "--out",
+                 tmp_path / "o", "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_check_reports_hypotheses(capsys):

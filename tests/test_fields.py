@@ -356,6 +356,9 @@ def test_linf_v_transforms_few_levels_of_a_driven_field(desk_problem, monkeypatc
     ({"profile": "eigenmode", "amplitude": "big"}, "amplitude"),
     ({"profile": "eigenmode", "k": "x"}, "k"),
     ({"profile": "bump", "width": "wide"}, "width"),
+    ({"profile": "eigenmode", "amplitude": math.inf}, "amplitude"),   # else a NaN profile
+    ({"profile": "bump", "width": math.inf}, "width"),       # else nonzero on the boundary
+    ({"profile": "bump", "center": [math.inf]}, "center"),   # else silently zero
 ])
 def test_sample_profile_non_number_is_a_config_error(grid, spec, key):
     # library calls get the same ConfigError the CLI's validation gives

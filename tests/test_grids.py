@@ -40,8 +40,14 @@ def test_grid_rejects_bad_shapes_and_params():
     ((1.0,), (50,), 1e-300, 100, r"dt\^2 = 0 "),  # else the residual stencil divides 0 by 0
     ((1.0,), (50,), 1e-155, 100, r"dt\^2 = 1e-314 is not a normal"),
     ((1e300,), (50,), 1.0, 100, r"min\(dx\)\^2 = inf"),
+    (("x",), (50,), 1.0, 100, "lengths"),          # else a raw ValueError
+    ((1.0,), (50,), "x", 100, "T"),                # else a raw TypeError
+    ((True,), (50,), 1.0, 100, "lengths"),         # else a unit length
+    ((10 ** 400,), (50,), 1.0, 100, "lengths"),    # else an OverflowError
+    ((1.0,), (50,), 1.0, 10 ** 400, "nt"),
 ], ids=["T=nan", "T=inf", "length=nan", "length=inf", "nt=100.5", "nodes=50.7",
-        "2d_nodes=40.5", "nt=True", "dt^2=0", "dt^2 subnormal", "dx^2=inf"])
+        "2d_nodes=40.5", "nt=True", "dt^2=0", "dt^2 subnormal", "dx^2=inf", "length=str",
+        "T=str", "length=True", "length=10**400", "nt=10**400"])
 def test_grid_rejects_nonfinite_and_fractional_input(lengths, nodes, T, nt, words):
     with pytest.raises(ConfigError, match=words):
         wc.SpaceTimeGrid(lengths, nodes, T=T, nt=nt)
@@ -117,6 +123,47 @@ def test_region_invalid_interval():
         wc.interval_region(grid, 0.9, 0.2)
     with pytest.raises(ConfigError):
         wc.interval_region(grid, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("build, words", [
+    (lambda g, g2: wc.interval_region(g, "a", 1.0), "region a"),
+    (lambda g, g2: wc.interval_region(g, True, 1.0), "region a"),
+    (lambda g, g2: wc.rectangle_region(g2, "a", 1, 0, 1), "region x0"),
+    (lambda g, g2: wc.rectangle_region(g2, 0, True, 0, 1), "region x1"),
+    (lambda g, g2: wc.sides_region(g2, ["left"], "x"), "region eps"),
+    (lambda g, g2: wc.sides_region(g2, ["left"], math.inf), "region eps"),
+    (lambda g, g2: wc.check_geometric_condition(g2, wc.sides_region(g2, ["left"], 0.2), "here"),
+     "x0 must have 2"),
+    (lambda g, g2: wc.check_geometric_condition(g2, wc.sides_region(g2, ["left"], 0.2),
+                                                (-0.1, 0.5, 0.5)), "x0 must have 2"),
+    (lambda g, g2: wc.check_geometric_condition(g, wc.interval_region(g, 0.5, 1.0), math.nan),
+     "x0"),
+    (lambda g, g2: wc.check_geometric_condition(g, wc.interval_region(g, 0.5, 1.0), -0.1,
+                                                T="long"), "T"),
+], ids=["interval=str", "interval=True", "rectangle=str", "rectangle=True", "eps=str",
+        "eps=inf", "x0=str", "x0 of 3", "x0=nan", "T=str"])
+def test_region_and_geometry_numbers_are_config_errors(build, words):
+    # each number is checked where it is read, so a library call gets the
+    # ConfigError a config gets, not a raw TypeError or a silent NaN
+    g = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
+    g2 = wc.SpaceTimeGrid((1.0, 1.0), (11, 11), T=1.0, nt=30)
+    with pytest.raises(ConfigError, match=words):
+        build(g, g2)
+
+
+def test_array_holders_compare_by_identity():
+    # the generated == compared a region's grid and kind only, and raised on
+    # the arrays of a field, a state or a problem; a grid compares by value
+    grid = wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
+    assert grid == wc.SpaceTimeGrid((1.0,), (11,), T=1.0, nt=30)
+    near, far = wc.interval_region(grid, 0.1, 0.3), wc.interval_region(grid, 0.5, 0.9)
+    assert near == near and near != far and hash(near) != hash(far)
+    zeros = wc.StatePair.zeros(grid)
+    pairs = [(near, far), (wc.SpaceTimeField.zeros(grid), wc.SpaceTimeField.zeros(grid)),
+             (zeros, wc.StatePair.zeros(grid)),
+             (wc.LinearControlProblem(grid, near), wc.LinearControlProblem(grid, near))]
+    for a, b in pairs:
+        assert a == a and a != b and b != a
 
 
 def test_geometry_1d_pass_and_fail():

@@ -47,7 +47,13 @@ def config_with_fixed_point_cap(max_outer):
     lambda: small_linear_problem(cg_tol=math.nan),     # 500 iterations, then unconverged
     lambda: small_linear_problem(cg_max_iter=-3),      # the zero control
     lambda: small_linear_problem(eps_reg=math.nan),
-], ids=["ls.max_outer=-1", "fp.max_outer=-1", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan"])
+    lambda: wc.LSConfig(max_outer=10 ** 400),   # else an OverflowError
+    lambda: small_linear_problem(cg_tol="x"),   # else a raw TypeError
+    lambda: small_linear_problem(eps_reg="x"),
+    lambda: small_linear_problem(cg_tol=True),  # else a tolerance of 1
+    lambda: small_linear_problem(cg_max_iter=10 ** 400),
+], ids=["ls.max_outer=-1", "fp.max_outer=-1", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan",
+        "max_outer=10**400", "cg_tol=str", "eps_reg=str", "cg_tol=True", "cg_max_iter=10**400"])
 def test_bad_library_input_is_a_config_error(build):
     with pytest.raises(ConfigError):
         build()

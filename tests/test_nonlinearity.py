@@ -47,10 +47,13 @@ def test_unknown_name_and_bad_params():
     ("cubic_sat", {"R": math.inf}),
     ("cubic_sat", {"R": 0.0}),
     ("cubic_sat", {"R": "wide"}),
+    ("linear", {"b": True}),                   # else b = 1
+    ("lipschitz_sat", {"kappa": 10 ** 400}),   # else an OverflowError
 ])
 def test_nonfinite_or_out_of_range_parameters_are_config_errors(name, params):
-    # the config schema rejects these; a library call must too (a NaN
-    # kappa passed the g/g' check, since every comparison with NaN is false)
+    # builtin checks each parameter it reads, for a config and a library call
+    # alike (a NaN kappa passed the g/g' check, since every comparison with
+    # NaN is false)
     with pytest.raises(ConfigError):
         wc.builtin(name, **params)
 

@@ -23,7 +23,6 @@ import copy
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -66,10 +65,11 @@ SUMMARY_METHOD_SCHEMA = {
 }
 
 METHOD_RUNNERS = {
-    "least_squares": lambda prob, g, ls_cfg, fp_cfg: ls_solve(prob, g, ls_cfg),
-    "newton_classic": lambda prob, g, ls_cfg, fp_cfg: newton_classic_solve(prob, g, ls_cfg),
-    "picard": lambda prob, g, ls_cfg, fp_cfg: picard_solve(prob, g, fp_cfg),
-    "variant": lambda prob, g, ls_cfg, fp_cfg: variant_solve(prob, g, fp_cfg),
+    # a lambda, so that ls_solve is looked up in this module at each call
+    "least_squares": lambda prob, g, config: ls_solve(prob, g, config),
+    "newton_classic": newton_classic_solve,
+    "picard": picard_solve,
+    "variant": variant_solve,
 }
 
 
@@ -110,7 +110,7 @@ def load_config(path) -> dict:
 def validate_config(cfg: dict):
     _expect_keys(cfg, "config",
                  required=("schema_version", "scenario", "data", "nonlinearity", "methods"),
-                 optional=("least_squares", "fixed_point", "inner", "output_dir",
+                 optional=("least_squares", "inner", "output_dir",
                            "seed", "sweep"))
     if cfg["schema_version"] != SCHEMA_VERSION:
         _fail("config.schema_version", f"expected {SCHEMA_VERSION}")
@@ -172,12 +172,10 @@ def validate_config(cfg: dict):
             _fail("config.methods", f"unknown method {m!r}")
         if m in methods[:i]:
             _fail("config.methods", f"duplicate method {m!r}")
-    for section in ("least_squares", "fixed_point"):
+    for section, keys in (("least_squares", ("max_outer",)),
+                          ("inner", ("eps_reg", "cg_tol", "cg_max_iter"))):
         if section in cfg:
-            _expect_keys(cfg[section], section, required=(), optional=("max_outer",))
-    if "inner" in cfg:
-        _expect_keys(cfg["inner"], "inner", required=(),
-                     optional=("eps_reg", "cg_tol", "cg_max_iter"))
+            _expect_keys(cfg[section], section, required=(), optional=keys)
     if "sweep" in cfg:
         _expect_keys(cfg["sweep"], "sweep", required=("path", "values"))
         if not isinstance(cfg["sweep"]["path"], str):
@@ -213,15 +211,16 @@ def build_region(cfg: dict, grid: SpaceTimeGrid):
 def build_problem(cfg: dict):
     grid = build_grid(cfg)
     region = build_region(cfg, grid)
-    initial = build_state(grid, cfg["data"]["initial"])
-    target = build_state(grid, cfg["data"]["target"])
-    problem = LinearControlProblem(grid, region, initial=initial, target=target,
-                                   **cfg.get("inner", {}))
+    states = {}
+    for name in ("initial", "target"):
+        try:
+            states[name] = build_state(grid, cfg["data"][name])
+        except ConfigError as exc:
+            raise ConfigError(f"data.{name}: {exc}") from None
+    problem = LinearControlProblem(grid, region, **states, **cfg.get("inner", {}))
     nl = cfg["nonlinearity"]
     g = builtin(nl["name"], **nl.get("params", {}))
-    ls_cfg = LSConfig(**cfg.get("least_squares", {}))
-    fp_cfg = LSConfig(cfg.get("fixed_point", {}).get("max_outer", ls_cfg.max_outer))
-    return problem, g, ls_cfg, fp_cfg
+    return problem, g, LSConfig(**cfg.get("least_squares", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +334,7 @@ def geometry_summary(cfg, grid, region):
 # ---------------------------------------------------------------------------
 
 def _out_dir(cfg, args) -> Path:
-    out = args.out or os.environ.get("WAVECONTROL_OUT") or cfg.get("output_dir", "out")
+    out = args.out or cfg.get("output_dir", "out")
     path = Path(out)
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -345,13 +344,12 @@ def _out_dir(cfg, args) -> Path:
 
 
 def _run_methods(built, methods, verbose=False):
-    """Solve with each method the (problem, g, ls_cfg, fp_cfg) that
-    `build_problem` returned; maps each name to (result, wall time)."""
-    problem, g, ls_cfg, fp_cfg = built
+    """Solve with each method the (problem, g, config) that `build_problem`
+    returned; maps each name to (result, wall time)."""
     results = {}
     for name in methods:
         t0 = time.perf_counter()
-        result = METHOD_RUNNERS[name](problem, g, ls_cfg, fp_cfg)
+        result = METHOD_RUNNERS[name](*built)
         wall = time.perf_counter() - t0
         results[name] = (result, wall)
         if verbose:
@@ -438,40 +436,48 @@ def cmd_compare(cfg, args) -> int:
 
 
 def _set_by_path(cfg, dotted, value):
+    *parents, leaf = dotted.split(".")
     node = cfg
-    parts = dotted.split(".")
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"sweep.path: {dotted!r} does not address a config entry")
-        node = node[p]
-    leaf = parts[-1]
+    for p in parents:
+        node = node.get(p) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"sweep.path: {dotted!r} does not address a config entry")
     node[leaf] = value
 
 
-def _sweep_point(base_cfg, dotted, value, methods):
+def _build_sweep_point(base_cfg, idx, dotted, value):
+    """The config of sweep point idx and what `build_problem` builds from it;
+    a refused point's message names its index, path and value."""
     cfg = copy.deepcopy(base_cfg)
     cfg.pop("sweep", None)
     _set_by_path(cfg, dotted, value)
-    validate_config(cfg)
-    chash = config_hash(cfg)
-    results = _run_methods(build_problem(cfg), methods)
+    try:
+        validate_config(cfg)
+        return cfg, build_problem(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"sweep point {idx} ({dotted}={json.dumps(value)}): {exc}") from None
+
+
+def _sweep_point(cfg, built, value, methods):
+    results = _run_methods(built, methods)
     return [dict(row, param_value=value)
-            for row in _result_rows(results, cfg["scenario"]["name"], chash)]
+            for row in _result_rows(results, cfg["scenario"]["name"], config_hash(cfg))]
 
 
 def cmd_sweep(cfg, args) -> int:
     if "sweep" not in cfg:
-        print("config error: sweep: missing sweep declaration", file=sys.stderr)
-        return 1
-    build_problem(cfg)       # a bad base config is rejected before the output directory exists
+        raise ConfigError("sweep: missing sweep declaration")
+    # a bad base config or sweep point is rejected before the output
+    # directory exists, and before any point is solved
+    build_problem(cfg)
+    dotted, values = cfg["sweep"]["path"], cfg["sweep"]["values"]
+    points = [_build_sweep_point(cfg, idx, dotted, value) for idx, value in enumerate(values)]
     out = _out_dir(cfg, args)
-    dotted = cfg["sweep"]["path"]
     rows = []
-    for idx, value in enumerate(cfg["sweep"]["values"]):
-        for row in _sweep_point(cfg, dotted, value, cfg["methods"]):
+    for idx, value in enumerate(values):
+        for row in _sweep_point(*points[idx], value, cfg["methods"]):
             rows.append(dict(row, index=idx, param_path=dotted))
+        points[idx] = None          # frees the solved point's problem
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
     for row in rows:
         print(f"[{row['index']}] {row['param_path']}={row['param_value']} "
@@ -486,7 +492,7 @@ DIAGNOSTIC_C = 1.0                    # the paper's unknown C, for the beta* lin
 def cmd_check(cfg, args) -> int:
     # builds everything `run` builds, data states included, so that check
     # rejects each config that run would reject before solving
-    problem, g, _, _ = build_problem(cfg)
+    problem, g, _ = build_problem(cfg)
     grid, region, C = problem.grid, problem.region, DIAGNOSTIC_C
 
     print(f"hypothesis report for scenario {cfg['scenario']['name']!r}")

@@ -243,9 +243,6 @@ class StatePair:
     def scaled(self, a: float) -> "StatePair":
         return StatePair(self.grid, a * self.position, a * self.velocity)
 
-    def is_zero(self) -> bool:
-        return not (np.any(self.position) or np.any(self.velocity))
-
 
 def _boundary_max(a, dim):
     return max(float(np.max(np.abs(np.moveaxis(a, ax, 0)[[0, -1]]))) for ax in range(dim))

@@ -503,15 +503,11 @@ def _cg(op, c, tol, max_iter, eps, floor=0.0, precond=None):
 # ---------------------------------------------------------------------------
 
 def _free_response(problem):
-    """Uncontrolled solution (None when it vanishes), its terminal state and
-    the coordinates c of the terminal gap to the target."""
+    """Uncontrolled solution (zero data marches to zero), its terminal state
+    and the coordinates c of the terminal gap to the target."""
     grid, A = problem.grid, problem.potential
-    free = None
-    if problem.source is not None or not problem.initial.is_zero():
-        free = solve_forward(grid, A, problem.source, problem.initial)
-        free_term = terminal_state(grid, free, A, problem.source)
-    else:
-        free_term = StatePair.zeros(grid)
+    free = solve_forward(grid, A, problem.source, problem.initial)
+    free_term = terminal_state(grid, free, A, problem.source)
     gap = problem.target - free_term
     return free, free_term, dual_to_rho(grid, gap.velocity, -gap.position)
 
@@ -521,8 +517,7 @@ def _controlled_solution(problem, op, u, free, free_term, **solver_info) -> Cont
     once the backward trajectory is freed, plus the free solution."""
     del op.back                 # the forward march reads only u
     w_term = StatePair(problem.grid, *op.from_rest(u))
-    if free is not None:
-        op.z += free.values
+    op.z += free.values
     terminal = free_term + w_term
     control = SpaceTimeField._trusted(problem.grid, u)
     return ControlSolution(

@@ -91,7 +91,7 @@ def test_criterion_03_oracle_equivalence():
 def test_criterion_04_linear_controllability():
     t0 = time.perf_counter()
     cfg = load_json(CONFIGS / "linear_sanity.json")
-    problem, g, ls_cfg, fp_cfg = cli.build_problem(cfg)
+    problem, g, ls_cfg = cli.build_problem(cfg)
     sol = wc.solve_null_control(problem)
     rel = sol.defect / wc.v_norm(problem.initial)
     elapsed = time.perf_counter() - t0
@@ -156,7 +156,7 @@ def test_criterion_07_lambda_goes_to_one(desk_lipschitz_run):
 
 def test_criterion_08_linear_one_step_exactness():
     cfg = load_json(CONFIGS / "newton_equiv.json")
-    problem, g, ls_cfg, fp_cfg = cli.build_problem(cfg)
+    problem, g, ls_cfg = cli.build_problem(cfg)
     assert g.name == "linear"
     res = wc.ls_solve(problem, g, wc.LSConfig(max_outer=1))
     sqrt2E_after = math.sqrt(2 * res.records[-1].E)

@@ -132,8 +132,8 @@ def test_picard_steps_are_preconditioned():
     # the exact solves of the picard steps share the problem's free-wave
     # preconditioner: a few CG iterations each (129-151 unpreconditioned)
     cfg = load_json(CONFIGS / "strong_nonlinearity.json")
-    problem, g, _, fp_cfg = cli.build_problem(cfg)
-    res = wc.picard_solve(problem, g, fp_cfg)
+    problem, g, ls_cfg = cli.build_problem(cfg)
+    res = wc.picard_solve(problem, g, ls_cfg)
     assert res.status == "cap_reached" and len(res.records) == 13
     steps = [rec.inner_cg_iters for rec in res.records[:-1]]
     assert all(rec.inner_converged for rec in res.records)

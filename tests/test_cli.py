@@ -140,7 +140,7 @@ def test_mutated_config_check_never_raises(tmp_path, name, pick, value):
     "scenario.lengths", "scenario.nodes", "scenario.T", "scenario.nt", "scenario.x0",
     "scenario.region.a", "scenario.region.b", "data.initial.position.amplitude",
     "data.initial.position.k", "nonlinearity.params.b", "least_squares.max_outer",
-    "fixed_point.max_outer", "inner.eps_reg", "inner.cg_tol", "inner.cg_max_iter", "seed",
+    "inner.eps_reg", "inner.cg_tol", "inner.cg_max_iter", "seed",
 ])
 @pytest.mark.parametrize("command", ["check", "run", "compare", "sweep"])
 def test_401_digit_integer_is_a_config_error(tmp_path, capsys, command, key):
@@ -336,6 +336,29 @@ def test_data_that_the_start_solve_cannot_march_is_a_config_error(tmp_path, caps
                                        "nonfinite values at time level 1\n")
 
 
+@pytest.mark.parametrize("state", ["initial", "target"])
+def test_refused_data_profile_names_its_state(tmp_path, capsys, state):
+    bad = {"profile": "eigenmode", "k": 1, "amplitude": "big"}
+    path, _ = small_linear_config(tmp_path, **{f"data.{state}.position": bad})
+    assert run_cli(["check", "--config", path]) == 1
+    assert capsys.readouterr().err == (f"config error: data.{state}: position: profile key "
+                                       "'amplitude': must be a finite number\n")
+
+
+def test_least_squares_cap_caps_every_method(tmp_path):
+    # least_squares.max_outer is the one outer step cap: on a nonlinear g,
+    # where no method converges in two steps, picard and variant stop at it
+    # as the damped iteration and newton_classic do
+    path, _ = small_linear_config(tmp_path, **{
+        "nonlinearity": {"name": "lipschitz_sat", "params": {"kappa": 5.0}},
+        "least_squares.max_outer": 2})
+    out = tmp_path / "cmp"
+    assert run_cli(["compare", "--config", path, "--out", out]) == 2
+    rows = list(csv.DictReader((out / "comparison.csv").read_text().splitlines()))
+    assert [(r["method"], r["status"], r["iterations"]) for r in rows] == [
+        (m, "cap_reached", "2") for m in cli.METHOD_RUNNERS]
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_time_step_whose_square_underflows_is_a_config_error(tmp_path, capsys, command):
     # dt = 1e-300 / 180 passes every other check, but dt^2 is 0 and the
@@ -354,11 +377,13 @@ def test_run_determinism_byte_identical(tmp_path):
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
-    path, _ = small_linear_config(tmp_path)
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("WAVECONTROL_OUT", str(target))
+    # no environment variable overrides the output directory: without --out
+    # a run writes to the config's output_dir
+    path, _ = small_linear_config(tmp_path, output_dir=str(tmp_path / "cfg_out"))
+    monkeypatch.setenv("WAVECONTROL_OUT", str(tmp_path / "env_out"))
     assert run_cli(["run", "--config", path]) == 0
-    assert (target / "summary.json").exists()
+    assert (tmp_path / "cfg_out" / "summary.json").exists()
+    assert not (tmp_path / "env_out").exists()
 
 
 def test_compare_all_methods_on_linear(tmp_path):
@@ -432,6 +457,32 @@ def test_sweep_empty_values_rejected(tmp_path):
     cfg["sweep"] = {"path": "nonlinearity.params.b", "values": []}
     path.write_text(json.dumps(cfg))
     assert run_cli(["sweep", "--config", path, "--out", tmp_path / "o"]) == 1
+
+
+@pytest.mark.parametrize("dotted", ["scenario.nope", "nope.T", "scenario.nodes.0",
+                                    "scenario.name.x", "scenario.T.x", ""])
+def test_sweep_path_must_address_a_config_entry(tmp_path, capsys, dotted):
+    path, _ = small_linear_config(tmp_path, sweep={"path": dotted, "values": [1]})
+    out = tmp_path / "o"
+    assert run_cli(["sweep", "--config", path, "--out", out]) == 1
+    assert capsys.readouterr().err == (f"config error: sweep.path: {dotted!r} does not "
+                                       "address a config entry\n")
+    assert not out.exists()
+
+
+def test_refused_sweep_point_solves_nothing(tmp_path, capsys, monkeypatch):
+    # every point is built before the output directory is made and before
+    # any point is solved, and the message names the refused point
+    solves, run_methods = [], cli._run_methods
+    monkeypatch.setattr(cli, "_run_methods", lambda *args: solves.append(1) or run_methods(*args))
+    cfg = load_json(CONFIGS / "resolution_sweep.json")
+    cfg["sweep"]["values"] = [[51], ["x"]]
+    path, out = tmp_path / "sweep.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["sweep", "--config", path, "--out", out]) == 1
+    assert capsys.readouterr().err == ('config error: sweep point 1 (scenario.nodes=["x"]): '
+                                       "grid nodes: must be a finite number\n")
+    assert solves == [] and not out.exists()
 
 
 def test_sweep_threads_flag_is_a_usage_error(tmp_path, capsys):
@@ -512,6 +563,7 @@ def test_check_of_saturated_nonlinearity_is_warning_free(capsys):
     ("least_squares.tol", 1e-8),
     ("least_squares.e_floor", 1e-20),
     ("least_squares.C", 1.0),
+    ("fixed_point.max_outer", 12),
     ("fixed_point.tol", 1e-8),
     ("fixed_point.step_tol", 1e-10),
     ("fixed_point.e_floor", 1e-20),
@@ -522,16 +574,19 @@ def test_removed_settings_are_unknown_keys(tmp_path, capsys, key, value):
     # the line search, the stop on E, the diagnostic C, the start, the CFL
     # margin and the indicator region are fixed; a config that still sets
     # one, even to its constant, is refused by check and run alike, not
-    # silently run with the constant
+    # silently run with the constant; least_squares.max_outer caps every
+    # method, so the whole fixed_point section is gone
     cfg = load_json(CONFIGS / "lipschitz_default.json")
     section, leaf = key.split(".")
     cfg.setdefault(section, {})[leaf] = value
     path = tmp_path / "removed.json"
     path.write_text(json.dumps(cfg))
+    expected = ("config: unknown keys ['fixed_point']" if section == "fixed_point"
+                else f"{section}: unknown keys ['{leaf}']")
     for command in ("check", "run"):
         assert run_cli([command, "--config", path, "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
-        assert f"{section}: unknown keys ['{leaf}']" in err
+        assert expected in err
     assert not (tmp_path / "o").exists()
 
 

@@ -34,16 +34,14 @@ def test_outer_run_rejects_a_problem_with_potential_or_source(monkeypatch, solve
     assert solves == []
 
 
-def config_with_fixed_point_cap(max_outer):
+def config_with_cap(max_outer):
     cfg = load_json(CONFIGS / "newton_equiv.json")
-    cfg["fixed_point"] = {"max_outer": max_outer}
+    cfg["least_squares"] = {"max_outer": max_outer}
     return cfg
 
 
 @pytest.mark.parametrize("build", [
     lambda: wc.LSConfig(max_outer=-1),          # cap_reached with no records
-    # build_problem does not validate; the picard and variant cap is checked
-    lambda: cli.build_problem(config_with_fixed_point_cap(-1)),
     lambda: small_linear_problem(cg_tol=math.nan),     # 500 iterations, then unconverged
     lambda: small_linear_problem(cg_max_iter=-3),      # the zero control
     lambda: small_linear_problem(eps_reg=math.nan),
@@ -52,7 +50,7 @@ def config_with_fixed_point_cap(max_outer):
     lambda: small_linear_problem(eps_reg="x"),
     lambda: small_linear_problem(cg_tol=True),  # else a tolerance of 1
     lambda: small_linear_problem(cg_max_iter=10 ** 400),
-], ids=["ls.max_outer=-1", "fp.max_outer=-1", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan",
+], ids=["ls.max_outer=-1", "cg_tol=nan", "cg_max_iter=-3", "eps_reg=nan",
         "max_outer=10**400", "cg_tol=str", "eps_reg=str", "cg_tol=True", "cg_max_iter=10**400"])
 def test_bad_library_input_is_a_config_error(build):
     with pytest.raises(ConfigError):
@@ -62,7 +60,7 @@ def test_bad_library_input_is_a_config_error(build):
 def test_whole_float_counts_become_ints():
     # JSON may write a count as 2.0; range() in the outer loops needs an int
     assert type(wc.LSConfig(max_outer=2.0).max_outer) is int
-    assert type(cli.build_problem(config_with_fixed_point_cap(2.0))[3].max_outer) is int
+    assert type(cli.build_problem(config_with_cap(2.0))[2].max_outer) is int
     assert type(small_linear_problem(cg_max_iter=7.0).cg_max_iter) is int
     grid = wc.SpaceTimeGrid((1.0,), (51.0,), T=1.0, nt=60.0)
     assert type(grid.shape[0]) is int and type(grid.nt) is int
@@ -674,7 +672,7 @@ def test_lipschitz_default_gramian_applies(monkeypatch, configs_dir):
     # apply; the run takes 19 (1 + 6 per Newton step)
     from wavecontrol.linear_control import _gramian_rho
 
-    problem, g, ls_cfg, _ = cli.build_problem(
+    problem, g, ls_cfg = cli.build_problem(
         cli.load_config(configs_dir / "lipschitz_default.json"))
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
@@ -695,7 +693,7 @@ def test_smoke_2d_gramian_applies(monkeypatch, configs_dir):
     # (17 + 23 + 23)
     from wavecontrol.linear_control import _free_wave_band, _gramian_rho
 
-    problem, g, ls_cfg, _ = cli.build_problem(cli.load_config(configs_dir / "smoke_2d.json"))
+    problem, g, ls_cfg = cli.build_problem(cli.load_config(configs_dir / "smoke_2d.json"))
     assert len(_free_wave_band(problem.grid)) == 483
     applies = []
     monkeypatch.setattr("wavecontrol.linear_control._gramian_rho",
@@ -816,7 +814,7 @@ def test_row_k_holds_the_solve_made_from_y_k(small_problem, method):
     # their step made from y_k, the last row (y_K, no step) holds none
     g = wc.builtin("lipschitz_sat", kappa=0.2)
     config = wc.LSConfig()
-    res = cli.METHOD_RUNNERS[method](small_problem, g, config, config)
+    res = cli.METHOD_RUNNERS[method](small_problem, g, config)
     assert res.status == "converged" and len(res.records) >= 3
     assert all(rec.inner_cg_iters > 0 for rec in res.records[:-1])
     assert all(math.isfinite(rec.inner_defect) for rec in res.records[:-1])

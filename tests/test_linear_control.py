@@ -155,12 +155,10 @@ def assert_reconstructs(sol, prob, control):
     state that `control` drives from rest, bit for bit."""
     grid, A = prob.grid, prob.potential
     z = wc.solve_forward(grid, A, control, wc.StatePair.zeros(grid))
-    terminal = wc.terminal_state(grid, z, A, control)
-    trajectory = z.values
-    if prob.source is not None or not prob.initial.is_zero():
-        free = wc.solve_forward(grid, A, prob.source, prob.initial)
-        terminal = wc.terminal_state(grid, free, A, prob.source) + terminal
-        trajectory = free.values + trajectory
+    free = wc.solve_forward(grid, A, prob.source, prob.initial)
+    terminal = (wc.terminal_state(grid, free, A, prob.source)
+                + wc.terminal_state(grid, z, A, control))
+    trajectory = free.values + z.values
     assert np.array_equal(sol.control.values, control.values)
     assert np.array_equal(sol.trajectory.values, trajectory)
     assert np.array_equal(sol.terminal.position, terminal.position)
